@@ -2,8 +2,9 @@
 
     python3 bench/child.py pass WORKLOAD SEED TRACE SPAWN_T OUT [setup-only]
         Set up an in-process workload, run its jobs once, check them, and
-        write timings (CLOCK_MONOTONIC, so SPAWN_T from the parent compares)
-        and, with TRACE=1, the tracer state to the JSON file OUT.
+        write timings (CLOCK_MONOTONIC, so SPAWN_T from the parent compares),
+        the speed probes taken between jobs (see speed.py) and, with
+        TRACE=1, the tracer state to the JSON file OUT.
     python3 bench/child.py cli OUT ARGV...
         A traced CLI job: import tropcong.cli, install the wrappers, then
         run tropcong.cli.main(ARGV); the trace goes to OUT.
@@ -28,9 +29,16 @@ def _write(path: str, doc: dict) -> None:
         json.dump(doc, fh)
 
 
+# speed probes: PROBES_AROUND after set-up and after the jobs, and one before
+# every PROBE_EVERY-th job
+PROBES_AROUND = 3
+PROBE_EVERY = 20
+
+
 def run_pass(workload: str, seed: int, trace: bool, spawn_t: float, out: str,
              setup_only: bool) -> int:
     import tropcong  # noqa: F401  (imports every layer but jsonio and cli)
+    from speed import probe
     from workloads import SETUPS
     tracer = None
     if trace:
@@ -39,13 +47,15 @@ def run_pass(workload: str, seed: int, trace: bool, spawn_t: float, out: str,
         install(tracer)
     jobs, final_check = SETUPS[workload](seed)
     ready = now()
-    doc = {"setup_s": ready - spawn_t}
+    probes = [probe() for _ in range(PROBES_AROUND)]
+    doc = {"setup_s": ready - spawn_t, "probes": probes}
     if setup_only:
         _write(out, doc)
         return 0
     times, results, errors = [], [], {}
-    t0 = now()
     for i, job in enumerate(jobs):
+        if i % PROBE_EVERY == 0:
+            probes.append(probe())
         s = now()
         try:
             results.append(job.run())
@@ -53,8 +63,9 @@ def run_pass(workload: str, seed: int, trace: bool, spawn_t: float, out: str,
             results.append(None)
             errors[i] = traceback.format_exc(limit=-3)
         times.append(now() - s)
-    doc["wall_s"] = now() - t0
+    doc["wall_s"] = sum(times)
     doc["job_s"] = times
+    probes += [probe() for _ in range(PROBES_AROUND)]
     if tracer is not None:
         doc["trace"] = tracer.dump()
     failures = {}

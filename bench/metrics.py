@@ -1,7 +1,7 @@
 """Metric definitions and the per-layer values computed from a trace.
 
 END_TO_END and PER_LAYER are the single source for names, units and
-directions; BENCHMARK.json repeats them for the benchmark driver, and
+directions; BENCHMARK.json repeats them for tools that gate on it, and
 selftest.py checks that the two agree.  Each per-layer entry names the
 end-to-end metric and workload it is expected to move.
 """

@@ -11,7 +11,8 @@ fresh process; every CLI job is a fresh `python -m tropcong.cli` process.
 
 Passes repeat until --seconds have gone by (at least one).  With --trace 0
 the result line holds the end-to-end metrics (medians over passes and setup
-samples); with --trace 1 one untraced and one traced pass run, and the result
+samples, in seconds at the reference machine speed: see speed.py); with
+--trace 1 one untraced and one traced pass run, and the result
 line holds the per-layer metrics of the traced pass.  The last line of stdout
 is the JSON result; the lines before it are a readable summary.
 """
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 from metrics import END_TO_END, PER_LAYER, merge, per_layer_values
+from speed import probe, slowdown
 from workloads import CLI_JOBS, ROOT, WORKLOADS, check_cli, cli_argv, cli_goldens
 
 BENCH = Path(__file__).resolve().parent
@@ -58,6 +60,7 @@ class Runner:
         self.env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
         self.n = 0
         self.current = None
+        self.probes = []  # speed probes taken between jobs (speed.py)
 
     def tmp(self, suffix: str) -> Path:
         """A scratch file name no other run in this checkout uses."""
@@ -99,9 +102,10 @@ def trace_dir(workload: str) -> Path:
 # cli_fixtures
 
 def cli_pass(runner: Runner, seed: int, goldens: dict, trace: bool):
-    """All CLI jobs once; returns (pass wall, job times, failures, rss_kb, traces)."""
-    procs = []
-    t0 = now()
+    """All CLI jobs once; returns (job times, the slowdown around each job,
+    failures, rss_kb, traces).  A probe runs before every job and after the
+    last."""
+    procs, probes = [], [probe()]
     for job in CLI_JOBS:
         argv = cli_argv(job, seed)
         if trace:
@@ -110,7 +114,11 @@ def cli_pass(runner: Runner, seed: int, goldens: dict, trace: bool):
         else:
             cmd = [sys.executable, "-m", "tropcong.cli"] + argv
         procs.append(runner.spawn(cmd))
-    wall = now() - t0
+        probes.append(probe())
+    runner.probes += probes
+    # job i ran between probes i and i + 1; one more on each side halves the
+    # noise of a single probe and still follows the machine from job to job
+    slows = [slowdown(probes[max(i - 1, 0):i + 3]) for i in range(len(procs))]
     failures = {}
     for job, p in zip(CLI_JOBS, procs):
         reason = check_cli(job, seed, p.code, p.stdout, goldens)
@@ -120,14 +128,18 @@ def cli_pass(runner: Runner, seed: int, goldens: dict, trace: bool):
             failures[job[0]] = reason
     traces = [json.loads((trace_dir("cli_fixtures") / (job[0] + ".json")).read_text())
               for job in CLI_JOBS] if trace else []
-    return wall, [p.wall for p in procs], failures, max(p.rss_kb for p in procs), traces
+    return [p.wall for p in procs], slows, failures, max(p.rss_kb for p in procs), traces
 
 
-def cli_setup_sample(runner: Runner) -> float:
+def cli_setup_sample(runner: Runner):
+    """Time of a fresh `import tropcong.cli` process, and the slowdown around it."""
+    probes = [probe()]
     p = runner.spawn([sys.executable, "-c", "import tropcong.cli"])
     if p.code != 0:
         raise RuntimeError("import tropcong.cli failed:\n" + p.stderr)
-    return p.wall
+    probes.append(probe())
+    runner.probes += probes
+    return p.wall, slowdown(probes)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +156,7 @@ def inproc_pass(runner: Runner, workload: str, seed: int, trace: bool, setup_onl
     if not trace:
         out.unlink()
     doc["rss_kb"] = p.rss_kb
+    runner.probes += doc["probes"]
     return doc
 
 
@@ -180,36 +193,56 @@ class Result:
 
 
 def measure(runner, workload, seed, seconds, res: Result):
-    """Untraced passes; returns the end-to-end metric values and extras."""
-    walls, jobs, setups, rss = [], [], [], 0
+    """Untraced passes; returns the end-to-end metric values and extras.
+
+    Times are divided by the slowdown (speed.py) measured around them: in
+    the pass or set-up process for in-process workloads, and by the probes
+    on either side of each CLI process for cli_fixtures, whose pass is the
+    sum of its jobs.  The extras hold the slowdown over the whole run and
+    the medians as measured."""
+    raw = {"wall_s": [], "job_s": [], "setup_s": []}
+    norm = {"wall_s": [], "job_s": [], "setup_s": []}
+    rss = 0
+    runner.probes = []
     start = now()
+
+    def add(key, values, slows):
+        raw[key] += values
+        norm[key] += [v / s for v, s in zip(values, slows)]
+
     if workload == "cli_fixtures":
         goldens = cli_goldens()
-        while len(setups) < SETUP_SAMPLES[workload]:
-            setups.append(cli_setup_sample(runner))
-        while not walls or now() - start < seconds:
-            wall, times, failures, kb, _ = cli_pass(runner, seed, goldens, False)
-            walls.append(wall)
-            jobs += times
+        while len(raw["setup_s"]) < SETUP_SAMPLES[workload]:
+            wall, slow = cli_setup_sample(runner)
+            add("setup_s", [wall], [slow])
+        while not raw["wall_s"] or now() - start < seconds:
+            times, slows, failures, kb, _ = cli_pass(runner, seed, goldens, False)
+            add("job_s", times, slows)
+            raw["wall_s"].append(sum(times))
+            norm["wall_s"].append(sum(t / s for t, s in zip(times, slows)))
             rss = max(rss, kb)
             res.add(len(times), failures)
     else:
-        while not walls or now() - start < seconds:
+        while not raw["wall_s"] or now() - start < seconds:
             doc = inproc_pass(runner, workload, seed, False)
-            walls.append(doc["wall_s"])
-            jobs += doc["job_s"]
-            setups.append(doc["setup_s"])
+            slow = [slowdown(doc["probes"])]
+            add("wall_s", [doc["wall_s"]], slow)
+            add("job_s", doc["job_s"], slow * len(doc["job_s"]))
+            add("setup_s", [doc["setup_s"]], slow)
             rss = max(rss, doc["rss_kb"])
             res.add(len(doc["job_s"]), doc["failures"])
             if doc["final_check"] is not None:
                 res.problems.append(doc["final_check"])
-        while len(setups) < SETUP_SAMPLES[workload]:
-            setups.append(inproc_pass(runner, workload, seed, False, setup_only=True)["setup_s"])
-    values = {"wall_s": statistics.median(walls),
-              "job_p50_s": statistics.median(jobs),
-              "setup_s": statistics.median(setups),
-              "peak_rss_mb": rss / 1024.0}
-    extras = {"passes": len(walls), "jobs": len(jobs), "tail": tail(jobs)}
+        while len(raw["setup_s"]) < SETUP_SAMPLES[workload]:
+            doc = inproc_pass(runner, workload, seed, False, setup_only=True)
+            add("setup_s", [doc["setup_s"]], [slowdown(doc["probes"])])
+    names = {"wall_s": "wall_s", "job_s": "job_p50_s", "setup_s": "setup_s"}
+    values = {names[k]: statistics.median(v) for k, v in norm.items()}
+    values["peak_rss_mb"] = rss / 1024.0
+    extras = {"passes": len(raw["wall_s"]), "jobs": len(raw["job_s"]),
+              "measured": {names[k]: statistics.median(v) for k, v in raw.items()},
+              "slowdown": slowdown(runner.probes), "probes": len(runner.probes),
+              "tail": tail(norm["job_s"])}
     return values, extras
 
 
@@ -217,10 +250,12 @@ def measure_traced(runner, workload, seed, res: Result):
     """One untraced and one traced pass; per-layer values of the traced one."""
     if workload == "cli_fixtures":
         goldens = cli_goldens()
-        plain_wall, times, failures, _, _ = cli_pass(runner, seed, goldens, False)
+        times, _, failures, _, _ = cli_pass(runner, seed, goldens, False)
         res.add(len(times), failures)
-        wall, times, failures, _, traces = cli_pass(runner, seed, goldens, True)
+        plain_wall = sum(times)
+        times, _, failures, _, traces = cli_pass(runner, seed, goldens, True)
         res.add(len(times), failures)
+        wall = sum(times)
         agg = merge(t["trace"] for t in traces)
         imports = [t["import_s"] for t in traces]
     else:
@@ -257,6 +292,10 @@ def main(argv=None) -> int:
         return 2
     WORK.mkdir(exist_ok=True)
     sys.path.insert(0, str(ROOT / "src"))  # the oracles use the library
+    # this process and every child on one core, so that a speed probe taken
+    # here times the core a CLI job then runs on (see speed.py)
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     runner = Runner()
 
     def on_signal(signum, frame):
@@ -295,6 +334,10 @@ def main(argv=None) -> int:
                   % (args.workload, "job_tail_s", "n/a", TAIL_MIN_JOBS))
         else:
             print("%-14s %-44s %14.6g s (p%.1f)" % ((args.workload, "job_tail_s") + extras["tail"]))
+        print("%-14s %-44s %14.6g x reference (%d probes)"
+              % (args.workload, "slowdown", extras["slowdown"], extras["probes"]))
+        for name, v in extras["measured"].items():
+            print("%-14s %-44s %14.6g s as measured" % (args.workload, name + ".measured", v))
     print("%-14s %-44s %14.6g (%d of %d jobs)" % (
         args.workload, "failed_frac", res.failed / max(res.attempted, 1),
         res.failed, res.attempted))

@@ -1,6 +1,6 @@
 """The three workloads: inputs made from the seed, job lists and oracles.
 
-`cli_fixtures` is a list of CLI invocations that the driver runs as fresh
+`cli_fixtures` is a list of CLI invocations that run.py runs as fresh
 processes; `supports` and `flags` build their inputs and jobs inside one fresh
 interpreter (see child.py).  Every oracle runs after the timed jobs.
 """
