@@ -7,7 +7,6 @@ are split into positive parts; problem sizes here are desk scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._linalg import ZERO, ONE, Vec, frac, vec
@@ -15,16 +14,6 @@ from ._linalg import ZERO, ONE, Vec, frac, vec
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-class _Tableau:
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.rows: list[list[Fraction]] = []  # each: coeffs (len grows) + rhs last
-        self.basis: list[int] = []
-
-    def ncols(self):
-        return len(self.rows[0]) - 1 if self.rows else 0
 
 
 def _pivot(rows, basis, r, c):

@@ -2,7 +2,10 @@
 
 Results go to stdout as JSON (format tag "tropcong/1"), diagnostics to stderr.
 Exit codes: 0/1 encode boolean results, 2 means a parse error, 3 a violated
-precondition.  TROPCONG_MAX_DIM caps the ambient dimension (default 6).
+precondition, 4 an internal consistency failure (a cell index disagreeing with
+pointwise evaluation: a bug, reported in one stderr line).  TROPCONG_MAX_DIM
+caps the ambient dimension (default 6); a value that is not an integer is a
+violated precondition.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from .congruence import (CongruencePresentation, NotFound, SearchBounds,
                          verify_derivation, verify_radical_certificate)
 from .jsonio import ParseError
 from .trop_core import ContextMismatchError, ZeroPolynomialError, bend_relations
-from .variety import FiniteBasisRequiredError
+from .variety import FiniteBasisRequiredError, InternalConsistencyError
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 class PreconditionError(ValueError):
@@ -35,7 +39,7 @@ def _max_dim() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 6
+        raise PreconditionError("TROPCONG_MAX_DIM must be an integer, got %r" % (raw,))
 
 
 def _load(path: str):
@@ -360,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    max_dim = _max_dim()
     try:
-        return args.fn(args, max_dim)
+        return args.fn(args, _max_dim())
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -373,6 +376,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalConsistencyError as exc:
+        print("internal consistency error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,9 +2,13 @@
 
 H-representations carry strict rows; feasibility is decided by maximizing a
 common slack with exact pivoting, so strictness is honored exactly and an
-Infeasible answer certifies that no positive slack exists.  Vertex/ray
-enumeration ("double description at desk scale") goes through subset
-enumeration of tight constraints and is intended for small ambient dimension.
+Infeasible answer certifies that no positive slack exists.  Ray enumeration of
+closed cones (`cone_generators`, and through it H-representations, faces and
+fans) is an exact double-description kernel that runs no LP: equality rows
+give the starting subspace, each inequality either trades a lineality vector
+for a ray or keeps the rays on its side plus the crossings of positive/negative
+pairs that pass a rank test on the tight rows.  Closed homogeneous cones always
+contain the origin, so nothing here asks an LP whether they are empty.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from . import _lp
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
                       nullspace_basis, primitive, rank_of, reduce_mod_span, rref,
-                      vadd, vec, vscale, zero_vec)
+                      vec, vscale, vsub, zero_vec)
 
 LE, LT, EQ = "<=", "<", "="
 _RELS = (LE, LT, EQ)
@@ -128,10 +132,6 @@ class ConeH(PolyhedronH):
     def make(dim: int, rows: Iterable[HRow]) -> "ConeH":
         p = PolyhedronH.make(dim, rows)
         return ConeH(p.dim, p.rows)
-
-
-def whole_space(dim: int) -> ConeH:
-    return ConeH.make(dim, ())
 
 
 def origin_cone(dim: int) -> ConeH:
@@ -303,78 +303,68 @@ def cone_over(p: PolyhedronH, height_first: bool = True) -> ConeH:
 # ---------------------------------------------------------------------------
 # V-representation (desk scale)
 
-def _implicit_equality_normals(c: PolyhedronH) -> list[Vec]:
-    # a.x <= b is implicit iff min a.x == b, i.e. max (-a).x == -b
-    normals = [r.a for r in c.rows if r.rel == EQ]
-    for r in c.rows:
-        if r.rel == EQ:
-            continue
-        status, value, _ = max_linear(c, vscale(-1, r.a))
-        if status == _lp.OPTIMAL and value == -r.b:
-            normals.append(r.a)
-    return normals
+def crossings(pos: Sequence, neg: Sequence) -> list:
+    """Where the segments from pos to neg generators cross a hyperplane h.x = 0.
+
+    pos and neg hold pairs (g, h.g) with h.g > 0 and h.g < 0 respectively; the
+    result is the sorted distinct primitive vectors (h.gp) gn - (h.gn) gp, each
+    a positive combination of gp and gn on the hyperplane: one double-description
+    step."""
+    out = set()
+    for gp, vp in pos:
+        for gn, vn in neg:
+            w = tuple(vp * b - vn * a for a, b in zip(gp, gn))
+            if not is_zero_vec(w):
+                out.add(primitive(w))
+    return sorted(out)
 
 
 @lru_cache(maxsize=None)
 def cone_generators(c: ConeH):
-    """(lineality_basis, extreme_rays) generating c = span(lineality) + cone(rays)."""
+    """(lineality_basis, extreme_rays) generating c = span(lineality) + cone(rays).
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start from
+    the subspace cut out by the equality rows and add the inequalities one at a
+    time.  An inequality that is nonzero on a lineality vector l0 trades l0 for
+    the ray +-l0 on its negative side and projects the other generators onto its
+    hyperplane along l0; otherwise rays on the wrong side are dropped and every
+    positive/negative pair contributes its crossing, kept exactly when the rows
+    processed so far that are tight at it have rank d - dim(lineality) - 1.
+    Lineality is the canonical nullspace of all rows, rays are primitive
+    representatives reduced modulo it, both sorted.
+    """
     if c.has_strict():
         raise ValueError("generator enumeration needs a closed cone")
     d = c.dim
-    all_normals = [r.a for r in c.rows]
-    lin = nullspace_basis(all_normals, d)
-    span_normals = _implicit_equality_normals(c)
-    span = nullspace_basis(span_normals, d)
-    s = len(span)
-    if s == len(lin):
-        return tuple(neg_primitive_pair(v) for v in lin), ()
-    # complement W of the lineality inside the span: reduce span basis mod lin
-    comp = []
-    for v in span:
-        red = reduce_mod_span(v, lin + comp)
-        if not is_zero_vec(red):
-            comp.append(red)
-    t = len(comp)  # dim of the pointed part
-    ineq = []
+    done = [r.a for r in c.rows if r.rel == EQ]
+    lin = nullspace_basis(done, d)
+    rays: list = []
     for r in c.rows:
         if r.rel == EQ:
             continue
-        restricted = tuple(dot(r.a, w) for w in comp)
-        if not is_zero_vec(restricted):
-            ineq.append(restricted)
-    rays_t = set()
-    if t == 1:
-        candidates = [(ONE,), (-ONE,)]
-    else:
-        candidates = []
-        for subset in itertools.combinations(range(len(ineq)), t - 1):
-            sub = [ineq[i] for i in subset]
-            if rank_of(sub) != t - 1:
-                continue
-            ns = nullspace_basis(sub, t)
-            if len(ns) != 1:
-                continue
-            candidates.append(ns[0])
-            candidates.append(vscale(-1, ns[0]))
-    for cand in candidates:
-        if is_zero_vec(cand):
+        a = r.a
+        done.append(a)
+        i0 = next((i for i, v in enumerate(lin) if dot(a, v) != 0), None)
+        if i0 is not None:
+            l0 = lin.pop(i0)
+            v0 = dot(a, l0)
+            lin = [vsub(v, vscale(dot(a, v) / v0, l0)) for v in lin]
+            rays = [primitive(vsub(g, vscale(dot(a, g) / v0, l0))) for g in rays]
+            rays.append(primitive(l0 if v0 < 0 else vscale(-1, l0)))
             continue
-        vals = [dot(a, cand) for a in ineq]
-        if any(v > 0 for v in vals):
-            continue
-        tight = [ineq[i] for i, v in enumerate(vals) if v == 0]
-        if t > 1 and rank_of(tight) != t - 1:
-            continue
-        rays_t.add(primitive(cand))
-    rays = set()
-    for rt in rays_t:
-        x = zero_vec(d)
-        for coef, w in zip(rt, comp):
-            x = vadd(x, vscale(coef, w))
-        # canonical representative modulo lineality for stable identity
-        rays.add(primitive(reduce_mod_span(x, lin)))
+        vals = [dot(a, g) for g in rays]
+        pos = [(g, v) for g, v in zip(rays, vals) if v > 0]
+        neg = [(g, v) for g, v in zip(rays, vals) if v < 0]
+        rays = [g for g, v in zip(rays, vals) if v <= 0]
+        if pos and neg:
+            want = d - len(lin) - 1
+            for w in crossings(pos, neg):
+                tight = [b for b in done if dot(b, w) == 0]
+                if len(tight) >= want and rank_of(tight) == want:
+                    rays.append(w)
+    lin = nullspace_basis([r.a for r in c.rows], d)
     lin_canon = tuple(sorted(neg_primitive_pair(v) for v in lin))
-    return lin_canon, tuple(sorted(rays))
+    return lin_canon, tuple(sorted({primitive(reduce_mod_span(g, lin)) for g in rays}))
 
 
 def generators(c: ConeH) -> tuple:
@@ -473,8 +463,6 @@ def faces_of(c: ConeH) -> tuple:
             if r.rel == EQ:
                 continue
             face = ConeH.make(cur.dim, cur.rows + (HRow(r.a, ZERO, EQ),))
-            if feasible(face) is None:
-                continue
             key = cone_key(face)
             if key not in seen:
                 seen[key] = face
@@ -494,8 +482,6 @@ class Fan:
     def make(dim: int, cones: Iterable[ConeH], close_faces: bool = False) -> "Fan":
         out = {}
         for c in cones:
-            if feasible(c) is None:
-                continue
             members = faces_of(c) if close_faces else (c,)
             for m in members:
                 out.setdefault(cone_key(m), m)
@@ -513,9 +499,6 @@ def fan_violations(fan: Fan) -> list[str]:
                 out.append("missing face of a member cone")
     for c1, c2 in itertools.combinations(fan.cones, 2):
         inter = intersect(c1, c2)
-        if feasible(inter) is None:
-            out.append("members with empty intersection (no common origin?)")
-            continue
         if not (is_face(inter, c1) and is_face(inter, c2)):
             out.append("pairwise intersection is not a common face")
     return out
@@ -534,8 +517,7 @@ def common_refinement(fans: Sequence[Fan]) -> Fan:
         for a in cells:
             for b in f.cones:
                 c = intersect(a, b)
-                if feasible(c) is not None:
-                    nxt.setdefault(cone_key(c), c)
+                nxt.setdefault(cone_key(c), c)
         cells = list(nxt.values())
     return Fan.make(dim, cells)
 

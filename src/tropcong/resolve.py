@@ -143,10 +143,6 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
     return PolyhedronH.make(k, tuple(rows))
 
 
-def region_interior_point(Q: PolyhedronH) -> Vec:
-    return relative_interior_point(Q)
-
-
 # ---------------------------------------------------------------------------
 # resolution
 

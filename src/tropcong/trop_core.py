@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, primitive,
-                      reduce_mod_span, rref, vec)
+                      rank_of, reduce_mod_span, rref, vec)
 from .polyhedra import ConeH, HRow, LE
 
 COEFF_T = "T"
@@ -247,14 +247,10 @@ def _monoid_generators(ctx: ToricContext) -> tuple:
     if len(rays) >= 2:
         from itertools import combinations
         for sub in combinations(rays, min(len(rays), n)):
-            if rank_of_list(sub) != len(sub):
+            if rank_of(sub) != len(sub):
                 continue
             gens.update(_parallelepiped_points(sub, dual))
     return tuple(sorted(g for g in gens if not is_zero_vec(g)))
-
-
-def rank_of_list(rows):
-    return len(rref(rows)[0])
 
 
 def _parallelepiped_points(rays, cone: ConeH):
@@ -342,14 +338,6 @@ class TropPoly:
 
     def degree(self) -> int:
         return max((sum(abs(x) for x in u) for u, _ in self.terms), default=0)
-
-    def term_vector(self, idx: int) -> Vec:
-        """(a_u, u) as a (1+n)-vector for polyhedral computations."""
-        u, a = self.terms[idx]
-        return (a,) + vec(u)
-
-    def term_vectors(self) -> list:
-        return [self.term_vector(i) for i in range(len(self.terms))]
 
     # --- semiring operations ---
     def _check(self, other: "TropPoly"):
@@ -482,9 +470,6 @@ def bend_relations(f: TropPoly) -> list:
 
 # ---------------------------------------------------------------------------
 # parsing (used by fixtures and tests)
-
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^|[+*()]|-?\d+(?:/\d+)?)")
-
 
 def parse_poly(context: ToricContext, text: str) -> TropPoly:
     """Parse '1 + t^2*x*y^2' style input; '1' is the unit, '0' the zero polynomial."""

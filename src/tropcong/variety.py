@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, is_zero_vec, neg_primitive_pair,
-                      primitive, vec, vsub, zero_vec)
+                      vec, vsub, zero_vec)
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
                         validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
@@ -82,9 +82,7 @@ def pair_variety(pair, tau: Face) -> list:
         for uv in gvs:
             rows = _difference_rows(mv, fvs) + _difference_rows(uv, gvs)
             rows += (HRow(vsub(mv, uv), ZERO, EQ),)
-            cell = base.with_rows(rows)
-            if feasible(cell) is not None:
-                cells.append(cell)
+            cells.append(base.with_rows(rows))
     return _dedupe_absorb(cells)
 
 
@@ -94,7 +92,7 @@ def _cone_inside(c: ConeH, d: ConeH) -> bool:
 
 
 def _dedupe_absorb(cells: Sequence[ConeH]) -> list:
-    """Drop duplicates and cells contained in another cell (small inputs only)."""
+    """Drop duplicates and cells contained in another cell."""
     uniq = []
     seen = set()
     for c in cells:
@@ -102,8 +100,6 @@ def _dedupe_absorb(cells: Sequence[ConeH]) -> list:
         if key not in seen:
             seen.add(key)
             uniq.append(c)
-    if len(uniq) > 80:
-        return uniq
     keep = []
     for i, c in enumerate(uniq):
         absorbed = any(j != i and _cone_inside(c, d)
@@ -164,8 +160,6 @@ def variety_of_basis(E: CongruencePresentation,
             for c in cells:
                 for d in pcells:
                     cell = intersect(c, d)
-                    if feasible(cell) is None:
-                        continue
                     key = polyhedra.cone_key(cell)
                     if key not in seen:
                         seen.add(key)
@@ -195,9 +189,7 @@ def hypersurface(f: TropPoly, strata: Optional[Sequence[Face]] = None) -> Variet
             cells = []
             for i, j in itertools.combinations(range(len(tvs)), 2):
                 rows = _difference_rows(tvs[i], tvs) + (HRow(vsub(tvs[i], tvs[j]), ZERO, EQ),)
-                cell = base.with_rows(rows)
-                if feasible(cell) is not None:
-                    cells.append(cell)
+                cells.append(base.with_rows(rows))
             cells = _dedupe_absorb(cells)
         out.append(StratumSupport(tau, tuple(cells)))
     return VarietySupport(ctx, pairs, tuple(out))
@@ -220,8 +212,6 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
             for c in cells:
                 for d in s.stratum(tau).cells:
                     cell = intersect(c, d)
-                    if feasible(cell) is None:
-                        continue
                     key = polyhedra.cone_key(cell)
                     if key not in seen:
                         seen.add(key)
@@ -297,25 +287,15 @@ def split_generators_by_forms(gens: Sequence[Vec], forms: Sequence[Vec]) -> list
         nxt = []
         for G in pieces:
             vals = [dot(h, g) for g in G]
-            has_pos = any(v > 0 for v in vals)
-            has_neg = any(v < 0 for v in vals)
-            if not (has_pos and has_neg):
+            pos = [(g, v) for g, v in zip(G, vals) if v > 0]
+            neg = [(g, v) for g, v in zip(G, vals) if v < 0]
+            if not (pos and neg):
                 nxt.append(G)
                 continue
-            pos = [g for g, v in zip(G, vals) if v > 0]
-            neg = [g for g, v in zip(G, vals) if v < 0]
             zero = [g for g, v in zip(G, vals) if v == 0]
-            mids = set()
-            for gp in pos:
-                vp = dot(h, gp)
-                for gn in neg:
-                    vn = dot(h, gn)
-                    w = tuple(vp * b - vn * a for a, b in zip(gp, gn))
-                    if not is_zero_vec(w):
-                        mids.add(primitive(w))
-            mids = sorted(mids)
-            nxt.append(tuple(dict.fromkeys(pos + zero + mids)))
-            nxt.append(tuple(dict.fromkeys(neg + zero + mids)))
+            mids = polyhedra.crossings(pos, neg)
+            nxt.append(tuple(dict.fromkeys([g for g, _ in pos] + zero + mids)))
+            nxt.append(tuple(dict.fromkeys([g for g, _ in neg] + zero + mids)))
         pieces = nxt
     return pieces
 

@@ -237,6 +237,30 @@ def test_cli_precondition_exit_3(capsys, fixtures_dir):
         os.unlink(name)
 
 
+def test_cli_malformed_max_dim_exit_3(capsys, fixtures_dir, monkeypatch):
+    monkeypatch.setenv("TROPCONG_MAX_DIM", "six")
+    code, out, err = run_cli(capsys, "kernel",
+                             "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"))
+    assert code == 3
+    assert out == ""
+    assert "TROPCONG_MAX_DIM" in err
+
+
+def test_cli_internal_consistency_exit_4(capsys, fixtures_dir, monkeypatch):
+    from tropcong import variety
+
+    def disagree(*args, **kwargs):
+        raise variety.InternalConsistencyError("cell index disagrees at (1, 0, 0)")
+
+    monkeypatch.setattr(variety, "variety_of_basis", disagree)
+    code, out, err = run_cli(capsys, "variety",
+                             "--cong", str(fixtures_dir / "quartic_bend" / "E.json"))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "internal consistency error" in err
+
+
 def test_cli_context_mismatch_exit_3(capsys, fixtures_dir):
     code, out, err = run_cli(capsys, "member",
                              "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"),

@@ -130,6 +130,15 @@ def test_index_discrepancy_raises(ctx2, quartic_E):
         point_in_variety(broken, ExtPoint.dense(ctx2, 1, (0, -1)))
 
 
+def test_dedupe_absorb_has_no_size_cutoff():
+    # 81 rays (1, -k) and the cone on (1, 0), (1, -1), which contains the first
+    # ray: absorption must drop that ray however many cells there are
+    rays = [ph.hrep_from_rays([(1, -k)], 2) for k in range(1, 82)]
+    wedge = ph.hrep_from_rays([(1, 0), (1, -1)], 2)
+    kept = vy._dedupe_absorb(rays + [wedge])
+    assert [ph.cone_key(c) for c in kept] == [ph.cone_key(c) for c in rays[1:] + [wedge]]
+
+
 # ---------------------------------------------------------------------------
 # flags in varieties
 
