@@ -7,9 +7,9 @@ are split into positive parts; problem sizes here are desk scale.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ._linalg import ZERO, ONE, Vec, frac, vec
+from ._linalg import ZERO, ONE, frac, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -141,7 +141,3 @@ def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
         value += c[j] * x[j]
     return OPTIMAL, x, value
 
-
-def lp_feasible_point(a_ub, b_ub, a_eq, b_eq, dim) -> Optional[Vec]:
-    status, x, _ = solve_lp([ZERO] * dim, a_ub, b_ub, a_eq, b_eq)
-    return x if status == OPTIMAL else None

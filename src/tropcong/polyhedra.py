@@ -7,8 +7,12 @@ closed cones (`cone_generators`, and through it H-representations, faces and
 fans) is an exact double-description kernel that runs no LP: equality rows
 give the starting subspace, each inequality either trades a lineality vector
 for a ray or keeps the rays on its side plus the crossings of positive/negative
-pairs that pass a rank test on the tight rows.  Closed homogeneous cones always
-contain the origin, so nothing here asks an LP whether they are empty.
+pairs that pass a rank test on the tight rows.  The same kernel, run on the
+closed cone over a polyhedron, decides its emptiness and its implicit
+equalities for `relative_interior_point`, and `is_face` compares a cone with
+the smallest face containing it; neither runs an LP.  LPs remain where a value
+is optimized or strictness is certified: `feasible`, `is_subset`, and the slack
+pin and L1 polish of `relative_interior_point`.
 """
 
 from __future__ import annotations
@@ -224,35 +228,27 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     """A point satisfying every non-implicit inequality strictly.
 
     Strict rows must be satisfiable; raises EmptyPolyhedronError otherwise.
-    Iteratively detects implicit equalities, then maximizes the common slack
-    (capped at 1) and polishes with an L1 objective for reproducibility.
+    Emptiness and implicit equalities are read off the double-description
+    kernel without an LP: p is empty iff no generator of the closed cone over
+    its weak relaxation has positive height, and a row a.x <= b is an implicit
+    equality iff (-b, a) vanishes on every generator.  Then one LP maximizes
+    the common slack (capped at 1) and an L1 objective polishes the point for
+    reproducibility.
     """
-    ineq = [r for r in p.rows if r.rel != EQ]
-    eqs = [r for r in p.rows if r.rel == EQ]
-    while True:
-        test = PolyhedronH.make(p.dim, tuple(HRow(r.a, r.b, LT) for r in ineq) + tuple(eqs))
-        w = feasible(test)
-        if w is not None:
-            break
-        # find rows that cannot be strict; they are implicit equalities
-        weak = PolyhedronH.make(p.dim, tuple(HRow(r.a, r.b, LE) for r in ineq) + tuple(eqs))
-        if is_empty(weak):
-            raise EmptyPolyhedronError("empty polyhedron has no relative interior point")
-        moved = False
-        still = []
-        for r in ineq:
-            status, value, _ = max_linear(weak, vscale(-1, r.a))
-            if status == _lp.OPTIMAL and value == -r.b:
-                if r.rel == LT:
-                    raise EmptyPolyhedronError("a strict row is an implicit equality")
-                eqs.append(HRow(r.a, r.b, EQ))
-                moved = True
-            else:
-                still.append(r)
-        ineq = still
-        if not moved:
-            # cannot happen for a consistent weak system (convex averaging)
-            raise EmptyPolyhedronError("no common slack and no implicit equalities")
+    lin, rays = cone_generators(cone_over(p.weakened()))
+    if not any(g[0] > 0 for g in rays):
+        raise EmptyPolyhedronError("empty polyhedron has no relative interior point")
+    eqs, ineq = [], []
+    for r in p.rows:
+        h = (-r.b,) + tuple(r.a)
+        if r.rel == EQ:
+            eqs.append(r)
+        elif all(dot(h, g) == 0 for g in lin + rays):
+            if r.rel == LT:
+                raise EmptyPolyhedronError("a strict row is an implicit equality")
+            eqs.append(HRow(r.a, r.b, EQ))
+        else:
+            ineq.append(r)
     # pin the slack at its (capped) maximum, then polish
     d = p.dim
     if ineq:
@@ -282,14 +278,18 @@ def nice_ray(c: ConeH) -> Vec:
 # recession cone
 
 def recession_cone(p: PolyhedronH) -> ConeH:
-    """Homogenized rows with strictness dropped; rec(empty) = {0}."""
-    if is_empty(PolyhedronH.make(p.dim, p.rows)):
+    """Homogenized rows with strictness dropped; rec(empty) = {0}.
+
+    A closed homogeneous p contains the origin, so only other inputs are
+    tested for emptiness."""
+    closed_cone = p.is_homogeneous() and not p.has_strict()
+    if not closed_cone and is_empty(p):
         return origin_cone(p.dim)
     return ConeH.make(p.dim, tuple(
         HRow(r.a, ZERO, LE if r.rel != EQ else EQ) for r in p.rows))
 
 
-def cone_over(p: PolyhedronH, height_first: bool = True) -> ConeH:
+def cone_over(p: PolyhedronH) -> ConeH:
     """Closed cone over {1} x p in Q^(1+dim): a.x <= b becomes a.x - b*r <= 0, r >= 0."""
     if p.has_strict():
         raise ValueError("cone_over expects a closed description")
@@ -407,8 +407,11 @@ def hrep_from_rays(gens: Sequence[Sequence], dim: int) -> ConeH:
 
 def is_subset(p: PolyhedronH, q: PolyhedronH) -> bool:
     """Exact containment p (with strict rows honored) inside q."""
-    if feasible(p) is None:
-        return True
+    return feasible(p) is None or _nonempty_subset(p, q)
+
+
+def _nonempty_subset(p: PolyhedronH, q: PolyhedronH) -> bool:
+    """is_subset for a p already known to be nonempty."""
     for r in q.rows:
         status, value, _ = max_linear(p, r.a)
         if r.rel in (LE, LT):
@@ -430,25 +433,16 @@ def _attains(p: PolyhedronH, r: HRow) -> bool:
 
 
 def is_face(f: ConeH, c: ConeH) -> bool:
-    """f is a face of c: f <= c and some valid functional vanishes exactly on f."""
+    """f is a face of c: f <= c and f is the smallest face of c containing it.
+
+    That face is c with every row tight on all generators of f made an
+    equality; both sides are compared by cone_key, so no LP runs."""
     gf = generators(f)
-    gc = generators(c)
     if not all(c.contains(g) for g in gf):
         return False
-    if cone_key(f) == cone_key(c):
-        return True
-    lin_f, _ = cone_generators(f)
-    span_f = list(lin_f) + list(gf)
-    outside = [g for g in gc if not f.contains(g)]
-    if not outside:
-        return cone_key(f) == cone_key(c)
-    d = c.dim
-    a_eq = [g for g in gf]
-    b_eq = [ZERO] * len(a_eq)
-    a_ub = [g for g in outside]
-    b_ub = [-ONE] * len(outside)
-    lam = _lp.lp_feasible_point(a_ub, b_ub, a_eq, b_eq, d)
-    return lam is not None
+    rows = tuple(HRow(r.a, r.b, EQ) if all(dot(r.a, g) == 0 for g in gf) else r
+                 for r in c.rows)
+    return cone_key(f) == cone_key(ConeH.make(c.dim, rows))
 
 
 @lru_cache(maxsize=None)
@@ -530,7 +524,7 @@ def poly_in_union(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
     if feasible(p) is None:
         return True
     for q in parts:
-        if is_subset(p, q):
+        if _nonempty_subset(p, q):
             return True
     if not parts:
         return False

@@ -26,7 +26,7 @@ from .trop_core import (COEFF_B, ExtPoint, Face, ToricContext, TropPoly,
 from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
                          flag_to_matrix, has_trivial_ideal_kernel,
                          initial_form_point, monomial_le)
-from .toric_geom import _perp_basis, _relint_tau_rows
+from .toric_geom import _perp_basis, _preimage_rows, _relint_tau_rows
 from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
                       shrink_flag, stratum_cone, support_of,
                       _sample_monomial_pairs)
@@ -210,19 +210,11 @@ def verify_closure_hypothesis(V: VarietySupport) -> Optional[str]:
 
 def _cell_reaches(ctx, L: ConeH, tau: Face, target_gens) -> bool:
     n = ctx.rank
-    perp = _perp_basis(tau, n)
     for g in target_gens:
-        rows = [HRow((ONE,) + zero_vec(n), g[0], EQ)]
-        for c in perp:
-            rows.append(HRow((ZERO,) + tuple(c), dot(c, g[1:]), EQ))
-        if feasible(L.with_rows(tuple(rows))) is None:
+        if feasible(L.with_rows(tuple(_preimage_rows(tau, g, n)))) is None:
             return False
     vsys = L.with_rows(tuple(_relint_tau_rows(tau, n, height_prefix=True)))
-    try:
-        relative_interior_point(vsys)
-    except EmptyPolyhedronError:
-        return False
-    return True
+    return feasible(vsys) is not None
 
 
 def resolve_boundary_prime(E: CongruencePresentation,
@@ -342,10 +334,10 @@ def _resolution_system(ctx, L: ConeH, tau: Face, w_rows):
             for j in range(1, i + 1):
                 out[(k + 1) * d + (j - 1)] -= dot(c, w_rows[j][1:])
             rows.append(HRow(tuple(out), dot(c, w_rows[0][1:]), EQ))
-    system = PolyhedronH.make(nvars, tuple(rows))
-    if feasible(system) is None:
+    try:
+        x = relative_interior_point(PolyhedronH.make(nvars, tuple(rows)))
+    except EmptyPolyhedronError:
         return None
-    x = relative_interior_point(system)
     v_hats = [vec(x[i * d:(i + 1) * d]) for i in range(k + 1)]
     bs = [x[(k + 1) * d + j] for j in range(k)]
     v = primitive(vec(x[off_v:off_v + d]))

@@ -16,7 +16,7 @@ from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive,
                       vec, zero_vec)
 from .polyhedra import (EQ, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
-                        PolyhedronH, cone_over, feasible, recession_cone,
+                        PolyhedronH, cone_over, recession_cone,
                         relative_interior_point)
 from .trop_core import ExtPoint, Face, ToricContext
 
@@ -124,11 +124,11 @@ def cone_closure_witnesses(context: ToricContext, L: ConeH, tau: Face,
     hats = []
     for w in targets:
         sysm = L.with_rows(tuple(_preimage_rows(tau, w.full_vector(), n)))
-        if feasible(sysm) is None:
+        try:
+            hats.append(relative_interior_point(sysm))
+        except EmptyPolyhedronError:
             failed.append(CLAIM_PREIMAGE)
             hats.append(None)
-        else:
-            hats.append(relative_interior_point(sysm))
     vsys = L.with_rows(tuple(_relint_tau_rows(tau, n, height_prefix=True)))
     v = None
     try:
@@ -157,18 +157,16 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
         return NotInClosure((CLAIM_PREIMAGE,))
     if not _tau_in_fan(tau, fan):
         raise ValueError("tau is not a face of any fan member")
-    if feasible(L) is None:
-        return NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
     C = cone_over(L)
     failed = []
     # claim 1: a point of L (+ its recession) over the target class
     target = (ONE,) + w.coords
     sysm = C.with_rows(tuple(_preimage_rows(tau, target, n)))
     w_hat = None
-    if feasible(sysm) is None:
-        failed.append(CLAIM_PREIMAGE)
-    else:
+    try:
         w_hat = relative_interior_point(sysm)[1:]
+    except EmptyPolyhedronError:
+        failed.append(CLAIM_PREIMAGE)
     # claim 3: rec(L) cap rel.int(tau)
     rec = recession_cone(L)
     vsys = rec.with_rows(tuple(_relint_tau_rows(tau, n, height_prefix=False)))

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, is_zero_vec, neg_primitive_pair,
-                      vec, vsub, zero_vec)
+                      rank_of, vec, vsub, zero_vec)
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
                         validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
@@ -110,6 +110,21 @@ def _dedupe_absorb(cells: Sequence[ConeH]) -> list:
     return keep
 
 
+def _pairwise_intersections(cells: Sequence[ConeH], others: Sequence[ConeH]) -> list:
+    """c cap d for every c in cells and d in others, in that order, the first
+    cell of each cone_key kept."""
+    out = []
+    seen = set()
+    for c in cells:
+        for d in others:
+            cell = intersect(c, d)
+            key = polyhedra.cone_key(cell)
+            if key not in seen:
+                seen.add(key)
+                out.append(cell)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # variety supports
 
@@ -154,17 +169,7 @@ def variety_of_basis(E: CongruencePresentation,
     for tau in faces:
         cells = [stratum_cone(ctx, tau)]
         for pair in E.pairs:
-            pcells = pair_variety(pair, tau)
-            nxt = []
-            seen = set()
-            for c in cells:
-                for d in pcells:
-                    cell = intersect(c, d)
-                    key = polyhedra.cone_key(cell)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(cell)
-            cells = nxt
+            cells = _pairwise_intersections(cells, pair_variety(pair, tau))
             if not cells:
                 break
         out.append(StratumSupport(tau, tuple(_dedupe_absorb(cells))))
@@ -207,16 +212,7 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
     for tau in common:
         cells = list(supports[0].stratum(tau).cells)
         for s in supports[1:]:
-            nxt = []
-            seen = set()
-            for c in cells:
-                for d in s.stratum(tau).cells:
-                    cell = intersect(c, d)
-                    key = polyhedra.cone_key(cell)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(cell)
-            cells = nxt
+            cells = _pairwise_intersections(cells, s.stratum(tau).cells)
             if not cells:
                 break
         out.append(StratumSupport(tau, tuple(_dedupe_absorb(cells))))
@@ -298,11 +294,6 @@ def split_generators_by_forms(gens: Sequence[Vec], forms: Sequence[Vec]) -> list
             nxt.append(tuple(dict.fromkeys([g for g, _ in neg] + zero + mids)))
         pieces = nxt
     return pieces
-
-
-def _gen_rank(gens) -> int:
-    from ._linalg import rank_of
-    return rank_of(list(gens))
 
 
 def _relint_sample(gens) -> Vec:
@@ -414,9 +405,9 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
     forms = _stratum_forms(V, tau)
     for i in range(flag.length()):
         rays = flag.cones_rays[i]
-        cdim = _gen_rank(rays)
+        cdim = rank_of(rays)
         for piece in split_generators_by_forms(rays, forms):
-            if _gen_rank(piece) != cdim:
+            if rank_of(piece) != cdim:
                 continue
             w = _point_from_vector(context, tau, _relint_sample(piece))
             if not point_in_variety(V, w):

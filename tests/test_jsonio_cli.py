@@ -152,7 +152,11 @@ def test_cli_resolve(capsys, fixtures_dir):
     assert code == 0
     doc = json.loads(out)
     assert doc["resolved"] is True
-    assert doc["v"][0] == "0"
+    # the whole resolution, pinned: matrix, direction and witnesses
+    assert doc["matrix"]["matrix"] == [["0", "-1", "-1"], ["1", "-1", "0"]]
+    assert doc["v"] == ["0", "-1", "-1"]
+    assert doc["v_hats"] == doc["w_hats"] == [["1", "-1", "0"]]
+    assert doc["b"] == []
 
 
 def test_cli_radical_member(capsys, fixtures_dir):

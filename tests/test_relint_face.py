@@ -1,0 +1,194 @@
+"""Relative-interior points and face tests against their LP oracles.
+
+`relint_face_reference` holds the library's former `relative_interior_point`
+(implicit equalities found by a loop of LPs) and `is_face` (a separating
+functional found by an LP).  The library now reads both off the
+double-description kernel; it must return the same point, or raise the same
+EmptyPolyhedronError, and decide every face question the same way.
+"""
+
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import relint_face_reference as ref
+from tropcong import jsonio, resolve, toric_geom
+from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
+                                PolyhedronH, cone_key, faces_of, generators,
+                                hrep_from_rays, is_face, relative_interior_point)
+from tropcong._linalg import ZERO, dot, frac, vec
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except EmptyPolyhedronError as exc:
+        return ("empty", str(exc))
+
+
+def _agree(p):
+    got = _outcome(relative_interior_point, p)
+    assert got == _outcome(ref.relative_interior_point, p), p
+    return got
+
+
+# ---------------------------------------------------------------------------
+# relative_interior_point on random polyhedra
+
+_entries = st.integers(-2, 2)
+
+
+@st.composite
+def _polyhedra(draw):
+    d = draw(st.integers(1, 4))
+    # right-hand sides are offsets from a hidden point, so that not nearly
+    # every system with several rows is empty
+    x0 = draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.lists(_entries, min_size=d, max_size=d))
+        b = dot(a, x0) + draw(st.integers(-1, 2))
+        rel = draw(st.sampled_from((LE, LE, LT, EQ)))
+        rows.append(HRow(vec(a), frac(b), rel))
+        if draw(st.integers(0, 2)) == 0:
+            # an opposite row at offset 0 makes both rows implicit equalities,
+            # a negative offset empties the polyhedron, a positive one leaves a slab
+            shift = draw(st.sampled_from((0, 0, -1, 1)))
+            rows.append(HRow(vec(-x for x in a), frac(-b + shift),
+                             draw(st.sampled_from((LE, LE, LT)))))
+    return PolyhedronH.make(d, rows[:7])
+
+
+def test_random_polyhedra():
+    # tally the outcomes: the sweep is only meaningful if it reaches every branch
+    seen = {"point": 0, "implicit": 0, "empty": 0, "strict implicit": 0}
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_polyhedra())
+    def sweep(p):
+        got = _agree(p)
+        if got == ("empty", "a strict row is an implicit equality"):
+            seen["strict implicit"] += 1
+        elif isinstance(got[0], str):
+            seen["empty"] += 1
+        else:
+            seen["point"] += 1
+            # at a relative-interior point the tight inequalities are the implicit ones
+            seen["implicit"] += any(r.rel == LE and dot(r.a, got) == r.b for r in p.rows)
+
+    sweep()
+    assert all(seen.values()), seen
+    assert 0.2 < (seen["empty"] + seen["strict implicit"]) / sum(
+        seen[k] for k in ("point", "empty", "strict implicit")) < 0.5, seen
+
+
+def test_strict_implicit_and_empty_raise():
+    with pytest.raises(EmptyPolyhedronError, match="strict row"):
+        relative_interior_point(PolyhedronH.make(1, (HRow(vec((1,)), ZERO, LT),
+                                                     HRow(vec((-1,)), ZERO, LE))))
+    with pytest.raises(EmptyPolyhedronError, match="empty polyhedron"):
+        relative_interior_point(PolyhedronH.make(1, (HRow(vec((1,)), frac(-1), LE),
+                                                     HRow(vec((-1,)), ZERO, LE))))
+
+
+# ---------------------------------------------------------------------------
+# every system the closure and resolution code asks about
+
+def _capture(monkeypatch, module):
+    seen = []
+    inner = module.relative_interior_point
+
+    def wrapper(p):
+        seen.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(module, "relative_interior_point", wrapper)
+    return seen
+
+
+def _load(path):
+    return json.loads(path.read_text())
+
+
+def test_resolve_quartic_systems(monkeypatch, fixtures_dir):
+    base = fixtures_dir / "quartic_bend"
+    edoc, pdoc = _load(base / "E.json"), _load(base / "P.json")
+    ctx = jsonio.context_of_document(edoc)
+    E = jsonio.dec_congruence(edoc, ctx)
+    P = jsonio.dec_matrix(pdoc, ctx)
+    systems = _capture(monkeypatch, resolve)
+    res = resolve.resolve_boundary_prime(E, P, samples=50)
+    assert isinstance(res, resolve.ResolutionResult)
+    assert systems
+    for p in systems:
+        _agree(p)
+
+
+@pytest.mark.parametrize("polyhedron, point", [
+    ("cell_L.json", "deep_point.json"),
+    ("neg_claim1_L.json", "neg_claim1_point.json"),
+    ("neg_claim3_L.json", "neg_claim3_point.json"),
+])
+def test_closure_fixture_systems(monkeypatch, fixtures_dir, polyhedron, point):
+    base = fixtures_dir / "closure"
+    wdoc = _load(base / point)
+    ctx = jsonio.context_of_document(wdoc)
+    L = jsonio.dec_polyhedron(_load(base / polyhedron))
+    fan = jsonio.dec_fan(_load(base / "sigma_fan.json"))
+    w = jsonio.dec_stratum_point(wdoc, ctx)
+    systems = _capture(monkeypatch, toric_geom)
+    toric_geom.polyhedron_closure_membership(ctx, L, fan, w)
+    assert systems
+    for p in systems:
+        _agree(p)
+
+
+# ---------------------------------------------------------------------------
+# is_face
+
+@st.composite
+def _cones(draw):
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(st.lists(_entries, min_size=d, max_size=d),
+                                   st.sampled_from((LE, LE, LE, EQ))),
+                         min_size=0, max_size=4))
+    rays = draw(st.lists(st.lists(_entries, min_size=d, max_size=d), min_size=1, max_size=3))
+    return ConeH.make(d, tuple(HRow(vec(a), ZERO, rel) for a, rel in rows)), rays
+
+
+def _candidates(c, rays):
+    # the faces of c, the cones on at most two or on all but one of its
+    # generators, and cones on random rays
+    gens = generators(c)
+    out = list(faces_of(c))
+    for k in sorted({*range(min(2, len(gens)) + 1), max(len(gens) - 1, 0)}):
+        out.extend(hrep_from_rays(sub, c.dim) for sub in itertools.combinations(gens, k))
+    out.extend(hrep_from_rays([r], c.dim) for r in rays)
+    out.append(hrep_from_rays(rays, c.dim))
+    return out
+
+
+def _face_agree(c, rays):
+    keys = {cone_key(f) for f in faces_of(c)}
+    faces = 0
+    for f in _candidates(c, rays):
+        want = cone_key(f) in keys
+        assert is_face(f, c) == want, (f, c)
+        assert ref.is_face(f, c) == want, (f, c)
+        faces += want
+    return faces
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_cones())
+def test_random_cone_faces(case):
+    _face_agree(*case)
+
+
+def test_face_of_fixture_fan(fixtures_dir):
+    fan = jsonio.dec_fan(_load(fixtures_dir / "closure" / "sigma_fan.json"))
+    for c in fan.cones:
+        assert _face_agree(c, [(1, 0), (-1, -1), (0, -2)]) >= 1
