@@ -1,7 +1,8 @@
 """Exact rational polyhedra: strict feasibility, recession, refinement.
 
-Everything runs on Fractions with Bland-rule simplex pivots, so "no point
-satisfies these strict inequalities" is a certified answer, not a tolerance.
+Everything runs on Fractions: emptiness is read off the exact double-description
+generators of the cone over the polyhedron, so "no point satisfies these strict
+inequalities" is a certified answer, not a tolerance.
 """
 
 from tropcong import polyhedra as ph

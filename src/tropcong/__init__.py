@@ -10,7 +10,7 @@ boundary-prime resolution in resolve.  jsonio and cli cover the wire formats.
 from .trop_core import (BOTTOM, TROP_ONE, COEFF_B, COEFF_T, ContextMismatchError,
                         ExtPoint, Face, ToricContext, TropPoly, TropScalar,
                         ZeroPolynomialError, bend_relations, eval_poly,
-                        parse_poly, poly_add, poly_mul, poly_pow)
+                        parse_poly)
 from .polyhedra import (ConeH, EmptyPolyhedronError, Fan, FlagOfCones, HRow,
                         PolyhedronH, common_refinement, covers_equal, feasible,
                         hrep_from_rays, is_empty, make_flag, rays_from_hrep,

@@ -20,8 +20,8 @@ from .congruence import (CongruencePresentation, NotFound, SearchBounds,
                          prime_eval, search_radical_certificate,
                          verify_derivation, verify_radical_certificate)
 from .jsonio import ParseError
-from .trop_core import ContextMismatchError, ZeroPolynomialError, bend_relations
-from .variety import FiniteBasisRequiredError, InternalConsistencyError
+from .trop_core import bend_relations
+from .variety import InternalConsistencyError
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -137,13 +137,8 @@ def cmd_variety(args, max_dim):
     ctx, E = _decode_congruence(args.cong, max_dim)
     strata = None
     if args.stratum:
-        sdoc = _load(args.stratum)
-        rays = [jsonio.dec_vec(r, "%s.tau_rays[%d]" % (args.stratum, i))
-                for i, r in enumerate(sdoc.get("tau_rays", []))]
-        try:
-            strata = [ctx.face_from_rays(rays) if rays else ctx.dense_face]
-        except ValueError as exc:
-            raise PreconditionError(str(exc))
+        # a tau that spans no face raises ValueError: a violated precondition
+        strata = [jsonio.dec_face(_load(args.stratum), ctx, args.stratum)]
     V = variety_mod.variety_of_basis(E, strata=strata)
     _emit(jsonio.enc_support(V))
     return EXIT_TRUE
@@ -369,10 +364,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionError, ContextMismatchError, FiniteBasisRequiredError,
-            ZeroPolynomialError) as exc:
-        print("precondition violated: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
     except ValueError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION

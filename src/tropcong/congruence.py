@@ -89,9 +89,6 @@ class PrimeMatrix:
     def rank(self) -> int:
         return len(self.rows)
 
-    def row_points(self) -> list:
-        return [(r,) + x for r, x in self.rows]
-
 
 def _lex_negative(v: Sequence) -> bool:
     for x in v:

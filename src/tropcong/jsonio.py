@@ -14,7 +14,7 @@ from typing import Optional
 from ._linalg import Vec, frac, vec
 from .polyhedra import (EQ, LE, LT, ConeH, Fan, FlagOfCones, HRow, PolyhedronH,
                         make_flag)
-from .trop_core import COEFF_B, COEFF_T, ExtPoint, ToricContext, TropPoly
+from .trop_core import COEFF_B, COEFF_T, ExtPoint, Face, ToricContext, TropPoly
 from .toric_geom import StratumPoint
 from .congruence import (AddBoth, CongruencePresentation, Derivation, Generator,
                          MulMono, PrimeMatrix, RadicalCertificate, Refl, Sym,
@@ -38,6 +38,16 @@ def _get(data, key, path, required=True, default=None):
             raise ParseError("missing key %r" % key, path)
         return default
     return data[key]
+
+
+def _as_list(value, path):
+    if not isinstance(value, list):
+        raise ParseError("expected a list", path)
+    return value
+
+
+def _get_list(data, key, path, required=True):
+    return _as_list(_get(data, key, path, required, default=[]), "%s.%s" % (path, key))
 
 
 # --- rationals --------------------------------------------------------------
@@ -74,9 +84,7 @@ def enc_vec(v) -> list:
 
 
 def dec_vec(data, path: str) -> Vec:
-    if not isinstance(data, list):
-        raise ParseError("expected a list", path)
-    return tuple(dec_frac(x, "%s[%d]" % (path, i)) for i, x in enumerate(data))
+    return tuple(dec_frac(x, "%s[%d]" % (path, i)) for i, x in enumerate(_as_list(data, path)))
 
 
 # --- context ----------------------------------------------------------------
@@ -95,7 +103,7 @@ def dec_context(data, path: str = "$.context", max_dim: Optional[int] = None) ->
         raise ParseError("rank %d exceeds the ambient-dimension cap %d" % (rank, max_dim),
                          path + ".rank")
     rays = [dec_vec(r, "%s.sigma_rays[%d]" % (path, i))
-            for i, r in enumerate(_get(data, "sigma_rays", path))]
+            for i, r in enumerate(_get_list(data, "sigma_rays", path))]
     coeff = _get(data, "coeff", path, required=False, default=COEFF_T)
     if coeff not in (COEFF_T, COEFF_B):
         raise ParseError("coeff must be 'T' or 'B'", path + ".coeff")
@@ -116,7 +124,7 @@ def enc_poly(f: TropPoly, with_context: bool = True) -> dict:
 
 def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
     terms = {}
-    for i, t in enumerate(_get(data, "terms", path)):
+    for i, t in enumerate(_get_list(data, "terms", path)):
         tpath = "%s.terms[%d]" % (path, i)
         u = _get(t, "exp", tpath)
         if not isinstance(u, list) or any(not isinstance(x, int) for x in u):
@@ -128,13 +136,6 @@ def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
         return TropPoly.make(ctx, terms)
     except ValueError as exc:
         raise ParseError(str(exc), path)
-
-
-def enc_pair(pair) -> dict:
-    f, g = pair
-    return {"context": enc_context(f.context),
-            "lhs": enc_poly(f, with_context=False),
-            "rhs": enc_poly(g, with_context=False)}
 
 
 def dec_pair(data, ctx: ToricContext, path: str = "$"):
@@ -151,7 +152,7 @@ def enc_congruence(E: CongruencePresentation) -> dict:
 
 def dec_congruence(data, ctx: ToricContext, path: str = "$") -> CongruencePresentation:
     pairs = [dec_pair(p, ctx, "%s.pairs[%d]" % (path, i))
-             for i, p in enumerate(_get(data, "pairs", path))]
+             for i, p in enumerate(_get_list(data, "pairs", path))]
     fb = _get(data, "finite_basis", path, required=False, default=False)
     return CongruencePresentation.make(ctx, pairs, bool(fb))
 
@@ -169,7 +170,7 @@ def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
     if not isinstance(dim, int) or dim <= 0:
         raise ParseError("dim must be a positive integer", path + ".dim")
     rows = []
-    for i, r in enumerate(_get(data, "rows", path, required=False, default=[])):
+    for i, r in enumerate(_get_list(data, "rows", path, required=False)):
         rpath = "%s.rows[%d]" % (path, i)
         a = dec_vec(_get(r, "a", rpath), rpath + ".a")
         if len(a) != dim:
@@ -188,7 +189,7 @@ def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
 def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
     if isinstance(data, dict) and "rays" in data and "rows" not in data:
         rays = [dec_vec(r, "%s.rays[%d]" % (path, i))
-                for i, r in enumerate(data["rays"])]
+                for i, r in enumerate(_get_list(data, "rays", path))]
         dim = _get(data, "dim", path, required=False,
                    default=len(rays[0]) if rays else default_dim)
         if dim is None:
@@ -198,17 +199,10 @@ def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
     return dec_polyhedron(data, path, cone=True)
 
 
-def enc_fan(fan: Fan) -> dict:
-    from .polyhedra import generators
-    return {"dim": fan.dim,
-            "cones": [{"rays": [enc_vec_int(r) for r in generators(c)]}
-                      for c in fan.cones]}
-
-
 def dec_fan(data, path: str = "$", close_faces: bool = True) -> Fan:
     dim = _get(data, "dim", path)
     cones = [dec_cone(c, "%s.cones[%d]" % (path, i), default_dim=dim)
-             for i, c in enumerate(_get(data, "cones", path))]
+             for i, c in enumerate(_get_list(data, "cones", path))]
     return Fan.make(dim, cones, close_faces=close_faces)
 
 
@@ -221,12 +215,12 @@ def enc_flag(flag: FlagOfCones) -> dict:
 
 def dec_flag(data, path: str = "$") -> FlagOfCones:
     tau_rays = [dec_vec(r, "%s.tau_rays[%d]" % (path, i))
-                for i, r in enumerate(_get(data, "tau_rays", path, required=False, default=[]))]
+                for i, r in enumerate(_get_list(data, "tau_rays", path, required=False))]
     cones = []
-    for i, c in enumerate(_get(data, "cones", path)):
+    for i, c in enumerate(_get_list(data, "cones", path)):
         cpath = "%s.cones[%d]" % (path, i)
         cones.append([dec_vec(r, "%s.rays[%d]" % (cpath, j))
-                      for j, r in enumerate(_get(c, "rays", cpath))])
+                      for j, r in enumerate(_get_list(c, "rays", cpath))])
     ambient = _get(data, "ambient_dim", path, required=False,
                    default=len(cones[0][0]) if cones and cones[0] else None)
     if ambient is None:
@@ -261,17 +255,14 @@ def dec_matrix(data, ctx: ToricContext, path: str = "$") -> PrimeMatrix:
     try:
         if "matrix" in data:
             entries = []
-            for i, raw in enumerate(data["matrix"]):
+            for i, raw in enumerate(_get_list(data, "matrix", path)):
                 rpath = "%s.matrix[%d]" % (path, i)
                 entries.append([dec_extframc(x, "%s[%d]" % (rpath, j))
-                                for j, x in enumerate(raw)])
+                                for j, x in enumerate(_as_list(raw, rpath))])
             return PrimeMatrix.from_extended_matrix(ctx, entries)
-        tau_rays = [dec_vec(r, "%s.tau_rays[%d]" % (path, i))
-                    for i, r in enumerate(_get(data, "tau_rays", path, required=False,
-                                               default=[]))]
-        tau = ctx.face_from_rays(tau_rays) if tau_rays else ctx.dense_face
+        tau = dec_face(data, ctx, path)
         rows = []
-        for i, r in enumerate(_get(data, "rows", path)):
+        for i, r in enumerate(_get_list(data, "rows", path)):
             rpath = "%s.rows[%d]" % (path, i)
             rows.append((dec_frac(_get(r, "r", rpath), rpath + ".r"),
                          dec_vec(_get(r, "x", rpath), rpath + ".x")))
@@ -284,38 +275,32 @@ def dec_matrix(data, ctx: ToricContext, path: str = "$") -> PrimeMatrix:
 
 # --- points -----------------------------------------------------------------
 
-def enc_ext_point(w: ExtPoint) -> dict:
-    return {"context": enc_context(w.context),
-            "r": enc_frac(w.r),
-            "tau_rays": [enc_vec_int(r) for r in w.tau.rays],
-            "x": enc_vec(w.coords)}
+def dec_face(data, ctx: ToricContext, path: str = "$") -> Face:
+    """The face of sigma spanned by the optional "tau_rays" (the dense face if none).
+
+    A set of rays that spans no face raises ValueError, which callers map."""
+    tau_rays = [dec_vec(t, "%s.tau_rays[%d]" % (path, i))
+                for i, t in enumerate(_get_list(data, "tau_rays", path, required=False))]
+    return ctx.face_from_rays(tau_rays) if tau_rays else ctx.dense_face
 
 
 def dec_ext_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
     r = dec_frac(_get(data, "r", path), path + ".r")
-    tau_rays = [dec_vec(t, "%s.tau_rays[%d]" % (path, i))
-                for i, t in enumerate(_get(data, "tau_rays", path, required=False,
-                                           default=[]))]
     try:
-        tau = ctx.face_from_rays(tau_rays) if tau_rays else ctx.dense_face
+        tau = dec_face(data, ctx, path)
         return ExtPoint.make(ctx, r, tau, dec_vec(_get(data, "x", path), path + ".x"))
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc), path)
 
 
-def enc_stratum_point(w: StratumPoint) -> dict:
-    return {"context": enc_context(w.context),
-            "tau_rays": [enc_vec_int(r) for r in w.tau.rays],
-            "x": enc_vec(w.coords)}
-
-
 def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> StratumPoint:
-    tau_rays = [dec_vec(t, "%s.tau_rays[%d]" % (path, i))
-                for i, t in enumerate(_get(data, "tau_rays", path, required=False,
-                                           default=[]))]
     try:
-        tau = ctx.face_from_rays(tau_rays) if tau_rays else ctx.dense_face
+        tau = dec_face(data, ctx, path)
         return StratumPoint.make(ctx, tau, dec_vec(_get(data, "x", path), path + ".x"))
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc), path)
 
@@ -361,7 +346,7 @@ def enc_derivation(d: Derivation) -> dict:
 
 def dec_derivation(data, ctx: ToricContext, path: str = "$") -> Derivation:
     return Derivation(tuple(dec_step(s, ctx, "%s.steps[%d]" % (path, i))
-                            for i, s in enumerate(_get(data, "steps", path))))
+                            for i, s in enumerate(_get_list(data, "steps", path))))
 
 
 def enc_certificate(c: RadicalCertificate) -> dict:

@@ -1,18 +1,17 @@
 """Exact rational polyhedra, cones, fans and flags.
 
-H-representations carry strict rows; feasibility is decided by maximizing a
-common slack with exact pivoting, so strictness is honored exactly and an
-Infeasible answer certifies that no positive slack exists.  Ray enumeration of
-closed cones (`cone_generators`, and through it H-representations, faces and
-fans) is an exact double-description kernel that runs no LP: equality rows
-give the starting subspace, each inequality either trades a lineality vector
-for a ray or keeps the rays on its side plus the crossings of positive/negative
-pairs that pass a rank test on the tight rows.  The same kernel, run on the
-closed cone over a polyhedron, decides its emptiness and its implicit
-equalities for `relative_interior_point`, and `is_face` compares a cone with
-the smallest face containing it; neither runs an LP.  LPs remain where a value
-is optimized or strictness is certified: `feasible`, `is_subset`, and the slack
-pin and L1 polish of `relative_interior_point`.
+H-representations carry strict rows.  Ray enumeration of closed cones
+(`cone_generators`, and through it H-representations, faces and fans) is an
+exact double-description kernel that runs no LP: equality rows give the
+starting subspace, each inequality either trades a lineality vector for a ray
+or keeps the rays on its side plus the crossings of positive/negative pairs
+that pass a rank test on the tight rows.  The same kernel, run on the closed
+cone over a polyhedron, answers every yes/no question: emptiness with strict
+rows honored exactly (`feasible`, whose witness is the dehomogenized sum of
+the rays), implicit equalities, and the suprema of linear forms that decide
+`is_subset` and `poly_in_union`; `is_face` compares a cone with the smallest
+face containing it.  LPs remain only where a canonical point is chosen: the
+slack pin and L1 polish of `relative_interior_point`.
 """
 
 from __future__ import annotations
@@ -151,53 +150,51 @@ def intersect(p: PolyhedronH, q: PolyhedronH) -> PolyhedronH:
 
 
 # ---------------------------------------------------------------------------
-# feasibility / optimization
+# feasibility
 
-def _split_rows(p: PolyhedronH):
-    a_ub, b_ub, a_eq, b_eq, stricts = [], [], [], [], []
+def _closure_generators(p: PolyhedronH):
+    """cone_generators of the closed cone over p's weak relaxation Q.
+
+    The one place emptiness is decided: p is empty iff no generator has
+    positive height (Q is empty) or some strict row's homogenized normal
+    (-b, a) vanishes on every generator (the row is an implicit equality of Q,
+    so no point of Q satisfies it strictly); raises EmptyPolyhedronError then.
+    """
+    lin, rays = cone_generators(cone_over(p.weakened()))
+    if not any(g[0] > 0 for g in rays):
+        raise EmptyPolyhedronError("empty polyhedron has no relative interior point")
     for r in p.rows:
-        if r.rel == EQ:
-            a_eq.append(r.a)
-            b_eq.append(r.b)
-        else:
-            a_ub.append(r.a)
-            b_ub.append(r.b)
-            stricts.append(r.rel == LT)
-    return a_ub, b_ub, a_eq, b_eq, stricts
-
-
-def max_linear(p: PolyhedronH, c: Sequence):
-    """Maximize c.x over the weak relaxation of p: (status, value, argmax)."""
-    a_ub, b_ub, a_eq, b_eq, _ = _split_rows(p)
-    status, x, value = _lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    return status, value, x
+        if r.rel == LT and all(dot((-r.b,) + tuple(r.a), g) == 0 for g in lin + rays):
+            raise EmptyPolyhedronError("a strict row is an implicit equality")
+    return lin, rays
 
 
 def feasible(p: PolyhedronH) -> Optional[Vec]:
-    """Exact witness honoring strict rows strictly, or None (certified empty)."""
-    a_ub, b_ub, a_eq, b_eq, stricts = _split_rows(p)
-    d = p.dim
-    # variables (x, eps); maximize eps, strict rows get "+eps", eps <= 1 bounds it
-    A, B = [], []
-    for a, b, s in zip(a_ub, b_ub, stricts):
-        A.append(tuple(a) + ((ONE,) if s else (ZERO,)))
-        B.append(b)
-    A.append(zero_vec(d) + (ONE,))
-    B.append(ONE)
-    A.append(zero_vec(d) + (-ONE,))
-    B.append(ZERO)
-    AE = [tuple(a) + (ZERO,) for a in a_eq]
-    c = zero_vec(d) + (ONE,)
-    status, x, value = _lp.solve_lp(c, A, B, AE, b_eq)
-    if status != _lp.OPTIMAL:
+    """Exact witness honoring strict rows strictly, or None (certified empty).
+
+    The sum of the closure generators' rays lies in the relative interior of
+    the cone over p's closure, so dehomogenized it satisfies every row that is
+    not an implicit equality strictly, strict rows included."""
+    try:
+        _, rays = _closure_generators(p)
+    except EmptyPolyhedronError:
         return None
-    if any(stricts) and value <= 0:
-        return None
-    return x[:d]
+    s = [sum(col) for col in zip(*rays)]
+    return tuple(x / s[0] for x in s[1:])
 
 
 def is_empty(p: PolyhedronH) -> bool:
     return feasible(p) is None
+
+
+def _sup(gens, a: Sequence) -> Optional[Fraction]:
+    """sup a.x over a nonempty polyhedron given by its closure generators;
+    None if unbounded (a moves along a lineality vector or up a height-0 ray)."""
+    lin, rays = gens
+    if any(dot(a, l[1:]) != 0 for l in lin) or any(
+            g[0] == 0 and dot(a, g[1:]) > 0 for g in rays):
+        return None
+    return max(dot(a, g[1:]) / g[0] for g in rays if g[0] > 0)
 
 
 def _l1_polish(p: PolyhedronH) -> Vec:
@@ -206,20 +203,19 @@ def _l1_polish(p: PolyhedronH) -> Vec:
     Minimizes sum |x_i| via x = u - v, u,v >= 0; exact simplex keeps it canonical.
     """
     d = p.dim
-    a_ub, b_ub, a_eq, b_eq, _ = _split_rows(p)
     # variables (u, v) each length d, minimize sum(u+v) == maximize -(sum)
-    A, B = [], []
-    for a, b in zip(a_ub, b_ub):
-        A.append(tuple(a) + tuple(-x for x in a))
-        B.append(b)
+    A, B, AE, BE = [], [], [], []
+    for r in p.rows:
+        lhs, rhs = (AE, BE) if r.rel == EQ else (A, B)
+        lhs.append(tuple(r.a) + tuple(-x for x in r.a))
+        rhs.append(r.b)
     for i in range(2 * d):
         rr = [ZERO] * (2 * d)
         rr[i] = -ONE
         A.append(tuple(rr))
         B.append(ZERO)
-    AE = [tuple(a) + tuple(-x for x in a) for a in a_eq]
     c = (-ONE,) * (2 * d)
-    status, x, _ = _lp.solve_lp(c, A, B, AE, b_eq)
+    status, x, _ = _lp.solve_lp(c, A, B, AE, BE)
     assert status == _lp.OPTIMAL, status
     return tuple(x[i] - x[d + i] for i in range(d))
 
@@ -228,24 +224,18 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     """A point satisfying every non-implicit inequality strictly.
 
     Strict rows must be satisfiable; raises EmptyPolyhedronError otherwise.
-    Emptiness and implicit equalities are read off the double-description
-    kernel without an LP: p is empty iff no generator of the closed cone over
-    its weak relaxation has positive height, and a row a.x <= b is an implicit
-    equality iff (-b, a) vanishes on every generator.  Then one LP maximizes
-    the common slack (capped at 1) and an L1 objective polishes the point for
-    reproducibility.
+    Emptiness and implicit equalities are read off the closure generators
+    without an LP: a row a.x <= b is an implicit equality iff (-b, a) vanishes
+    on every generator.  Then one LP maximizes the common slack (capped at 1)
+    and an L1 objective polishes the point for reproducibility.
     """
-    lin, rays = cone_generators(cone_over(p.weakened()))
-    if not any(g[0] > 0 for g in rays):
-        raise EmptyPolyhedronError("empty polyhedron has no relative interior point")
+    lin, rays = _closure_generators(p)
     eqs, ineq = [], []
     for r in p.rows:
         h = (-r.b,) + tuple(r.a)
         if r.rel == EQ:
             eqs.append(r)
         elif all(dot(h, g) == 0 for g in lin + rays):
-            if r.rel == LT:
-                raise EmptyPolyhedronError("a strict row is an implicit equality")
             eqs.append(HRow(r.a, r.b, EQ))
         else:
             ineq.append(r)
@@ -407,29 +397,29 @@ def hrep_from_rays(gens: Sequence[Sequence], dim: int) -> ConeH:
 
 def is_subset(p: PolyhedronH, q: PolyhedronH) -> bool:
     """Exact containment p (with strict rows honored) inside q."""
-    return feasible(p) is None or _nonempty_subset(p, q)
+    try:
+        gens = _closure_generators(p)
+    except EmptyPolyhedronError:
+        return True
+    return _nonempty_subset(p, gens, q)
 
 
-def _nonempty_subset(p: PolyhedronH, q: PolyhedronH) -> bool:
-    """is_subset for a p already known to be nonempty."""
+def _nonempty_subset(p: PolyhedronH, gens, q: PolyhedronH) -> bool:
+    """is_subset for a nonempty p with closure generators gens.
+
+    Every row of q bounds sup a.x over p, which is sup a.x over its closure;
+    a strict row whose bound is that sup also needs it not attained on p."""
     for r in q.rows:
-        status, value, _ = max_linear(p, r.a)
-        if r.rel in (LE, LT):
-            if status == _lp.UNBOUNDED:
+        hi = _sup(gens, r.a)
+        if hi is None or hi > r.b:
+            return False
+        if r.rel == LT and hi == r.b and feasible(p.with_rows((HRow(r.a, r.b, EQ),))) is not None:
+            return False
+        if r.rel == EQ:
+            lo = _sup(gens, vscale(-1, r.a))
+            if lo is None or lo > -r.b:
                 return False
-            if value > r.b or (r.rel == LT and value == r.b and _attains(p, r)):
-                return False
-        else:
-            for a in (r.a, vscale(-1, r.a)):
-                status, value, _ = max_linear(p, a)
-                bb = r.b if a is r.a else -r.b
-                if status == _lp.UNBOUNDED or value > bb:
-                    return False
     return True
-
-
-def _attains(p: PolyhedronH, r: HRow) -> bool:
-    return feasible(p.with_rows((HRow(r.a, r.b, EQ),))) is not None
 
 
 def is_face(f: ConeH, c: ConeH) -> bool:
@@ -521,11 +511,12 @@ def common_refinement(fans: Sequence[Fan]) -> Fan:
 
 def poly_in_union(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
     """Exact test p subseteq union(parts); all inputs may carry strict rows."""
-    if feasible(p) is None:
+    try:
+        gens = _closure_generators(p)
+    except EmptyPolyhedronError:
         return True
-    for q in parts:
-        if _nonempty_subset(p, q):
-            return True
+    if any(_nonempty_subset(p, gens, q) for q in parts):
+        return True
     if not parts:
         return False
     q = parts[0]

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, primitive, vec, vscale,
-                      vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive, vec,
+                      vscale, vsub, zero_vec)
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, feasible, relative_interior_point)
 from .trop_core import (COEFF_B, ExtPoint, Face, ToricContext, TropPoly,
@@ -26,7 +26,7 @@ from .trop_core import (COEFF_B, ExtPoint, Face, ToricContext, TropPoly,
 from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
                          flag_to_matrix, has_trivial_ideal_kernel,
                          initial_form_point, monomial_le)
-from .toric_geom import _perp_basis, _preimage_rows, _relint_tau_rows
+from .toric_geom import _preimage_rows, _relint_tau_rows
 from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
                       shrink_flag, stratum_cone, support_of,
                       _sample_monomial_pairs)
@@ -320,7 +320,7 @@ def _resolution_system(ctx, L: ConeH, tau: Face, w_rows):
         out[(k + 1) * d + j] = -ONE
         rows.append(HRow(tuple(out), ZERO, LT))
     # projection constraints: height exactly, coords modulo span(tau)
-    perp = _perp_basis(tau, n)
+    perp = nullspace_basis(tau.rays, n)
     for i in range(k + 1):
         out = [ZERO] * nvars
         out[i * d + 0] = ONE

@@ -60,26 +60,22 @@ def project_to_stratum(context: ToricContext, x: Sequence, tau: Face) -> Stratum
     return StratumPoint.make(context, tau, x)
 
 
-def _perp_basis(tau: Face, dim: int):
-    """Covectors cutting out span(tau): c . s = 0 for all s in span(tau)."""
-    if not tau.rays:
-        return [tuple(ONE if j == i else ZERO for j in range(dim)) for i in range(dim)]
-    return nullspace_basis(tau.rays, dim)
-
-
 def _preimage_rows(tau: Face, target_full: Vec, dim: int):
     """Rows pinning (id x pi_tau)(r, x) = target in R_{>=0} x N_R/tau.
 
     target_full = (r0, canonical coords); variables are (r, x) in R^{1+dim}.
     """
     rows = [HRow((ONE,) + zero_vec(dim), target_full[0], EQ)]
-    for c in _perp_basis(tau, dim):
+    for c in nullspace_basis(tau.rays, dim):
         rows.append(HRow((ZERO,) + tuple(c), dot(c, target_full[1:]), EQ))
     return rows
 
 
 def _relint_tau_rows(tau: Face, dim: int, height_prefix: bool):
-    """Rows for {0} x rel.int(tau) (or rel.int(tau) alone if no height coordinate)."""
+    """Rows for {0} x rel.int(tau) (or rel.int(tau) alone if no height coordinate).
+
+    For the zero cone the nullspace of no rays is spanned by every unit
+    vector, so the rows pin the origin."""
     pre = 1 if height_prefix else 0
     rows = []
     if height_prefix:
@@ -88,18 +84,9 @@ def _relint_tau_rows(tau: Face, dim: int, height_prefix: bool):
     def lift(a):
         return (zero_vec(pre) + tuple(a)) if pre else tuple(a)
 
-    if not tau.rays:
-        # rel.int of the zero cone is the origin
-        for i in range(dim):
-            e = [ZERO] * dim
-            e[i] = ONE
-            rows.append(HRow(lift(e), ZERO, EQ))
-        return rows
-    tau_cone = tau.cone()
-    span_normals = nullspace_basis(tau.rays, dim)
-    for c in span_normals:
+    for c in nullspace_basis(tau.rays, dim):
         rows.append(HRow(lift(c), ZERO, EQ))
-    for r in tau_cone.rows:
+    for r in tau.cone().rows:
         if r.rel == EQ:
             continue
         rows.append(HRow(lift(r.a), ZERO, LT))

@@ -309,16 +309,6 @@ class TropPoly:
     def one(context: ToricContext) -> "TropPoly":
         return TropPoly.make(context, {(0,) * context.rank: ZERO})
 
-    @staticmethod
-    def monomial(context: ToricContext, u, a=ZERO) -> "TropPoly":
-        return TropPoly.make(context, {tuple(u): a})
-
-    @staticmethod
-    def variable(context: ToricContext, i: int) -> "TropPoly":
-        u = [0] * context.rank
-        u[i] = 1
-        return TropPoly.make(context, {tuple(u): ZERO})
-
     # --- basic structure ---
     def is_zero(self) -> bool:
         return not self.terms
@@ -447,18 +437,6 @@ class ExtPoint:
 
 def eval_poly(f: TropPoly, w: ExtPoint) -> TropScalar:
     return f.evaluate(w)
-
-
-def poly_add(f: TropPoly, g: TropPoly) -> TropPoly:
-    return f + g
-
-
-def poly_mul(f: TropPoly, g: TropPoly) -> TropPoly:
-    return f * g
-
-
-def poly_pow(f: TropPoly, k: int) -> TropPoly:
-    return f ** k
 
 
 def bend_relations(f: TropPoly) -> list:

@@ -15,7 +15,9 @@ from tropcong import _lp
 from tropcong._linalg import (ONE, Vec, dot, is_zero_vec, neg_primitive_pair,
                               nullspace_basis, primitive, rank_of, reduce_mod_span,
                               vadd, vscale, zero_vec)
-from tropcong.polyhedra import EQ, ConeH, PolyhedronH, max_linear
+from tropcong.polyhedra import EQ, ConeH, PolyhedronH
+
+from lp_reference import max_linear
 
 
 def _implicit_equality_normals(c: PolyhedronH) -> list[Vec]:

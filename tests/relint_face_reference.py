@@ -13,6 +13,7 @@ tests/test_relint_face.py:
   is at most -1 on every generator of c outside f, by a zero-objective LP
   (formerly `_lp.lp_feasible_point`, inlined here).
 
+The LP `feasible`, `is_empty` and `max_linear` come from `lp_reference`.
 Test use only.
 """
 
@@ -22,8 +23,9 @@ from tropcong import _lp
 from tropcong._linalg import ONE, ZERO, Vec, vscale, zero_vec
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
                                 PolyhedronH, _l1_polish, cone_generators,
-                                cone_key, feasible, generators, is_empty,
-                                max_linear)
+                                cone_key, generators)
+
+from lp_reference import feasible, is_empty, max_linear
 
 
 def relative_interior_point(p: PolyhedronH) -> Vec:

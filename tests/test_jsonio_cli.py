@@ -300,3 +300,53 @@ def test_cli_variety_stratum_filter(capsys, fixtures_dir, tmp_path):
     assert len(doc["strata"]) == 1
     assert doc["strata"][0]["tau_rays"] == [[-1, 0], [0, -1]]
     assert len(doc["strata"][0]["cells"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# a field that must be a list and is not is a parse error, never a traceback
+
+def _put(value, *keys):
+    def edit(doc):
+        inner = doc
+        for k in keys[:-1]:
+            inner = inner[k]
+        inner[keys[-1]] = value
+        return doc
+    return edit
+
+
+_E = "quartic_bend/E.json"
+_CLOSURE = ("closure", "--polyhedron", "closure/cell_L.json", "--fan", "closure/sigma_fan.json",
+            "--point", "closure/deep_point.json")
+
+
+@pytest.mark.parametrize("argv, target, edit", [
+    (("kernel", "--matrix", "quartic_bend/Q.json"), "quartic_bend/Q.json",
+     _put(5, "context", "sigma_rays")),
+    (("variety", "--cong", _E), _E, _put(5, "pairs")),
+    (("hypersurface", "--poly", "quartic_bend/f.json"), "quartic_bend/f.json", _put(5, "terms")),
+    (("variety", "--cong", _E, "--stratum", "tau"), "tau", _put(5, "tau_rays")),
+    (("variety", "--cong", _E, "--stratum", "tau"), "tau", lambda d: [[-1, 0]]),
+    (_CLOSURE, "closure/deep_point.json", _put(5, "tau_rays")),
+    (_CLOSURE, "closure/sigma_fan.json", _put(5, "cones")),
+    (_CLOSURE, "closure/sigma_fan.json", _put(5, "cones", 1, "rays")),
+    (_CLOSURE, "closure/cell_L.json", _put(5, "rows")),
+    (("kernel", "--matrix", "quartic_bend/P.json"), "quartic_bend/P.json", _put(5, "matrix")),
+    (("kernel", "--matrix", "quartic_bend/P.json"), "quartic_bend/P.json",
+     _put(5, "matrix", 0)),
+    (("flag-check", "--flag", "flag", "--cong", _E), "flag", _put(5, "cones")),
+    (("flag-check", "--flag", "flag", "--cong", _E), "flag", lambda d: {"cones": [{"rays": 5}]}),
+    (("verify", "--cong", "radical_roundtrip/E.json", "--pair", "radical_roundtrip/pair_x_1.json",
+      "--derivation", "derivation"), "derivation", _put(5, "steps")),
+])
+def test_cli_non_list_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
+    source = fixtures_dir / target
+    doc = edit(json.loads(source.read_text()) if source.exists() else {})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = [str(bad) if a == target else str(fixtures_dir / a) if "/" in a else a
+            for a in argv]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("parse error") and "Traceback" not in err
