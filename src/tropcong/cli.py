@@ -63,6 +63,12 @@ def _same_context(*ctxs):
     return first
 
 
+def _same_dim(dim, want, label):
+    """A document sized for another rank is malformed input, not a precondition."""
+    if dim != want:
+        raise ParseError("dimension %d, expected %d" % (dim, want), label)
+
+
 def _emit(payload: dict):
     sys.stdout.write(jsonio.dumps(payload) + "\n")
 
@@ -211,6 +217,8 @@ def cmd_closure(args, max_dim):
     ctx = _context(wdoc, args.point, max_dim)
     L = jsonio.dec_polyhedron(ldoc, args.polyhedron)
     fan = jsonio.dec_fan(fdoc, args.fan)
+    _same_dim(L.dim, ctx.rank, args.polyhedron + ".dim")
+    _same_dim(fan.dim, ctx.rank, args.fan + ".dim")
     w = jsonio.dec_stratum_point(wdoc, ctx, args.point)
     try:
         res = toric_geom.polyhedron_closure_membership(ctx, L, fan, w)
@@ -250,6 +258,7 @@ def cmd_flag_check(args, max_dim):
     ctx, E = _decode_congruence(args.cong, max_dim)
     fdoc = _load(args.flag)
     flag = jsonio.dec_flag(fdoc, args.flag)
+    _same_dim(flag.ambient_dim, ctx.rank + 1, args.flag + ".ambient_dim")
     bad = polyhedra.validate_flag(flag)
     if bad:
         _emit({"valid": False, "violations": bad})

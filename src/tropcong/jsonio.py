@@ -50,6 +50,24 @@ def _get_list(data, key, path, required=True):
     return _as_list(_get(data, key, path, required, default=[]), "%s.%s" % (path, key))
 
 
+def _sized(v, n, path):
+    """v, after checking that it has the n entries of the rank or dim it lives in."""
+    if len(v) != n:
+        raise ParseError("expected %d entries, got %d" % (n, len(v)), path)
+    return v
+
+
+def _as_int(value, least, path):
+    """value, after checking that it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParseError("expected an integer >= %d" % least, path)
+    return value
+
+
+def _get_index(data, key, path):
+    return _as_int(_get(data, key, path), 0, "%s.%s" % (path, key))
+
+
 # --- rationals --------------------------------------------------------------
 
 def enc_frac(x: Fraction) -> str:
@@ -96,9 +114,7 @@ def enc_context(ctx: ToricContext) -> dict:
 
 
 def dec_context(data, path: str = "$.context", max_dim: Optional[int] = None) -> ToricContext:
-    rank = _get(data, "rank", path)
-    if not isinstance(rank, int) or rank <= 0:
-        raise ParseError("rank must be a positive integer", path + ".rank")
+    rank = _as_int(_get(data, "rank", path), 1, path + ".rank")
     if max_dim is not None and rank > max_dim:
         raise ParseError("rank %d exceeds the ambient-dimension cap %d" % (rank, max_dim),
                          path + ".rank")
@@ -129,6 +145,7 @@ def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
         u = _get(t, "exp", tpath)
         if not isinstance(u, list) or any(not isinstance(x, int) for x in u):
             raise ParseError("exponent must be a list of integers", tpath + ".exp")
+        _sized(u, ctx.rank, tpath + ".exp")
         a = dec_frac(_get(t, "coeff", tpath), tpath + ".coeff")
         key = tuple(u)
         terms[key] = max(terms.get(key, a), a)
@@ -166,15 +183,11 @@ def enc_polyhedron(p: PolyhedronH) -> dict:
 
 
 def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
-    dim = _get(data, "dim", path)
-    if not isinstance(dim, int) or dim <= 0:
-        raise ParseError("dim must be a positive integer", path + ".dim")
+    dim = _as_int(_get(data, "dim", path), 1, path + ".dim")
     rows = []
     for i, r in enumerate(_get_list(data, "rows", path, required=False)):
         rpath = "%s.rows[%d]" % (path, i)
-        a = dec_vec(_get(r, "a", rpath), rpath + ".a")
-        if len(a) != dim:
-            raise ParseError("row length %d != dim %d" % (len(a), dim), rpath + ".a")
+        a = _sized(dec_vec(_get(r, "a", rpath), rpath + ".a"), dim, rpath + ".a")
         b = dec_frac(_get(r, "b", rpath), rpath + ".b")
         rel = _get(r, "rel", rpath)
         if rel not in (LE, LT, EQ):
@@ -194,15 +207,22 @@ def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
                    default=len(rays[0]) if rays else default_dim)
         if dim is None:
             raise ParseError("cone needs rays or a dim", path)
+        _as_int(dim, 1, path + ".dim")
+        for i, r in enumerate(rays):
+            _sized(r, dim, "%s.rays[%d]" % (path, i))
         from .polyhedra import hrep_from_rays
         return hrep_from_rays(rays, dim)
     return dec_polyhedron(data, path, cone=True)
 
 
 def dec_fan(data, path: str = "$", close_faces: bool = True) -> Fan:
-    dim = _get(data, "dim", path)
+    dim = _as_int(_get(data, "dim", path), 1, path + ".dim")
     cones = [dec_cone(c, "%s.cones[%d]" % (path, i), default_dim=dim)
              for i, c in enumerate(_get_list(data, "cones", path))]
+    for i, c in enumerate(cones):
+        if c.dim != dim:
+            raise ParseError("cone dim %d != fan dim %d" % (c.dim, dim),
+                             "%s.cones[%d]" % (path, i))
     return Fan.make(dim, cones, close_faces=close_faces)
 
 
@@ -225,6 +245,12 @@ def dec_flag(data, path: str = "$") -> FlagOfCones:
                    default=len(cones[0][0]) if cones and cones[0] else None)
     if ambient is None:
         raise ParseError("flag needs ambient_dim or at least one ray", path)
+    _as_int(ambient, 1, path + ".ambient_dim")
+    for i, t in enumerate(tau_rays):
+        _sized(t, ambient - 1, "%s.tau_rays[%d]" % (path, i))
+    for i, rays in enumerate(cones):
+        for j, r in enumerate(rays):
+            _sized(r, ambient, "%s.cones[%d].rays[%d]" % (path, i, j))
     return make_flag(ambient, tau_rays, cones)
 
 
@@ -265,7 +291,8 @@ def dec_matrix(data, ctx: ToricContext, path: str = "$") -> PrimeMatrix:
         for i, r in enumerate(_get_list(data, "rows", path)):
             rpath = "%s.rows[%d]" % (path, i)
             rows.append((dec_frac(_get(r, "r", rpath), rpath + ".r"),
-                         dec_vec(_get(r, "x", rpath), rpath + ".x")))
+                         _sized(dec_vec(_get(r, "x", rpath), rpath + ".x"), ctx.rank,
+                                rpath + ".x")))
         return PrimeMatrix.make(ctx, tau, rows)
     except ParseError:
         raise
@@ -279,16 +306,22 @@ def dec_face(data, ctx: ToricContext, path: str = "$") -> Face:
     """The face of sigma spanned by the optional "tau_rays" (the dense face if none).
 
     A set of rays that spans no face raises ValueError, which callers map."""
-    tau_rays = [dec_vec(t, "%s.tau_rays[%d]" % (path, i))
-                for i, t in enumerate(_get_list(data, "tau_rays", path, required=False))]
+    tau_rays = []
+    for i, t in enumerate(_get_list(data, "tau_rays", path, required=False)):
+        tpath = "%s.tau_rays[%d]" % (path, i)
+        tau_rays.append(_sized(dec_vec(t, tpath), ctx.rank, tpath))
     return ctx.face_from_rays(tau_rays) if tau_rays else ctx.dense_face
+
+
+def _dec_point_coords(data, ctx: ToricContext, path: str) -> Vec:
+    return _sized(dec_vec(_get(data, "x", path), path + ".x"), ctx.rank, path + ".x")
 
 
 def dec_ext_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
     r = dec_frac(_get(data, "r", path), path + ".r")
     try:
         tau = dec_face(data, ctx, path)
-        return ExtPoint.make(ctx, r, tau, dec_vec(_get(data, "x", path), path + ".x"))
+        return ExtPoint.make(ctx, r, tau, _dec_point_coords(data, ctx, path))
     except ParseError:
         raise
     except ValueError as exc:
@@ -298,7 +331,7 @@ def dec_ext_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
 def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> StratumPoint:
     try:
         tau = dec_face(data, ctx, path)
-        return StratumPoint.make(ctx, tau, dec_vec(_get(data, "x", path), path + ".x"))
+        return StratumPoint.make(ctx, tau, _dec_point_coords(data, ctx, path))
     except ParseError:
         raise
     except ValueError as exc:
@@ -326,17 +359,19 @@ def enc_step(s) -> dict:
 def dec_step(data, ctx: ToricContext, path: str):
     op = _get(data, "op", path)
     if op == "gen":
-        return Generator(_get(data, "index", path))
+        return Generator(_get_index(data, "index", path))
     if op == "refl":
         return Refl(dec_poly(_get(data, "poly", path), ctx, path + ".poly"))
     if op == "sym":
-        return Sym(_get(data, "i", path))
+        return Sym(_get_index(data, "i", path))
     if op == "trans":
-        return Trans(_get(data, "i", path), _get(data, "j", path))
+        return Trans(_get_index(data, "i", path), _get_index(data, "j", path))
     if op == "addboth":
-        return AddBoth(_get(data, "i", path), dec_poly(_get(data, "h", path), ctx, path + ".h"))
+        return AddBoth(_get_index(data, "i", path),
+                       dec_poly(_get(data, "h", path), ctx, path + ".h"))
     if op == "mulmono":
-        return MulMono(_get(data, "i", path), dec_poly(_get(data, "m", path), ctx, path + ".m"))
+        return MulMono(_get_index(data, "i", path),
+                       dec_poly(_get(data, "m", path), ctx, path + ".m"))
     raise ParseError("unknown derivation op %r" % op, path + ".op")
 
 
@@ -356,9 +391,7 @@ def enc_certificate(c: RadicalCertificate) -> dict:
 
 
 def dec_certificate(data, ctx: ToricContext, path: str = "$") -> RadicalCertificate:
-    i = _get(data, "exponent", path)
-    if not isinstance(i, int) or i < 0:
-        raise ParseError("exponent must be a non-negative integer", path + ".exponent")
+    i = _get_index(data, "exponent", path)
     h = dec_poly(_get(data, "cofactor", path), ctx, path + ".cofactor")
     d = _get(data, "derivation", path, required=False)
     return RadicalCertificate(i, h, None if d is None else

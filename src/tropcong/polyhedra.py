@@ -9,9 +9,10 @@ that pass a rank test on the tight rows.  The same kernel, run on the closed
 cone over a polyhedron, answers every yes/no question: emptiness with strict
 rows honored exactly (`feasible`, whose witness is the dehomogenized sum of
 the rays), implicit equalities, and the suprema of linear forms that decide
-`is_subset` and `poly_in_union`; `is_face` compares a cone with the smallest
-face containing it.  LPs remain only where a canonical point is chosen: the
-slack pin and L1 polish of `relative_interior_point`.
+`is_subset` and `poly_in_union` and give the common slack pinned by
+`relative_interior_point`; `is_face` compares a cone with the smallest face
+containing it.  The one LP left chooses a canonical point: the L1 polish of
+`relative_interior_point`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair
 
 LE, LT, EQ = "<=", "<", "="
 _RELS = (LE, LT, EQ)
+
+# Entries kept by each kernel cache (`cone_generators`, `faces_of`); well above
+# the few hundred distinct cones a CLI run or a 500-flag run builds.
+CACHE_SIZE = 4096
 
 
 class EmptyPolyhedronError(ValueError):
@@ -226,8 +231,10 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     Strict rows must be satisfiable; raises EmptyPolyhedronError otherwise.
     Emptiness and implicit equalities are read off the closure generators
     without an LP: a row a.x <= b is an implicit equality iff (-b, a) vanishes
-    on every generator.  Then one LP maximizes the common slack (capped at 1)
-    and an L1 objective polishes the point for reproducibility.
+    on every generator.  The common slack t of the other rows is pinned at its
+    maximum (capped at 1), the sup of t over the lifted polyhedron read off its
+    closure generators; then an L1 objective polishes the point for
+    reproducibility.
     """
     lin, rays = _closure_generators(p)
     eqs, ineq = [], []
@@ -242,16 +249,11 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     # pin the slack at its (capped) maximum, then polish
     d = p.dim
     if ineq:
-        A = [tuple(r.a) + (ONE,) for r in ineq]
-        B = [r.b for r in ineq]
-        A.append(zero_vec(d) + (ONE,))
-        B.append(ONE)
-        A.append(zero_vec(d) + (-ONE,))
-        B.append(ZERO)
-        AE = [tuple(r.a) + (ZERO,) for r in eqs]
-        BE = [r.b for r in eqs]
-        status, x, eps = _lp.solve_lp(zero_vec(d) + (ONE,), A, B, AE, BE)
-        assert status == _lp.OPTIMAL
+        lifted = PolyhedronH.make(d + 1, tuple(
+            [HRow(tuple(r.a) + (ONE,), r.b, LE) for r in ineq]
+            + [HRow(zero_vec(d) + (ONE,), ONE, LE), HRow(zero_vec(d) + (-ONE,), ZERO, LE)]
+            + [HRow(tuple(r.a) + (ZERO,), r.b, EQ) for r in eqs]))
+        eps = _sup(_closure_generators(lifted), zero_vec(d) + (ONE,))
         pinned = PolyhedronH.make(d, tuple(HRow(r.a, r.b - eps, LE) for r in ineq) + tuple(eqs))
     else:
         pinned = PolyhedronH.make(d, tuple(eqs))
@@ -309,7 +311,7 @@ def crossings(pos: Sequence, neg: Sequence) -> list:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cone_generators(c: ConeH):
     """(lineality_basis, extreme_rays) generating c = span(lineality) + cone(rays).
 
@@ -435,7 +437,7 @@ def is_face(f: ConeH, c: ConeH) -> bool:
     return cone_key(f) == cone_key(ConeH.make(c.dim, rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def faces_of(c: ConeH) -> tuple:
     """All faces of c (including c and its minimal face)."""
     seen = {}

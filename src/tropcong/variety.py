@@ -9,8 +9,9 @@ data is an index and any disagreement raises InternalConsistencyError.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
@@ -139,6 +140,8 @@ class VarietySupport:
     context: ToricContext
     pairs: tuple
     strata: tuple  # tuple of StratumSupport, one per face of sigma
+    _arrangements: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     def stratum(self, tau: Face) -> StratumSupport:
         for s in self.strata:
@@ -149,15 +152,18 @@ class VarietySupport:
     def all_cells(self):
         return [(s.tau, c) for s in self.strata for c in s.cells]
 
+    def arrangement(self, tau: Face) -> list:
+        """_arrangement of the pairs at tau, computed once per stratum."""
+        if tau not in self._arrangements:
+            self._arrangements[tau] = _arrangement(self.pairs, tau)
+        return self._arrangements[tau]
 
-_SUPPORT_CACHE: dict = {}
 
-
+@lru_cache(maxsize=32)
 def support_of(E: CongruencePresentation) -> VarietySupport:
-    """variety_of_basis with memoization (presentations are immutable)."""
-    if E not in _SUPPORT_CACHE:
-        _SUPPORT_CACHE[E] = variety_of_basis(E)
-    return _SUPPORT_CACHE[E]
+    """variety_of_basis, kept for the 32 most recently used presentations
+    (presentations are immutable)."""
+    return variety_of_basis(E)
 
 
 def variety_of_basis(E: CongruencePresentation,
@@ -248,28 +254,18 @@ def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
 # generator lists and performs double-description steps, so after the one
 # (cached) generator computation per cell everything is LP-free.
 
-def _linearity_forms(polys: Sequence[TropPoly], tau: Face) -> list:
-    """Hyperplane normals separating maximizer regions of the given polynomials."""
+def _arrangement(pairs, tau: Face) -> list:
+    """Sorted normals of the hyperplanes where two terms of one pair tie at tau.
+
+    On each cell of this arrangement every side of every pair is linear, and the
+    two sides of a pair compare the same way throughout."""
     forms = set()
-    for p in polys:
-        tvs = [term_vec(u, a) for u, a in p.restrict(tau).terms]
+    for f, g in pairs:
+        tvs = [term_vec(u, a) for p in (f, g) for u, a in p.restrict(tau).terms]
         for v1, v2 in itertools.combinations(tvs, 2):
             d = neg_primitive_pair(vsub(v1, v2))
             if not is_zero_vec(d):
                 forms.add(d)
-    return sorted(forms)
-
-
-def _cross_forms(pairs, tau: Face) -> list:
-    forms = set()
-    for f, g in pairs:
-        fv = [term_vec(u, a) for u, a in f.restrict(tau).terms]
-        gv = [term_vec(u, a) for u, a in g.restrict(tau).terms]
-        for v1 in fv:
-            for v2 in gv:
-                d = neg_primitive_pair(vsub(v1, v2))
-                if not is_zero_vec(d):
-                    forms.add(d)
     return sorted(forms)
 
 
@@ -337,11 +333,10 @@ def _quick_counterexample(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> b
 def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> bool:
     if _quick_counterexample(f, g, tau, cell):
         return False
-    forms = sorted(set(_linearity_forms([f, g], tau)) | set(_cross_forms([(f, g)], tau)))
     gens = polyhedra.generators(cell)
     if not gens:  # the cell is the origin; sampling above already decided it
         return True
-    for piece in split_generators_by_forms(gens, forms):
+    for piece in split_generators_by_forms(gens, _arrangement([(f, g)], tau)):
         w = _relint_sample(piece)
         mf = _maximizer_at(f, tau, w)
         mg = _maximizer_at(g, tau, w)
@@ -387,11 +382,6 @@ def fractions_equal_on_variety(num_den1, num_den2, V: VarietySupport) -> bool:
 # ---------------------------------------------------------------------------
 # flags against varieties
 
-def _stratum_forms(V: VarietySupport, tau: Face) -> list:
-    sides = [p for pr in V.pairs for p in pr]
-    return sorted(set(_linearity_forms(sides, tau)) | set(_cross_forms(V.pairs, tau)))
-
-
 def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport) -> bool:
     """Every flag cone refined against the arrangement; pieces tested pointwise."""
     bad = validate_flag(flag)
@@ -402,7 +392,7 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
         V.stratum(tau)
     except ValueError:
         raise ValueError("flag stratum not represented in the support")
-    forms = _stratum_forms(V, tau)
+    forms = V.arrangement(tau)
     for i in range(flag.length()):
         rays = flag.cones_rays[i]
         cdim = rank_of(rays)
@@ -450,10 +440,10 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
                 "dimension dropped while shrinking; the cut should be a neighborhood")
         new_cones.append(polyhedra.generators(c))
     out = polyhedra.make_flag(flag.ambient_dim, flag.tau_rays, new_cones)
-    bad = validate_flag(out)
-    if bad:
-        raise InternalConsistencyError("shrunk flag invalid: " + "; ".join(bad))
-    theta2 = flag_to_matrix(context, out)
+    try:  # flag_to_matrix validates the shrunk flag
+        theta2 = flag_to_matrix(context, out)
+    except ValueError as exc:
+        raise InternalConsistencyError("shrunk flag invalid: %s" % exc) from None
     rng = _random.Random(seed)
     for m1, m2 in _sample_monomial_pairs(context, rng, sample_pairs, 6):
         if monomial_le(theta, m1, m2) != monomial_le(theta2, m1, m2):

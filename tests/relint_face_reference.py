@@ -7,8 +7,9 @@ tests/test_relint_face.py:
 
 * `relative_interior_point` finds implicit equalities by a loop of LPs: a
   strict-feasibility LP, then a weak-emptiness LP and one `max_linear` LP per
-  row, repeated until every remaining row can be strict at once.  The slack
-  pin and the L1 polish are the library's own.
+  row, repeated until every remaining row can be strict at once.  Then one
+  LP pins the common slack, which the library now reads off the kernel; the
+  L1 polish is the library's own.
 * `is_face` looks for a functional that vanishes on the generators of f and
   is at most -1 on every generator of c outside f, by a zero-objective LP
   (formerly `_lp.lp_feasible_point`, inlined here).

@@ -340,6 +340,49 @@ _CLOSURE = ("closure", "--polyhedron", "closure/cell_L.json", "--fan", "closure/
       "--derivation", "derivation"), "derivation", _put(5, "steps")),
 ])
 def test_cli_non_list_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
+    _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit)
+
+
+_VERIFY = ("verify", "--cong", "radical_roundtrip/E.json",
+           "--pair", "radical_roundtrip/pair_x_1.json", "--derivation", "derivation")
+_FLAG_CHECK = ("flag-check", "--flag", "flag", "--cong", _E)
+_RANK2 = {"rank": 2, "sigma_rays": [[-1, 0], [0, -1]]}
+
+
+# ---------------------------------------------------------------------------
+# a vector sized for another rank or dim, or a step index that is not a
+# non-negative integer, is a parse error, never a wrong boolean
+
+@pytest.mark.parametrize("argv, target, edit", [
+    (("variety", "--cong", _E), _E, _put([1, 2, 3], "pairs", 0, "lhs", "terms", 0, "exp")),
+    (("eval", "--poly", "quartic_bend/f.json", "--point", "point"), "point",
+     lambda d: {"context": _RANK2, "r": "0", "x": ["1", "2", "3"]}),
+    (_CLOSURE, "closure/sigma_fan.json", _put([[1, 0, 0]], "cones", 1, "rays")),
+    (_CLOSURE, "closure/sigma_fan.json",
+     lambda d: {"dim": 3, "cones": [{"rays": [[-1, 0, 0]]}]}),
+    (_CLOSURE, "closure/cell_L.json",
+     lambda d: {"dim": 3, "rows": [{"a": ["1", "0", "0"], "b": "0", "rel": "<="}]}),
+    (_CLOSURE, "closure/deep_point.json", _put(["0", "0", "0"], "x")),
+    (_CLOSURE, "closure/deep_point.json", _put([[-1, 0, 0]], "tau_rays")),
+    (("variety", "--cong", _E, "--stratum", "tau"), "tau",
+     lambda d: {"tau_rays": [[-1, 0, 0]]}),
+    (("kernel", "--matrix", "matrix"), "matrix",
+     lambda d: {"context": _RANK2, "rows": [{"r": "1", "x": ["0", "0", "0"]}]}),
+    (_FLAG_CHECK, "flag", lambda d: {"ambient_dim": 3, "cones": [{"rays": [[1, 0]]}]}),
+    (_FLAG_CHECK, "flag", lambda d: {"ambient_dim": 3, "tau_rays": [[-1, 0, 0]],
+                                     "cones": [{"rays": [[1, 0, 0]]}]}),
+    (_FLAG_CHECK, "flag", lambda d: {"ambient_dim": 4, "cones": [{"rays": [[1, 0, 0, 0]]}]}),
+    (_FLAG_CHECK, "flag", lambda d: {"ambient_dim": "3", "cones": [{"rays": [[1, 0, 0]]}]}),
+    (_VERIFY, "derivation", lambda d: {"steps": [{"op": "gen", "index": "x"}]}),
+    (_VERIFY, "derivation", lambda d: {"steps": [{"op": "gen", "index": True}]}),
+    (_VERIFY, "derivation", lambda d: {"steps": [{"op": "gen", "index": 0},
+                                                 {"op": "trans", "i": 0, "j": -1}]}),
+])
+def test_cli_malformed_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
+    _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit)
+
+
+def _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit):
     source = fixtures_dir / target
     doc = edit(json.loads(source.read_text()) if source.exists() else {})
     bad = tmp_path / "bad.json"

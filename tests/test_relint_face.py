@@ -1,21 +1,23 @@
 """Relative-interior points and face tests against their LP oracles.
 
 `relint_face_reference` holds the library's former `relative_interior_point`
-(implicit equalities found by a loop of LPs) and `is_face` (a separating
-functional found by an LP).  The library now reads both off the
-double-description kernel; it must return the same point, or raise the same
-EmptyPolyhedronError, and decide every face question the same way.
+(implicit equalities found by a loop of LPs, the common slack pinned by an
+LP) and `is_face` (a separating functional found by an LP).  The library now
+reads all three off the double-description kernel; it must return the same
+point, or raise the same EmptyPolyhedronError, and decide every face question
+the same way.
 """
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relint_face_reference as ref
-from tropcong import jsonio, resolve, toric_geom
+from tropcong import _lp, jsonio, resolve, toric_geom
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
                                 PolyhedronH, cone_key, faces_of, generators,
                                 hrep_from_rays, is_face, relative_interior_point)
@@ -83,6 +85,33 @@ def test_random_polyhedra():
     assert all(seen.values()), seen
     assert 0.2 < (seen["empty"] + seen["strict implicit"]) / sum(
         seen[k] for k in ("point", "empty", "strict implicit")) < 0.5, seen
+
+
+def test_only_the_l1_polish_runs_an_lp(monkeypatch):
+    # the common slack is read off the kernel; it must equal the LP's optimum
+    def P(d, *rows):
+        return PolyhedronH.make(d, tuple(HRow(vec(a), frac(b), rel) for a, b, rel in rows))
+
+    systems = [
+        P(1, ((-1,), 0, LE), ((1,), 4, LE)),  # slack capped at 1
+        P(1, ((-1,), 0, LE), ((2,), 1, LE)),  # slack 1/6
+        P(1, ((-1,), -1, LE), ((1,), 3, LT)),  # a strict row
+        P(2, ((-1, 0), 0, LE), ((0, -1), 0, LE), ((1, 1), 1, LE), ((1, -1), 0, EQ)),
+        P(2, ((1, 0), 1, LE), ((-1, 0), -1, LE), ((0, 1), 2, LE)),  # an implicit equality
+        P(2, ((1, 1), 0, EQ)),  # no inequality: no slack to pin
+    ]
+    callers = []
+    solve = _lp.solve_lp
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(*args)
+
+    monkeypatch.setattr(_lp, "solve_lp", spy)
+    points = [relative_interior_point(p) for p in systems]
+    monkeypatch.undo()
+    assert callers == ["_l1_polish"] * len(systems)
+    assert points == [ref.relative_interior_point(p) for p in systems]
 
 
 def test_strict_implicit_and_empty_raise():

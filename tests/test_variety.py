@@ -1,14 +1,17 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from tropcong import congruence, jsonio
 from tropcong import polyhedra as ph
 from tropcong import variety as vy
+from tropcong._linalg import is_zero_vec, neg_primitive_pair, vsub
 from tropcong.congruence import CongruencePresentation, congruence_in_prime, flag_to_matrix
 from tropcong.polyhedra import PolyhedronH, make_flag, row
-from tropcong.trop_core import ExtPoint, ToricContext, parse_poly
+from tropcong.trop_core import ExtPoint, ToricContext, bend_relations, parse_poly
 from tropcong.variety import (InternalConsistencyError, FiniteBasisRequiredError,
                               DenominatorVanishesError, flag_in_variety,
                               fractions_equal_on_variety, functions_equal_on_variety,
@@ -283,6 +286,29 @@ def test_shrink_truncated_basis_example():
     assert flag_in_variety(ctx, out, variety_of_basis(E))
 
 
+def test_shrink_validates_the_shrunk_flag_once(monkeypatch):
+    ctx = ToricContext.torus(1)
+    E = CongruencePresentation.make(
+        ctx, [(parse_poly(ctx, "t^1 + x"), parse_poly(ctx, "t^1"))], finite_tropical_basis=True)
+    flag = make_flag(2, [], [[(1, 0)], [(1, 0), (0, 1)]])
+    seen = []
+    inner = ph.validate_flag
+
+    def counting(f):
+        seen.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(congruence, "validate_flag", counting)
+    monkeypatch.setattr(vy, "validate_flag", counting)
+    out = shrink_flag(ctx, flag, E)
+    assert seen == [flag, out] and out != flag
+    # a shrunk flag that fails validation is a bug, not a bad input
+    make = ph.make_flag
+    monkeypatch.setattr(ph, "make_flag", lambda d, tau, cones: make(d, tau, cones[::-1]))
+    with pytest.raises(InternalConsistencyError, match="shrunk flag invalid"):
+        shrink_flag(ctx, flag, E)
+
+
 def test_shrink_requires_containment(ctx2, quartic_E):
     flag = make_flag(3, [], [[(1, 1, 1)]])
     with pytest.raises(ValueError):
@@ -334,3 +360,77 @@ def test_three_quadrics_basis_gap_is_one_point(ctx3):
         row(a, F(-1, 2), "=") for a in ([1, 0, 0], [0, 1, 0], [0, 0, 1])))
     assert ph.covers_equal(s3, s4 + [point])
     assert not ph.poly_in_union(point, s4)
+
+
+# ---------------------------------------------------------------------------
+# the tie-hyperplane arrangement and the caches
+
+def _forms_within(polys, tau):
+    """The former `_linearity_forms`: tie normals between two terms of one polynomial."""
+    forms = set()
+    for p in polys:
+        tvs = [vy.term_vec(u, a) for u, a in p.restrict(tau).terms]
+        for v1, v2 in itertools.combinations(tvs, 2):
+            d = neg_primitive_pair(vsub(v1, v2))
+            if not is_zero_vec(d):
+                forms.add(d)
+    return forms
+
+
+def _forms_across(pairs, tau):
+    """The former `_cross_forms`: tie normals between a term of f and a term of g."""
+    forms = set()
+    for f, g in pairs:
+        for u1, a1 in f.restrict(tau).terms:
+            for u2, a2 in g.restrict(tau).terms:
+                d = neg_primitive_pair(vsub(vy.term_vec(u1, a1), vy.term_vec(u2, a2)))
+                if not is_zero_vec(d):
+                    forms.add(d)
+    return forms
+
+
+def _fixture_pair_sets(fixtures_dir):
+    """(context, pairs) of every fixture congruence and pair, and the bend
+    relations of every fixture polynomial (the pairs of its hypersurface)."""
+    out = []
+    for path in sorted(fixtures_dir.rglob("*.json")):
+        doc = json.loads(path.read_text())
+        if "context" not in doc:
+            continue
+        ctx = jsonio.context_of_document(doc)
+        if "pairs" in doc:
+            out.append((ctx, jsonio.dec_congruence(doc, ctx).pairs))
+        elif "lhs" in doc:
+            out.append((ctx, (jsonio.dec_pair(doc, ctx),)))
+        elif "terms" in doc:
+            out.append((ctx, tuple(bend_relations(jsonio.dec_poly(doc, ctx)))))
+    return out
+
+
+def test_arrangement_equals_within_and_cross_forms(fixtures_dir):
+    combos = 0
+    for ctx, pairs in _fixture_pair_sets(fixtures_dir):
+        sides = [p for pair in pairs for p in pair]
+        for tau in ctx.faces:
+            old = sorted(_forms_within(sides, tau) | _forms_across(pairs, tau))
+            assert vy._arrangement(pairs, tau) == old
+            for pair in pairs:  # the per-pair arrangement of _functions_equal_on_cell
+                old = sorted(_forms_within(pair, tau) | _forms_across([pair], tau))
+                assert vy._arrangement([pair], tau) == old
+            combos += 1
+    assert combos >= 74
+
+
+def test_support_arrangement_built_once(quartic_E):
+    V = variety_of_basis(quartic_E)
+    for s in V.strata:
+        first = V.arrangement(s.tau)
+        assert first == vy._arrangement(V.pairs, s.tau)
+        assert V.arrangement(s.tau) is first
+    again = variety_of_basis(quartic_E)
+    assert V == again and hash(V) == hash(again)  # the memo is not part of the value
+
+
+def test_caches_are_bounded():
+    for fn in (ph.cone_generators, ph.faces_of, vy.support_of):
+        assert fn.cache_info().maxsize is not None
