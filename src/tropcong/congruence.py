@@ -9,7 +9,6 @@ check here exact and fast.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -232,27 +231,20 @@ def has_trivial_ideal_kernel(theta: PrimeMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # flags -> matrices
 
-def flag_to_matrix(context: ToricContext, flag: FlagOfCones,
-                   rng: Optional[random.Random] = None) -> PrimeMatrix:
-    """Row i is a relative-interior point of C_i (canonical unless rng is given).
+def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
+    """Row i is the primitive sum of the rays of C_i, a relative-interior point.
 
-    Any choice of w_i in C_i \\ C_{i-1} induces the same congruence; the rng
-    variant exists so tests can sample alternative choices.
+    Any choice of w_i in C_i \\ C_{i-1} induces the same congruence; this one
+    is canonical.
     """
     bad = validate_flag(flag)
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
-    tau = context.face_from_rays(flag.tau_rays) if flag.tau_rays else context.dense_face
+    tau = context.face_from_rays(flag.tau_rays)
     rows = []
-    for i in range(flag.length()):
-        rays = flag.cones_rays[i]
-        if rng is None:
-            # the sum of the rays of a simplicial cone is a relative interior point
-            pt = primitive(vec([sum(r[j] for r in rays) for j in range(flag.ambient_dim)]))
-        else:
-            coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in rays]
-            pt = vec([sum(c * r[j] for c, r in zip(coeffs, rays)) for j in range(flag.ambient_dim)])
-            pt = primitive(pt)
+    for rays in flag.cones_rays:
+        # the sum of the rays of a simplicial cone is a relative interior point
+        pt = primitive(vec([sum(r[j] for r in rays) for j in range(flag.ambient_dim)]))
         rows.append((pt[0], pt[1:]))
     return PrimeMatrix.make(context, tau, rows)
 
@@ -396,68 +388,51 @@ class NotFound:
 
 
 class _ProofForest:
+    """Union-find over polynomials, plus the edges that joined two classes.
+
+    Each union adds one edge between classes, so the edges form a spanning
+    forest and explain() walks its unique path between two nodes."""
+
     def __init__(self):
         self.parent = {}
-        self.edges = {}  # node -> (other, reason, forward)
+        self.edges = {}  # node -> [(other, reason)], both directions
 
     def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+        self.parent[x] = x
+        self.edges[x] = []
 
     def find(self, x):
-        r = x
-        while self.parent[r] != r:
-            r = self.parent[r]
-        return r
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]  # path halving
+            x = self.parent[x]
+        return x
 
     def union(self, x, y, reason):
-        self.add(x)
-        self.add(y)
-        if self.find(x) == self.find(y):
-            return False
-        # re-root x's proof tree so x becomes a root, then hang it under y
-        self._reroot(x)
-        self.parent[x] = y
-        self.edges[x] = (y, reason, True)
-        return True
-
-    def _reroot(self, x):
-        path = []
-        cur = x
-        while self.parent[cur] != cur:
-            path.append(cur)
-            cur = self.parent[cur]
-        for node in reversed(path):
-            par = self.parent[node]
-            other, reason, fwd = self.edges[node]
-            self.parent[par] = node
-            self.edges[par] = (node, reason, not fwd)
-            self.parent[node] = node
-            self.edges.pop(node, None)
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+            self.edges[x].append((y, reason))
+            self.edges[y].append((x, reason))
 
     def connected(self, x, y):
-        return x in self.parent and y in self.parent and self.find(x) == self.find(y)
+        return self.find(x) == self.find(y)
 
     def explain(self, x, y):
-        """Edge path x -> y as (node, other, reason, forward) hops."""
-        up_x, seen = [], {}
-        cur = x
-        while True:
-            seen[cur] = len(up_x)
-            if self.parent[cur] == cur:
-                break
-            up_x.append((cur, *self.edges[cur]))
-            cur = self.parent[cur]
-        up_y = []
-        cur = y
-        while cur not in seen:
-            up_y.append((cur, *self.edges[cur]))
-            cur = self.parent[cur]
-        meet = seen[cur]
-        path = list(up_x[:meet])
-        for node, other, reason, fwd in reversed(up_y):
-            path.append((other, node, reason, not fwd))
-        return path
+        """Tree path x -> y as (node, other, reason) hops."""
+        via = {x: None}  # node -> (previous node, reason)
+        stack = [x]
+        while y not in via:
+            cur = stack.pop()
+            for other, reason in self.edges[cur]:
+                if other not in via:
+                    via[other] = (cur, reason)
+                    stack.append(other)
+        path = []
+        while via[y] is not None:
+            prev, reason = via[y]
+            path.append((prev, y, reason))
+            y = prev
+        return path[::-1]
 
 
 def _minimal_completion(big: TropPoly, small: TropPoly) -> Optional[TropPoly]:
@@ -479,8 +454,11 @@ def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None)
 
     For matrix-backed congruences this is a direct Phi check per candidate.
     For presentations it saturates one-step rewrites m*(a,b) + (h,h) under
-    transitivity over a bounded universe and replays the proof forest into a
-    verifiable derivation.  NotFound is not a proof of non-membership.
+    transitivity over a bounded universe, keeping a union-find of the reached
+    polynomials and the rewrite that joined each two classes.  Those rewrites
+    form a spanning forest; the forest path between the two sides of a target
+    replays into a verifiable derivation.  NotFound is not a proof of
+    non-membership.
     """
     bounds = bounds or SearchBounds()
     f, g = pair
@@ -601,7 +579,7 @@ def _extract_derivation(E: CongruencePresentation, forest: _ProofForest, lhs, rh
     if not hops:
         return Derivation((Refl(lhs),))
     prev_idx = None
-    for node, other, reason, forward in hops:
+    for node, other, reason in hops:
         gi, m, h, src_is_a = reason
         a, b = E.pairs[gi]
         gidx = emit(Generator(gi), (a, b))

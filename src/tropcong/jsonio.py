@@ -310,7 +310,7 @@ def dec_face(data, ctx: ToricContext, path: str = "$") -> Face:
     for i, t in enumerate(_get_list(data, "tau_rays", path, required=False)):
         tpath = "%s.tau_rays[%d]" % (path, i)
         tau_rays.append(_sized(dec_vec(t, tpath), ctx.rank, tpath))
-    return ctx.face_from_rays(tau_rays) if tau_rays else ctx.dense_face
+    return ctx.face_from_rays(tau_rays)
 
 
 def _dec_point_coords(data, ctx: ToricContext, path: str) -> Vec:

@@ -18,7 +18,7 @@ containing it.  The one LP left chooses a canonical point: the L1 polish of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -499,13 +499,23 @@ def common_refinement(fans: Sequence[Fan]) -> Fan:
             raise DimensionMismatchError("fans in different ambient spaces")
     cells = list(fans[0].cones)
     for f in fans[1:]:
-        nxt = {}
-        for a in cells:
-            for b in f.cones:
-                c = intersect(a, b)
-                nxt.setdefault(cone_key(c), c)
-        cells = list(nxt.values())
+        cells = pairwise_intersections(cells, f.cones)
     return Fan.make(dim, cells)
+
+
+def pairwise_intersections(cells: Sequence[ConeH], others: Sequence[ConeH]) -> list:
+    """c cap d for every c in cells and d in others, in that order, the first
+    cell of each cone_key kept."""
+    out = []
+    seen = set()
+    for c in cells:
+        for d in others:
+            cell = intersect(c, d)
+            key = cone_key(cell)
+            if key not in seen:
+                seen.add(key)
+                out.append(cell)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +570,11 @@ class FlagOfCones:
     ambient_dim: int  # 1 + n
     tau_rays: tuple
     cones_rays: tuple  # tuple of tuples of rays
+    # [violations] once validate_flag has run; a flag is immutable
+    _verdict: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def cone(self, i: int) -> ConeH:
         return hrep_from_rays(self.cones_rays[i], self.ambient_dim)
-
-    def cones(self):
-        return [self.cone(i) for i in range(len(self.cones_rays))]
 
     def length(self) -> int:
         return len(self.cones_rays)
@@ -579,7 +588,16 @@ def make_flag(ambient_dim, tau_rays, cones_rays) -> FlagOfCones:
 
 
 def validate_flag(flag: FlagOfCones) -> list[str]:
-    """Flag invariants; each violation reported distinctly."""
+    """Flag invariants; each violation reported distinctly.
+
+    The violations are computed once per flag object and a fresh list is
+    returned on every call."""
+    if not flag._verdict:
+        flag._verdict.append(_flag_violations(flag))
+    return list(flag._verdict[0])
+
+
+def _flag_violations(flag: FlagOfCones) -> list[str]:
     out = []
     n = flag.ambient_dim - 1
     span_tau, _ = rref(flag.tau_rays) if flag.tau_rays else ([], [])

@@ -226,7 +226,8 @@ def resolve_boundary_prime(E: CongruencePresentation,
 
     Follows the constructive existence argument: pick a flag for P inside the
     support of E, then solve one feasibility system per dense cell in the
-    unknowns (V-hat_i, b_i, v) with partial-sum projection constraints."""
+    unknowns (V-hat_i, b_i, v) with partial-sum projection constraints.  Each
+    candidate Q lies on the dense stratum, so its ideal-kernel is trivial."""
     if not E.finite_tropical_basis:
         raise FiniteBasisRequiredError("resolution needs a declared finite tropical basis")
     ctx = E.context
@@ -268,9 +269,6 @@ def resolve_boundary_prime(E: CongruencePresentation,
             w_hats.append(vscale(ONE / bs[i - 1], vsub(v_hats[i], v_hats[i - 1])))
         rows = [(v[0], v[1:])] + [(wh[0], wh[1:]) for wh in w_hats]
         Q = PrimeMatrix.make(ctx, ctx.dense_face, rows)
-        if not has_trivial_ideal_kernel(Q):
-            tried.append("kernel")
-            continue
         if not congruence_in_prime(E, Q):
             tried.append("containment")
             continue

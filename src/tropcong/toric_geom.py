@@ -139,7 +139,7 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
     n = context.rank
     tau = w.tau
     if tau.dim() == 0:
-        if dense_closure_membership(L, w.coords):
+        if L.weakened().contains(w.coords):
             return ClosureWitness(w.coords, zero_vec(n))
         return NotInClosure((CLAIM_PREIMAGE,))
     if not _tau_in_fan(tau, fan):
@@ -170,11 +170,6 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
 def _tau_in_fan(tau: Face, fan: Fan) -> bool:
     tc = tau.cone() if tau.rays else polyhedra.origin_cone(fan.dim)
     return any(polyhedra.is_face(tc, member) for member in fan.cones)
-
-
-def dense_closure_membership(L: PolyhedronH, x: Sequence) -> bool:
-    """Ordinary closed-polyhedron membership for dense-stratum queries."""
-    return L.weakened().contains(x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, is_zero_vec, neg_primitive_pair,
-                      rank_of, vec, vsub, zero_vec)
-from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
-                        validate_flag)
+from ._linalg import (ONE, ZERO, Vec, dot, is_zero_vec, neg_primitive_pair, vec,
+                      vsub, zero_vec)
+from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
+                        pairwise_intersections, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
                         TropPoly, bend_relations)
 from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
@@ -111,21 +111,6 @@ def _dedupe_absorb(cells: Sequence[ConeH]) -> list:
     return keep
 
 
-def _pairwise_intersections(cells: Sequence[ConeH], others: Sequence[ConeH]) -> list:
-    """c cap d for every c in cells and d in others, in that order, the first
-    cell of each cone_key kept."""
-    out = []
-    seen = set()
-    for c in cells:
-        for d in others:
-            cell = intersect(c, d)
-            key = polyhedra.cone_key(cell)
-            if key not in seen:
-                seen.add(key)
-                out.append(cell)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # variety supports
 
@@ -175,7 +160,7 @@ def variety_of_basis(E: CongruencePresentation,
     for tau in faces:
         cells = [stratum_cone(ctx, tau)]
         for pair in E.pairs:
-            cells = _pairwise_intersections(cells, pair_variety(pair, tau))
+            cells = pairwise_intersections(cells, pair_variety(pair, tau))
             if not cells:
                 break
         out.append(StratumSupport(tau, tuple(_dedupe_absorb(cells))))
@@ -218,7 +203,7 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
     for tau in common:
         cells = list(supports[0].stratum(tau).cells)
         for s in supports[1:]:
-            cells = _pairwise_intersections(cells, s.stratum(tau).cells)
+            cells = pairwise_intersections(cells, s.stratum(tau).cells)
             if not cells:
                 break
         out.append(StratumSupport(tau, tuple(_dedupe_absorb(cells))))
@@ -387,18 +372,16 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
     bad = validate_flag(flag)
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
-    tau = context.face_from_rays(flag.tau_rays) if flag.tau_rays else context.dense_face
+    tau = context.face_from_rays(flag.tau_rays)
     try:
         V.stratum(tau)
     except ValueError:
         raise ValueError("flag stratum not represented in the support")
     forms = V.arrangement(tau)
-    for i in range(flag.length()):
-        rays = flag.cones_rays[i]
-        cdim = rank_of(rays)
+    for rays in flag.cones_rays:
+        # every piece spans what its cone spans: a generator a split leaves out
+        # of a piece is a combination of one it keeps and their crossing
         for piece in split_generators_by_forms(rays, forms):
-            if rank_of(piece) != cdim:
-                continue
             w = _point_from_vector(context, tau, _relint_sample(piece))
             if not point_in_variety(V, w):
                 return False

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropcong import polyhedra as ph
+from tropcong._linalg import primitive
 from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  Generator, InvalidMatrixError, MulMono, NotFound,
                                  PrimeMatrix, RadicalCertificate, Refl, SearchBounds,
@@ -13,6 +14,7 @@ from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  monomial_le, phi_monomial, prime_contains_pair,
                                  prime_eval, search_radical_certificate,
                                  verify_derivation, verify_radical_certificate)
+from tropcong.jsonio import enc_certificate
 from tropcong.polyhedra import make_flag
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
 
@@ -177,7 +179,15 @@ def test_flag_to_matrix_choice_independence(ctx2):
         pairs.append((TropPoly.make(ctx2, {u1: F(rng.randint(-3, 3))}),
                       TropPoly.make(ctx2, {u2: F(rng.randint(-3, 3))})))
     for i in range(100):
-        alt = flag_to_matrix(ctx2, flag, rng=random.Random(1000 + i))
+        # rows at other positive combinations of each cone's rays
+        draw = random.Random(1000 + i)
+        rows = []
+        for rays in flag.cones_rays:
+            coeffs = [F(draw.randint(1, 9), draw.randint(1, 3)) for _ in rays]
+            pt = primitive(tuple(sum(c * r[j] for c, r in zip(coeffs, rays))
+                                 for j in range(flag.ambient_dim)))
+            rows.append((pt[0], pt[1:]))
+        alt = PrimeMatrix.make(ctx2, ctx2.dense_face, rows)
         for m1, m2 in pairs:
             assert monomial_le(alt, m1, m2) == monomial_le(base, m1, m2)
 
@@ -241,6 +251,56 @@ def test_search_finds_and_roundtrips(ctx1):
     assert isinstance(res, RadicalCertificate)
     assert res.exponent <= 1
     assert verify_radical_certificate(E, (x, one), res)
+
+
+def _terms(*terms):
+    return {"terms": [{"coeff": c, "exp": list(u)} for c, u in terms]}
+
+
+# Certificates of several forest hops, recorded with the rerooting proof forest
+# the union-find replaced: a Sym turns a generator, a Sym turns a hop to run
+# along the path, and Trans chains the hops (twice in the torus case).
+MULTI_HOP_SEARCHES = [
+    (ToricContext.affine(1), [("1", "t^2"), ("1", "t^2*x")], ("t^1*x^2", "t^1*x"),
+     {"exponent": 0, "cofactor": _terms(), "derivation": {"steps": [
+         {"op": "gen", "index": 1},
+         {"op": "sym", "i": 0},
+         {"op": "mulmono", "i": 1, "m": _terms(("-1", [1]))},
+         {"op": "addboth", "i": 2, "h": _terms()},
+         {"op": "gen", "index": 0},
+         {"op": "sym", "i": 4},
+         {"op": "mulmono", "i": 5, "m": _terms(("-1", [1]))},
+         {"op": "addboth", "i": 6, "h": _terms()},
+         {"op": "sym", "i": 7},
+         {"op": "trans", "i": 3, "j": 8}]}}),
+    (ToricContext.torus(1), [("x^2", "t^-2*x^-2 + x^-1")], ("t^-2", "t^-2*x^-1"),
+     {"exponent": 1, "cofactor": _terms(("-2", [-2])), "derivation": {"steps": [
+         {"op": "gen", "index": 0},
+         {"op": "mulmono", "i": 0, "m": _terms(("-6", [-3]))},
+         {"op": "addboth", "i": 1, "h": _terms(("-4", [-2]), ("-4", [-1]), ("-4", [0]))},
+         {"op": "gen", "index": 0},
+         {"op": "mulmono", "i": 3, "m": _terms(("-4", [-2]))},
+         {"op": "addboth", "i": 4, "h": _terms(("-8", [-5]), ("-6", [-4]), ("-4", [-2]),
+                                               ("-4", [-1]))},
+         {"op": "trans", "i": 2, "j": 5},
+         {"op": "gen", "index": 0},
+         {"op": "mulmono", "i": 7, "m": _terms(("-6", [-3]))},
+         {"op": "addboth", "i": 8, "h": _terms(("-4", [-3]), ("-4", [-2]), ("-4", [-1]))},
+         {"op": "sym", "i": 9},
+         {"op": "trans", "i": 6, "j": 10}]}}),
+]
+
+
+@pytest.mark.parametrize("ctx,gens,pair,expected", MULTI_HOP_SEARCHES)
+def test_search_multi_hop_certificate(ctx, gens, pair, expected):
+    E = CongruencePresentation.make(
+        ctx, [tuple(parse_poly(ctx, s) for s in g) for g in gens], finite_tropical_basis=True)
+    pair = tuple(parse_poly(ctx, s) for s in pair)
+    res = search_radical_certificate(
+        E, pair, SearchBounds(max_exponent=2, max_degree=5, max_nodes=300))
+    assert isinstance(res, RadicalCertificate)
+    assert verify_radical_certificate(E, pair, res)
+    assert enc_certificate(res) == expected
 
 
 def test_search_prime_notfound(ctx1):

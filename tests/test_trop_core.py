@@ -53,12 +53,14 @@ def test_affine_preset_monoid(ctx2):
     assert not ctx2.exponent_in_monoid((-1, 0))
     assert ctx2.monoid_generators == ((F(1), F(0)), (F(0), F(1)))
     assert len(ctx2.faces) == 4  # {0}, two rays, sigma
+    assert ctx2.face_from_rays(()) == ctx2.dense_face
 
 
 def test_torus_preset_monoid():
     t = ToricContext.torus(2)
     assert t.exponent_in_monoid((-3, 5))
     assert len(t.faces) == 1
+    assert t.face_from_rays(()) == t.dense_face
 
 
 def test_custom_sigma_hilbert_basis():
@@ -76,6 +78,7 @@ def test_boolean_mode_rejects_coefficients():
     with pytest.raises(ValueError):
         TropPoly.make(ctx, {(1,): F(1)})
     assert not parse_poly(ctx, "1 + x").is_zero()
+    assert ctx.face_from_rays(()) == ctx.dense_face
 
 
 def test_exponent_outside_monoid_rejected(ctx2):

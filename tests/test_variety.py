@@ -309,6 +309,34 @@ def test_shrink_validates_the_shrunk_flag_once(monkeypatch):
         shrink_flag(ctx, flag, E)
 
 
+def test_flag_verdict_computed_once(monkeypatch):
+    ctx = ToricContext.torus(1)
+    E = CongruencePresentation.make(
+        ctx, [(parse_poly(ctx, "t^1 + x"), parse_poly(ctx, "t^1"))], finite_tropical_basis=True)
+    V = variety_of_basis(E)
+    checked = []
+    inner = ph._flag_violations
+
+    def counting(f):
+        checked.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(ph, "_flag_violations", counting)
+    flag = make_flag(2, [], [[(1, 0)], [(1, 0), (0, 1)]])
+    flag_in_variety(ctx, flag, V)
+    flag_to_matrix(ctx, flag)
+    assert checked == [flag]
+    first = ph.validate_flag(flag)
+    first.append("edited by the caller")
+    assert ph.validate_flag(flag) == []
+    bad = make_flag(2, [], [[(1, 0)], [(1, 0)]])
+    with pytest.raises(ValueError, match="invalid flag"):
+        flag_in_variety(ctx, bad, V)
+    with pytest.raises(ValueError, match="invalid flag"):
+        flag_to_matrix(ctx, bad)
+    assert checked == [flag, bad]
+
+
 def test_shrink_requires_containment(ctx2, quartic_E):
     flag = make_flag(3, [], [[(1, 1, 1)]])
     with pytest.raises(ValueError):
