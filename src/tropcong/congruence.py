@@ -17,7 +17,8 @@ from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, frac, primitive, vec
 from .polyhedra import FlagOfCones, validate_flag
 from .trop_core import (COEFF_B, ContextMismatchError, ExtPoint, Face,
-                        ToricContext, TropPoly, ZeroPolynomialError)
+                        ToricContext, TropPoly, ZeroPolynomialError,
+                        bend_relations)
 
 
 class InvalidMatrixError(ValueError):
@@ -180,7 +181,6 @@ class CongruencePresentation:
 
     @staticmethod
     def bend_of(f: TropPoly, finite_tropical_basis=True) -> "CongruencePresentation":
-        from .trop_core import bend_relations
         return CongruencePresentation.make(f.context, bend_relations(f),
                                            finite_tropical_basis)
 

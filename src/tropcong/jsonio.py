@@ -13,7 +13,7 @@ from typing import Optional
 
 from ._linalg import Vec, frac, vec
 from .polyhedra import (EQ, LE, LT, ConeH, Fan, FlagOfCones, HRow, PolyhedronH,
-                        make_flag)
+                        hrep_from_rays, make_flag)
 from .trop_core import COEFF_B, COEFF_T, ExtPoint, Face, ToricContext, TropPoly
 from .toric_geom import StratumPoint
 from .congruence import (AddBoth, CongruencePresentation, Derivation, Generator,
@@ -210,12 +210,11 @@ def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
         _as_int(dim, 1, path + ".dim")
         for i, r in enumerate(rays):
             _sized(r, dim, "%s.rays[%d]" % (path, i))
-        from .polyhedra import hrep_from_rays
         return hrep_from_rays(rays, dim)
     return dec_polyhedron(data, path, cone=True)
 
 
-def dec_fan(data, path: str = "$", close_faces: bool = True) -> Fan:
+def dec_fan(data, path: str = "$") -> Fan:
     dim = _as_int(_get(data, "dim", path), 1, path + ".dim")
     cones = [dec_cone(c, "%s.cones[%d]" % (path, i), default_dim=dim)
              for i, c in enumerate(_get_list(data, "cones", path))]
@@ -223,7 +222,7 @@ def dec_fan(data, path: str = "$", close_faces: bool = True) -> Fan:
         if c.dim != dim:
             raise ParseError("cone dim %d != fan dim %d" % (c.dim, dim),
                              "%s.cones[%d]" % (path, i))
-    return Fan.make(dim, cones, close_faces=close_faces)
+    return Fan.make(dim, cones, close_faces=True)
 
 
 def enc_flag(flag: FlagOfCones) -> dict:

@@ -28,8 +28,8 @@ from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prim
                          initial_form_point, monomial_le)
 from .toric_geom import _preimage_rows, _relint_tau_rows
 from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
-                      shrink_flag, stratum_cone, support_of,
-                      _sample_monomial_pairs)
+                      functions_equal_on_variety, shrink_flag, stratum_cone,
+                      support_of)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def resolve_boundary_prime(E: CongruencePresentation,
     if bad is not None:
         return ResolveFailure(CLOSURE_VIOLATED, bad)
     if not flag_in_variety(ctx, flag, V):
-        flag = shrink_flag(ctx, flag, E, seed=seed)
+        flag = shrink_flag(ctx, flag, E)
         if not flag_in_variety(ctx, flag, V):
             return ResolveFailure(NO_FLAG, "no flag for P inside the support")
     theta_flag = flag_to_matrix(ctx, flag)
@@ -354,6 +354,20 @@ def _sampled_refinement(ctx, Q: PrimeMatrix, P: PrimeMatrix, rng, samples, degre
     return True, checked
 
 
+def _sample_monomial_pairs(context: ToricContext, rng, count: int, degree: int):
+    out = []
+    n = context.rank
+    lo = -degree if context.is_torus() else 0
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            u = tuple(rng.randint(lo, degree) for _ in range(n))
+            a = ZERO if context.coeff == COEFF_B else Fraction(rng.randint(-4, 4))
+            pair.append(TropPoly.make(context, {u: a}))
+        out.append(tuple(pair))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cancellativity harness
 
@@ -368,7 +382,6 @@ def cancellativity_harness(E: CongruencePresentation, trials: int = 200,
                            max_degree: int = 3, seed: int = 0) -> CancellativityReport:
     """Random (g, f1, f2): whenever g*f1 = g*f2 as functions on the support and g
     is not identically bottom there, f1 = f2 must follow."""
-    from .variety import functions_equal_on_variety
     if not E.finite_tropical_basis:
         raise FiniteBasisRequiredError("harness needs a declared finite tropical basis")
     V = support_of(E)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, primitive,
-                      rank_of, reduce_mod_span, rref, vec)
+                      rank_of, reduce_mod_span, rref, solve_eq, vec)
 from .polyhedra import ConeH, HRow, LE
 
 COEFF_T = "T"
@@ -146,6 +146,7 @@ class ToricContext:
             raise ValueError("sigma contains a line; not strongly convex")
         self._faces = None
         self._gens = None
+        self._hash = hash(self._key())
 
     # presets ---------------------------------------------------------------
     @classmethod
@@ -165,7 +166,7 @@ class ToricContext:
         return isinstance(other, ToricContext) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return "ToricContext(rank=%d, sigma_rays=%r, coeff=%s)" % (
@@ -245,8 +246,7 @@ def _monoid_generators(ctx: ToricContext) -> tuple:
     gens.update(rays)
     # lattice points of the fundamental parallelepipeds of a ray triangulation
     if len(rays) >= 2:
-        from itertools import combinations
-        for sub in combinations(rays, min(len(rays), n)):
+        for sub in itertools.combinations(rays, min(len(rays), n)):
             if rank_of(sub) != len(sub):
                 continue
             gens.update(_parallelepiped_points(sub, dual))
@@ -265,7 +265,6 @@ def _parallelepiped_points(rays, cone: ConeH):
         if is_zero_vec(v) or not cone.contains(v):
             continue
         # inside the parallelepiped: v = sum l_i r_i with 0 <= l_i <= 1
-        from ._linalg import solve_eq
         sol = solve_eq([tuple(r[j] for r in rays) for j in range(n)], v)
         if sol is not None and all(0 <= l <= 1 for l in sol):
             out.append(v)

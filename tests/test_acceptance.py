@@ -333,6 +333,7 @@ def test_criterion_6c_flag_theorem_500(ctx2, ctx1, quartic_E):
     # converse direction the theorem produces some flag for the same prime
     # inside the support, realized constructively by shrinking.
     from tropcong.variety import shrink_flag
+    from test_variety import ray_sums, same_prime_rows
     gle = CongruencePresentation.make(
         ctx1, [(parse_poly(ctx1, "x^2"), parse_poly(ctx1, "1"))], True)
     jobs = [(ctx2, quartic_E, vy.support_of(quartic_E), 400, random.Random(3006)),
@@ -348,6 +349,7 @@ def test_criterion_6c_flag_theorem_500(ctx2, ctx1, quartic_E):
                 forward_hits += 1
             if contains:
                 shrunk = shrink_flag(ctx, flag, E, sample_pairs=40, seed=9)
+                assert same_prime_rows(ray_sums(flag), ray_sums(shrunk)), flag
                 assert flag_in_variety(ctx, shrunk, V), flag
                 converse_hits += 1
             checked += 1

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropcong import polyhedra as ph
-from tropcong._linalg import primitive
+from tropcong._linalg import primitive, solve_eq
 from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  Generator, InvalidMatrixError, MulMono, NotFound,
                                  PrimeMatrix, RadicalCertificate, Refl, SearchBounds,
@@ -169,8 +169,10 @@ def test_flag_to_matrix_q_flag_same_prime(ctx2, quartic_Q):
 
 
 def test_flag_to_matrix_choice_independence(ctx2):
+    from test_variety import ray_sums, same_prime_rows
     flag = make_flag(3, [], [[(0, -1, -1)], [(0, -1, -1), (1, 0, -1)]])
     base = flag_to_matrix(ctx2, flag)
+    w = ray_sums(flag)
     rng = random.Random(0)
     pairs = []
     for _ in range(200):
@@ -186,10 +188,15 @@ def test_flag_to_matrix_choice_independence(ctx2):
             coeffs = [F(draw.randint(1, 9), draw.randint(1, 3)) for _ in rays]
             pt = primitive(tuple(sum(c * r[j] for c, r in zip(coeffs, rays))
                                  for j in range(flag.ambient_dim)))
-            rows.append((pt[0], pt[1:]))
-        alt = PrimeMatrix.make(ctx2, ctx2.dense_face, rows)
+            rows.append(pt)
+        alt = PrimeMatrix.make(ctx2, ctx2.dense_face, [(p[0], p[1:]) for p in rows])
         for m1, m2 in pairs:
             assert monomial_le(alt, m1, m2) == monomial_le(base, m1, m2)
+        assert same_prime_rows(w, rows)
+        # negative control: row 1 mirrored in span(C_0) inside span(C_1)
+        c0, c1 = solve_eq(list(zip(*w)), rows[1])
+        mirrored = tuple(c0 * a - c1 * b for a, b in zip(*w))
+        assert not same_prime_rows(w, [rows[0], mirrored])
 
 
 # ---------------------------------------------------------------------------

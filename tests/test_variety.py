@@ -8,7 +8,8 @@ import pytest
 from tropcong import congruence, jsonio
 from tropcong import polyhedra as ph
 from tropcong import variety as vy
-from tropcong._linalg import is_zero_vec, neg_primitive_pair, vsub
+from tropcong._linalg import (is_zero_vec, neg_primitive_pair, primitive, solve_eq,
+                              vec, vsub)
 from tropcong.congruence import CongruencePresentation, congruence_in_prime, flag_to_matrix
 from tropcong.polyhedra import PolyhedronH, make_flag, row
 from tropcong.trop_core import ExtPoint, ToricContext, bend_relations, parse_poly
@@ -257,18 +258,38 @@ def test_fraction_denominator_vanishes(ctx2, quartic_E):
 # ---------------------------------------------------------------------------
 # shrinking flags
 
+def ray_sums(flag):
+    """The primitive ray-sum rows (height first) that flag_to_matrix uses."""
+    return [primitive(vec([sum(r[j] for r in rays) for j in range(flag.ambient_dim)]))
+            for rays in flag.cones_rays]
+
+
+def same_prime_rows(rows, new_rows):
+    """Exact oracle for an unchanged prime: each new row is sum_{j<=i} c_j w_j
+    over the old rows w_0..w_i, with c_i > 0."""
+    if len(rows) != len(new_rows):
+        return False
+    for i, w in enumerate(new_rows):
+        c = solve_eq([[v[k] for v in rows[:i + 1]] for k in range(len(w))], w)
+        if c is None or c[i] <= 0:
+            return False
+    return True
+
+
 def test_shrink_noop_inside(ctx1):
     x2, one = parse_poly(ctx1, "x^2"), parse_poly(ctx1, "1")
     E = CongruencePresentation.make(ctx1, [(x2, one)], finite_tropical_basis=True)
     flag = make_flag(2, [], [[(1, 0)]])
     out = shrink_flag(ctx1, flag, E)
     assert out.cones_rays == flag.cones_rays
+    assert same_prime_rows(ray_sums(flag), ray_sums(out))
 
 
 def test_shrink_deep_ray(ctx2, quartic_E):
     flag = make_flag(3, [(-1, 0), (0, -1)], [[(1, 0, 0)]])
     out = shrink_flag(ctx2, flag, quartic_E)
     assert out.cones_rays == flag.cones_rays
+    assert same_prime_rows(ray_sums(flag), ray_sums(out))
     assert flag_in_variety(ctx2, out, variety_of_basis(quartic_E))
 
 
@@ -283,7 +304,20 @@ def test_shrink_truncated_basis_example():
     out = shrink_flag(ctx, flag, E)
     assert out.cones_rays[0] == ((F(1), F(0)),)
     assert set(out.cones_rays[1]) == {(F(1), F(0)), (F(1), F(1))}
+    assert same_prime_rows(ray_sums(flag), ray_sums(out))
     assert flag_in_variety(ctx, out, variety_of_basis(E))
+
+
+def test_shrink_compares_no_monomials(monkeypatch, ctx1, ctx2, quartic_E):
+    # the prime is kept by construction, so no sampled order check runs
+    def boom(*args):
+        raise AssertionError("shrink_flag compared monomials")
+
+    monkeypatch.setattr(congruence, "monomial_le", boom)
+    monkeypatch.setattr(vy, "monomial_le", boom, raising=False)
+    test_shrink_noop_inside(ctx1)
+    test_shrink_deep_ray(ctx2, quartic_E)
+    test_shrink_truncated_basis_example()
 
 
 def test_shrink_validates_the_shrunk_flag_once(monkeypatch):
