@@ -1,0 +1,60 @@
+"""Base class of tropcong's immutable records.
+
+A record class names its compared fields in ``_fields`` and writes out its
+own ``__init__``: one ``object.__setattr__`` per field, then its checks.
+This base supplies the rest, with the semantics of a frozen dataclass:
+``==`` within one class only (``NotImplemented`` against any other class, a
+subclass included), a hash equal to the hash of the tuple of compared
+fields, the ``Name(field=value, ...)`` repr, and ``AttributeError`` on any
+assignment or deletion.  A lazily filled cache is set with
+``object.__setattr__`` and left out of ``_fields``, which keeps it out of
+``==``, the hash and the repr.
+
+``==`` and the hash are closures over an ``operator.attrgetter``, made once
+per class: unlike ``dataclasses``, no method source is generated and
+compiled at import.
+"""
+
+from operator import attrgetter
+
+
+def _compare(fields):
+    """``__eq__`` and ``__hash__`` over the tuple of the named fields."""
+    get = attrgetter(*fields)
+    if len(fields) == 1:  # attrgetter returns the bare value
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+    else:
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(get(self))
+    return __eq__, __hash__
+
+
+class _Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__eq__, hash_ = _compare(cls._fields)
+        if "__hash__" not in cls.__dict__:  # TropPoly caches it, SearchBounds has none
+            cls.__hash__ = hash_
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))

@@ -2,10 +2,12 @@
 
 Results go to stdout as JSON (format tag "tropcong/1"), diagnostics to stderr.
 Exit codes: 0/1 encode boolean results, 2 means a parse error, 3 a violated
-precondition, 4 an internal consistency failure (a cell index disagreeing with
-pointwise evaluation: a bug, reported in one stderr line).  TROPCONG_MAX_DIM
-caps the ambient dimension (default 6); a value that is not an integer is a
-violated precondition.
+precondition, 4 an internal failure: a cell index disagreeing with pointwise
+evaluation, or any other unexpected exception (RecursionError, AssertionError,
+TypeError, ...), each a bug reported in one stderr line without a traceback,
+so no crash ever reads as "false".  TROPCONG_MAX_DIM caps the ambient
+dimension (default 6); a value that is not an integer is a violated
+precondition.
 """
 
 from __future__ import annotations
@@ -378,6 +380,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except InternalConsistencyError as exc:
         print("internal consistency error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug, RecursionError included: never exit 1 ("false")
+        print("internal error: %r" % (exc,), file=sys.stderr)
         return EXIT_INTERNAL
 
 

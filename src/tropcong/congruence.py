@@ -9,12 +9,12 @@ check here exact and fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, frac, primitive, vec
+from ._record import _Record
 from .polyhedra import FlagOfCones, validate_flag
 from .trop_core import (COEFF_B, ContextMismatchError, ExtPoint, Face,
                         ToricContext, TropPoly, ZeroPolynomialError,
@@ -28,13 +28,15 @@ class InvalidMatrixError(ValueError):
 # ---------------------------------------------------------------------------
 # prime matrices
 
-@dataclass(frozen=True)
-class PrimeMatrix:
+class PrimeMatrix(_Record):
     """Defining matrix of a prime congruence: rows (height, coords) in one stratum."""
 
-    context: ToricContext
-    tau: Face
-    rows: tuple  # tuple of (Fraction height, Vec coords)
+    _fields = ("context", "tau", "rows")
+
+    def __init__(self, context: ToricContext, tau: Face, rows: tuple):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "rows", rows)  # tuple of (Fraction height, Vec coords)
 
     @staticmethod
     def make(context: ToricContext, tau: Face, rows) -> "PrimeMatrix":
@@ -166,11 +168,14 @@ def monomial_le(theta: PrimeMatrix, m1: TropPoly, m2: TropPoly) -> bool:
 # ---------------------------------------------------------------------------
 # congruence presentations
 
-@dataclass(frozen=True)
-class CongruencePresentation:
-    context: ToricContext
-    pairs: tuple  # tuple of (TropPoly, TropPoly)
-    finite_tropical_basis: bool = False
+class CongruencePresentation(_Record):
+    _fields = ("context", "pairs", "finite_tropical_basis")
+
+    def __init__(self, context: ToricContext, pairs: tuple,
+                 finite_tropical_basis: bool = False):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "pairs", pairs)  # tuple of (TropPoly, TropPoly)
+        object.__setattr__(self, "finite_tropical_basis", finite_tropical_basis)
 
     @staticmethod
     def make(context, pairs, finite_tropical_basis=False) -> "CongruencePresentation":
@@ -252,45 +257,59 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
 # ---------------------------------------------------------------------------
 # derivations
 
-@dataclass(frozen=True)
-class Generator:
-    index: int
+class Generator(_Record):
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Refl:
-    poly: TropPoly
+class Refl(_Record):
+    _fields = ("poly",)
+
+    def __init__(self, poly: TropPoly):
+        object.__setattr__(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class Sym:
-    i: int
+class Sym(_Record):
+    _fields = ("i",)
+
+    def __init__(self, i: int):
+        object.__setattr__(self, "i", i)
 
 
-@dataclass(frozen=True)
-class Trans:
-    i: int
-    j: int
+class Trans(_Record):
+    _fields = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True)
-class AddBoth:
-    i: int
-    h: TropPoly
+class AddBoth(_Record):
+    _fields = ("i", "h")
+
+    def __init__(self, i: int, h: TropPoly):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "h", h)
 
 
-@dataclass(frozen=True)
-class MulMono:
-    i: int
-    m: TropPoly
+class MulMono(_Record):
+    _fields = ("i", "m")
+
+    def __init__(self, i: int, m: TropPoly):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "m", m)
 
 
 Step = Union[Generator, Refl, Sym, Trans, AddBoth, MulMono]
 
 
-@dataclass(frozen=True)
-class Derivation:
-    steps: tuple
+class Derivation(_Record):
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple):
+        object.__setattr__(self, "steps", steps)
 
 
 class DerivationError(ValueError):
@@ -350,11 +369,14 @@ def verify_derivation(E: CongruencePresentation, d: Derivation, target) -> bool:
 # ---------------------------------------------------------------------------
 # radical certificates
 
-@dataclass(frozen=True)
-class RadicalCertificate:
-    exponent: int
-    cofactor: TropPoly
-    derivation: Optional[Derivation]  # None when the congruence is matrix-backed
+class RadicalCertificate(_Record):
+    _fields = ("exponent", "cofactor", "derivation")
+
+    def __init__(self, exponent: int, cofactor: TropPoly, derivation: Optional[Derivation]):
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "cofactor", cofactor)
+        # None when the congruence is matrix-backed
+        object.__setattr__(self, "derivation", derivation)
 
 
 Congruence = Union[CongruencePresentation, PrimeMatrix]
@@ -375,16 +397,25 @@ def verify_radical_certificate(E: Congruence, pair, cert: RadicalCertificate) ->
     return verify_derivation(E, cert.derivation, target)
 
 
-@dataclass
-class SearchBounds:
-    max_exponent: int = 4
-    max_degree: int = 8
-    max_nodes: int = 4000
+class SearchBounds(_Record):
+    """Search limits; the one mutable record, hence unhashable."""
+
+    _fields = ("max_exponent", "max_degree", "max_nodes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, max_exponent: int = 4, max_degree: int = 8, max_nodes: int = 4000):
+        self.max_exponent = max_exponent
+        self.max_degree = max_degree
+        self.max_nodes = max_nodes
 
 
-@dataclass(frozen=True)
-class NotFound:
-    explored: int
+class NotFound(_Record):
+    _fields = ("explored",)
+
+    def __init__(self, explored: int):
+        object.__setattr__(self, "explored", explored)
 
 
 class _ProofForest:

@@ -18,7 +18,6 @@ containing it.  The one LP left chooses a canonical point: the L1 polish of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -27,6 +26,7 @@ from . import _lp
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
                       nullspace_basis, primitive, rank_of, reduce_mod_span, rref,
                       vec, vscale, vsub, zero_vec)
+from ._record import _Record
 
 LE, LT, EQ = "<=", "<", "="
 _RELS = (LE, LT, EQ)
@@ -44,15 +44,15 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HRow:
-    a: Vec
-    b: Fraction
-    rel: str
+class HRow(_Record):
+    _fields = ("a", "b", "rel")
 
-    def __post_init__(self):
-        if self.rel not in _RELS:
-            raise ValueError("bad relation %r" % (self.rel,))
+    def __init__(self, a: Vec, b: Fraction, rel: str):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rel", rel)
+        if rel not in _RELS:
+            raise ValueError("bad relation %r" % (rel,))
 
     def scaled_canonical(self) -> "HRow":
         """Primitive integer scaling of (a, b); equalities get a sign convention."""
@@ -70,17 +70,17 @@ def row(a, b, rel) -> HRow:
     return HRow(vec(a), frac(b), rel)
 
 
-@dataclass(frozen=True)
-class PolyhedronH:
+class PolyhedronH(_Record):
     """{x in Q^dim : <a_i, x> rel_i b_i}."""
 
-    dim: int
-    rows: tuple
+    _fields = ("dim", "rows")
 
-    def __post_init__(self):
-        for r in self.rows:
-            if len(r.a) != self.dim:
-                raise DimensionMismatchError("row length %d != dim %d" % (len(r.a), self.dim))
+    def __init__(self, dim: int, rows: tuple):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
+        for r in rows:
+            if len(r.a) != dim:
+                raise DimensionMismatchError("row length %d != dim %d" % (len(r.a), dim))
 
     @staticmethod
     def make(dim: int, rows: Iterable[HRow]) -> "PolyhedronH":
@@ -131,8 +131,8 @@ class PolyhedronH:
 class ConeH(PolyhedronH):
     """A PolyhedronH with all right-hand sides zero."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, dim: int, rows: tuple):
+        super().__init__(dim, rows)
         if not self.is_homogeneous():
             raise ValueError("cone rows must be homogeneous")
 
@@ -459,10 +459,12 @@ def faces_of(c: ConeH) -> tuple:
 # ---------------------------------------------------------------------------
 # fans
 
-@dataclass(frozen=True)
-class Fan:
-    dim: int
-    cones: tuple
+class Fan(_Record):
+    _fields = ("dim", "cones")
+
+    def __init__(self, dim: int, cones: tuple):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "cones", cones)
 
     @staticmethod
     def make(dim: int, cones: Iterable[ConeH], close_faces: bool = False) -> "Fan":
@@ -560,18 +562,20 @@ def covers_equal(a: Sequence[PolyhedronH], b: Sequence[PolyhedronH]) -> bool:
 # ---------------------------------------------------------------------------
 # flags of cones
 
-@dataclass(frozen=True)
-class FlagOfCones:
+class FlagOfCones(_Record):
     """Nested cones C_0 <= ... <= C_k in R_{>=0} x (N_R / tau), dim C_i = i+1.
 
     Rays are (1+n)-vectors (height first); tau_rays are n-vectors spanning tau.
     """
 
-    ambient_dim: int  # 1 + n
-    tau_rays: tuple
-    cones_rays: tuple  # tuple of tuples of rays
-    # [violations] once validate_flag has run; a flag is immutable
-    _verdict: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _fields = ("ambient_dim", "tau_rays", "cones_rays")
+
+    def __init__(self, ambient_dim: int, tau_rays: tuple, cones_rays: tuple):
+        object.__setattr__(self, "ambient_dim", ambient_dim)  # 1 + n
+        object.__setattr__(self, "tau_rays", tau_rays)
+        object.__setattr__(self, "cones_rays", cones_rays)  # tuple of tuples of rays
+        # [violations] once validate_flag has run; a flag is immutable
+        object.__setattr__(self, "_verdict", [])
 
     def cone(self, i: int) -> ConeH:
         return hrep_from_rays(self.cones_rays[i], self.ambient_dim)

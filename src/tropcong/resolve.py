@@ -12,13 +12,13 @@ out of cells is reported as a bug indicator, not masked.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive, vec,
                       vscale, vsub, zero_vec)
+from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, feasible, relative_interior_point)
 from .trop_core import (COEFF_B, ExtPoint, Face, ToricContext, TropPoly,
@@ -35,10 +35,14 @@ from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
 # ---------------------------------------------------------------------------
 # initial-form stability
 
-@dataclass(frozen=True)
-class StabilityData:
-    deleted: tuple   # Xi: term vectors (a_u, u) absent from init_v(f)
-    margins: tuple   # V_m = f~(v) - <m, v> > 0, aligned with deleted
+class StabilityData(_Record):
+    _fields = ("deleted", "margins")
+
+    def __init__(self, deleted: tuple, margins: tuple):
+        # Xi: term vectors (a_u, u) absent from init_v(f)
+        object.__setattr__(self, "deleted", deleted)
+        # V_m = f~(v) - <m, v> > 0, aligned with deleted
+        object.__setattr__(self, "margins", margins)
 
 
 def _pairing(w: ExtPoint, v: Vec):
@@ -146,21 +150,27 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
 # ---------------------------------------------------------------------------
 # resolution
 
-@dataclass(frozen=True)
-class ResolutionResult:
-    matrix: PrimeMatrix
-    cone: ConeH
-    v: Vec
-    v_hats: tuple
-    b: tuple
-    w_hats: tuple
-    refinement_samples: int
+class ResolutionResult(_Record):
+    _fields = ("matrix", "cone", "v", "v_hats", "b", "w_hats", "refinement_samples")
+
+    def __init__(self, matrix: PrimeMatrix, cone: ConeH, v: Vec,
+                 v_hats: tuple, b: tuple, w_hats: tuple, refinement_samples: int):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v_hats", v_hats)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "w_hats", w_hats)
+        object.__setattr__(self, "refinement_samples", refinement_samples)
 
 
-@dataclass(frozen=True)
-class ResolveFailure:
-    reason: str  # no_flag_in_variety | closure_hypothesis_violated | no_feasible_cone
-    detail: str
+class ResolveFailure(_Record):
+    _fields = ("reason", "detail")
+
+    def __init__(self, reason: str, detail: str):
+        # no_flag_in_variety | closure_hypothesis_violated | no_feasible_cone
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
 
 
 NO_FLAG = "no_flag_in_variety"
@@ -371,11 +381,13 @@ def _sample_monomial_pairs(context: ToricContext, rng, count: int, degree: int):
 # ---------------------------------------------------------------------------
 # cancellativity harness
 
-@dataclass(frozen=True)
-class CancellativityReport:
-    trials: int
-    products_equal: int
-    violations: tuple
+class CancellativityReport(_Record):
+    _fields = ("trials", "products_equal", "violations")
+
+    def __init__(self, trials: int, products_equal: int, violations: tuple):
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "products_equal", products_equal)
+        object.__setattr__(self, "violations", violations)
 
 
 def cancellativity_harness(E: CongruencePresentation, trials: int = 200,

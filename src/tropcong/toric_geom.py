@@ -9,12 +9,12 @@ interior of tau).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive,
                       vec, zero_vec)
+from ._record import _Record
 from .polyhedra import (EQ, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
                         PolyhedronH, cone_over, recession_cone,
                         relative_interior_point)
@@ -24,13 +24,15 @@ CLAIM_PREIMAGE = "claim1-preimage"
 CLAIM_DIRECTION = "claim3-direction"
 
 
-@dataclass(frozen=True)
-class StratumPoint:
+class StratumPoint(_Record):
     """Class of a point of N_R(sigma): face tau plus canonical coords mod span(tau)."""
 
-    context: ToricContext
-    tau: Face
-    coords: Vec
+    _fields = ("context", "tau", "coords")
+
+    def __init__(self, context: ToricContext, tau: Face, coords: Vec):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "coords", coords)
 
     @staticmethod
     def make(context: ToricContext, tau: Face, coords) -> "StratumPoint":
@@ -42,15 +44,19 @@ class StratumPoint:
         return dot(self.coords, u)
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
-    base: Vec       # w_hat
-    direction: Vec  # v
+class ClosureWitness(_Record):
+    _fields = ("base", "direction")
+
+    def __init__(self, base: Vec, direction: Vec):
+        object.__setattr__(self, "base", base)  # w_hat
+        object.__setattr__(self, "direction", direction)  # v
 
 
-@dataclass(frozen=True)
-class NotInClosure:
-    failed_claims: tuple
+class NotInClosure(_Record):
+    _fields = ("failed_claims",)
+
+    def __init__(self, failed_claims: tuple):
+        object.__setattr__(self, "failed_claims", failed_claims)
 
 
 def project_to_stratum(context: ToricContext, x: Sequence, tau: Face) -> StratumPoint:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, primitive,
                       rank_of, reduce_mod_span, rref, solve_eq, vec)
+from ._record import _Record
 from .polyhedra import ConeH, HRow, LE
 
 COEFF_T = "T"
@@ -34,11 +34,13 @@ class ZeroPolynomialError(ValueError):
 # ---------------------------------------------------------------------------
 # scalars
 
-@dataclass(frozen=True, repr=False)
-class TropScalar:
+class TropScalar(_Record):
     """Element of T: exact rational log-value, or None for bottom (-inf)."""
 
-    log: Optional[Fraction]
+    _fields = ("log",)
+
+    def __init__(self, log: Optional[Fraction]):
+        object.__setattr__(self, "log", log)
 
     def is_bottom(self) -> bool:
         return self.log is None
@@ -90,14 +92,16 @@ def tsc(x) -> TropScalar:
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Record):
     """Face tau <= sigma; rays primitive and sorted, pivots of span(rays) cached."""
 
-    ambient: int
-    rays: tuple
-    span_rref: tuple
-    pivots: tuple
+    _fields = ("ambient", "rays", "span_rref", "pivots")
+
+    def __init__(self, ambient: int, rays: tuple, span_rref: tuple, pivots: tuple):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "span_rref", span_rref)
+        object.__setattr__(self, "pivots", pivots)
 
     @staticmethod
     def from_rays(ambient: int, rays: Iterable[Vec]) -> "Face":
@@ -274,12 +278,26 @@ def _parallelepiped_points(rays, cone: ConeH):
 # ---------------------------------------------------------------------------
 # polynomials
 
-@dataclass(frozen=True)
-class TropPoly:
-    """f = sum over u of t^{a_u} chi^u; empty term map is the zero polynomial."""
+class TropPoly(_Record):
+    """f = sum over u of t^{a_u} chi^u; empty term map is the zero polynomial.
 
-    context: ToricContext
-    terms: tuple  # sorted tuple of (exponent tuple of ints, Fraction coefficient-exponent)
+    `terms` is a sorted tuple of (exponent tuple of ints, Fraction
+    coefficient-exponent).  The hash is computed on first use and kept
+    (uncompared), since proof-forest lookups hash one polynomial many times."""
+
+    _fields = ("context", "terms")
+    _hash = None  # until first hashed
+
+    def __init__(self, context: ToricContext, terms: tuple):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", terms)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.context, self.terms))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def make(context: ToricContext, terms) -> "TropPoly":
@@ -401,14 +419,16 @@ class TropPoly:
 # ---------------------------------------------------------------------------
 # extended points
 
-@dataclass(frozen=True)
-class ExtPoint:
+class ExtPoint(_Record):
     """Point (r, x) of R_{>=0} x N_R(sigma): height r, stratum face tau, coords mod span(tau)."""
 
-    context: ToricContext
-    r: Fraction
-    tau: Face
-    coords: Vec
+    _fields = ("context", "r", "tau", "coords")
+
+    def __init__(self, context: ToricContext, r: Fraction, tau: Face, coords: Vec):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "coords", coords)
 
     @staticmethod
     def make(context: ToricContext, r, tau: Face, coords) -> "ExtPoint":

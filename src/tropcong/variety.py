@@ -9,13 +9,13 @@ data is an index and any disagreement raises InternalConsistencyError.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
                       vec, vsub, zero_vec)
+from ._record import _Record
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
                         pairwise_intersections, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
@@ -113,19 +113,22 @@ def _dedupe_absorb(cells: Sequence[ConeH]) -> list:
 # ---------------------------------------------------------------------------
 # variety supports
 
-@dataclass(frozen=True)
-class StratumSupport:
-    tau: Face
-    cells: tuple
+class StratumSupport(_Record):
+    _fields = ("tau", "cells")
+
+    def __init__(self, tau: Face, cells: tuple):
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class VarietySupport:
-    context: ToricContext
-    pairs: tuple
-    strata: tuple  # tuple of StratumSupport, one per face of sigma
-    _arrangements: dict = field(default_factory=dict, init=False, compare=False,
-                                repr=False)
+class VarietySupport(_Record):
+    _fields = ("context", "pairs", "strata")
+
+    def __init__(self, context: ToricContext, pairs: tuple, strata: tuple):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "strata", strata)  # one StratumSupport per face of sigma
+        object.__setattr__(self, "_arrangements", {})  # tau -> arrangement(tau)
 
     def stratum(self, tau: Face) -> StratumSupport:
         for s in self.strata:

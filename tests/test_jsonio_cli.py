@@ -265,6 +265,27 @@ def test_cli_internal_consistency_exit_4(capsys, fixtures_dir, monkeypatch):
     assert "internal consistency error" in err
 
 
+@pytest.mark.parametrize("exc", [
+    RecursionError("maximum recursion depth exceeded"),
+    AssertionError(),
+    TypeError("'<' not supported between\ninstances of 'str' and 'int'"),
+])
+def test_cli_unexpected_exception_exit_4(capsys, fixtures_dir, monkeypatch, exc):
+    """A bug in a subcommand exits 4 with one stderr line, never 1 ("false")."""
+    from tropcong import cli
+
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_kernel", crash)
+    code, out, err = run_cli(capsys, "kernel",
+                             "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("internal error: %s(" % type(exc).__name__)
+
+
 def test_cli_context_mismatch_exit_3(capsys, fixtures_dir):
     code, out, err = run_cli(capsys, "member",
                              "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"),

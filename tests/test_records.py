@@ -1,0 +1,238 @@
+"""Record classes: construction, equality, hashing, repr and immutability.
+
+One table row per record class: the class, its compared fields in order, and
+an example instance built through the library.  The checks pin the behaviour
+that set, dict and lru_cache keys, goldens and error messages rely on.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
+                                 Generator, MulMono, NotFound, PrimeMatrix,
+                                 RadicalCertificate, Refl, SearchBounds, Sym,
+                                 Trans)
+from tropcong.polyhedra import (EQ, LE, ConeH, Fan, FlagOfCones, HRow,
+                                PolyhedronH, make_flag, row, validate_flag)
+from tropcong.resolve import (CancellativityReport, ResolutionResult,
+                              ResolveFailure, StabilityData)
+from tropcong.toric_geom import ClosureWitness, NotInClosure, StratumPoint
+from tropcong.trop_core import (ExtPoint, Face, ToricContext, TropPoly,
+                                TropScalar, parse_poly)
+from tropcong.variety import StratumSupport, VarietySupport, hypersurface
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+CTX = ToricContext.affine(2)
+X = parse_poly(CTX, "x")
+F = parse_poly(CTX, "x^2 + t*x*y + y^2")
+TAU = CTX.face_from_rays([(-1, 0)])
+CONE = ConeH.make(2, [row((1, 0), 0, LE), row((0, 1), 0, EQ)])
+POLY = PolyhedronH.make(2, [row((1, 1), 2, LE)])
+THETA = PrimeMatrix.from_extended_matrix(CTX, [["1", None, "0"]])
+DERIV = Derivation((Generator(0), Refl(X), Sym(0), Trans(0, 2), AddBoth(3, X),
+                    MulMono(4, X)))
+
+
+def _q(*xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+# (class, compared fields, example); examples are built once, at collection
+RECORDS = [
+    (TropScalar, ("log",), TropScalar(Fraction(3, 2))),
+    (Face, ("ambient", "rays", "span_rref", "pivots"), TAU),
+    (TropPoly, ("context", "terms"), F),
+    (ExtPoint, ("context", "r", "tau", "coords"), ExtPoint.make(CTX, 1, TAU, (2, 5))),
+    (StratumPoint, ("context", "tau", "coords"), StratumPoint.make(CTX, TAU, (2, 5))),
+    (ClosureWitness, ("base", "direction"), ClosureWitness(_q(1, 2), _q(0, -1))),
+    (NotInClosure, ("failed_claims",), NotInClosure(("no cone", "no ray"))),
+    (HRow, ("a", "b", "rel"), row((1, -2), Fraction(1, 3), LE)),
+    (PolyhedronH, ("dim", "rows"), POLY),
+    (Fan, ("dim", "cones"), Fan.make(2, [CONE], close_faces=True)),
+    (FlagOfCones, ("ambient_dim", "tau_rays", "cones_rays"),
+     make_flag(3, [(-1, 0)], [[(1, 0, 1)]])),
+    (PrimeMatrix, ("context", "tau", "rows"), THETA),
+    (CongruencePresentation, ("context", "pairs", "finite_tropical_basis"),
+     CongruencePresentation.bend_of(F)),
+    (Generator, ("index",), Generator(0)),
+    (Refl, ("poly",), Refl(X)),
+    (Sym, ("i",), Sym(1)),
+    (Trans, ("i", "j"), Trans(0, 2)),
+    (AddBoth, ("i", "h"), AddBoth(3, X)),
+    (MulMono, ("i", "m"), MulMono(4, X)),
+    (Derivation, ("steps",), DERIV),
+    (RadicalCertificate, ("exponent", "cofactor", "derivation"),
+     RadicalCertificate(1, X, DERIV)),
+    (SearchBounds, ("max_exponent", "max_degree", "max_nodes"), SearchBounds(2, 5, 300)),
+    (NotFound, ("explored",), NotFound(17)),
+    (StratumSupport, ("tau", "cells"), StratumSupport(TAU, (CONE,))),
+    (VarietySupport, ("context", "pairs", "strata"), hypersurface(F)),
+    (StabilityData, ("deleted", "margins"), StabilityData((_q(0, 2, 0),), _q(1))),
+    (ResolutionResult, ("matrix", "cone", "v", "v_hats", "b", "w_hats",
+                        "refinement_samples"),
+     ResolutionResult(THETA, CONE, _q(1, 0), (_q(0, 1),), _q(2), (_q(1, 1),), 500)),
+    (ResolveFailure, ("reason", "detail"), ResolveFailure("no_flag_in_variety", "none")),
+    (CancellativityReport, ("trials", "products_equal", "violations"),
+     CancellativityReport(200, 12, ())),
+]
+
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+FROZEN = [r for r in RECORDS if r[0] is not SearchBounds]
+FROZEN_IDS = [cls.__name__ for cls, _, _ in FROZEN]
+
+
+def _values(obj, fields):
+    return tuple(getattr(obj, f) for f in fields)
+
+
+def test_table_covers_every_record():
+    assert len(RECORDS) == 29
+    for cls, _, obj in RECORDS:
+        assert type(obj) is cls
+
+
+@pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction(cls, fields, obj):
+    values = _values(obj, fields)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert by_position == obj and by_keyword == obj
+    assert not (by_position != obj)
+    assert _values(by_keyword, fields) == values
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_defaults():
+    E = CongruencePresentation(CTX, ((X, X),))
+    assert E.finite_tropical_basis is False
+    assert E == CongruencePresentation(CTX, ((X, X),), False)
+    assert SearchBounds() == SearchBounds(4, 8, 4000)
+    assert SearchBounds(max_degree=5) == SearchBounds(4, 5, 4000)
+
+
+@pytest.mark.parametrize("cls, fields, obj", FROZEN, ids=FROZEN_IDS)
+def test_hash_is_hash_of_compared_fields(cls, fields, obj):
+    values = _values(obj, fields)
+    assert hash(obj) == hash(values)
+    assert hash(cls(*values)) == hash(obj)
+    assert len({obj, cls(*values)}) == 1
+
+
+@pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
+def test_equality_stays_within_one_class(cls, fields, obj):
+    assert cls.__eq__(obj, object()) is NotImplemented
+    assert obj != _values(obj, fields)
+    assert obj != "x"
+
+
+def test_cone_never_equals_polyhedron_with_same_fields():
+    poly = PolyhedronH(CONE.dim, CONE.rows)
+    assert CONE != poly and poly != CONE
+    assert not (CONE == poly)
+    assert ConeH.__eq__(CONE, poly) is NotImplemented
+    assert PolyhedronH.__eq__(poly, CONE) is NotImplemented
+    assert ConeH(CONE.dim, CONE.rows) == CONE
+    assert hash(poly) == hash(CONE) == hash((CONE.dim, CONE.rows))
+    assert repr(poly) == "PolyhedronH" + repr(CONE)[len("ConeH"):]
+
+
+def test_some_field_differs():
+    assert HRow(_q(1, 0), Fraction(0), LE) != HRow(_q(1, 0), Fraction(0), EQ)
+    assert Trans(0, 2) != Trans(2, 0)
+    assert TropScalar(None) != TropScalar(Fraction(0))
+    assert TropScalar(None) == TropScalar(None)
+
+
+def test_caches_stay_out_of_eq_hash_and_repr():
+    flag = make_flag(3, [], [[(1, 1, 0)], [(1, 1, 0), (1, 0, 1)]])
+    fresh = make_flag(3, [], [[(1, 1, 0)], [(1, 1, 0), (1, 0, 1)]])
+    assert validate_flag(flag) == []
+    assert flag._verdict and not fresh._verdict
+    assert flag == fresh and hash(flag) == hash(fresh) and repr(flag) == repr(fresh)
+    assert "_verdict" not in repr(flag)
+
+    V = hypersurface(F)
+    W = VarietySupport(V.context, V.pairs, V.strata)
+    V.arrangement(CTX.dense_face)
+    assert V._arrangements and not W._arrangements
+    assert V == W and hash(V) == hash(W) and repr(V) == repr(W)
+    assert "_arrangements" not in repr(V)
+
+    g = TropPoly(F.context, F.terms)
+    hash(F)
+    assert g == F and hash(g) == hash(F) == hash((F.context, F.terms))
+    assert repr(g) == repr(F)
+
+
+@pytest.mark.parametrize("cls, fields, obj", FROZEN, ids=FROZEN_IDS)
+def test_assignment_and_deletion_raise(cls, fields, obj):
+    before = _values(obj, fields)
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert _values(obj, fields) == before
+
+
+def test_cone_fields_are_frozen():
+    with pytest.raises(AttributeError):
+        CONE.rows = ()
+    with pytest.raises(AttributeError):
+        del CONE.dim
+
+
+def test_search_bounds_mutable_and_unhashable():
+    b = SearchBounds()
+    b.max_nodes = 10
+    assert b == SearchBounds(4, 8, 10)
+    assert SearchBounds.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(b)
+
+
+@pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
+def test_repr_lists_fields(cls, fields, obj):
+    if cls in (TropScalar, TropPoly):
+        return  # printed as the value itself, pinned below
+    inner = ", ".join("%s=%r" % (f, getattr(obj, f)) for f in fields)
+    assert repr(obj) == "%s(%s)" % (cls.__qualname__, inner)
+
+
+def test_repr_text():
+    assert repr(TropScalar(Fraction(3, 2))) == "3/2"
+    assert repr(TropScalar(None)) == "-inf"
+    assert repr(F) == str(F) == "y^2 + t^1*x*y + x^2"
+    assert repr(row((1, -2), Fraction(1, 3), LE)) == (
+        "HRow(a=(Fraction(1, 1), Fraction(-2, 1)), b=Fraction(1, 3), rel='<=')")
+    assert repr(CONE) == (
+        "ConeH(dim=2, rows=(HRow(a=(Fraction(1, 1), Fraction(0, 1)), b=Fraction(0, 1),"
+        " rel='<='), HRow(a=(Fraction(0, 1), Fraction(1, 1)), b=Fraction(0, 1),"
+        " rel='=')))")
+    assert repr(Trans(0, 2)) == "Trans(i=0, j=2)"
+    assert repr(SearchBounds()) == "SearchBounds(max_exponent=4, max_degree=8, max_nodes=4000)"
+    assert repr(NotFound(17)) == "NotFound(explored=17)"
+    assert repr(ResolveFailure("no_flag_in_variety", "none")) == (
+        "ResolveFailure(reason='no_flag_in_variety', detail='none')")
+    assert repr(make_flag(3, [], [[(1, 1, 0)]])) == (
+        "FlagOfCones(ambient_dim=3, tau_rays=(), "
+        "cones_rays=(((Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)),),))")
+    assert repr(Refl(X)) == "Refl(poly=x)"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """The CLI's cold start builds its records without generated code."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import tropcong.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
