@@ -11,10 +11,11 @@ from .trop_core import (BOTTOM, TROP_ONE, COEFF_B, COEFF_T, ContextMismatchError
                         ExtPoint, Face, ToricContext, TropPoly, TropScalar,
                         ZeroPolynomialError, bend_relations, eval_poly,
                         parse_poly)
-from .polyhedra import (ConeH, EmptyPolyhedronError, Fan, FlagOfCones, HRow,
-                        PolyhedronH, common_refinement, covers_equal, feasible,
-                        hrep_from_rays, is_empty, make_flag, rays_from_hrep,
-                        recession_cone, relative_interior_point, validate_flag)
+from .polyhedra import (ConeH, CoverBudgetExceeded, EmptyPolyhedronError, Fan,
+                        FlagOfCones, HRow, PolyhedronH, common_refinement,
+                        covers_equal, feasible, hrep_from_rays, is_empty,
+                        make_flag, rays_from_hrep, recession_cone,
+                        relative_interior_point, validate_flag)
 from .toric_geom import (ClosureWitness, NotInClosure, StratumPoint,
                          cone_closure_witnesses, polyhedron_closure_membership,
                          project_to_stratum)

@@ -1,12 +1,17 @@
 """Exact rational linear algebra helpers over fractions.Fraction.
 
-Everything here works on tuples of Fractions; nothing is mutated in place.
+`Fraction` at every boundary, ints inside: every function takes and returns
+tuples of Fractions and mutates nothing in place, while the kernels `dot`,
+`primitive` and `rref` compute on Python ints (one common denominator, or
+rows cleared of denominators and eliminated fraction-free, Bareiss 1968) and
+build Fractions only for their results.  Their outputs are canonical, so they
+equal what Fraction arithmetic gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -36,11 +41,27 @@ def zero_vec(d: int) -> Vec:
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
+    """Exact u . v of int or Fraction entries: one integer numerator over a
+    common denominator, one Fraction built at the end."""
     assert len(u) == len(v), (len(u), len(v))
-    s = ZERO
-    for a, b in zip(u, v):
-        s += a * b
-    return s
+    num, den = 0, 1
+    try:
+        for a, b in zip(u, v):
+            an = a.numerator
+            bn = b.numerator
+            if an and bn:
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += an * bn
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + an * bn * (den // g)
+                    den = den // g * d
+    except AttributeError:  # an entry without numerator: floats raise in vec
+        vec(u)
+        vec(v)
+        raise TypeError("dot needs int or Fraction entries") from None
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -60,18 +81,23 @@ def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
+def _int_row(v: Sequence) -> list:
+    """v scaled by the lcm of its denominators: a list of ints on v's ray."""
+    try:
+        den = lcm(*[a.denominator for a in v])
+    except AttributeError:  # a float raises here, a str is parsed
+        return _int_row(vec(v))
+    if den == 1:
+        return [a.numerator for a in v]
+    return [a.numerator * (den // a.denominator) for a in v]
+
+
 def primitive(v: Sequence) -> Vec:
     """Smallest integer vector on the same ray (orientation preserved)."""
-    v = vec(v)
-    if is_zero_vec(v):
-        return v
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    ints = _int_row(v)
+    g = gcd(*ints)
+    if g == 0:
+        return zero_vec(len(ints))
     return tuple(Fraction(a // g) for a in ints)
 
 
@@ -85,8 +111,13 @@ def neg_primitive_pair(v: Sequence) -> Vec:
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [list(vec(r)) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Eliminates fraction-free on integer rows, pv*row_i - f*row_r with each row
+    kept divided by the gcd of its entries, and divides by the pivots once at
+    the end.  The reduced form is unique, so it is the one Fraction
+    elimination gives."""
+    mat = [_int_row(r) for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -101,17 +132,24 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        prow = mat[r]
+        pv = prow[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                row = [pv * x - f * y for x, y in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    out = []
+    for row, c in zip(mat, pivots):
+        pv = row[c]
+        out.append(tuple(Fraction(x) for x in row) if pv == 1 else
+                   tuple(Fraction(x, pv) for x in row))
+    return out, pivots
 
 
 def rank_of(rows: Sequence[Sequence]) -> int:

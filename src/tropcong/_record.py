@@ -8,7 +8,11 @@ subclass included), a hash equal to the hash of the tuple of compared
 fields, the ``Name(field=value, ...)`` repr, and ``AttributeError`` on any
 assignment or deletion.  A lazily filled cache is set with
 ``object.__setattr__`` and left out of ``_fields``, which keeps it out of
-``==``, the hash and the repr.
+``==``, the hash and the repr.  The hash is one such cache: computed on first
+use and kept in ``_hash``, since cache and dict lookups hash one record many
+times and each hash of a ``Fraction`` field costs a modular inverse.  (The
+kept hash is only valid in the process that computed it: ``str`` hashes are
+seeded per process, so a record must not be pickled with it.)
 
 ``==`` and the hash are closures over an ``operator.attrgetter``, made once
 per class: unlike ``dataclasses``, no method source is generated and
@@ -28,7 +32,11 @@ def _compare(fields):
             return NotImplemented
 
         def __hash__(self):
-            return hash((get(self),))
+            h = self._hash
+            if h is None:
+                h = hash((get(self),))
+                object.__setattr__(self, "_hash", h)
+            return h
     else:
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -36,17 +44,22 @@ def _compare(fields):
             return NotImplemented
 
         def __hash__(self):
-            return hash(get(self))
+            h = self._hash
+            if h is None:
+                h = hash(get(self))
+                object.__setattr__(self, "_hash", h)
+            return h
     return __eq__, __hash__
 
 
 class _Record:
     __slots__ = ()
+    _hash = None  # until first hashed
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__eq__, hash_ = _compare(cls._fields)
-        if "__hash__" not in cls.__dict__:  # TropPoly caches it, SearchBounds has none
+        if "__hash__" not in cls.__dict__:  # SearchBounds has none
             cls.__hash__ = hash_
 
     def __repr__(self):

@@ -18,6 +18,7 @@ containing it.  The one LP left chooses a canonical point: the L1 polish of
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -35,6 +36,13 @@ _RELS = (LE, LT, EQ)
 # the few hundred distinct cones a CLI run or a 500-flag run builds.
 CACHE_SIZE = 4096
 
+# Nodes one region difference (`poly_in_union`, and so each containment that
+# `covers_equal` checks) may visit before it gives up with CoverBudgetExceeded.
+# The largest difference measured takes 22 nodes (Tier-1 tests; the `supports`
+# benchmark takes 1, `cli_fixtures` none), and each node runs one generator
+# enumeration.
+COVER_NODES = 10_000
+
 
 class EmptyPolyhedronError(ValueError):
     pass
@@ -42,6 +50,10 @@ class EmptyPolyhedronError(ValueError):
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+class CoverBudgetExceeded(RuntimeError):
+    """A region difference needed more than COVER_NODES nodes."""
 
 
 class HRow(_Record):
@@ -94,9 +106,8 @@ class PolyhedronH(_Record):
                                   or (r.rel == EQ and r.b == 0))
                 if trivially_true:
                     continue  # drop 0 <= b-style rows; false ones stay
-            key = (r.a, r.b, r.rel)
-            if key not in seen:
-                seen.add(key)
+            if r not in seen:  # hashing r keeps its hash for later cache lookups
+                seen.add(r)
                 canon.append(r)
         canon.sort(key=lambda r: (r.rel, r.a, r.b))
         return PolyhedronH(dim, tuple(canon))
@@ -523,8 +534,32 @@ def pairwise_intersections(cells: Sequence[ConeH], others: Sequence[ConeH]) -> l
 # ---------------------------------------------------------------------------
 # region difference over unions
 
+# nodes left to the region difference running in this context: a one-item
+# list, set by the root `poly_in_union` call and shared by its recursion
+_nodes_left: ContextVar = ContextVar("_nodes_left", default=None)
+
+
 def poly_in_union(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
-    """Exact test p subseteq union(parts); all inputs may carry strict rows."""
+    """Exact test p subseteq union(parts); all inputs may carry strict rows.
+
+    Raises CoverBudgetExceeded when the region difference, this call and its
+    recursion, would visit more than COVER_NODES nodes."""
+    left = _nodes_left.get()
+    token = None
+    if left is None:
+        left = [COVER_NODES]
+        token = _nodes_left.set(left)
+    try:
+        if left[0] == 0:
+            raise CoverBudgetExceeded("region difference exceeds %d nodes" % COVER_NODES)
+        left[0] -= 1
+        return _difference_node(p, parts)
+    finally:
+        if token is not None:
+            _nodes_left.reset(token)
+
+
+def _difference_node(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
     try:
         gens = _closure_generators(p)
     except EmptyPolyhedronError:
@@ -555,6 +590,7 @@ def poly_in_union(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
 
 
 def covers_equal(a: Sequence[PolyhedronH], b: Sequence[PolyhedronH]) -> bool:
+    """union(a) == union(b): one budgeted `poly_in_union` per piece."""
     return (all(poly_in_union(p, b) for p in a)
             and all(poly_in_union(q, a) for q in b))
 

@@ -282,22 +282,13 @@ class TropPoly(_Record):
     """f = sum over u of t^{a_u} chi^u; empty term map is the zero polynomial.
 
     `terms` is a sorted tuple of (exponent tuple of ints, Fraction
-    coefficient-exponent).  The hash is computed on first use and kept
-    (uncompared), since proof-forest lookups hash one polynomial many times."""
+    coefficient-exponent)."""
 
     _fields = ("context", "terms")
-    _hash = None  # until first hashed
 
     def __init__(self, context: ToricContext, terms: tuple):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", terms)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.context, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @staticmethod
     def make(context: ToricContext, terms) -> "TropPoly":

@@ -7,6 +7,7 @@ import pytest
 from tropcong import jsonio
 from tropcong.cli import main
 from tropcong.jsonio import ParseError
+from tropcong.polyhedra import CoverBudgetExceeded
 from tropcong.trop_core import parse_poly
 
 
@@ -269,6 +270,7 @@ def test_cli_internal_consistency_exit_4(capsys, fixtures_dir, monkeypatch):
     RecursionError("maximum recursion depth exceeded"),
     AssertionError(),
     TypeError("'<' not supported between\ninstances of 'str' and 'int'"),
+    CoverBudgetExceeded("region difference exceeds 10000 nodes"),
 ])
 def test_cli_unexpected_exception_exit_4(capsys, fixtures_dir, monkeypatch, exc):
     """A bug in a subcommand exits 4 with one stderr line, never 1 ("false")."""

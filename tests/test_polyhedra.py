@@ -173,14 +173,36 @@ def test_fan_violation_detected():
 # ---------------------------------------------------------------------------
 # region difference and cover equality
 
-def test_poly_in_union_split_needed():
+def _square_and_halves():
     square = P(2, ([1, 0], 1, "<="), ([-1, 0], 0, "<="), ([0, 1], 1, "<="), ([0, -1], 0, "<="))
     lower = P(2, ([-1, 1], 0, "<="), ([0, -1], 0, "<="), ([1, 0], 1, "<="))   # 0<=y<=x<=1
     upper = P(2, ([1, -1], 0, "<="), ([-1, 0], 0, "<="), ([0, 1], 1, "<="))   # 0<=x<=y<=1
+    return square, lower, upper
+
+
+def test_poly_in_union_split_needed():
+    square, lower, upper = _square_and_halves()
     assert poly_in_union(square, [lower, upper])
     assert not poly_in_union(square, [lower])
     assert covers_equal([square], [lower, upper])
     assert not covers_equal([square], [upper])
+
+
+def test_cover_budget(monkeypatch):
+    """Each region difference may visit COVER_NODES nodes; one more raises a
+    typed error that is no ValueError (the CLI exits 4 on it, not 3)."""
+    square, lower, upper = _square_and_halves()
+    assert not issubclass(ph.CoverBudgetExceeded, ValueError)
+    monkeypatch.setattr(ph, "COVER_NODES", 4)  # square minus lower is 3 pieces
+    assert poly_in_union(square, [lower, upper])
+    assert covers_equal([square], [lower, upper])
+    monkeypatch.setattr(ph, "COVER_NODES", 3)
+    with pytest.raises(ph.CoverBudgetExceeded):
+        poly_in_union(square, [lower, upper])
+    with pytest.raises(ph.CoverBudgetExceeded):
+        covers_equal([square], [lower, upper])
+    monkeypatch.setattr(ph, "COVER_NODES", 1)
+    assert poly_in_union(lower, [lower])  # a fresh budget after each raise
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,25 @@ def test_hash_is_hash_of_compared_fields(cls, fields, obj):
     assert len({obj, cls(*values)}) == 1
 
 
+class _CountingHash:
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+@pytest.mark.parametrize("make", [lambda x: NotFound(x), lambda x: Trans(x, 2)],
+                         ids=["one field", "two fields"])
+def test_hash_is_computed_once(make):
+    field = _CountingHash()
+    rec = make(field)
+    first, second = hash(rec), hash(rec)
+    assert field.calls == 1
+    assert first == second == hash(_values(rec, type(rec)._fields))
+
+
 @pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
 def test_equality_stays_within_one_class(cls, fields, obj):
     assert cls.__eq__(obj, object()) is NotImplemented
