@@ -1,6 +1,7 @@
 """Exact rational polyhedra: strict feasibility, recession, refinement.
 
-Everything runs on Fractions: emptiness is read off the exact double-description
+Everything is exact (ints, and Fractions where a value is not integral):
+emptiness is read off the exact double-description
 generators of the cone over the polyhedron, so "no point satisfies these strict
 inequalities" is a certified answer, not a tolerance.
 """

@@ -1,11 +1,19 @@
-"""Exact rational linear algebra helpers over fractions.Fraction.
+"""Exact rational linear algebra helpers over ints and fractions.Fraction.
 
-`Fraction` at every boundary, ints inside: every function takes and returns
-tuples of Fractions and mutates nothing in place, while the kernels `dot`,
-`primitive` and `rref` compute on Python ints (one common denominator, or
-rows cleared of denominators and eliminated fraction-free, Bareiss 1968) and
-build Fractions only for their results.  Their outputs are canonical, so they
-equal what Fraction arithmetic gives.
+The number contract of the library: an exact number is an `int` when it is
+integral, and otherwise a `Fraction` whose denominator is above 1 (`canon`).
+Every function here returns that form, takes ints or Fractions in any form,
+and mutates nothing in place; the kernels `dot`, `primitive` and `rref`
+compute on Python ints (one common denominator, or rows cleared of
+denominators and eliminated fraction-free, Bareiss 1968) and build a Fraction
+only for a value that is not integral.  Inputs enter through `frac`/`vec`
+(records' `make`, the JSON decoders), so integer data stays int and plain
+`+`, `-` and `*` on it elsewhere stay int too.  Where such arithmetic mixes
+in Fractions it may give an integral `Fraction`; that is sound, because
+`Fraction(2) == 2`, `hash(Fraction(2)) == hash(2)` and `str(Fraction(2)) ==
+"2"`, so records, cache keys and output do not see the form.  The one hazard
+is `/` between two ints, which gives a float: every division goes through
+`qdiv`, and `frac`, `dot` and `qdiv` reject floats.
 """
 
 from __future__ import annotations
@@ -14,22 +22,39 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Vec = tuple  # tuple[Fraction, ...]
+Vec = tuple  # tuple of canonical exact numbers
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def canon(x):
+    """The canonical form of an int or Fraction x: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(num: int, den: int):
+    """num / den for ints, canonical: a Fraction only when den does not divide num."""
+    return Fraction(num, den) if num % den else num // den
+
+
+def qdiv(a, b):
+    """Exact a / b of ints or Fractions, canonical; a float raises TypeError."""
+    try:
+        return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
+    except AttributeError:  # an operand without numerator: floats raise in frac
+        frac(a)
+        frac(b)
+        raise TypeError("qdiv needs int or Fraction operands") from None
+
+
+def frac(x):
+    """x (an int, Fraction, "p/q" string or other rational) in canonical form."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact computations: %r" % (x,))
-    return Fraction(x)
+    return canon(x if isinstance(x, (int, Fraction)) else Fraction(x))
 
 
 def vec(xs: Iterable) -> Vec:
@@ -40,9 +65,9 @@ def zero_vec(d: int) -> Vec:
     return (ZERO,) * d
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
+def dot(u: Sequence, v: Sequence):
     """Exact u . v of int or Fraction entries: one integer numerator over a
-    common denominator, one Fraction built at the end."""
+    common denominator, a Fraction built at the end only if it is not integral."""
     assert len(u) == len(v), (len(u), len(v))
     num, den = 0, 1
     try:
@@ -61,20 +86,20 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
         vec(u)
         vec(v)
         raise TypeError("dot needs int or Fraction entries") from None
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    return num if den == 1 else _ratio(num, den)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(canon(a + b) for a, b in zip(u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(canon(a - b) for a, b in zip(u, v))
 
 
 def vscale(c, u: Vec) -> Vec:
     c = frac(c)
-    return tuple(c * a for a in u)
+    return tuple(canon(c * a) for a in u)
 
 
 def is_zero_vec(u: Sequence) -> bool:
@@ -98,7 +123,7 @@ def primitive(v: Sequence) -> Vec:
     g = gcd(*ints)
     if g == 0:
         return zero_vec(len(ints))
-    return tuple(Fraction(a // g) for a in ints)
+    return tuple(a // g for a in ints)
 
 
 def neg_primitive_pair(v: Sequence) -> Vec:
@@ -147,8 +172,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
     out = []
     for row, c in zip(mat, pivots):
         pv = row[c]
-        out.append(tuple(Fraction(x) for x in row) if pv == 1 else
-                   tuple(Fraction(x, pv) for x in row))
+        out.append(tuple(row) if pv == 1 else tuple(_ratio(x, pv) for x in row))
     return out, pivots
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._linalg import ZERO, ONE, frac, vec
+from ._linalg import ZERO, ONE, frac, qdiv, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -19,7 +19,7 @@ UNBOUNDED = "unbounded"
 def _pivot(rows, basis, r, c):
     pr = rows[r]
     pv = pr[c]
-    rows[r] = [x / pv for x in pr]
+    rows[r] = [qdiv(x, pv) for x in pr]
     pr = rows[r]
     for i, row in enumerate(rows):
         if i != r and row[c] != 0:
@@ -42,7 +42,7 @@ def _run_simplex(rows, basis, obj) -> str:
         best = None
         for i, row in enumerate(rows):
             if row[enter] > 0:
-                ratio = row[-1] / row[enter]
+                ratio = qdiv(row[-1], row[enter])
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i

@@ -36,7 +36,7 @@ class PrimeMatrix(_Record):
     def __init__(self, context: ToricContext, tau: Face, rows: tuple):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "rows", rows)  # tuple of (Fraction height, Vec coords)
+        object.__setattr__(self, "rows", rows)  # tuple of (exact height, Vec coords)
 
     @staticmethod
     def make(context: ToricContext, tau: Face, rows) -> "PrimeMatrix":
@@ -118,7 +118,7 @@ def _face_of_dead_columns(context: ToricContext, dead) -> Face:
 # ---------------------------------------------------------------------------
 # Phi evaluation
 
-LexVec = tuple  # entries Fraction or None (= -inf)
+LexVec = tuple  # entries exact numbers or None (= -inf)
 
 
 def phi_monomial(theta: PrimeMatrix, a: Fraction, u: Sequence) -> LexVec:

@@ -78,11 +78,11 @@ def dec_frac(s, path: str) -> Fraction:
     if isinstance(s, bool):
         raise ParseError("expected a rational", path)
     if isinstance(s, int):
-        return Fraction(s)
+        return s
     if not isinstance(s, str):
         raise ParseError("expected a rational string", path)
     try:
-        return Fraction(s)
+        return frac(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("malformed rational %r: %s" % (s, exc), path)
 

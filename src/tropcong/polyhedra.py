@@ -25,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import _lp
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
-                      nullspace_basis, primitive, rank_of, reduce_mod_span, rref,
-                      vec, vscale, vsub, zero_vec)
+                      nullspace_basis, primitive, qdiv, rank_of, reduce_mod_span,
+                      rref, vec, vscale, vsub, zero_vec)
 from ._record import _Record
 
 LE, LT, EQ = "<=", "<", "="
@@ -196,7 +196,7 @@ def feasible(p: PolyhedronH) -> Optional[Vec]:
     except EmptyPolyhedronError:
         return None
     s = [sum(col) for col in zip(*rays)]
-    return tuple(x / s[0] for x in s[1:])
+    return tuple(qdiv(x, s[0]) for x in s[1:])
 
 
 def is_empty(p: PolyhedronH) -> bool:
@@ -210,7 +210,7 @@ def _sup(gens, a: Sequence) -> Optional[Fraction]:
     if any(dot(a, l[1:]) != 0 for l in lin) or any(
             g[0] == 0 and dot(a, g[1:]) > 0 for g in rays):
         return None
-    return max(dot(a, g[1:]) / g[0] for g in rays if g[0] > 0)
+    return max(qdiv(dot(a, g[1:]), g[0]) for g in rays if g[0] > 0)
 
 
 def _l1_polish(p: PolyhedronH) -> Vec:
@@ -351,8 +351,8 @@ def cone_generators(c: ConeH):
         if i0 is not None:
             l0 = lin.pop(i0)
             v0 = dot(a, l0)
-            lin = [vsub(v, vscale(dot(a, v) / v0, l0)) for v in lin]
-            rays = [primitive(vsub(g, vscale(dot(a, g) / v0, l0))) for g in rays]
+            lin = [vsub(v, vscale(qdiv(dot(a, v), v0), l0)) for v in lin]
+            rays = [primitive(vsub(g, vscale(qdiv(dot(a, g), v0), l0))) for g in rays]
             rays.append(primitive(l0 if v0 < 0 else vscale(-1, l0)))
             continue
         vals = [dot(a, g) for g in rays]

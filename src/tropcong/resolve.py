@@ -12,12 +12,11 @@ out of cells is reported as a bug indicator, not masked.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive, vec,
-                      vscale, vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive, qdiv,
+                      vec, vscale, vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, feasible, relative_interior_point)
@@ -80,7 +79,7 @@ def init_stability(f: TropPoly, v: ExtPoint, w: ExtPoint):
             continue
         if base is None:
             raise ValueError("initial form dies at w while a deleted term survives")
-        bound = -(base - bm) / margin
+        bound = qdiv(bm - base, margin)
         n0 = max(n0, bound)
     return n0, StabilityData(tuple(deleted), tuple(margins))
 
@@ -276,7 +275,7 @@ def resolve_boundary_prime(E: CongruencePresentation,
         v, v_hats, bs = sol
         w_hats = [v_hats[0]]
         for i in range(1, k + 1):
-            w_hats.append(vscale(ONE / bs[i - 1], vsub(v_hats[i], v_hats[i - 1])))
+            w_hats.append(vscale(qdiv(ONE, bs[i - 1]), vsub(v_hats[i], v_hats[i - 1])))
         rows = [(v[0], v[1:])] + [(wh[0], wh[1:]) for wh in w_hats]
         Q = PrimeMatrix.make(ctx, ctx.dense_face, rows)
         if not congruence_in_prime(E, Q):
@@ -372,7 +371,7 @@ def _sample_monomial_pairs(context: ToricContext, rng, count: int, degree: int):
         pair = []
         for _ in range(2):
             u = tuple(rng.randint(lo, degree) for _ in range(n))
-            a = ZERO if context.coeff == COEFF_B else Fraction(rng.randint(-4, 4))
+            a = ZERO if context.coeff == COEFF_B else rng.randint(-4, 4)
             pair.append(TropPoly.make(context, {u: a}))
         out.append(tuple(pair))
     return out
@@ -434,6 +433,6 @@ def _random_poly(ctx, rng, max_degree: int, max_terms: int = 3) -> TropPoly:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         u = tuple(rng.randint(lo, max_degree) for _ in range(n))
-        a = ZERO if ctx.coeff == COEFF_B else Fraction(rng.randint(-3, 3))
+        a = ZERO if ctx.coeff == COEFF_B else rng.randint(-3, 3)
         terms[u] = max(terms.get(u, a), a)
     return TropPoly.make(ctx, terms)

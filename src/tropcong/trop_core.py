@@ -281,7 +281,7 @@ def _parallelepiped_points(rays, cone: ConeH):
 class TropPoly(_Record):
     """f = sum over u of t^{a_u} chi^u; empty term map is the zero polynomial.
 
-    `terms` is a sorted tuple of (exponent tuple of ints, Fraction
+    `terms` is a sorted tuple of (exponent tuple of ints, exact
     coefficient-exponent)."""
 
     _fields = ("context", "terms")

@@ -3,8 +3,9 @@
 These were the library's `_linalg.dot`, `_linalg.primitive` and `_linalg.rref`
 before the kernels moved to integer arithmetic inside (one common denominator
 for `dot`, denominator-cleared fraction-free elimination for `rref`).  They are
-kept verbatim as independent oracles for tests/test_linalg.py: every step is a
-`Fraction` operation, so each intermediate value is already reduced.
+kept verbatim as independent oracles for tests/test_linalg.py, over their own
+`ZERO` and `vec` in `Fraction`s (the library's give ints where integral): every
+step is a `Fraction` operation, so each intermediate value is already reduced.
 
 Test use only.
 """
@@ -15,7 +16,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from tropcong._linalg import ZERO, Vec, is_zero_vec, vec
+from tropcong._linalg import Vec, is_zero_vec
+from tropcong._linalg import vec as _vec
+
+ZERO = Fraction(0)
+
+
+def vec(xs) -> Vec:
+    """The library's `vec` before ints: floats rejected, every entry a Fraction."""
+    return tuple(Fraction(x) for x in _vec(xs))
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:

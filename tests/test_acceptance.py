@@ -263,7 +263,7 @@ def test_criterion_6a_init_stability_1000(ctx2):
         iterated = initial_form_point(initial_form_point(f, v), w)
         assert initial_form_point(f, shifted_point(w, v, n0 + 1)) == iterated
         if data.deleted and n0 > 0:
-            below = initial_form_point(f, shifted_point(w, v, n0 / 2))
+            below = initial_form_point(f, shifted_point(w, v, F(n0, 2)))
             if below != iterated:
                 tight_seen += 1
     assert tight_seen > 0  # tightness sampled, not asserted universally

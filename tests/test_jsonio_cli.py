@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,16 @@ def test_derivation_round_trip(ctx1):
     d = Derivation((Generator(0), Refl(x), Sym(0), Trans(0, 2),
                     AddBoth(3, x), MulMono(4, x)))
     assert jsonio.dec_derivation(jsonio.enc_derivation(d), ctx1) == d
+
+
+def test_decoded_rationals_are_canonical():
+    """Integral values decode to ints, others to Fractions with denominator > 1,
+    and encode back to the same text."""
+    for s, want in [(3, "3"), (-2, "-2"), ("4/2", "2"), ("-6/3", "-2"), ("0/5", "0"),
+                    ("3/6", "1/2"), ("-7/4", "-7/4")]:
+        x = jsonio.dec_frac(s, "$")
+        assert type(x) is (int if "/" not in want else Fraction), s
+        assert jsonio.enc_frac(x) == want
 
 
 def test_malformed_rational_position():

@@ -1,18 +1,24 @@
-"""Exact kernels `dot`, `primitive` and `rref` against their Fraction oracles.
+"""Exact kernels `dot`, `primitive` and `rref` against their Fraction oracles,
+and the number contract they keep.
 
 `linalg_reference` holds the library's former kernels, which ran every step in
-`Fraction` arithmetic.  The library now computes on ints inside and builds
-Fractions only for its results; on every input below it must return equal
-values, and every entry it returns must be a `Fraction`, never an int.
+`Fraction` arithmetic.  The library now computes on ints inside; on every input
+below it must return equal values, and every entry it returns must be
+canonical: an `int`, or a `Fraction` whose denominator is above 1 (so a
+`Fraction(2, 1)` fails as surely as a float).
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import linalg_reference as ref
-from tropcong._linalg import dot, primitive, rref
+from tropcong._linalg import dot, frac, primitive, qdiv, rref, vadd, vscale, vsub
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropcong"
 
 CASES = 1500
 
@@ -49,8 +55,12 @@ def _rows(rng, d, dens):
     return rows
 
 
-def _fractions(xs):
-    return type(xs) is tuple and all(type(x) is Fraction for x in xs)
+def _canonical(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _canonical_vec(xs):
+    return type(xs) is tuple and all(_canonical(x) for x in xs)
 
 
 def _cases():
@@ -66,14 +76,28 @@ def test_dot_sweep():
     for rng, d, dens in _cases():
         u, v = _vector(rng, d, dens), _vector(rng, d, dens)
         got = dot(u, v)
-        assert got == ref.dot(u, v) and type(got) is Fraction, (u, v)
+        assert got == ref.dot(u, v) and _canonical(got), (u, v)
+
+
+def test_qdiv_and_vector_ops_sweep():
+    for rng, d, dens in _cases():
+        u, v = _vector(rng, d, dens), _vector(rng, d, dens)
+        for a, b in zip(u, v):
+            if b != 0:
+                got = qdiv(a, b)
+                assert got == Fraction(a) / b and _canonical(got), (a, b)
+        c = _entry(rng, dens)
+        for got, want in [(vadd(u, v), [Fraction(a) + b for a, b in zip(u, v)]),
+                          (vsub(u, v), [Fraction(a) - b for a, b in zip(u, v)]),
+                          (vscale(c, u), [Fraction(c) * a for a in u])]:
+            assert list(got) == want and _canonical_vec(got), (u, v, c)
 
 
 def test_primitive_sweep():
     for rng, d, dens in _cases():
         v = _vector(rng, d, dens)
         got = primitive(v)
-        assert got == ref.primitive(v) and _fractions(got), v
+        assert got == ref.primitive(v) and _canonical_vec(got), v
 
 
 def test_rref_sweep():
@@ -83,7 +107,7 @@ def test_rref_sweep():
         red, pivots = rref(rows)
         want = ref.rref(rows)
         assert (red, pivots) == want, rows
-        assert type(red) is list and all(_fractions(r) for r in red), rows
+        assert type(red) is list and all(_canonical_vec(r) for r in red), rows
         assert type(pivots) is list and all(type(c) is int for c in pivots)
         seen["empty"] += not rows
         seen["dependent"] += 0 < len(red) < len(rows)
@@ -105,7 +129,7 @@ def test_rref_sweep():
 def test_rref_examples(rows, red, pivots):
     got, got_pivots = rref(rows)
     assert got == [tuple(Fraction(x) for x in r) for r in red] and got_pivots == pivots
-    assert all(_fractions(r) for r in got)
+    assert all(_canonical_vec(r) for r in got)
 
 
 @pytest.mark.parametrize("v, want", [
@@ -117,14 +141,30 @@ def test_rref_examples(rows, red, pivots):
 ])
 def test_primitive_examples(v, want):
     got = primitive(v)
-    assert got == want and _fractions(got)
+    assert got == want and _canonical_vec(got)
 
 
-def test_dot_of_ints_and_empty_is_a_fraction():
+def test_dot_examples_are_canonical():
     for u, v, want in [((), (), 0), ((2, 3), (4, -1), 5),
-                       ((Fraction(1, 2), 3), (Fraction(2, 3), Fraction(1, 6)), Fraction(5, 6))]:
+                       ((Fraction(1, 2), 3), (Fraction(2, 3), Fraction(1, 6)), Fraction(5, 6)),
+                       ((Fraction(1, 2), Fraction(1, 2)), (1, 1), 1)]:
         got = dot(u, v)
-        assert got == want and type(got) is Fraction
+        assert got == want and _canonical(got)
+
+
+@pytest.mark.parametrize("x, want", [
+    (3, 3), (True, 1), (Fraction(4, 2), 2), (Fraction(-3, 6), Fraction(-1, 2)),
+    ("6/3", 2), ("-5/10", Fraction(-1, 2)), ("0", 0),
+])
+def test_frac_is_canonical(x, want):
+    got = frac(x)
+    assert got == want and _canonical(got)
+
+
+def test_qdiv_by_zero_raises():
+    for a, b in [(1, 0), (Fraction(1, 2), Fraction(0))]:
+        with pytest.raises(ZeroDivisionError):
+            qdiv(a, b)
 
 
 FLOATS = [
@@ -133,6 +173,8 @@ FLOATS = [
     ("dot float first", lambda: dot((0.25,), (Fraction(1),))),
     ("primitive", lambda: primitive((1, 0.5))),
     ("rref", lambda: rref([(1, 2), (0.5, 1)])),
+    ("qdiv", lambda: qdiv(1, 0.5)),
+    ("qdiv float first", lambda: qdiv(0.5, Fraction(1))),
 ]
 
 
@@ -145,3 +187,27 @@ def test_floats_are_rejected(name, call):
 def test_dot_checks_lengths():
     with pytest.raises(AssertionError):
         dot((1, 2), (1,))
+
+
+def _true_divisions(tree):
+    """Line numbers of every `/` (in a BinOp or an AugAssign) outside `qdiv`."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "qdiv":
+            allowed.update(id(n) for n in ast.walk(node))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            and id(node) not in allowed]
+
+
+def test_src_divides_only_through_qdiv():
+    """`int / int` is a float, so every division in the library is a `qdiv`."""
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 10
+    found = {f.name: _true_divisions(ast.parse(f.read_text(), str(f))) for f in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_division_scan_sees_both_forms():
+    code = "def qdiv(a, b):\n    return a / b\n\ndef f(x):\n    x /= 2\n    return x / 3 // 4\n"
+    assert _true_divisions(ast.parse(code)) == [5, 6]

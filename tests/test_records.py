@@ -18,7 +18,8 @@ from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  RadicalCertificate, Refl, SearchBounds, Sym,
                                  Trans)
 from tropcong.polyhedra import (EQ, LE, ConeH, Fan, FlagOfCones, HRow,
-                                PolyhedronH, make_flag, row, validate_flag)
+                                PolyhedronH, cone_generators, make_flag, row,
+                                validate_flag)
 from tropcong.resolve import (CancellativityReport, ResolutionResult,
                               ResolveFailure, StabilityData)
 from tropcong.toric_geom import ClosureWitness, NotInClosure, StratumPoint
@@ -230,11 +231,9 @@ def test_repr_text():
     assert repr(TropScalar(None)) == "-inf"
     assert repr(F) == str(F) == "y^2 + t^1*x*y + x^2"
     assert repr(row((1, -2), Fraction(1, 3), LE)) == (
-        "HRow(a=(Fraction(1, 1), Fraction(-2, 1)), b=Fraction(1, 3), rel='<=')")
+        "HRow(a=(1, -2), b=Fraction(1, 3), rel='<=')")
     assert repr(CONE) == (
-        "ConeH(dim=2, rows=(HRow(a=(Fraction(1, 1), Fraction(0, 1)), b=Fraction(0, 1),"
-        " rel='<='), HRow(a=(Fraction(0, 1), Fraction(1, 1)), b=Fraction(0, 1),"
-        " rel='=')))")
+        "ConeH(dim=2, rows=(HRow(a=(1, 0), b=0, rel='<='), HRow(a=(0, 1), b=0, rel='=')))")
     assert repr(Trans(0, 2)) == "Trans(i=0, j=2)"
     assert repr(SearchBounds()) == "SearchBounds(max_exponent=4, max_degree=8, max_nodes=4000)"
     assert repr(NotFound(17)) == "NotFound(explored=17)"
@@ -242,8 +241,33 @@ def test_repr_text():
         "ResolveFailure(reason='no_flag_in_variety', detail='none')")
     assert repr(make_flag(3, [], [[(1, 1, 0)]])) == (
         "FlagOfCones(ambient_dim=3, tau_rays=(), "
-        "cones_rays=(((Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)),),))")
+        "cones_rays=(((1, 1, 0),),))")
     assert repr(Refl(X)) == "Refl(poly=x)"
+
+
+def test_int_and_fraction_forms_are_one_record():
+    """Canonical ints and equal Fractions build equal records with equal hashes,
+    so set, dict and lru_cache keys do not see the form."""
+    rows = (HRow((3, -7), 0, LE), HRow((-2, 5), 0, LE))
+    cone = ConeH(2, rows)
+    boxed_cone = ConeH(2, tuple(HRow(_q(*r.a), Fraction(r.b), r.rel) for r in rows))
+    point = ExtPoint.make(CTX, 2, TAU, (0, 5))
+    pairs = [
+        (rows[0], boxed_cone.rows[0]),
+        (cone, boxed_cone),
+        (F, TropPoly(CTX, tuple((u, Fraction(a)) for u, a in F.terms))),
+        (point, ExtPoint(CTX, Fraction(2), TAU, _q(*point.coords))),
+    ]
+    assert type(F.terms[0][1]) is type(point.r) is type(point.coords[1]) is int
+    for ints, boxed in pairs:
+        assert ints == boxed and boxed == ints and hash(ints) == hash(boxed)
+        assert len({ints, boxed}) == 1
+
+    before = cone_generators.cache_info()
+    gens = cone_generators(boxed_cone)
+    assert cone_generators(cone) == gens
+    after = cone_generators.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
