@@ -6,8 +6,12 @@ precondition, 4 an internal failure: a cell index disagreeing with pointwise
 evaluation, or any other unexpected exception (RecursionError, AssertionError,
 TypeError, ...), each a bug reported in one stderr line without a traceback,
 so no crash ever reads as "false".  TROPCONG_MAX_DIM caps the ambient
-dimension (default 6); a value that is not an integer is a violated
+dimension (default 6); a value that is not an integer >= 1 is a violated
 precondition.
+
+Only the standard library is imported at module top: each handler imports the
+layers it uses, so a job loads (and, without cached bytecode, compiles) no
+more of the library than its subcommand reaches.
 """
 
 from __future__ import annotations
@@ -15,15 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-from . import jsonio, polyhedra, resolve as resolve_mod, toric_geom, variety as variety_mod
-from .congruence import (CongruencePresentation, NotFound, SearchBounds,
-                         has_trivial_ideal_kernel, prime_contains_pair,
-                         prime_eval, search_radical_certificate,
-                         verify_derivation, verify_radical_certificate)
-from .jsonio import ParseError
-from .trop_core import bend_relations
-from .variety import InternalConsistencyError
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -39,12 +34,16 @@ class PreconditionError(ValueError):
 def _max_dim() -> int:
     raw = os.environ.get("TROPCONG_MAX_DIM", "6")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise PreconditionError("TROPCONG_MAX_DIM must be an integer, got %r" % (raw,))
+        cap = 0  # reported below, like any other cap below 1
+    if cap < 1:
+        raise PreconditionError("TROPCONG_MAX_DIM must be an integer >= 1, got %r" % (raw,))
+    return cap
 
 
 def _load(path: str):
+    from . import jsonio
     try:
         with open(path, "r") as fh:
             text = fh.read()
@@ -54,6 +53,7 @@ def _load(path: str):
 
 
 def _context(doc, label, max_dim):
+    from . import jsonio
     return jsonio.context_of_document(doc, path=label, max_dim=max_dim)
 
 
@@ -67,11 +67,13 @@ def _same_context(*ctxs):
 
 def _same_dim(dim, want, label):
     """A document sized for another rank is malformed input, not a precondition."""
+    from .jsonio import ParseError
     if dim != want:
         raise ParseError("dimension %d, expected %d" % (dim, want), label)
 
 
 def _emit(payload: dict):
+    from . import jsonio
     sys.stdout.write(jsonio.dumps(payload) + "\n")
 
 
@@ -83,6 +85,7 @@ def _bool_exit(value: bool) -> int:
 
 
 def cmd_eval(args, max_dim):
+    from . import jsonio
     fdoc = _load(args.poly)
     wdoc = _load(args.point)
     ctx = _same_context(_context(fdoc, args.poly, max_dim), _context(wdoc, args.point, max_dim))
@@ -94,6 +97,8 @@ def cmd_eval(args, max_dim):
 
 
 def cmd_bend(args, max_dim):
+    from . import jsonio
+    from .trop_core import bend_relations
     fdoc = _load(args.poly)
     ctx = _context(fdoc, args.poly, max_dim)
     f = jsonio.dec_poly(fdoc, ctx, args.poly)
@@ -104,6 +109,8 @@ def cmd_bend(args, max_dim):
 
 
 def cmd_prime_eval(args, max_dim):
+    from . import jsonio
+    from .congruence import prime_eval
     mdoc = _load(args.matrix)
     fdoc = _load(args.poly)
     ctx = _same_context(_context(mdoc, args.matrix, max_dim), _context(fdoc, args.poly, max_dim))
@@ -115,6 +122,8 @@ def cmd_prime_eval(args, max_dim):
 
 
 def cmd_member(args, max_dim):
+    from . import jsonio
+    from .congruence import prime_contains_pair
     mdoc = _load(args.matrix)
     pdoc = _load(args.pair)
     ctx = _same_context(_context(mdoc, args.matrix, max_dim), _context(pdoc, args.pair, max_dim))
@@ -126,6 +135,8 @@ def cmd_member(args, max_dim):
 
 
 def cmd_kernel(args, max_dim):
+    from . import jsonio
+    from .congruence import has_trivial_ideal_kernel
     mdoc = _load(args.matrix)
     ctx = _context(mdoc, args.matrix, max_dim)
     theta = jsonio.dec_matrix(mdoc, ctx, args.matrix)
@@ -136,12 +147,14 @@ def cmd_kernel(args, max_dim):
 
 
 def _decode_congruence(path, max_dim):
+    from . import jsonio
     doc = _load(path)
     ctx = _context(doc, path, max_dim)
     return ctx, jsonio.dec_congruence(doc, ctx, path)
 
 
 def cmd_variety(args, max_dim):
+    from . import jsonio, variety as variety_mod
     ctx, E = _decode_congruence(args.cong, max_dim)
     strata = None
     if args.stratum:
@@ -153,6 +166,7 @@ def cmd_variety(args, max_dim):
 
 
 def cmd_hypersurface(args, max_dim):
+    from . import jsonio, variety as variety_mod
     fdoc = _load(args.poly)
     ctx = _context(fdoc, args.poly, max_dim)
     f = jsonio.dec_poly(fdoc, ctx, args.poly)
@@ -162,6 +176,8 @@ def cmd_hypersurface(args, max_dim):
 
 
 def cmd_radical_member(args, max_dim):
+    from . import jsonio, variety as variety_mod
+    from .congruence import CongruencePresentation
     ctx, E = _decode_congruence(args.cong, max_dim)
     pdoc = _load(args.pair)
     _same_context(ctx, _context(pdoc, args.pair, max_dim))
@@ -174,6 +190,8 @@ def cmd_radical_member(args, max_dim):
 
 
 def cmd_verify(args, max_dim):
+    from . import jsonio
+    from .congruence import verify_derivation, verify_radical_certificate
     ctx, E = _decode_congruence(args.cong, max_dim)
     pdoc = _load(args.pair)
     _same_context(ctx, _context(pdoc, args.pair, max_dim))
@@ -194,6 +212,8 @@ def cmd_verify(args, max_dim):
 
 
 def cmd_radical_search(args, max_dim):
+    from . import jsonio
+    from .congruence import NotFound, SearchBounds, search_radical_certificate
     doc = _load(args.cong)
     ctx = _context(doc, args.cong, max_dim)
     if "pairs" in doc:
@@ -213,6 +233,7 @@ def cmd_radical_search(args, max_dim):
 
 
 def cmd_closure(args, max_dim):
+    from . import jsonio, toric_geom
     ldoc = _load(args.polyhedron)
     fdoc = _load(args.fan)
     wdoc = _load(args.point)
@@ -236,6 +257,7 @@ def cmd_closure(args, max_dim):
 
 
 def cmd_resolve(args, max_dim):
+    from . import jsonio, resolve as resolve_mod
     ctx, E = _decode_congruence(args.cong, max_dim)
     pdoc = _load(args.prime)
     _same_context(ctx, _context(pdoc, args.prime, max_dim))
@@ -257,6 +279,7 @@ def cmd_resolve(args, max_dim):
 
 
 def cmd_flag_check(args, max_dim):
+    from . import jsonio, polyhedra, variety as variety_mod
     ctx, E = _decode_congruence(args.cong, max_dim)
     fdoc = _load(args.flag)
     flag = jsonio.dec_flag(fdoc, args.flag)
@@ -272,6 +295,7 @@ def cmd_flag_check(args, max_dim):
 
 
 def cmd_cancel_check(args, max_dim):
+    from . import resolve as resolve_mod
     ctx, E = _decode_congruence(args.cong, max_dim)
     report = resolve_mod.cancellativity_harness(E, trials=args.trials,
                                                 max_degree=args.max_deg, seed=args.seed)
@@ -370,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    from .jsonio import ParseError
     try:
         return args.fn(args, _max_dim())
     except ParseError as exc:
@@ -378,11 +403,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    except InternalConsistencyError as exc:
-        print("internal consistency error: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # a bug, RecursionError included: never exit 1 ("false")
-        print("internal error: %r" % (exc,), file=sys.stderr)
+        # only variety raises InternalConsistencyError: a job that never loaded
+        # variety cannot have raised it, so the check imports nothing
+        variety = sys.modules.get(__package__ + ".variety")
+        if variety is not None and isinstance(exc, variety.InternalConsistencyError):
+            print("internal consistency error: %s" % exc, file=sys.stderr)
+        else:
+            print("internal error: %r" % (exc,), file=sys.stderr)
         return EXIT_INTERNAL
 
 

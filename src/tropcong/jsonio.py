@@ -1,7 +1,8 @@
 """JSON encoding and decoding for every value the tool reads or emits.
 
 Rationals travel as strings "p/q" (or "p"); bottom is "-inf"; exponents and
-ray entries are integers.  Top-level documents carry "format": "tropcong/1".
+ray entries are integers.  Top-level documents carry "format": "tropcong/1"; a
+document without the tag is read as tropcong/1, one with another tag rejected.
 Decoders raise ParseError with a JSON-path position.
 """
 
@@ -9,17 +10,21 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._linalg import Vec, frac, vec
 from .polyhedra import (EQ, LE, LT, ConeH, Fan, FlagOfCones, HRow, PolyhedronH,
                         hrep_from_rays, make_flag)
 from .trop_core import COEFF_B, COEFF_T, ExtPoint, Face, ToricContext, TropPoly
-from .toric_geom import StratumPoint
-from .congruence import (AddBoth, CongruencePresentation, Derivation, Generator,
-                         MulMono, PrimeMatrix, RadicalCertificate, Refl, Sym,
-                         Trans)
-from .variety import VarietySupport
+
+# congruence and toric_geom are imported by the functions that use them, so
+# that a CLI job loads only the layers its subcommand reaches; variety is
+# needed only in annotations.
+if TYPE_CHECKING:
+    from .congruence import (CongruencePresentation, Derivation, PrimeMatrix,
+                             RadicalCertificate)
+    from .toric_geom import StratumPoint
+    from .variety import VarietySupport
 
 FORMAT_TAG = "tropcong/1"
 
@@ -87,7 +92,7 @@ def dec_frac(s, path: str) -> Fraction:
         raise ParseError("malformed rational %r: %s" % (s, exc), path)
 
 
-def dec_extframc(s, path: str) -> Optional[Fraction]:
+def dec_extfrac(s, path: str) -> Optional[Fraction]:
     if s == "-inf":
         return None
     return dec_frac(s, path)
@@ -168,6 +173,7 @@ def enc_congruence(E: CongruencePresentation) -> dict:
 
 
 def dec_congruence(data, ctx: ToricContext, path: str = "$") -> CongruencePresentation:
+    from .congruence import CongruencePresentation
     pairs = [dec_pair(p, ctx, "%s.pairs[%d]" % (path, i))
              for i, p in enumerate(_get_list(data, "pairs", path))]
     fb = _get(data, "finite_basis", path, required=False, default=False)
@@ -277,12 +283,13 @@ def enc_matrix(theta: PrimeMatrix) -> dict:
 
 
 def dec_matrix(data, ctx: ToricContext, path: str = "$") -> PrimeMatrix:
+    from .congruence import PrimeMatrix
     try:
         if "matrix" in data:
             entries = []
             for i, raw in enumerate(_get_list(data, "matrix", path)):
                 rpath = "%s.matrix[%d]" % (path, i)
-                entries.append([dec_extframc(x, "%s[%d]" % (rpath, j))
+                entries.append([dec_extfrac(x, "%s[%d]" % (rpath, j))
                                 for j, x in enumerate(_as_list(raw, rpath))])
             return PrimeMatrix.from_extended_matrix(ctx, entries)
         tau = dec_face(data, ctx, path)
@@ -328,6 +335,7 @@ def dec_ext_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
 
 
 def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> StratumPoint:
+    from .toric_geom import StratumPoint
     try:
         tau = dec_face(data, ctx, path)
         return StratumPoint.make(ctx, tau, _dec_point_coords(data, ctx, path))
@@ -340,6 +348,7 @@ def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> StratumPoint:
 # --- derivations and certificates -------------------------------------------
 
 def enc_step(s) -> dict:
+    from .congruence import AddBoth, Generator, MulMono, Refl, Sym, Trans
     if isinstance(s, Generator):
         return {"op": "gen", "index": s.index}
     if isinstance(s, Refl):
@@ -356,6 +365,7 @@ def enc_step(s) -> dict:
 
 
 def dec_step(data, ctx: ToricContext, path: str):
+    from .congruence import AddBoth, Generator, MulMono, Refl, Sym, Trans
     op = _get(data, "op", path)
     if op == "gen":
         return Generator(_get_index(data, "index", path))
@@ -379,6 +389,7 @@ def enc_derivation(d: Derivation) -> dict:
 
 
 def dec_derivation(data, ctx: ToricContext, path: str = "$") -> Derivation:
+    from .congruence import Derivation
     return Derivation(tuple(dec_step(s, ctx, "%s.steps[%d]" % (path, i))
                             for i, s in enumerate(_get_list(data, "steps", path))))
 
@@ -390,6 +401,7 @@ def enc_certificate(c: RadicalCertificate) -> dict:
 
 
 def dec_certificate(data, ctx: ToricContext, path: str = "$") -> RadicalCertificate:
+    from .congruence import RadicalCertificate
     i = _get_index(data, "exponent", path)
     h = dec_poly(_get(data, "cofactor", path), ctx, path + ".cofactor")
     d = _get(data, "derivation", path, required=False)
@@ -416,9 +428,13 @@ def dumps(obj) -> str:
 
 def load_document(text: str, path_label: str = "$"):
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc, path_label)
+    if isinstance(doc, dict) and doc.get("format", FORMAT_TAG) != FORMAT_TAG:
+        raise ParseError("format %r, expected %r" % (doc["format"], FORMAT_TAG),
+                         path_label + ".format")
+    return doc
 
 
 def context_of_document(data, path: str = "$", max_dim: Optional[int] = None) -> ToricContext:

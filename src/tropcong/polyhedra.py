@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from . import _lp
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
                       nullspace_basis, primitive, qdiv, rank_of, reduce_mod_span,
                       rref, vec, vscale, vsub, zero_vec)
@@ -218,6 +217,7 @@ def _l1_polish(p: PolyhedronH) -> Vec:
 
     Minimizes sum |x_i| via x = u - v, u,v >= 0; exact simplex keeps it canonical.
     """
+    from . import _lp  # the library's one LP: loaded only when a point is polished
     d = p.dim
     # variables (u, v) each length d, minimize sum(u+v) == maximize -(sum)
     A, B, AE, BE = [], [], [], []

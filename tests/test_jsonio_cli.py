@@ -254,12 +254,35 @@ def test_cli_precondition_exit_3(capsys, fixtures_dir):
 
 
 def test_cli_malformed_max_dim_exit_3(capsys, fixtures_dir, monkeypatch):
-    monkeypatch.setenv("TROPCONG_MAX_DIM", "six")
-    code, out, err = run_cli(capsys, "kernel",
-                             "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"))
-    assert code == 3
-    assert out == ""
-    assert "TROPCONG_MAX_DIM" in err
+    """A cap that is not an integer, or is below 1, is a bad setting, not a
+    parse error in a valid input."""
+    for cap in ("six", "0", "-2"):
+        monkeypatch.setenv("TROPCONG_MAX_DIM", cap)
+        code, out, err = run_cli(capsys, "kernel",
+                                 "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("precondition violated: TROPCONG_MAX_DIM")
+
+
+@pytest.mark.parametrize("tag, want", [("other/9", 2), ("tropcong/1", 0), (None, 0)])
+def test_cli_format_tag(capsys, fixtures_dir, tmp_path, tag, want):
+    """A document naming another format is a parse error at .format; one
+    without a tag is read as tropcong/1."""
+    doc = json.loads((fixtures_dir / "quartic_bend" / "Q.json").read_text())
+    if tag is None:
+        del doc["format"]
+    else:
+        doc["format"] = tag
+    path = tmp_path / "Q.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "kernel", "--matrix", str(path))
+    assert code == want
+    if want == 2:
+        assert out == ""
+        assert err == "parse error: format 'other/9', expected 'tropcong/1' (at %s.format)\n" % path
+    else:
+        assert json.loads(out)["trivial"] is True
 
 
 def test_cli_internal_consistency_exit_4(capsys, fixtures_dir, monkeypatch):
@@ -275,6 +298,23 @@ def test_cli_internal_consistency_exit_4(capsys, fixtures_dir, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "internal consistency error" in err
+
+
+def test_cli_internal_consistency_exit_4_in_light_subcommand(capsys, fixtures_dir,
+                                                            monkeypatch):
+    """kernel imports no variety, yet an InternalConsistencyError it raises is
+    still reported as one, with exit 4."""
+    from tropcong import variety
+
+    def disagree(*args, **kwargs):
+        raise variety.InternalConsistencyError("cell index disagrees at (1, 0, 0)")
+
+    monkeypatch.setattr(jsonio, "dec_matrix", disagree)
+    code, out, err = run_cli(capsys, "kernel",
+                             "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"))
+    assert code == 4
+    assert out == ""
+    assert err == "internal consistency error: cell index disagrees at (1, 0, 0)\n"
 
 
 @pytest.mark.parametrize("exc", [

@@ -1,0 +1,64 @@
+"""The lazy package namespace: every exported name, and nothing else."""
+
+import importlib
+
+import pytest
+
+import tropcong
+
+# the names `tropcong` exports, by the module that defines them
+EXPORTS = {
+    "trop_core": "BOTTOM TROP_ONE COEFF_B COEFF_T ContextMismatchError ExtPoint Face "
+                 "ToricContext TropPoly TropScalar ZeroPolynomialError bend_relations "
+                 "eval_poly parse_poly",
+    "polyhedra": "ConeH CoverBudgetExceeded EmptyPolyhedronError Fan FlagOfCones HRow "
+                 "PolyhedronH common_refinement covers_equal feasible hrep_from_rays "
+                 "is_empty make_flag rays_from_hrep recession_cone "
+                 "relative_interior_point validate_flag",
+    "toric_geom": "ClosureWitness NotInClosure StratumPoint cone_closure_witnesses "
+                  "polyhedron_closure_membership project_to_stratum",
+    "congruence": "AddBoth CongruencePresentation Derivation Generator MulMono NotFound "
+                  "PrimeMatrix RadicalCertificate Refl SearchBounds Sym Trans "
+                  "congruence_in_prime flag_to_matrix has_trivial_ideal_kernel "
+                  "ideal_kernel_face initial_form_point initial_form_prime "
+                  "prime_contains_pair prime_eval search_radical_certificate "
+                  "verify_derivation verify_radical_certificate",
+    "variety": "VarietySupport flag_in_variety fractions_equal_on_variety support_of "
+               "functions_equal_on_variety hypersurface intersect_supports pair_variety "
+               "point_in_variety radical_member shrink_flag slice_at_height "
+               "variety_of_basis",
+    "resolve": "CancellativityReport ResolutionResult ResolveFailure "
+               "cancellativity_harness init_stability iterated_init_region "
+               "resolve_boundary_prime",
+}
+NAMES = {name: module for module, names in EXPORTS.items() for name in names.split()}
+
+
+@pytest.mark.parametrize("name", sorted(NAMES))
+def test_exported_name_is_the_module_object(name):
+    module = importlib.import_module("tropcong." + NAMES[name])
+    assert getattr(tropcong, name) is getattr(module, name)
+
+
+def test_all_and_dir_list_the_exports():
+    assert sorted(tropcong.__all__) == sorted(NAMES)
+    assert set(NAMES) <= set(dir(tropcong))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from tropcong import *", namespace)
+    assert set(NAMES) <= set(namespace)
+    assert all(namespace[name] is getattr(tropcong, name) for name in NAMES)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tropcong.no_such_name
+    assert not hasattr(tropcong, "cone_generators")  # public in polyhedra, not exported
+
+
+def test_submodules_import_through_the_package():
+    from tropcong import _lp, polyhedra
+    assert polyhedra.__name__ == "tropcong.polyhedra" and _lp.__name__ == "tropcong._lp"
+    assert tropcong.polyhedra is polyhedra

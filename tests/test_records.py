@@ -5,6 +5,7 @@ an example instance built through the library.  The checks pin the behaviour
 that set, dict and lru_cache keys, goldens and error messages rely on.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -279,3 +280,63 @@ def test_cli_import_skips_dataclasses_and_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_QB = ROOT / "fixtures" / "quartic_bend"
+_CL = ROOT / "fixtures" / "closure"
+_HEAVY = {"tropcong.variety", "tropcong.resolve", "tropcong.toric_geom", "tropcong._lp"}
+_POINT = {"context": {"rank": 2, "sigma_rays": [[-1, 0], [0, -1]]},
+          "format": "tropcong/1", "r": "1", "x": ["0", "-1"]}
+
+
+def _cli_modules(argv):
+    """Exit code and tropcong modules loaded after tropcong.cli.main(argv) in a
+    fresh `python -S` interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import contextlib, io, sys, tropcong.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = tropcong.cli.main(sys.argv[1:])\n"
+            "print(rc, ' '.join(sorted(m for m in sys.modules if m.startswith('tropcong'))))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code] + [str(a) for a in argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = proc.stdout.split(" ", 1)
+    return int(rc), set(modules.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--matrix", _QB / "Q.json"),
+    ("member", "--matrix", _QB / "Q.json", "--pair", _QB / "bend_pair_0.json"),
+    ("eval", "--poly", _QB / "f.json", "--point", "POINT"),
+    ("bend", "--poly", _QB / "f.json"),
+    ("prime-eval", "--matrix", _QB / "Q.json", "--poly", _QB / "f.json"),
+], ids=lambda argv: argv[0])
+def test_light_subcommands_skip_heavy_layers(argv, tmp_path):
+    """Matrix, pair and polynomial queries never load the support, resolution,
+    stratum or LP layers."""
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(_POINT))
+    rc, modules = _cli_modules([point if a == "POINT" else a for a in argv])
+    assert rc == 0
+    assert {"tropcong.cli", "tropcong.jsonio", "tropcong.trop_core"} <= modules
+    assert not modules & _HEAVY
+
+
+def test_closure_skips_support_and_resolution_layers():
+    """closure reaches toric_geom and, to polish its witness point, the LP, but
+    neither variety nor resolve (nor congruence)."""
+    rc, modules = _cli_modules(["closure", "--polyhedron", _CL / "cell_L.json",
+                                "--fan", _CL / "sigma_fan.json",
+                                "--point", _CL / "deep_point.json"])
+    assert rc == 0
+    assert "tropcong.toric_geom" in modules
+    assert not modules & {"tropcong.variety", "tropcong.resolve", "tropcong.congruence"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, tropcong; print(sorted(m for m in sys.modules if m.startswith('tropcong')))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['tropcong']"
