@@ -7,8 +7,8 @@ relative interior of tau at height zero; then w_hat + N*v walks to w.
 
 from tropcong import ToricContext
 from tropcong.polyhedra import Fan, PolyhedronH, row
-from tropcong.toric_geom import (StratumPoint, limit_approach_check,
-                                 polyhedron_closure_membership, witness_soundness)
+from tropcong.toric_geom import (StratumPoint, polyhedron_closure_membership,
+                                 witness_soundness)
 
 ctx = ToricContext.affine(2)
 fan = Fan.make(2, [ctx.sigma], close_faces=True)
@@ -20,8 +20,6 @@ print("L = {x = y + 1, y <= 0}, target = the deep point (-inf, -inf):")
 print("  w_hat =", res.base, " v =", res.direction)
 print("  generator pairings sound:",
       witness_soundness(ctx, ctx.deep_face, res.direction, res.base, deep))
-print("  approach at N in {10,100,1000} monotone:",
-      limit_approach_check(ctx, ctx.deep_face, res.direction, res.base, deep))
 
 line = PolyhedronH.make(2, (row([1, 1], 0, "="),))
 res2 = polyhedron_closure_membership(ctx, line, fan, deep)

@@ -68,7 +68,8 @@ def zero_vec(d: int) -> Vec:
 def dot(u: Sequence, v: Sequence):
     """Exact u . v of int or Fraction entries: one integer numerator over a
     common denominator, a Fraction built at the end only if it is not integral."""
-    assert len(u) == len(v), (len(u), len(v))
+    if len(u) != len(v):
+        raise RuntimeError("dot of vectors of lengths %d and %d" % (len(u), len(v)))
     num, den = 0, 1
     try:
         for a, b in zip(u, v):

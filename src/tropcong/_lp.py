@@ -97,7 +97,8 @@ def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
         if f != 0:
             obj = [x - f * y for x, y in zip(obj, rows[i])]
     status = _run_simplex(rows, basis, obj)
-    assert status == OPTIMAL  # phase 1 is always bounded
+    if status != OPTIMAL:  # phase 1 is always bounded
+        raise RuntimeError("phase 1 of the simplex ended %s" % (status,))
     if obj[-1] != 0:  # optimum of -(sum art) stored negated in rhs slot
         return INFEASIBLE, None, None
 

@@ -9,6 +9,7 @@ check here exact and fast.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -469,14 +470,11 @@ class _ProofForest:
 def _minimal_completion(big: TropPoly, small: TropPoly) -> Optional[TropPoly]:
     """h with small + h == big and h minimal, or None if small exceeds big."""
     bigd = dict(big.terms)
-    keep = []
     for u, a in small.terms:
         if u not in bigd or a > bigd[u]:
             return None
-    for u, a in big.terms:
-        sa = dict(small.terms).get(u)
-        if sa is None or sa < a:
-            keep.append((u, a))
+    smalld = dict(small.terms)
+    keep = [(u, a) for u, a in big.terms if u not in smalld or smalld[u] < a]
     return TropPoly(big.context, tuple(sorted(keep)))
 
 
@@ -531,7 +529,7 @@ def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None)
 
     multipliers = _multiplier_universe(ctx, gen_pairs, targets, bounds)
     forest = _ProofForest()
-    frontier = []
+    frontier = deque()
     for _, _, lhs, rhs in targets:
         for node in (lhs, rhs):
             if node not in forest.parent:
@@ -544,7 +542,7 @@ def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None)
                 frontier.append(node)
     explored = 0
     while frontier and explored < bounds.max_nodes:
-        x = frontier.pop(0)
+        x = frontier.popleft()
         explored += 1
         for gi, (a, b) in enumerate(gen_pairs):
             for src, dst in ((a, b), (b, a)):

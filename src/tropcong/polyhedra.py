@@ -232,7 +232,8 @@ def _l1_polish(p: PolyhedronH) -> Vec:
         B.append(ZERO)
     c = (-ONE,) * (2 * d)
     status, x, _ = _lp.solve_lp(c, A, B, AE, BE)
-    assert status == _lp.OPTIMAL, status
+    if status != _lp.OPTIMAL:
+        raise RuntimeError("L1 polish of a nonempty polyhedron ended %s" % (status,))
     return tuple(x[i] - x[d + i] for i in range(d))
 
 

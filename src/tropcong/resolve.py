@@ -15,8 +15,8 @@ import random
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive, qdiv,
-                      vec, vscale, vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, frac, primitive, qdiv, vec, vscale,
+                      vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, feasible, relative_interior_point)
@@ -25,7 +25,7 @@ from .trop_core import (COEFF_B, ExtPoint, Face, ToricContext, TropPoly,
 from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
                          flag_to_matrix, has_trivial_ideal_kernel,
                          initial_form_point, monomial_le)
-from .toric_geom import _preimage_rows, _relint_tau_rows
+from .toric_geom import _closure_systems, _preimage_rows, _relint_tau_rows
 from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
                       functions_equal_on_variety, shrink_flag, stratum_cone,
                       support_of)
@@ -197,7 +197,6 @@ def verify_closure_hypothesis(V: VarietySupport) -> Optional[str]:
     """Every boundary cell must be reachable from some dense cell (preimage of
     its generators nonempty and a height-0 direction through rel.int tau)."""
     ctx = V.context
-    n = ctx.rank
     dense = V.stratum(ctx.dense_face).cells
     for sup in V.strata:
         tau = sup.tau
@@ -205,25 +204,15 @@ def verify_closure_hypothesis(V: VarietySupport) -> Optional[str]:
             continue
         for cell in sup.cells:
             gens = polyhedra.generators(cell)
-            ok = False
-            for L in dense:
-                if not _cell_reaches(ctx, L, tau, gens):
-                    continue
-                ok = True
-                break
-            if not ok:
+            if not any(_cell_reaches(ctx, L, tau, gens) for L in dense):
                 return ("boundary cell in stratum with rays %r is not a limit of "
                         "the dense part" % (tau.rays,))
     return None
 
 
 def _cell_reaches(ctx, L: ConeH, tau: Face, target_gens) -> bool:
-    n = ctx.rank
-    for g in target_gens:
-        if feasible(L.with_rows(tuple(_preimage_rows(tau, g, n)))) is None:
-            return False
-    vsys = L.with_rows(tuple(_relint_tau_rows(tau, n, height_prefix=True)))
-    return feasible(vsys) is not None
+    return all(feasible(s) is not None
+               for s in _closure_systems(L, tau, target_gens, ctx.rank))
 
 
 def resolve_boundary_prime(E: CongruencePresentation,
@@ -262,7 +251,6 @@ def resolve_boundary_prime(E: CongruencePresentation,
     theta_flag = flag_to_matrix(ctx, flag)
     w_rows = [vec((r,) + tuple(x)) for r, x in theta_flag.rows]
     tau = theta_flag.tau
-    n = ctx.rank
     k = len(w_rows) - 1
     dense = V.stratum(ctx.dense_face).cells
     rng = random.Random(seed)
@@ -297,56 +285,36 @@ def _resolution_system(ctx, L: ConeH, tau: Face, w_rows):
     n = ctx.rank
     k = len(w_rows) - 1
     d = 1 + n
-    nvars = (k + 1) * d + k + d  # V-hats, b's, v
-    off_v = (k + 1) * d + k
+    off_b = (k + 1) * d
+    off_v = off_b + k
+    nvars = off_v + d  # V-hats, b's, v
 
-    def embed(row_vec, block):
+    def place(a, offset):
         out = [ZERO] * nvars
-        for t, val in enumerate(row_vec):
-            out[block * d + t] = val
-        return tuple(out)
+        out[offset:offset + len(a)] = a
+        return out
 
-    rows = []
-    for i in range(k + 1):
-        for r in L.rows:
-            rows.append(HRow(embed(r.a, i), ZERO, r.rel))
-    for r in L.rows:
-        out = [ZERO] * nvars
-        for t, val in enumerate(r.a):
-            out[off_v + t] = val
-        rows.append(HRow(tuple(out), ZERO, r.rel))
+    rows = [HRow(tuple(place(r.a, off)), ZERO, r.rel)
+            for off in [i * d for i in range(k + 1)] + [off_v] for r in L.rows]
     # v: height zero and rel.int tau
-    for r in _relint_tau_rows(tau, n, height_prefix=True):
-        out = [ZERO] * nvars
-        for t, val in enumerate(r.a):
-            out[off_v + t] = val
-        rows.append(HRow(tuple(out), r.b, r.rel))
+    rows += [HRow(tuple(place(r.a, off_v)), r.b, r.rel)
+             for r in _relint_tau_rows(tau, n)]
     # b_j > 0
-    for j in range(k):
-        out = [ZERO] * nvars
-        out[(k + 1) * d + j] = -ONE
-        rows.append(HRow(tuple(out), ZERO, LT))
-    # projection constraints: height exactly, coords modulo span(tau)
-    perp = nullspace_basis(tau.rays, n)
+    rows += [HRow(tuple(place((-ONE,), off_b + j)), ZERO, LT) for j in range(k)]
+    # projection constraints: <r.a, V_i> - sum_{j<=i} b_j <r.a, w_j> = <r.a, w_0>
+    # for the rows r pinning pi_tau (height exactly, coords modulo span(tau))
     for i in range(k + 1):
-        out = [ZERO] * nvars
-        out[i * d + 0] = ONE
-        for j in range(1, i + 1):
-            out[(k + 1) * d + (j - 1)] -= w_rows[j][0]
-        rows.append(HRow(tuple(out), w_rows[0][0], EQ))
-        for c in perp:
-            out = [ZERO] * nvars
-            for t in range(n):
-                out[i * d + 1 + t] = c[t]
+        for r in _preimage_rows(tau, w_rows[0], n):
+            out = place(r.a, i * d)
             for j in range(1, i + 1):
-                out[(k + 1) * d + (j - 1)] -= dot(c, w_rows[j][1:])
-            rows.append(HRow(tuple(out), dot(c, w_rows[0][1:]), EQ))
+                out[off_b + j - 1] = -dot(r.a, w_rows[j])
+            rows.append(HRow(tuple(out), r.b, EQ))
     try:
-        x = relative_interior_point(PolyhedronH.make(nvars, tuple(rows)))
+        x = relative_interior_point(PolyhedronH.make(nvars, rows))
     except EmptyPolyhedronError:
         return None
     v_hats = [vec(x[i * d:(i + 1) * d]) for i in range(k + 1)]
-    bs = [x[(k + 1) * d + j] for j in range(k)]
+    bs = [x[off_b + j] for j in range(k)]
     v = primitive(vec(x[off_v:off_v + d]))
     return v, v_hats, bs
 

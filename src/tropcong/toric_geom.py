@@ -1,10 +1,15 @@
 """Strata of tropical toric varieties, projections, and closure witnesses.
 
-A boundary point is reached from a cone or polyhedron along a ray: the witness
-pair (w_hat, v) satisfies lim_{N->oo} w_hat + N*v = w.  Membership in the
-closure reduces to two exact feasibility questions (the preimage of the target
-under the stratum projection, and a height-zero direction through the relative
-interior of tau).
+A stratum point w is reached from a cone or polyhedron along a ray: the
+witness pair (w_hat, v) satisfies lim_{N->oo} w_hat + N*v = w.  One lemma
+decides membership in the closure of a cone L in R_{>=0} x N_R: L must meet
+the preimage of each target under the stratum projection (claim 1) and
+{0} x rel.int(tau) (claim 3).  `_closure_systems` builds those systems in one
+place; `cone_closure_witnesses` solves them for witnesses, the closure
+hypothesis of `resolve` only asks whether they are feasible, and
+`polyhedron_closure_membership` runs the lemma on the closed cone over a
+polyhedron, strict rows weakened, at every stratum.  `witness_soundness`
+checks a witness exactly on the monoid generators.
 """
 
 from __future__ import annotations
@@ -12,12 +17,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, nullspace_basis, primitive,
-                      vec, zero_vec)
+from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, vec, zero_vec
 from ._record import _Record
 from .polyhedra import (EQ, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
-                        PolyhedronH, cone_over, recession_cone,
-                        relative_interior_point)
+                        PolyhedronH, cone_over, is_empty, relative_interior_point)
 from .trop_core import ExtPoint, Face, ToricContext
 
 CLAIM_PREIMAGE = "claim1-preimage"
@@ -77,26 +80,34 @@ def _preimage_rows(tau: Face, target_full: Vec, dim: int):
     return rows
 
 
-def _relint_tau_rows(tau: Face, dim: int, height_prefix: bool):
-    """Rows for {0} x rel.int(tau) (or rel.int(tau) alone if no height coordinate).
+def _relint_tau_rows(tau: Face, dim: int):
+    """Rows for {0} x rel.int(tau) in R^{1+dim}.
 
     For the zero cone the nullspace of no rays is spanned by every unit
     vector, so the rows pin the origin."""
-    pre = 1 if height_prefix else 0
-    rows = []
-    if height_prefix:
-        rows.append(HRow((ONE,) + zero_vec(dim), ZERO, EQ))
-
-    def lift(a):
-        return (zero_vec(pre) + tuple(a)) if pre else tuple(a)
-
+    rows = [HRow((ONE,) + zero_vec(dim), ZERO, EQ)]
     for c in nullspace_basis(tau.rays, dim):
-        rows.append(HRow(lift(c), ZERO, EQ))
+        rows.append(HRow((ZERO,) + tuple(c), ZERO, EQ))
     for r in tau.cone().rows:
-        if r.rel == EQ:
-            continue
-        rows.append(HRow(lift(r.a), ZERO, LT))
+        if r.rel != EQ:
+            rows.append(HRow((ZERO,) + tuple(r.a), ZERO, LT))
     return rows
+
+
+def _closure_systems(L: ConeH, tau: Face, targets: Sequence[Vec], dim: int):
+    """The systems of the closure lemma for a cone L in R^{1+dim}, in order:
+    L cut by the preimage rows of each target (claim 1), then L cut by
+    {0} x rel.int(tau) (claim 3)."""
+    for t in targets:
+        yield L.with_rows(_preimage_rows(tau, t, dim))
+    yield L.with_rows(_relint_tau_rows(tau, dim))
+
+
+def _interior_point_or_none(p: PolyhedronH):
+    try:
+        return relative_interior_point(p)
+    except EmptyPolyhedronError:
+        return None
 
 
 def cone_closure_witnesses(context: ToricContext, L: ConeH, tau: Face,
@@ -105,72 +116,46 @@ def cone_closure_witnesses(context: ToricContext, L: ConeH, tau: Face,
 
     L lives in R^{1+n}; every target must sit in the stratum of tau.  Succeeds
     iff L meets every projection preimage and {0} x rel.int(tau); the limit
-    property then holds automatically.
+    property then holds automatically.  Returns (v, hats) or NotInClosure.
     """
     n = context.rank
     if L.dim != n + 1:
         raise polyhedra.DimensionMismatchError("cone must live in R^(1+n)")
-    for w in targets:
-        if w.tau != tau:
-            raise ValueError("all targets must lie in the stratum of tau")
-    failed = []
-    hats = []
-    for w in targets:
-        sysm = L.with_rows(tuple(_preimage_rows(tau, w.full_vector(), n)))
-        try:
-            hats.append(relative_interior_point(sysm))
-        except EmptyPolyhedronError:
-            failed.append(CLAIM_PREIMAGE)
-            hats.append(None)
-    vsys = L.with_rows(tuple(_relint_tau_rows(tau, n, height_prefix=True)))
-    v = None
-    try:
-        v = primitive(relative_interior_point(vsys))
-    except EmptyPolyhedronError:
-        failed.append(CLAIM_DIRECTION)
+    if any(w.tau != tau for w in targets):
+        raise ValueError("all targets must lie in the stratum of tau")
+    *hats, v = map(_interior_point_or_none, _closure_systems(
+        L, tau, [w.full_vector() for w in targets], n))
+    failed = (((CLAIM_PREIMAGE,) if None in hats else ())
+              + ((CLAIM_DIRECTION,) if v is None else ()))
     if failed:
-        return NotInClosure(tuple(sorted(set(failed))))
-    return v, tuple(hats)
+        return NotInClosure(failed)
+    return primitive(v), tuple(hats)
 
 
 def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
                                   fan: Fan, w: StratumPoint):
-    """Decide w in cl_{N_R(Sigma)}(L).
+    """Decide w in cl_{N_R(Sigma)}(L), for every stratum, the dense one included.
 
-    For a boundary stratum point this returns a ClosureWitness (w_hat in L,
-    v in rec(L) cap rel.int(tau)) or NotInClosure naming the failed claims,
-    via the closed cone over L.  A dense-stratum point only needs ordinary
-    closed-polyhedron membership; the direction degenerates to zero.
+    Returns a ClosureWitness (w_hat in cl(L) over w, v in rec(cl L) cap
+    rel.int(tau), zero on the dense stratum) or NotInClosure naming the
+    failed claims.  An empty L reaches nothing: claim 1 fails, and claim 3
+    too off the dense stratum, where rec(empty) = {0} misses rel.int(tau).
+    A nonempty L has the closure of its weakened description, so strict
+    rows are accepted and the lemma runs on the closed cone over it.
     """
-    n = context.rank
     tau = w.tau
-    if tau.dim() == 0:
-        if L.weakened().contains(w.coords):
-            return ClosureWitness(w.coords, zero_vec(n))
-        return NotInClosure((CLAIM_PREIMAGE,))
-    if not _tau_in_fan(tau, fan):
+    boundary = tau.dim() != 0
+    if boundary and not _tau_in_fan(tau, fan):
         raise ValueError("tau is not a face of any fan member")
-    C = cone_over(L)
-    failed = []
-    # claim 1: a point of L (+ its recession) over the target class
-    target = (ONE,) + w.coords
-    sysm = C.with_rows(tuple(_preimage_rows(tau, target, n)))
-    w_hat = None
-    try:
-        w_hat = relative_interior_point(sysm)[1:]
-    except EmptyPolyhedronError:
-        failed.append(CLAIM_PREIMAGE)
-    # claim 3: rec(L) cap rel.int(tau)
-    rec = recession_cone(L)
-    vsys = rec.with_rows(tuple(_relint_tau_rows(tau, n, height_prefix=False)))
-    v = None
-    try:
-        v = primitive(relative_interior_point(vsys))
-    except EmptyPolyhedronError:
-        failed.append(CLAIM_DIRECTION)
-    if failed:
-        return NotInClosure(tuple(sorted(set(failed))))
-    return ClosureWitness(vec(w_hat), v)
+    if is_empty(L):
+        return NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION) if boundary
+                            else (CLAIM_PREIMAGE,))
+    res = cone_closure_witnesses(context, cone_over(L.weakened()), tau,
+                                 [ExtPoint.make(context, ONE, tau, w.coords)])
+    if isinstance(res, NotInClosure):
+        return res
+    v, (w_hat,) = res
+    return ClosureWitness(vec(w_hat[1:]), v[1:])
 
 
 def _tau_in_fan(tau: Face, fan: Fan) -> bool:
@@ -194,17 +179,3 @@ def witness_soundness(context: ToricContext, tau: Face, v: Vec, w_hat: Vec,
             return False
     return True
 
-
-def limit_approach_check(context: ToricContext, tau: Face, v: Vec, w_hat: Vec,
-                         w: StratumPoint, scales=(10, 100, 1000)) -> bool:
-    """Pairings at w_hat + N*v: finite coordinates constant, dead ones strictly falling."""
-    for u in context.monoid_generators:
-        vals = [dot(w_hat, u) + frac(N) * dot(v, u) for N in scales]
-        pw = w.pair(u)
-        if pw is not None:
-            if any(x != pw for x in vals):
-                return False
-        else:
-            if not all(a > b for a, b in zip(vals, vals[1:])):
-                return False
-    return True

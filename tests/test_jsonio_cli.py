@@ -129,6 +129,22 @@ def test_cli_closure_negative(capsys, fixtures_dir):
     assert json.loads(out)["failed_claims"] == ["claim3-direction"]
 
 
+def test_cli_closure_strict_polyhedron(capsys, fixtures_dir, tmp_path):
+    # cell_L with its inequality strict: {x = y + 1, y < 0} has the same closure
+    base = fixtures_dir / "closure"
+    doc = json.loads((base / "cell_L.json").read_text())
+    doc["rows"][0]["rel"] = "<"
+    strict = tmp_path / "strict_L.json"
+    strict.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "closure",
+                             "--polyhedron", str(strict),
+                             "--fan", str(base / "sigma_fan.json"),
+                             "--point", str(base / "deep_point.json"))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["w_hat"] == ["0", "-1"] and doc["v"] == ["-1", "-1"]
+
+
 def test_cli_radical_search_and_verify(capsys, fixtures_dir, tmp_path):
     base = fixtures_dir / "radical_roundtrip"
     code, out, _ = run_cli(capsys, "radical-search",

@@ -9,8 +9,11 @@ canonical: an `int`, or a `Fraction` whose denominator is above 1 (so a
 """
 
 import ast
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -185,8 +188,18 @@ def test_floats_are_rejected(name, call):
 
 
 def test_dot_checks_lengths():
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match="lengths 2 and 1"):
         dot((1, 2), (1,))
+
+
+def test_dot_checks_lengths_under_optimize():
+    """The guard is a raise, not an assert, so `python -O` keeps it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "from tropcong._linalg import dot\nprint(dot((1, 2), (1,)))"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stdout
+    assert "RuntimeError: dot of vectors of lengths 2 and 1" in proc.stderr
 
 
 def _true_divisions(tree):

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import closure_reference as ref
+
 from tropcong.polyhedra import Fan, PolyhedronH, cone_over, hrep_from_rays, row
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
                                  NotInClosure, StratumPoint, cone_closure_witnesses,
-                                 limit_approach_check, polyhedron_closure_membership,
-                                 project_to_stratum, witness_soundness)
-from tropcong.trop_core import ExtPoint
+                                 polyhedron_closure_membership, project_to_stratum,
+                                 witness_soundness)
+from tropcong.trop_core import ExtPoint, ToricContext
 
 
 def sigma_fan(ctx):
@@ -83,7 +86,6 @@ def test_polyhedron_closure_reference_cell(ctx2):
     assert res.base == (F(0), F(-1))
     assert res.direction == (F(-1), F(-1))
     assert witness_soundness(ctx2, ctx2.deep_face, res.direction, res.base, w)
-    assert limit_approach_check(ctx2, ctx2.deep_face, res.direction, res.base, w)
 
 
 def test_polyhedron_closure_line_misses_deep(ctx2):
@@ -125,12 +127,108 @@ def test_polyhedron_closure_dense_point_is_plain_membership(ctx2):
 
 
 def test_limit_check_exact_coordinates(ctx2):
-    # pairings at w_hat + N v: dead generator strictly decreasing, alive one constant
+    # exact pairings: v falls on the dead generator, w_hat matches w on the alive one
     tau = ctx2.face_from_rays([(-1, 0)])
     w = StratumPoint.make(ctx2, tau, (0, -1))
     v = (F(-1), F(0))
     w_hat = (F(7), F(-1))
     assert witness_soundness(ctx2, tau, v, w_hat, w)
-    assert limit_approach_check(ctx2, tau, v, w_hat, w)
     # a direction that keeps the dead coordinate finite must fail soundness
     assert not witness_soundness(ctx2, tau, (F(0), F(0)), w_hat, w)
+
+
+# ---------------------------------------------------------------------------
+# one lemma for every stratum, cross-checked against the former two-path code
+
+def test_closure_empty_strict_polyhedron_reaches_nothing(ctx2):
+    # {x < 0, x > 0} is empty: no stratum point is in its closure
+    L = PolyhedronH.make(2, (row([1, 0], 0, "<"), row([-1, 0], 0, "<")))
+    res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+                                        StratumPoint.make(ctx2, ctx2.dense_face, (0, 5)))
+    assert res == NotInClosure((CLAIM_PREIMAGE,))
+    for tau in ctx2.faces[1:]:
+        res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+                                            StratumPoint.make(ctx2, tau, (0, 5)))
+        assert res == NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
+
+
+def test_closure_strict_polyhedron_boundary_witness(ctx2):
+    # {x = y + 1, y < 0} has the closure of the reference cell, so the same witness
+    strict = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<")))
+    w = StratumPoint.make(ctx2, ctx2.deep_face, (0, 0))
+    res = polyhedron_closure_membership(ctx2, strict, sigma_fan(ctx2), w)
+    assert res == polyhedron_closure_membership(ctx2, strict.weakened(), sigma_fan(ctx2), w)
+    assert res == ClosureWitness((F(0), F(-1)), (F(-1), F(-1)))
+    assert witness_soundness(ctx2, ctx2.deep_face, res.direction, res.base, w)
+    # rec = {x = y <= 0} misses the ray (0, -1), and so does the class x = 5
+    tau = ctx2.face_from_rays([(0, -1)])
+    res = polyhedron_closure_membership(ctx2, strict, sigma_fan(ctx2),
+                                        StratumPoint.make(ctx2, tau, (5, 0)))
+    assert res == NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
+
+
+def _square_pyramid():
+    # a strongly convex cone over a square: four rays, not simplicial
+    return ToricContext(3, [(1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)])
+
+
+def _nonempty_closed(rng, d):
+    """A random polyhedron through an integer anchor point: rows a.x <= a.p + s
+    or a.x = a.p, so it is nonempty and closed."""
+    p = [rng.randint(-2, 2) for _ in range(d)]
+    rows = []
+    for _ in range(rng.randint(1, d + 1)):
+        a = [rng.randint(-1, 1) for _ in range(d)]
+        if not any(a):
+            continue
+        b = sum(x * y for x, y in zip(a, p))
+        if rng.random() < 0.2:
+            rows.append(row(a, b, "="))
+        else:
+            rows.append(row(a, b + rng.randint(0, 2), "<="))
+    return PolyhedronH.make(d, rows), p
+
+
+def _against_reference(ctx, L, w):
+    """The verdict of both paths, after checking that they agree: equal failed
+    claims, or witnesses with equal w_hat whose directions are equal unless
+    an L1 tie between equally small directions was broken differently (pivot
+    order, which the height coordinate shifts); such a direction must still
+    solve the reference's claim-3 system exactly."""
+    fan = sigma_fan(ctx)
+    got = polyhedron_closure_membership(ctx, L, fan, w)
+    want = ref.polyhedron_closure_membership(ctx, L, fan, w)
+    if not isinstance(got, ClosureWitness):
+        assert got == want, (L, w)
+        return got.failed_claims if len(got.failed_claims) == 1 else "both"
+    assert isinstance(want, ClosureWitness) and got.base == want.base, (L, w)
+    assert witness_soundness(ctx, w.tau, got.direction, got.base, w)
+    if got.direction == want.direction:
+        return "witness"
+    assert ref.direction_system(L, w.tau, ctx.rank).contains(got.direction), (L, w)
+    return "tie"
+
+
+def test_closure_matches_reference_on_every_stratum():
+    rng = random.Random(20261018)
+    seen = {"witness": 0, (CLAIM_PREIMAGE,): 0, (CLAIM_DIRECTION,): 0, "both": 0, "tie": 0}
+    for ctx, count in ((ToricContext.affine(2), 16), (ToricContext.affine(3), 5),
+                       (_square_pyramid(), 6)):
+        for _ in range(count):
+            L, anchor = _nonempty_closed(rng, ctx.rank)
+            for tau in ctx.faces:
+                # the anchor's own class (claim 1 holds) and a random one
+                for x in (anchor, [rng.randint(-3, 3) for _ in range(ctx.rank)]):
+                    seen[_against_reference(ctx, L, StratumPoint.make(ctx, tau, x))] += 1
+    # every verdict is reached, and the directions agree but for rare ties
+    assert all(seen[k] for k in seen if k != "tie"), seen
+    assert seen["tie"] * 50 < seen["witness"], seen
+
+
+def test_closure_direction_tie_against_reference():
+    # (1, 0, -2) and (0, -1, -2) both have L1 norm 3 in rec(L) cap rel.int(sigma)
+    ctx = _square_pyramid()
+    L = PolyhedronH.make(3, (row([-1, 0, 1], 1, "<="), row([-1, 1, 0], -2, "<="),
+                             row([-1, 1, 0], -1, "<="), row([-1, 1, 1], -3, "<=")))
+    assert _against_reference(ctx, L, StratumPoint.make(ctx, ctx.deep_face, (0, 0, 0))) in (
+        "witness", "tie")
