@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, frac, primitive, vec
@@ -140,21 +140,24 @@ def lex_le(v1: LexVec, v2: LexVec) -> bool:
     return True
 
 
-def lex_max(vals: Iterable[LexVec]) -> LexVec:
-    best = None
-    for v in vals:
-        if best is None or lex_le(best, v):
-            best = v
-    return best
+def _live_phis(theta: PrimeMatrix, f: TropPoly) -> tuple:
+    """The terms of f alive on theta's stratum and their Phi-vectors, which
+    hold exact numbers only: tuples of them compare lexicographically."""
+    live = f.restrict(theta.tau).terms
+    rows = theta.rows
+    return live, [tuple(r * a + dot(x, u) for r, x in rows) for u, a in live]
 
 
 def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
-    """Phi(f) = lex-max over terms of Theta.(a;u); Phi(0) is the all-bottom vector."""
+    """Phi(f) = lex-max over terms of Theta.(a;u); the all-bottom vector when no
+    term is alive on theta's stratum, as for the zero polynomial."""
     if theta.context != f.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    if f.is_zero():
+    _, vals = _live_phis(theta, f)
+    if not vals:
         return (None,) * theta.rank()
-    return lex_max(phi_monomial(theta, a, u) for u, a in f.terms)
+    # equal maxima may differ as int and integral Fraction: keep the last term's
+    return max(reversed(vals))
 
 
 def prime_contains_pair(theta: PrimeMatrix, pair) -> bool:
@@ -202,25 +205,26 @@ def initial_form_point(f: TropPoly, w: ExtPoint) -> TropPoly:
     """Sum of the terms maximizing <(a_u, u), w>; all-bottom keeps every term."""
     if f.is_zero():
         raise ZeroPolynomialError("initial form of the zero polynomial")
-    vals = [w.pair(a, u) for u, a in f.terms]
-    finite = [v.log for v in vals if not v.is_bottom()]
-    if not finite:
+    live = f.restrict(w.tau).terms
+    if not live:
         return f
-    top = max(finite)
-    keep = [(u, a) for (u, a), v in zip(f.terms, vals) if v.log == top]
-    return TropPoly(f.context, tuple(keep))
+    r, x = w.r, w.coords
+    vals = [r * a + dot(x, u) for u, a in live]
+    top = max(vals)
+    return TropPoly(f.context, tuple(t for t, v in zip(live, vals) if v == top))
 
 
 def initial_form_prime(f: TropPoly, theta: PrimeMatrix) -> TropPoly:
-    """Terms whose Phi-vector is lexicographically maximal."""
+    """Terms whose Phi-vector is lexicographically maximal; all-bottom keeps every term."""
     if f.is_zero():
         raise ZeroPolynomialError("initial form of the zero polynomial")
     if theta.context != f.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    vals = [phi_monomial(theta, a, u) for u, a in f.terms]
-    top = lex_max(vals)
-    keep = [(u, a) for (u, a), v in zip(f.terms, vals) if v == top]
-    return TropPoly(f.context, tuple(keep))
+    live, vals = _live_phis(theta, f)
+    if not live:
+        return f
+    top = max(vals)
+    return TropPoly(f.context, tuple(t for t, v in zip(live, vals) if v == top))
 
 
 # ---------------------------------------------------------------------------

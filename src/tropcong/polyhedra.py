@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
+from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, is_zero_vec, neg_primitive_pair,
                       nullspace_basis, primitive, qdiv, rank_of, reduce_mod_span,
                       rref, vec, vscale, vsub, zero_vec)
 from ._record import _Record
@@ -234,7 +234,7 @@ def _l1_polish(p: PolyhedronH) -> Vec:
     status, x, _ = _lp.solve_lp(c, A, B, AE, BE)
     if status != _lp.OPTIMAL:
         raise RuntimeError("L1 polish of a nonempty polyhedron ended %s" % (status,))
-    return tuple(x[i] - x[d + i] for i in range(d))
+    return tuple(canon(x[i] - x[d + i]) for i in range(d))
 
 
 def relative_interior_point(p: PolyhedronH) -> Vec:
@@ -639,16 +639,22 @@ def validate_flag(flag: FlagOfCones) -> list[str]:
 
 
 def _flag_violations(flag: FlagOfCones) -> list[str]:
+    """The violations of validate_flag, read off the rays.
+
+    A cone spans what its rays span, so its dimension is their rank.  The
+    faces of a simplicial cone are the cones over subsets of its rays, so when
+    cones i-1 and i are both simplicial, cone i-1 is a face of cone i iff its
+    primitive rays are rays of cone i.  Only the nesting of a non-simplicial
+    cone builds H-representations and runs is_face."""
     out = []
-    n = flag.ambient_dim - 1
     span_tau, _ = rref(flag.tau_rays) if flag.tau_rays else ([], [])
-    prev = None
+    prev = prev_simplicial = None
     for i, rays in enumerate(flag.cones_rays):
-        c = flag.cone(i)
-        d = cone_dim(c)
+        d = rank_of(rays)
         if d != i + 1:
             out.append("dimension: cone %d has dim %d, expected %d" % (i, d, i + 1))
-        if len(rays) != d:
+        simplicial = len(rays) == d
+        if not simplicial:
             out.append("simplicial: cone %d has %d rays for dim %d" % (i, len(rays), d))
         for rr in rays:
             if rr[0] < 0:
@@ -656,7 +662,15 @@ def _flag_violations(flag: FlagOfCones) -> list[str]:
             space = rr[1:]
             if span_tau and reduce_mod_span(space, span_tau) != vec(space):
                 out.append("stratum: cone %d ray not a canonical representative mod tau" % i)
-        if prev is not None and not is_face(prev, c):
-            out.append("nesting: cone %d is not a face of cone %d" % (i - 1, i))
-        prev = c
+        if prev is not None:
+            if prev_simplicial and simplicial:
+                # make_flag's rays are primitive; the second test covers a
+                # flag built from other representatives
+                nested = (set(prev) <= set(rays) or
+                          set(map(primitive, prev)) <= set(map(primitive, rays)))
+            else:
+                nested = is_face(flag.cone(i - 1), flag.cone(i))
+            if not nested:
+                out.append("nesting: cone %d is not a face of cone %d" % (i - 1, i))
+        prev, prev_simplicial = rays, simplicial
     return out

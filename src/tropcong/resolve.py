@@ -313,9 +313,9 @@ def _resolution_system(ctx, L: ConeH, tau: Face, w_rows):
         x = relative_interior_point(PolyhedronH.make(nvars, rows))
     except EmptyPolyhedronError:
         return None
-    v_hats = [vec(x[i * d:(i + 1) * d]) for i in range(k + 1)]
+    v_hats = [x[i * d:(i + 1) * d] for i in range(k + 1)]
     bs = [x[off_b + j] for j in range(k)]
-    v = primitive(vec(x[off_v:off_v + d]))
+    v = primitive(x[off_v:off_v + d])
     return v, v_hats, bs
 
 

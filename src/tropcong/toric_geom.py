@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import polyhedra
-from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, vec, zero_vec
+from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, zero_vec
 from ._record import _Record
 from .polyhedra import (EQ, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
                         PolyhedronH, cone_over, is_empty, relative_interior_point)
@@ -155,7 +155,7 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
     if isinstance(res, NotInClosure):
         return res
     v, (w_hat,) = res
-    return ClosureWitness(vec(w_hat[1:]), v[1:])
+    return ClosureWitness(w_hat[1:], v[1:])
 
 
 def _tau_in_fan(tau: Face, fan: Fan) -> bool:

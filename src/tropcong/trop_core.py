@@ -167,7 +167,8 @@ class ToricContext:
         return (self.rank, self.sigma_rays, self.coeff)
 
     def __eq__(self, other):
-        return isinstance(other, ToricContext) and self._key() == other._key()
+        return self is other or (isinstance(other, ToricContext)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return self._hash
@@ -285,6 +286,7 @@ class TropPoly(_Record):
     coefficient-exponent)."""
 
     _fields = ("context", "terms")
+    _restricted = None  # {face: restriction}, filled by restrict
 
     def __init__(self, context: ToricContext, terms: tuple):
         object.__setattr__(self, "context", context)
@@ -370,18 +372,32 @@ class TropPoly(_Record):
 
     # --- evaluation ---
     def evaluate(self, w: "ExtPoint") -> TropScalar:
+        """Max of r*a + <x, u> over the terms alive on w's stratum; bottom if none."""
         if self.context != w.context:
             raise ContextMismatchError("polynomial and point contexts differ")
-        best = BOTTOM
-        for u, a in self.terms:
-            v = w.pair(a, u)
-            best = best + v
-        return best
+        live = self.restrict(w.tau).terms
+        if not live:
+            return BOTTOM
+        r, x = w.r, w.coords
+        return TropScalar(max(r * a + dot(x, u) for u, a in live))
 
     def restrict(self, tau: Face) -> "TropPoly":
-        """Terms whose exponents survive on the stratum of tau (u in tau-perp)."""
-        return TropPoly(self.context, tuple(
-            (u, a) for u, a in self.terms if tau.perp_contains(u)))
+        """Terms whose exponents survive on the stratum of tau (u in tau-perp).
+
+        tau is a face of sigma.  On the dense stratum every term survives;
+        any other restriction is kept per face, in a cache left out of ==,
+        the hash and the repr."""
+        if not tau.rays:
+            return self
+        memo = self._restricted
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_restricted", memo)
+        out = memo.get(tau)
+        if out is None:
+            out = memo[tau] = TropPoly(self.context, tuple(
+                (u, a) for u, a in self.terms if tau.perp_contains(u)))
+        return out
 
     def delete_term(self, u) -> "TropPoly":
         u = tuple(int(x) for x in u)

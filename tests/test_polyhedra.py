@@ -236,6 +236,17 @@ def test_validate_flag_examples():
     assert validate_flag(nested) == []
 
 
+def test_validate_flag_on_simplicial_flags_enumerates_no_cone():
+    # dimensions are ranks of the rays and nesting is ray-set inclusion, so a
+    # valid simplicial flag builds no H-representation and runs no kernel
+    flag = make_flag(4, [], [[(2, 1, 0, -1)], [(2, 1, 0, -1), (1, 0, -3, -1)],
+                             [(2, 1, 0, -1), (1, 0, -3, -1), (0, 5, -1, -2)]])
+    before = ph.cone_generators.cache_info()
+    assert validate_flag(flag) == []
+    after = ph.cone_generators.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+
+
 def test_validate_flag_stratum_violations():
     neg_height = make_flag(3, [], [[(-1, 0, 1)]])
     assert any("height" in v for v in validate_flag(neg_height))
