@@ -14,12 +14,12 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import ONE, ZERO, Vec, dot, frac, primitive, vec
+from ._linalg import ONE, ZERO, Vec, frac, primitive, vec
 from ._record import _Record
 from .polyhedra import FlagOfCones, validate_flag
 from .trop_core import (COEFF_B, ContextMismatchError, ExtPoint, Face,
                         ToricContext, TropPoly, ZeroPolynomialError,
-                        bend_relations)
+                        bend_relations, pair_term)
 
 
 class InvalidMatrixError(ValueError):
@@ -125,7 +125,7 @@ LexVec = tuple  # entries exact numbers or None (= -inf)
 def phi_monomial(theta: PrimeMatrix, a: Fraction, u: Sequence) -> LexVec:
     if not theta.tau.perp_contains(u):
         return (None,) * theta.rank()
-    return tuple(r * a + dot(x, u) for r, x in theta.rows)
+    return tuple(pair_term(r, x, a, u) for r, x in theta.rows)
 
 
 def lex_le(v1: LexVec, v2: LexVec) -> bool:
@@ -145,7 +145,7 @@ def _live_phis(theta: PrimeMatrix, f: TropPoly) -> tuple:
     hold exact numbers only: tuples of them compare lexicographically."""
     live = f.restrict(theta.tau).terms
     rows = theta.rows
-    return live, [tuple(r * a + dot(x, u) for r, x in rows) for u, a in live]
+    return live, [tuple(pair_term(r, x, a, u) for r, x in rows) for u, a in live]
 
 
 def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
@@ -209,7 +209,7 @@ def initial_form_point(f: TropPoly, w: ExtPoint) -> TropPoly:
     if not live:
         return f
     r, x = w.r, w.coords
-    vals = [r * a + dot(x, u) for u, a in live]
+    vals = [pair_term(r, x, a, u) for u, a in live]
     top = max(vals)
     return TropPoly(f.context, tuple(t for t, v in zip(live, vals) if v == top))
 

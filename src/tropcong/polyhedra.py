@@ -645,11 +645,16 @@ def _flag_violations(flag: FlagOfCones) -> list[str]:
     faces of a simplicial cone are the cones over subsets of its rays, so when
     cones i-1 and i are both simplicial, cone i-1 is a face of cone i iff its
     primitive rays are rays of cone i.  Only the nesting of a non-simplicial
-    cone builds H-representations and runs is_face."""
+    cone builds H-representations and runs is_face.  A nonzero ray of the
+    wrong length raises DimensionMismatchError, as building its cone would."""
     out = []
     span_tau, _ = rref(flag.tau_rays) if flag.tau_rays else ([], [])
     prev = prev_simplicial = None
     for i, rays in enumerate(flag.cones_rays):
+        for rr in rays:
+            if len(rr) != flag.ambient_dim and not is_zero_vec(rr):
+                raise DimensionMismatchError(
+                    "row length %d != dim %d" % (len(rr), flag.ambient_dim))
         d = rank_of(rays)
         if d != i + 1:
             out.append("dimension: cone %d has dim %d, expected %d" % (i, d, i + 1))
@@ -664,10 +669,7 @@ def _flag_violations(flag: FlagOfCones) -> list[str]:
                 out.append("stratum: cone %d ray not a canonical representative mod tau" % i)
         if prev is not None:
             if prev_simplicial and simplicial:
-                # make_flag's rays are primitive; the second test covers a
-                # flag built from other representatives
-                nested = (set(prev) <= set(rays) or
-                          set(map(primitive, prev)) <= set(map(primitive, rays)))
+                nested = set(map(primitive, prev)) <= set(map(primitive, rays))
             else:
                 nested = is_face(flag.cone(i - 1), flag.cone(i))
             if not nested:

@@ -379,14 +379,15 @@ class TropPoly(_Record):
         if not live:
             return BOTTOM
         r, x = w.r, w.coords
-        return TropScalar(max(r * a + dot(x, u) for u, a in live))
+        return TropScalar(max(pair_term(r, x, a, u) for u, a in live))
 
     def restrict(self, tau: Face) -> "TropPoly":
         """Terms whose exponents survive on the stratum of tau (u in tau-perp).
 
         tau is a face of sigma.  On the dense stratum every term survives;
         any other restriction is kept per face, in a cache left out of ==,
-        the hash and the repr."""
+        the hash and the repr: a flag query evaluates the same polynomials on
+        one deep stratum again and again."""
         if not tau.rays:
             return self
         memo = self._restricted
@@ -426,6 +427,12 @@ class TropPoly(_Record):
 # ---------------------------------------------------------------------------
 # extended points
 
+def pair_term(r, x: Sequence, a, u: Sequence):
+    """< (a, u), (r, x) > = r*a + <x, u>: the value of the term t^a z^u at a
+    point or a matrix row (r, x), with no check that u is in tau-perp."""
+    return r * a + dot(x, u)
+
+
 class ExtPoint(_Record):
     """Point (r, x) of R_{>=0} x N_R(sigma): height r, stratum face tau, coords mod span(tau)."""
 
@@ -452,7 +459,7 @@ class ExtPoint(_Record):
         """< (a, u), (r, x) > = r*a + <x, u> if u in tau-perp, else bottom."""
         if not self.tau.perp_contains(u):
             return BOTTOM
-        return TropScalar(self.r * a + dot(self.coords, u))
+        return TropScalar(pair_term(self.r, self.coords, a, u))
 
     def full_vector(self) -> Vec:
         return (self.r,) + self.coords

@@ -12,8 +12,11 @@ way validation detects, on the dense stratum and on deeper strata.
 import random
 from collections import Counter
 
+import pytest
+
 from tropcong._linalg import rank_of, vadd, vscale
-from tropcong.polyhedra import FlagOfCones, _flag_violations, make_flag
+from tropcong.polyhedra import (DimensionMismatchError, FlagOfCones, _flag_violations,
+                                make_flag, validate_flag)
 from tropcong.trop_core import ToricContext
 
 import flag_reference as ref
@@ -103,3 +106,23 @@ def test_flag_violations_match_reference_on_every_stratum():
         for part in ("valid", "dimension", "simplicial", "stratum height", "nesting"):
             assert seen[stratum, part] >= 10, (stratum, part, seen)
     assert seen["deep", "stratum canonical"] >= 10, seen
+
+
+@pytest.mark.parametrize("cones", [
+    [[(1, 0, 0, 5)]],                 # a ray one coordinate too long
+    [[(1, 0)]],                       # one too short
+    [[(1, 0, 0)], [(1, 0, 0), (0, 1)]],
+])
+def test_rays_of_the_wrong_length_raise_as_in_the_reference(cones):
+    # building the cone from such a ray raises, so the reference raises too
+    flag = make_flag(3, [], cones)
+    with pytest.raises(DimensionMismatchError):
+        ref.flag_violations(flag)
+    with pytest.raises(DimensionMismatchError):
+        validate_flag(flag)
+
+
+def test_a_zero_ray_of_the_wrong_length_is_dropped_as_in_the_reference():
+    flag = make_flag(3, [], [[(1, 0, 0), (0, 0)]])
+    assert validate_flag(flag) == ref.flag_violations(flag) == [
+        "simplicial: cone 0 has 2 rays for dim 1"]
