@@ -14,14 +14,13 @@ from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
-                      vec, vsub, zero_vec)
+                      primitive, rank_of, vec, vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
                         pairwise_intersections, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
-                        TropPoly, bend_relations)
-from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
-                         flag_to_matrix, initial_form_prime)
+                        TropPoly, bend_relations, pair_term)
+from .congruence import CongruencePresentation, PrimeMatrix, _live_phis, flag_to_matrix
 
 
 class InternalConsistencyError(RuntimeError):
@@ -395,38 +394,52 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
 
 def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentation,
                 sample_pairs: int = 50, seed: int = 0) -> FlagOfCones:
-    """Cut the flag by the leading-term domination cone of each generator pair.
+    """Cut each flag cone by the leading-term domination cone D of E's pairs.
 
     Requires E contained in the flag's prime; the output lies inside V~(E) and
-    defines the same prime by construction.  Each cut cone C'_i lies in C_i and
-    keeps dimension i + 1; C_{i-1} is a face of C_i, so a relative-interior
-    point of C'_i lies in span(C_i) off span(C_{i-1}), on C_i's side: the new
-    row i is a_i w_i + sum_{j<i} c_ij w_j with a_i > 0, and tau is unchanged.
-    Such a lower-triangular change of rows with positive diagonal preserves the
+    defines the same prime by construction.  One pass over the terms of each
+    side alive on the flag's stratum gives its Phi-maximum (the two of a pair
+    must be equal, else E is not in the prime) and its leading term, the first
+    live term attaining it.  D is where every leading term dominates its side
+    and the two of a pair agree.
+
+    A valid flag is simplicial, so C_i is cut in its own ray coordinates:
+    w = sum_j l_j r_j over its i + 1 rays turns C_i cap D into the cone
+    {l >= 0, (<a, r_j>)_j . l rel 0 for each row (a, rel) of D} in R^{i+1}.
+    The rays are independent, so l -> w maps extreme rays to extreme rays:
+    the cut is generated by their primitive images, and its dimension, the
+    rank of the l-rays, must be i + 1.  The cut of C_{i-1} is a face of the
+    cut of C_i, so while every cut is simplicial the cuts are the new flag.
+    From the first cut with more extreme rays than its dimension on, C'_i is
+    C'_{i-1} plus the primitive sum of the cut's extreme rays, a relative
+    interior point of the cut, so C'_i stays simplicial and inside D.
+
+    Either way C'_i lies in C_i and has a relative-interior point in span(C_i)
+    off span(C_{i-1}), on C_i's side: the new row i is
+    a_i w_i + sum_{j<i} c_ij w_j with a_i > 0, and tau is unchanged.  Such a
+    lower-triangular change of rows with positive diagonal preserves the
     lexicographic Phi order.  `sample_pairs` and `seed` are ignored.
     """
     theta = flag_to_matrix(context, flag)
-    if not congruence_in_prime(E, theta):
-        raise ValueError("E is not contained in the prime of the flag")
-    rows = []
+    leads = []  # per pair alive on the stratum: (live terms, leading index) per side
     for f, g in E.pairs:
-        mf = _leading_term_vec(f, theta)
-        mg = _leading_term_vec(g, theta)
-        if mf is None or mg is None:
-            if mf is None and mg is None:
-                continue
-            raise InternalConsistencyError("one side dead, yet the pair is in the prime")
-        for p, vcs in ((f, mf), (g, mg)):
-            tvs = [term_vec(u, a) for u, a in p.restrict(theta.tau).terms]
-            rows.extend(_difference_rows(vcs, tvs))
-        rows.append(HRow(vsub(mf, mg), ZERO, EQ))
+        (top_f, side_f), (top_g, side_g) = _lead(theta, f), _lead(theta, g)
+        if top_f != top_g:
+            raise ValueError("E is not contained in the prime of the flag")
+        if top_f is not None:  # else both sides are dead on the stratum
+            leads.append((side_f, side_g))
     new_cones = []
-    for i in range(flag.length()):
-        c = flag.cone(i).with_rows(tuple(rows))
-        if polyhedra.cone_dim(c) != i + 1:
+    simplicial = True
+    for i, rays in enumerate(flag.cones_rays):
+        _, lams = polyhedra.cone_generators(ConeH.make(len(rays), _cut_rows(leads, rays)))
+        if rank_of(lams) != i + 1:
             raise InternalConsistencyError(
                 "dimension dropped while shrinking; the cut should be a neighborhood")
-        new_cones.append(polyhedra.generators(c))
+        cut = tuple(sorted(primitive([sum(l * r[c] for l, r in zip(lam, rays))
+                                      for c in range(flag.ambient_dim)]) for lam in lams))
+        simplicial = simplicial and len(cut) == i + 1
+        new_cones.append(cut if simplicial else
+                         new_cones[-1] + (primitive(_relint_sample(cut)),))
     out = polyhedra.make_flag(flag.ambient_dim, flag.tau_rays, new_cones)
     bad = validate_flag(out)
     if bad:
@@ -434,13 +447,35 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     return out
 
 
-def _leading_term_vec(p: TropPoly, theta: PrimeMatrix) -> Optional[Vec]:
-    pr = p.restrict(theta.tau)
-    if pr.is_zero():
-        return None
-    lead = initial_form_prime(p, theta)
-    u, a = lead.terms[0]
-    return term_vec(u, a)
+def _lead(theta: PrimeMatrix, p: TropPoly) -> tuple:
+    """(Phi(p), (live terms, index of the leading one)) from one pass over the
+    terms of p alive on theta's stratum; Phi(p) is None when none is."""
+    if theta.context != p.context:
+        raise ContextMismatchError("matrix and polynomial contexts differ")
+    live, vals = _live_phis(theta, p)
+    if not live:
+        return None, None
+    top = max(vals)
+    return top, (live, vals.index(top))
+
+
+def _cut_rows(leads, rays) -> list:
+    """Rows of the cut in the coordinates l of w = sum_j l_j r_j: l >= 0, each
+    leading term dominates its side and the two of a pair agree.  A term's
+    row entry j is its value at r_j."""
+    pts = [(r[0], r[1:]) for r in rays]
+    rows = []
+    for sides in leads:
+        tops = []
+        for live, m in sides:
+            vals = [tuple(pair_term(h, x, a, u) for h, x in pts) for u, a in live]
+            rows.extend(HRow(vsub(v, vals[m]), ZERO, LE) for j, v in enumerate(vals) if j != m)
+            tops.append(vals[m])
+        rows.append(HRow(vsub(*tops), ZERO, EQ))
+    k = len(rays)
+    rows += [HRow(tuple(-ONE if j == q else ZERO for j in range(k)), ZERO, LE)
+             for q in range(k)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
