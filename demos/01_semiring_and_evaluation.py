@@ -1,13 +1,17 @@
-"""Tropical scalars, polynomials, and evaluation at extended points.
+"""Tropical polynomials and their evaluation at extended points.
 
-The scalar semifield is (Q u {-inf}, max, +); polynomials live over a toric
-monoid M = sigma-dual cap Z^n and are evaluated at points (r, x) of
-R_{>=0} x N_R(sigma), where boundary strata send exponents outside tau-perp
-to -inf.
+Values live in the semifield (Q u {-inf}, max, +): an exact number, or None
+for -inf.  Polynomials live over a toric monoid M = sigma-dual cap Z^n and are
+evaluated at points (r, x) of R_{>=0} x N_R(sigma), where boundary strata send
+exponents outside tau-perp to -inf.
 """
 
-from tropcong import (ExtPoint, ToricContext, bend_relations, eval_poly,
-                      parse_poly)
+from tropcong import ExtPoint, ToricContext, bend_relations, parse_poly
+
+
+def show(value):
+    return "-inf" if value is None else value
+
 
 ctx = ToricContext.affine(2)
 f = parse_poly(ctx, "x^2 + t^1*x*y + y^2 + x^2*y^2")
@@ -15,16 +19,16 @@ print("f =", f)
 
 w = ExtPoint.dense(ctx, 1, (0, -1))
 print("\nAt the dense point (r=1, x=(0,-1)):")
-print("  f~(w) =", eval_poly(f, w), " (the x^2 and t*x*y terms tie at 0)")
+print("  f~(w) =", show(f.evaluate(w)), " (the x^2 and t*x*y terms tie at 0)")
 
 deep = ExtPoint.make(ctx, 1, ctx.deep_face, (0, 0))
 print("\nAt the deep stratum point (r=1, all coordinates at -inf):")
-print("  f~(w) =", eval_poly(f, deep), " (every exponent dies, value is bottom)")
+print("  f~(w) =", show(f.evaluate(deep)), " (every exponent dies, value is bottom)")
 
 ray = ctx.face_from_rays([(-1, 0)])
 wb = ExtPoint.make(ctx, 1, ray, (0, -3))
 print("\nOn the stratum where x dies, only the y^2 term survives:")
-print("  f~(w) =", eval_poly(f, wb))
+print("  f~(w) =", show(f.evaluate(wb)))
 
 print("\nSemiring arithmetic is idempotent:")
 g = parse_poly(ctx, "1 + x")

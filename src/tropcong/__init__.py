@@ -1,6 +1,6 @@
 """tropcong: exact congruence computations on tropical polynomial semirings.
 
-Scalars, polynomials and evaluation live in trop_core; exact rational
+Polynomials and their evaluation live in trop_core; exact rational
 polyhedral geometry in polyhedra; strata and closure witnesses in toric_geom;
 matrix-defined primes, derivations and radical certificates in congruence;
 supports of congruence varieties in variety; initial-form stability and
@@ -14,9 +14,9 @@ compiles only the layers its subcommand reaches.
 import importlib
 
 _EXPORTS = {
-    "trop_core": ("BOTTOM", "TROP_ONE", "COEFF_B", "COEFF_T", "ContextMismatchError",
-                  "ExtPoint", "Face", "ToricContext", "TropPoly", "TropScalar",
-                  "ZeroPolynomialError", "bend_relations", "eval_poly", "parse_poly"),
+    "trop_core": ("COEFF_B", "COEFF_T", "ContextMismatchError", "ExtPoint", "Face",
+                  "ToricContext", "TropPoly", "ZeroPolynomialError", "bend_relations",
+                  "parse_poly"),
     "polyhedra": ("ConeH", "CoverBudgetExceeded", "EmptyPolyhedronError", "Fan",
                   "FlagOfCones", "HRow", "PolyhedronH", "common_refinement",
                   "covers_equal", "feasible", "hrep_from_rays", "is_empty", "make_flag",

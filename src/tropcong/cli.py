@@ -92,7 +92,7 @@ def cmd_eval(args, max_dim):
     f = jsonio.dec_poly(fdoc, ctx, args.poly)
     w = jsonio.dec_ext_point(wdoc, ctx, args.point)
     val = f.evaluate(w)
-    _emit({"value": "-inf" if val.is_bottom() else jsonio.enc_frac(val.log)})
+    _emit({"value": "-inf" if val is None else jsonio.enc_frac(val)})
     return EXIT_TRUE
 
 
@@ -305,6 +305,21 @@ def cmd_cancel_check(args, max_dim):
     return EXIT_TRUE if not report.violations else EXIT_FALSE
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer >= least; any other value exits 2, so a count
+    option never runs a vacuous check over nothing."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r"
+                                             % (least, text))
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tropcong",
                                  description="exact computations with congruences on "
@@ -361,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radical-search", help="bounded search for a radical certificate")
     p.add_argument("--cong", required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--max-i", type=int, default=4)
-    p.add_argument("--max-deg", type=int, default=8)
+    p.add_argument("--max-i", type=_int_at_least(0), default=4)
+    p.add_argument("--max-deg", type=_int_at_least(0), default=8)
     p.set_defaults(fn=cmd_radical_search)
 
     p = sub.add_parser("closure", help="closure membership of a stratum point")
@@ -374,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="resolve a boundary prime to a trivial-kernel prime")
     p.add_argument("--cong", required=True)
     p.add_argument("--prime", required=True)
-    p.add_argument("--sample-degree", type=int, default=6)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--sample-degree", type=_int_at_least(0), default=6)
+    p.add_argument("--samples", type=_int_at_least(1), default=500)
     p.set_defaults(fn=cmd_resolve)
 
     p = sub.add_parser("flag-check", help="validate a flag and test it against a support")
@@ -385,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cancel-check", help="cancellativity property run")
     p.add_argument("--cong", required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-deg", type=int, default=3)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
+    p.add_argument("--max-deg", type=_int_at_least(0), default=3)
     p.set_defaults(fn=cmd_cancel_check)
     return ap
 

@@ -148,7 +148,7 @@ def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
     for i, t in enumerate(_get_list(data, "terms", path)):
         tpath = "%s.terms[%d]" % (path, i)
         u = _get(t, "exp", tpath)
-        if not isinstance(u, list) or any(not isinstance(x, int) for x in u):
+        if not isinstance(u, list) or any(type(x) is not int for x in u):  # no bools
             raise ParseError("exponent must be a list of integers", tpath + ".exp")
         _sized(u, ctx.rank, tpath + ".exp")
         a = dec_frac(_get(t, "coeff", tpath), tpath + ".coeff")

@@ -44,11 +44,6 @@ class StabilityData(_Record):
         object.__setattr__(self, "margins", margins)
 
 
-def _pairing(w: ExtPoint, v: Vec):
-    """<(a,u), w> for the term vector v = (a, u...); None when dead."""
-    return w.pair(v[0], v[1:]).log
-
-
 def init_stability(f: TropPoly, v: ExtPoint, w: ExtPoint):
     """Threshold N0 with init_{w + N v}(f) = init_w(init_v(f)) for all N > N0.
 
@@ -60,21 +55,20 @@ def init_stability(f: TropPoly, v: ExtPoint, w: ExtPoint):
         raise ZeroPolynomialError("stability of the zero polynomial")
     init_v = initial_form_point(f, v)
     init_support = set(init_v.support())
-    fv = f.evaluate(v).log
+    fv = f.evaluate(v)
     deleted, margins = [], []
     for u, a in f.terms:
         if u in init_support:
             continue
-        mv = w.pair(a, u)  # same stratum: dead at v iff dead at w
         pv = v.pair(a, u)
-        if pv.is_bottom():
+        if pv is None:
             continue  # dies on the stratum; harmless at w + N v as well
         deleted.append((a,) + vec(u))
-        margins.append(fv - pv.log)
+        margins.append(fv - pv)
     n0 = ZERO
-    base = init_v.evaluate(w).log
+    base = init_v.evaluate(w)
     for m, margin in zip(deleted, margins):
-        bm = _pairing(w, m)
+        bm = w.pair(m[0], m[1:])
         if bm is None:
             continue
         if base is None:
@@ -110,15 +104,15 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
         for fi, gi, chain in zip(fs, gs, sub_chains):
             chain = list(chain) + [fi]  # h_{i,0}, ..., h_{i,depth}
             chains.append(chain)
-            fv = fi.evaluate(xis[depth]).log
+            fv = fi.evaluate(xis[depth])
             init_support = set(gi.support())
             for u, a in fi.terms:
                 if u in init_support:
                     continue
                 pv = xis[depth].pair(a, u)
-                if pv.is_bottom():
+                if pv is None:
                     continue
-                margin = fv - pv.log
+                margin = fv - pv
                 m = (a,) + vec(u)
                 # N_depth * margin >= -( (h0(xi0)-<m,xi0>) + sum_j N_j (hj(xij)-<m,xij>) )
                 coeffs = [ZERO] * k
@@ -127,8 +121,8 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
                 dead = False
                 for j in range(depth):
                     hj = chain[j]
-                    val = hj.evaluate(xis[j]).log
-                    bm = _pairing(xis[j], m)
+                    val = hj.evaluate(xis[j])
+                    bm = xis[j].pair(m[0], m[1:])
                     if bm is None:
                         dead = True
                         break

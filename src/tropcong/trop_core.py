@@ -1,6 +1,7 @@
-"""Tropical scalars, toric contexts, polynomials, and extended-point evaluation.
+"""Toric contexts, polynomials, and extended-point evaluation.
 
-Scalars live in the max-plus semifield with exact rational log-values; the
+A value of the max-plus semifield T = (Q u {-inf}, max, +) is an exact number
+(an `int` when integral, else a `Fraction`), or None for bottom (-inf); the
 coefficient group is Q (mode "T") or {0} (mode "B").  Polynomials are finite
 maps from monoid exponents to coefficient exponents; the zero polynomial is
 the empty map.  Everything is immutable.
@@ -11,10 +12,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, primitive,
+from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, is_zero_vec, primitive,
                       rank_of, reduce_mod_span, rref, solve_eq, vec)
 from ._record import _Record
 from .polyhedra import ConeH, HRow, LE
@@ -29,61 +30,6 @@ class ContextMismatchError(ValueError):
 
 class ZeroPolynomialError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# scalars
-
-class TropScalar(_Record):
-    """Element of T: exact rational log-value, or None for bottom (-inf)."""
-
-    _fields = ("log",)
-
-    def __init__(self, log: Optional[Fraction]):
-        object.__setattr__(self, "log", log)
-
-    def is_bottom(self) -> bool:
-        return self.log is None
-
-    def __add__(self, other: "TropScalar") -> "TropScalar":
-        if self.log is None:
-            return other
-        if other.log is None:
-            return self
-        return TropScalar(max(self.log, other.log))
-
-    def __mul__(self, other: "TropScalar") -> "TropScalar":
-        if self.log is None or other.log is None:
-            return BOTTOM
-        return TropScalar(self.log + other.log)
-
-    def __pow__(self, k: int) -> "TropScalar":
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return TROP_ONE
-        if self.log is None:
-            return BOTTOM
-        return TropScalar(self.log * k)
-
-    def __le__(self, other: "TropScalar") -> bool:
-        # a <= b  iff  a + b == b
-        return (self + other) == other
-
-    def __repr__(self):
-        return "-inf" if self.log is None else str(self.log)
-
-
-BOTTOM = TropScalar(None)
-TROP_ONE = TropScalar(ZERO)
-
-
-def tsc(x) -> TropScalar:
-    if isinstance(x, TropScalar):
-        return x
-    if x is None:
-        return BOTTOM
-    return TropScalar(frac(x))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +75,7 @@ class ToricContext:
     Uses the dual convention sigma^v = {u : <v, u> <= 0 for all v in sigma}.
     """
 
-    def __init__(self, rank: int, sigma_rays: Iterable[Vec], coeff: str = COEFF_T,
-                 var_names: Optional[Sequence[str]] = None):
+    def __init__(self, rank: int, sigma_rays: Iterable[Vec], coeff: str = COEFF_T):
         self.rank = rank
         self.sigma_rays = tuple(sorted(primitive(r) for r in sigma_rays))
         for r in self.sigma_rays:
@@ -139,10 +84,8 @@ class ToricContext:
         if coeff not in (COEFF_T, COEFF_B):
             raise ValueError("coeff mode must be 'T' or 'B'")
         self.coeff = coeff
-        if var_names is None:
-            var_names = (_DEFAULT_NAMES[:rank] if rank <= len(_DEFAULT_NAMES)
-                         else tuple("x%d" % (i + 1) for i in range(rank)))
-        self.var_names = tuple(var_names)
+        self.var_names = (_DEFAULT_NAMES[:rank] if rank <= len(_DEFAULT_NAMES)
+                          else tuple("x%d" % (i + 1) for i in range(rank)))
         self._sigma = polyhedra.hrep_from_rays(self.sigma_rays, rank) if self.sigma_rays \
             else polyhedra.origin_cone(rank)
         lin, _ = polyhedra.cone_generators(self._sigma)
@@ -294,22 +237,24 @@ class TropPoly(_Record):
 
     @staticmethod
     def make(context: ToricContext, terms) -> "TropPoly":
-        canon = {}
+        """The polynomial of (exponent, coefficient) terms, from a dict or pairs;
+        a None coefficient is bottom and drops its term."""
+        out = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for u, a in items:
-            u = tuple(int(x) for x in u)
-            if a is None or (isinstance(a, TropScalar) and a.is_bottom()):
+            u = vec(u)
+            if a is None:
                 continue
-            a = a.log if isinstance(a, TropScalar) else frac(a)
+            a = frac(a)
             if not context.exponent_in_monoid(u):
                 raise ValueError("exponent %r outside the monoid" % (u,))
             if context.coeff == COEFF_B and a != 0:
                 raise ValueError("Boolean coefficients force coefficient exponent 0")
-            if u in canon:
-                canon[u] = max(canon[u], a)
+            if u in out:
+                out[u] = max(out[u], a)
             else:
-                canon[u] = a
-        return TropPoly(context, tuple(sorted(canon.items())))
+                out[u] = a
+        return TropPoly(context, tuple(sorted(out.items())))
 
     @staticmethod
     def zero(context: ToricContext) -> "TropPoly":
@@ -328,13 +273,6 @@ class TropPoly(_Record):
 
     def support(self) -> tuple:
         return tuple(u for u, _ in self.terms)
-
-    def coeff(self, u) -> TropScalar:
-        u = tuple(int(x) for x in u)
-        for uu, a in self.terms:
-            if uu == u:
-                return TropScalar(a)
-        return BOTTOM
 
     def degree(self) -> int:
         return max((sum(abs(x) for x in u) for u, _ in self.terms), default=0)
@@ -371,15 +309,16 @@ class TropPoly(_Record):
         return acc
 
     # --- evaluation ---
-    def evaluate(self, w: "ExtPoint") -> TropScalar:
-        """Max of r*a + <x, u> over the terms alive on w's stratum; bottom if none."""
+    def evaluate(self, w: "ExtPoint"):
+        """f~(w): the max of r*a + <x, u> over the terms alive on w's stratum,
+        an exact number, or None (bottom, -inf) if no term is alive."""
         if self.context != w.context:
             raise ContextMismatchError("polynomial and point contexts differ")
         live = self.restrict(w.tau).terms
         if not live:
-            return BOTTOM
+            return None
         r, x = w.r, w.coords
-        return TropScalar(max(pair_term(r, x, a, u) for u, a in live))
+        return canon(max(pair_term(r, x, a, u) for u, a in live))
 
     def restrict(self, tau: Face) -> "TropPoly":
         """Terms whose exponents survive on the stratum of tau (u in tau-perp).
@@ -401,7 +340,7 @@ class TropPoly(_Record):
         return out
 
     def delete_term(self, u) -> "TropPoly":
-        u = tuple(int(x) for x in u)
+        u = vec(u)
         return TropPoly(self.context, tuple(t for t in self.terms if t[0] != u))
 
     def __str__(self):
@@ -455,22 +394,19 @@ class ExtPoint(_Record):
     def dense(context: ToricContext, r, coords) -> "ExtPoint":
         return ExtPoint.make(context, r, context.dense_face, coords)
 
-    def pair(self, a: Fraction, u: Sequence) -> TropScalar:
-        """< (a, u), (r, x) > = r*a + <x, u> if u in tau-perp, else bottom."""
+    def pair(self, a: Fraction, u: Sequence):
+        """< (a, u), (r, x) > = r*a + <x, u>, an exact number, if u is in
+        tau-perp; else None (bottom, -inf)."""
         if not self.tau.perp_contains(u):
-            return BOTTOM
-        return TropScalar(pair_term(self.r, self.coords, a, u))
+            return None
+        return canon(pair_term(self.r, self.coords, a, u))
 
     def full_vector(self) -> Vec:
         return (self.r,) + self.coords
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases
-
-def eval_poly(f: TropPoly, w: ExtPoint) -> TropScalar:
-    return f.evaluate(w)
-
+# bend relations
 
 def bend_relations(f: TropPoly) -> list:
     """One pair (f, f with term i deleted) per support element; f must be nonzero."""

@@ -467,6 +467,8 @@ _RANK2 = {"rank": 2, "sigma_rays": [[-1, 0], [0, -1]]}
     (_VERIFY, "derivation", lambda d: {"steps": [{"op": "gen", "index": True}]}),
     (_VERIFY, "derivation", lambda d: {"steps": [{"op": "gen", "index": 0},
                                                  {"op": "trans", "i": 0, "j": -1}]}),
+    (("bend", "--poly", "quartic_bend/f.json"), "quartic_bend/f.json",
+     _put([True, False], "terms", 0, "exp")),
 ])
 def test_cli_malformed_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
     _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit)
@@ -483,3 +485,27 @@ def _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit):
     assert code == 2, err
     assert out == ""
     assert err.startswith("parse error") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# a count option below its least value is a usage error, never a vacuous result
+
+@pytest.mark.parametrize("argv", [
+    ("cancel-check", "--cong", _E, "--trials", "-5"),
+    ("cancel-check", "--cong", _E, "--max-deg", "-1"),
+    ("resolve", "--cong", _E, "--prime", "quartic_bend/P.json", "--samples", "-3"),
+    ("resolve", "--cong", _E, "--prime", "quartic_bend/P.json", "--sample-degree", "-1"),
+    ("radical-search", "--cong", "radical_roundtrip/E.json",
+     "--pair", "radical_roundtrip/pair_x_1.json", "--max-i", "-1"),
+    ("radical-search", "--cong", "radical_roundtrip/E.json",
+     "--pair", "radical_roundtrip/pair_x_1.json", "--max-deg", "-1"),
+], ids=["trials", "cancel-max-deg", "samples", "sample-degree", "max-i", "search-max-deg"])
+def test_cli_count_out_of_range_exit_2(capsys, fixtures_dir, argv):
+    # these once gave a vacuous result (a check over no trials, no samples
+    # or no certificates) or an exit 3 from an empty random range
+    args = [str(fixtures_dir / a) if "/" in a else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "expected an integer >=" in out.err

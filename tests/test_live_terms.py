@@ -1,7 +1,7 @@
 """Evaluators over live terms, against their per-term oracles.
 
-`eval_reference` holds the library's former `TropPoly.evaluate` (a
-`TropScalar` per term, folded with the max-plus sum), `prime_eval` and
+`eval_reference` holds the library's former `TropPoly.evaluate`
+(`ExtPoint.pair` per term, folded with the max-plus sum), `prime_eval` and
 `initial_form_prime` (`lex_max` over the Phi-vector of every term, dead ones
 included) and `initial_form_point`.  The library now takes each maximum over
 the terms alive on the stratum, as plain numbers or tuples of them; it must
@@ -17,8 +17,7 @@ import pytest
 
 from tropcong.congruence import (InvalidMatrixError, PrimeMatrix, initial_form_point,
                                  initial_form_prime, prime_eval)
-from tropcong.trop_core import (ExtPoint, ToricContext, TropPoly, TropScalar,
-                                ZeroPolynomialError)
+from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, ZeroPolynomialError
 
 import eval_reference as ref
 
@@ -36,8 +35,6 @@ NUMBERS = (0, 1, 2, -1, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3), Fraction
 
 def _typed(x):
     """x with the type of every number in it, so that == also compares types."""
-    if isinstance(x, TropScalar):
-        return ("scalar", _typed(x.log))
     if isinstance(x, TropPoly):
         return ("poly", x.context, _typed(x.terms))
     if isinstance(x, tuple):
@@ -111,4 +108,4 @@ def test_equal_maxima_of_different_types_keep_the_reference_choice():
     w = ExtPoint.dense(ctx, 2, (1, 0))
     _agree(f, w, theta)
     assert type(prime_eval(theta, f)[0]) is Fraction  # lex_max kept the last
-    assert type(f.evaluate(w).log) is int  # the max-plus sum kept the first
+    assert type(f.evaluate(w)) is int  # evaluate gives the canonical form

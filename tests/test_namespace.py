@@ -8,9 +8,8 @@ import tropcong
 
 # the names `tropcong` exports, by the module that defines them
 EXPORTS = {
-    "trop_core": "BOTTOM TROP_ONE COEFF_B COEFF_T ContextMismatchError ExtPoint Face "
-                 "ToricContext TropPoly TropScalar ZeroPolynomialError bend_relations "
-                 "eval_poly parse_poly",
+    "trop_core": "COEFF_B COEFF_T ContextMismatchError ExtPoint Face ToricContext "
+                 "TropPoly ZeroPolynomialError bend_relations parse_poly",
     "polyhedra": "ConeH CoverBudgetExceeded EmptyPolyhedronError Fan FlagOfCones HRow "
                  "PolyhedronH common_refinement covers_equal feasible hrep_from_rays "
                  "is_empty make_flag rays_from_hrep recession_cone "

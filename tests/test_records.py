@@ -24,8 +24,7 @@ from tropcong.polyhedra import (EQ, LE, ConeH, Fan, FlagOfCones, HRow,
 from tropcong.resolve import (CancellativityReport, ResolutionResult,
                               ResolveFailure, StabilityData)
 from tropcong.toric_geom import ClosureWitness, NotInClosure, StratumPoint
-from tropcong.trop_core import (ExtPoint, Face, ToricContext, TropPoly,
-                                TropScalar, parse_poly)
+from tropcong.trop_core import ExtPoint, Face, ToricContext, TropPoly, parse_poly
 from tropcong.variety import StratumSupport, VarietySupport, hypersurface
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -47,7 +46,6 @@ def _q(*xs):
 
 # (class, compared fields, example); examples are built once, at collection
 RECORDS = [
-    (TropScalar, ("log",), TropScalar(Fraction(3, 2))),
     (Face, ("ambient", "rays", "span_rref", "pivots"), TAU),
     (TropPoly, ("context", "terms"), F),
     (ExtPoint, ("context", "r", "tau", "coords"), ExtPoint.make(CTX, 1, TAU, (2, 5))),
@@ -94,7 +92,7 @@ def _values(obj, fields):
 
 
 def test_table_covers_every_record():
-    assert len(RECORDS) == 29
+    assert len(RECORDS) == 28
     for cls, _, obj in RECORDS:
         assert type(obj) is cls
 
@@ -167,8 +165,7 @@ def test_cone_never_equals_polyhedron_with_same_fields():
 def test_some_field_differs():
     assert HRow(_q(1, 0), Fraction(0), LE) != HRow(_q(1, 0), Fraction(0), EQ)
     assert Trans(0, 2) != Trans(2, 0)
-    assert TropScalar(None) != TropScalar(Fraction(0))
-    assert TropScalar(None) == TropScalar(None)
+    assert Generator(0) != Generator(1)
 
 
 def test_caches_stay_out_of_eq_hash_and_repr():
@@ -234,15 +231,13 @@ def test_search_bounds_mutable_and_unhashable():
 
 @pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
 def test_repr_lists_fields(cls, fields, obj):
-    if cls in (TropScalar, TropPoly):
-        return  # printed as the value itself, pinned below
+    if cls is TropPoly:
+        return  # printed as the polynomial itself, pinned below
     inner = ", ".join("%s=%r" % (f, getattr(obj, f)) for f in fields)
     assert repr(obj) == "%s(%s)" % (cls.__qualname__, inner)
 
 
 def test_repr_text():
-    assert repr(TropScalar(Fraction(3, 2))) == "3/2"
-    assert repr(TropScalar(None)) == "-inf"
     assert repr(F) == str(F) == "y^2 + t^1*x*y + x^2"
     assert repr(row((1, -2), Fraction(1, 3), LE)) == (
         "HRow(a=(1, -2), b=Fraction(1, 3), rel='<=')")

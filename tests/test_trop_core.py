@@ -3,46 +3,93 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from tropcong.trop_core import (BOTTOM, TROP_ONE, ContextMismatchError, ExtPoint,
-                                ToricContext, TropPoly, TropScalar,
-                                ZeroPolynomialError, bend_relations, eval_poly,
-                                parse_poly, tsc)
+from tropcong.trop_core import (ContextMismatchError, ExtPoint, ToricContext,
+                                TropPoly, ZeroPolynomialError, bend_relations,
+                                parse_poly)
 
+
+# values of T: an exact number, or None for bottom (-inf)
+
+def trop_add(a, b):
+    """a + b in T: the max, bottom being the identity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return max(a, b)
+
+
+def trop_mul(a, b):
+    """a * b in T: the ordinary sum, bottom absorbing."""
+    return None if a is None or b is None else a + b
+
+
+def trop_le(a, b):
+    """a <= b in T, i.e. a + b == b."""
+    return trop_add(a, b) == b
+
+
+def is_exact(v):
+    """v is bottom, or an exact number in canonical form."""
+    return v is None or type(v) is int or (type(v) is F and v.denominator > 1)
+
+
+# ---------------------------------------------------------------------------
+# the semifield T, carried by constant polynomials: t^a is worth a at height 1
+
+CTX1 = ToricContext.affine(1)
+AT_ONE = ExtPoint.dense(CTX1, 1, (0,))
 rationals = st.fractions(max_denominator=12)
-scalars = st.one_of(st.just(BOTTOM), rationals.map(lambda q: TropScalar(q)))
+values = st.one_of(st.none(), rationals)
 
 
-@given(scalars, scalars)
+def const(a):
+    """The constant polynomial t^a; the zero polynomial for bottom."""
+    return TropPoly.make(CTX1, {(0,): a})
+
+
+def value(f):
+    v = f.evaluate(AT_ONE)
+    assert is_exact(v)
+    return v
+
+
+@given(values, values)
 def test_add_is_max_and_commutative(a, b):
-    assert a + b == b + a
-    if not a.is_bottom() and not b.is_bottom():
-        assert (a + b).log == max(a.log, b.log)
+    assert const(a) + const(b) == const(b) + const(a)
+    assert value(const(a) + const(b)) == trop_add(a, b)
+    assert value(const(a) * const(b)) == trop_mul(a, b)
 
 
-@given(scalars)
+@given(values)
 def test_add_idempotent_and_bottom_identity(a):
-    assert a + a == a
-    assert a + BOTTOM == a
-    assert a * BOTTOM == BOTTOM
+    zero = TropPoly.zero(CTX1)
+    assert const(a) + const(a) == const(a)
+    assert const(a) + zero == const(a)
+    assert const(a) * zero == zero
+    assert value(zero) is None
 
 
-@given(scalars, scalars)
+@given(values, values)
 def test_zero_sum_free(a, b):
-    if (a + b) == BOTTOM:
-        assert a == BOTTOM and b == BOTTOM
+    if value(const(a) + const(b)) is None:
+        assert a is None and b is None
 
 
-@given(scalars, scalars, scalars)
+@given(values, values, values)
 def test_order_monotone(a, b, c):
-    if a <= b:
-        assert a + c <= b + c
-        assert a * c <= b * c
+    if trop_le(a, b):
+        assert const(a) + const(b) == const(b)
+        assert trop_le(value(const(a) + const(c)), value(const(b) + const(c)))
+        assert trop_le(value(const(a) * const(c)), value(const(b) * const(c)))
 
 
 def test_scalar_pow():
-    assert tsc(F(3, 2)) ** 2 == tsc(3)
-    assert BOTTOM ** 0 == TROP_ONE
-    assert BOTTOM ** 3 == BOTTOM
+    assert const(F(3, 2)) ** 2 == const(3)
+    assert value(const(F(3, 2)) ** 2) == 3
+    assert const(None) ** 0 == TropPoly.one(CTX1) == const(0)
+    assert const(None) ** 3 == const(None)
+    assert value(const(None) ** 3) is None
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +133,21 @@ def test_exponent_outside_monoid_rejected(ctx2):
         TropPoly.make(ctx2, {(-1, 0): F(0)})
 
 
+def test_non_integral_exponent_rejected(ctx2):
+    # an exponent was once cut down to an int: (1/2, 1) read as y, (1.7, 1) as x*y
+    with pytest.raises(ValueError, match="outside the monoid"):
+        TropPoly.make(ctx2, {(F(1, 2), 1): 0})
+    with pytest.raises(TypeError, match="floats"):
+        TropPoly.make(ctx2, {(1.7, 1): 0})
+    f = parse_poly(ctx2, "y + x*y")
+    assert f.delete_term((F(1, 2), 1)) == f
+    with pytest.raises(TypeError, match="floats"):
+        f.delete_term((1.7, 1))
+    g = TropPoly.make(ctx2, {(F(2), 1): 0})
+    assert g == parse_poly(ctx2, "x^2*y") and type(g.terms[0][0][0]) is int
+    assert f.delete_term((F(1), 1)) == parse_poly(ctx2, "y")
+
+
 def test_parse_and_str_round_trip(ctx2):
     f = parse_poly(ctx2, "x^2 + t^1*x*y + y^2 + x^2*y^2")
     assert parse_poly(ctx2, str(f)) == f
@@ -100,25 +162,42 @@ def test_eval_example_dense(ctx2, quartic):
     w = ExtPoint.dense(ctx2, 1, (0, -1))
     # terms: x^2 -> 2*0; t*x*y -> 1+0-1; y^2 -> -2; x^2y^2 -> -2
     oracle = max(2 * 0, 1 + 0 - 1, 2 * (-1), 2 * 0 + 2 * (-1))
-    got = eval_poly(quartic, w)
-    assert got == tsc(oracle) == tsc(0)
+    got = quartic.evaluate(w)
+    assert got == oracle == 0 and type(got) is int
 
 
 def test_eval_zero_poly(ctx2):
     w = ExtPoint.dense(ctx2, 1, (0, -1))
-    assert eval_poly(TropPoly.zero(ctx2), w) == BOTTOM
+    assert TropPoly.zero(ctx2).evaluate(w) is None
 
 
 def test_eval_deep_stratum_kills_everything(ctx2, quartic):
     w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
-    assert eval_poly(quartic, w) == BOTTOM
+    assert quartic.evaluate(w) is None
+
+
+@given(st.sampled_from(range(4)), st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=4),
+    rationals.map(abs), st.tuples(rationals, rationals))
+def test_values_are_exact_numbers_or_none(face, terms, r, x):
+    # 2/3 * 3/2 is an integral Fraction: evaluate and pair return it as an int
+    ctx = ToricContext.affine(2)
+    f = TropPoly.make(ctx, terms)
+    w = ExtPoint.make(ctx, r, ctx.faces[face], x)
+    pairs = [w.pair(a, u) for u, a in f.terms]
+    assert all(is_exact(p) for p in pairs)
+    best = None
+    for p in pairs:
+        best = trop_add(best, p)
+    got = f.evaluate(w)
+    assert is_exact(got) and got == best
 
 
 def test_eval_context_mismatch(ctx2, ctx1):
     f = parse_poly(ctx1, "x")
     w = ExtPoint.dense(ctx2, 1, (0, 0))
     with pytest.raises(ContextMismatchError):
-        eval_poly(f, w)
+        f.evaluate(w)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +242,8 @@ def test_eval_is_a_homomorphism(ctx2, seed):
         tau = rng.choice(ctx2.faces)
         w = ExtPoint.make(ctx2, F(rng.randint(0, 3)), tau,
                           (rng.randint(-4, 4), rng.randint(-4, 4)))
-        assert eval_poly(f + g, w) == eval_poly(f, w) + eval_poly(g, w)
-        assert eval_poly(f * g, w) == eval_poly(f, w) * eval_poly(g, w)
+        assert (f + g).evaluate(w) == trop_add(f.evaluate(w), g.evaluate(w))
+        assert (f * g).evaluate(w) == trop_mul(f.evaluate(w), g.evaluate(w))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +293,7 @@ def test_eval_monotone_in_partial_order(ctx2, seed):
         tau = rng.choice(ctx2.faces)
         w = ExtPoint.make(ctx2, F(rng.randint(0, 3)), tau,
                           (rng.randint(-4, 4), rng.randint(-4, 4)))
-        assert eval_poly(f, w) <= eval_poly(g, w)
+        assert trop_le(f.evaluate(w), g.evaluate(w))
 
 
 def test_ext_point_rejects_negative_height(ctx2):
