@@ -58,9 +58,7 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__eq__, hash_ = _compare(cls._fields)
-        if "__hash__" not in cls.__dict__:  # SearchBounds has none
-            cls.__hash__ = hash_
+        cls.__eq__, cls.__hash__ = _compare(cls._fields)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

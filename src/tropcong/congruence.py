@@ -403,17 +403,14 @@ def verify_radical_certificate(E: Congruence, pair, cert: RadicalCertificate) ->
 
 
 class SearchBounds(_Record):
-    """Search limits; the one mutable record, hence unhashable."""
+    """Search limits."""
 
     _fields = ("max_exponent", "max_degree", "max_nodes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, max_exponent: int = 4, max_degree: int = 8, max_nodes: int = 4000):
-        self.max_exponent = max_exponent
-        self.max_degree = max_degree
-        self.max_nodes = max_nodes
+        object.__setattr__(self, "max_exponent", max_exponent)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "max_nodes", max_nodes)
 
 
 class NotFound(_Record):

@@ -17,13 +17,12 @@ from .polyhedra import (EQ, LE, LT, ConeH, Fan, FlagOfCones, HRow, PolyhedronH,
                         hrep_from_rays, make_flag)
 from .trop_core import COEFF_B, COEFF_T, ExtPoint, Face, ToricContext, TropPoly
 
-# congruence and toric_geom are imported by the functions that use them, so
-# that a CLI job loads only the layers its subcommand reaches; variety is
-# needed only in annotations.
+# congruence is imported by the functions that use it, so that a CLI job
+# loads only the layers its subcommand reaches; variety is needed only in
+# annotations.
 if TYPE_CHECKING:
     from .congruence import (CongruencePresentation, Derivation, PrimeMatrix,
                              RadicalCertificate)
-    from .toric_geom import StratumPoint
     from .variety import VarietySupport
 
 FORMAT_TAG = "tropcong/1"
@@ -334,11 +333,11 @@ def dec_ext_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
         raise ParseError(str(exc), path)
 
 
-def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> StratumPoint:
-    from .toric_geom import StratumPoint
+def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
+    """A point of N_R(sigma): the height-1 ExtPoint of "x" on the stratum of "tau_rays"."""
     try:
         tau = dec_face(data, ctx, path)
-        return StratumPoint.make(ctx, tau, _dec_point_coords(data, ctx, path))
+        return ExtPoint.make(ctx, 1, tau, _dec_point_coords(data, ctx, path))
     except ParseError:
         raise
     except ValueError as exc:

@@ -18,7 +18,6 @@ containing it.  The one LP left chooses a canonical point: the L1 polish of
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -535,32 +534,20 @@ def pairwise_intersections(cells: Sequence[ConeH], others: Sequence[ConeH]) -> l
 # ---------------------------------------------------------------------------
 # region difference over unions
 
-# nodes left to the region difference running in this context: a one-item
-# list, set by the root `poly_in_union` call and shared by its recursion
-_nodes_left: ContextVar = ContextVar("_nodes_left", default=None)
-
-
 def poly_in_union(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
     """Exact test p subseteq union(parts); all inputs may carry strict rows.
 
     Raises CoverBudgetExceeded when the region difference, this call and its
     recursion, would visit more than COVER_NODES nodes."""
-    left = _nodes_left.get()
-    token = None
-    if left is None:
-        left = [COVER_NODES]
-        token = _nodes_left.set(left)
-    try:
-        if left[0] == 0:
-            raise CoverBudgetExceeded("region difference exceeds %d nodes" % COVER_NODES)
-        left[0] -= 1
-        return _difference_node(p, parts)
-    finally:
-        if token is not None:
-            _nodes_left.reset(token)
+    return _difference_node(p, parts, [COVER_NODES])
 
 
-def _difference_node(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
+def _difference_node(p: PolyhedronH, parts: Sequence[PolyhedronH], left: list) -> bool:
+    """One node of the region difference; `left` is the one-item list of nodes
+    left to the whole difference, shared by its recursion."""
+    if left[0] == 0:
+        raise CoverBudgetExceeded("region difference exceeds %d nodes" % COVER_NODES)
+    left[0] -= 1
     try:
         gens = _closure_generators(p)
     except EmptyPolyhedronError:
@@ -587,7 +574,7 @@ def _difference_node(p: PolyhedronH, parts: Sequence[PolyhedronH]) -> bool:
         for v in viol:
             pieces.append(p.with_rows(tuple(prefix) + (v,)))
         prefix.append(keep)
-    return all(poly_in_union(piece, rest) for piece in pieces)
+    return all(_difference_node(piece, rest, left) for piece in pieces)
 
 
 def covers_equal(a: Sequence[PolyhedronH], b: Sequence[PolyhedronH]) -> bool:

@@ -8,8 +8,9 @@ the preimage of each target under the stratum projection (claim 1) and
 place; `cone_closure_witnesses` solves them for witnesses, the closure
 hypothesis of `resolve` only asks whether they are feasible, and
 `polyhedron_closure_membership` runs the lemma on the closed cone over a
-polyhedron, strict rows weakened, at every stratum.  `witness_soundness`
-checks a witness exactly on the monoid generators.
+polyhedron, strict rows weakened, at every stratum.  A point of N_R(sigma)
+is an `ExtPoint` at height 1; `witness_soundness` checks a witness exactly on
+the generators of the cone sigma^v.
 """
 
 from __future__ import annotations
@@ -19,32 +20,12 @@ from typing import Sequence
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, zero_vec
 from ._record import _Record
-from .polyhedra import (EQ, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
+from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
                         PolyhedronH, cone_over, is_empty, relative_interior_point)
 from .trop_core import ExtPoint, Face, ToricContext
 
 CLAIM_PREIMAGE = "claim1-preimage"
 CLAIM_DIRECTION = "claim3-direction"
-
-
-class StratumPoint(_Record):
-    """Class of a point of N_R(sigma): face tau plus canonical coords mod span(tau)."""
-
-    _fields = ("context", "tau", "coords")
-
-    def __init__(self, context: ToricContext, tau: Face, coords: Vec):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "coords", coords)
-
-    @staticmethod
-    def make(context: ToricContext, tau: Face, coords) -> "StratumPoint":
-        return StratumPoint(context, tau, tau.canonical(coords))
-
-    def pair(self, u: Sequence):
-        if not self.tau.perp_contains(u):
-            return None
-        return dot(self.coords, u)
 
 
 class ClosureWitness(_Record):
@@ -62,11 +43,12 @@ class NotInClosure(_Record):
         object.__setattr__(self, "failed_claims", failed_claims)
 
 
-def project_to_stratum(context: ToricContext, x: Sequence, tau: Face) -> StratumPoint:
-    """Quotient map pi_tau: N_R -> N_R / span(tau), canonical representative."""
+def project_to_stratum(context: ToricContext, x: Sequence, tau: Face) -> ExtPoint:
+    """Quotient map pi_tau: N_R -> N_R / span(tau): the height-1 point of the
+    stratum of tau with canonical coordinates."""
     if tau not in context.faces:
         raise ValueError("tau is not a face of sigma")
-    return StratumPoint.make(context, tau, x)
+    return ExtPoint.make(context, ONE, tau, x)
 
 
 def _preimage_rows(tau: Face, target_full: Vec, dim: int):
@@ -133,9 +115,10 @@ def cone_closure_witnesses(context: ToricContext, L: ConeH, tau: Face,
 
 
 def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
-                                  fan: Fan, w: StratumPoint):
+                                  fan: Fan, w: ExtPoint):
     """Decide w in cl_{N_R(Sigma)}(L), for every stratum, the dense one included.
 
+    w is a point of N_R(sigma), an ExtPoint at height 1 (else ValueError).
     Returns a ClosureWitness (w_hat in cl(L) over w, v in rec(cl L) cap
     rel.int(tau), zero on the dense stratum) or NotInClosure naming the
     failed claims.  An empty L reaches nothing: claim 1 fails, and claim 3
@@ -143,6 +126,8 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
     A nonempty L has the closure of its weakened description, so strict
     rows are accepted and the lemma runs on the closed cone over it.
     """
+    if w.r != 1:
+        raise ValueError("a point of N_R(sigma) has height 1")
     tau = w.tau
     boundary = tau.dim() != 0
     if boundary and not _tau_in_fan(tau, fan):
@@ -150,8 +135,7 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
     if is_empty(L):
         return NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION) if boundary
                             else (CLAIM_PREIMAGE,))
-    res = cone_closure_witnesses(context, cone_over(L.weakened()), tau,
-                                 [ExtPoint.make(context, ONE, tau, w.coords)])
+    res = cone_closure_witnesses(context, cone_over(L.weakened()), tau, [w])
     if isinstance(res, NotInClosure):
         return res
     v, (w_hat,) = res
@@ -164,18 +148,33 @@ def _tau_in_fan(tau: Face, fan: Fan) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# witness verification (exact pairing checks on monoid generators)
+# witness verification (exact pairing checks on the generators of sigma^v)
 
-def witness_soundness(context: ToricContext, tau: Face, v: Vec, w_hat: Vec,
-                      w: StratumPoint) -> bool:
-    """For every monoid generator u: <u,v> < 0 iff <u,w> = -inf, and
-    <u,v> = 0 implies <u,w_hat> = <u,w>.  Exact, no sampling."""
-    for u in context.monoid_generators:
+def witness_soundness(v: Vec, w_hat: Vec, w: ExtPoint) -> bool:
+    """Whether lim_{N->oo} w_hat + N*v = w in N_R(sigma) = Hom(sigma^v cap M, T).
+    w is a height-1 point of the stratum of tau with coordinates x:
+    w(u) = <u, x> on tau-perp, -inf off it.  Exact, no sampling.
+
+    The check runs on the generators u of the cone sigma^v (extreme rays and
+    +-lineality): <u, v> <= 0; <u, v> < 0 iff u is off tau-perp, where
+    w(u) = -inf; and <u, v> = 0 implies <u, w_hat> = w(u).  That decides
+    every u in sigma^v cap M.  The first condition puts v in sigma, so
+    F_v = v-perp cap sigma^v is a face of sigma^v, and so is
+    F_tau = tau-perp cap sigma^v.  A face of a cone is generated by the
+    generators it contains, and by the second condition F_v and F_tau
+    contain the same ones, so F_v = F_tau.  Off it <u, w_hat + N*v> falls
+    to -inf = w(u); on it <u, w_hat> and w(u) = <u, x> are linear in u and
+    agree on its generators, hence everywhere on it.
+    """
+    ctx = w.context
+    dual = ConeH.make(ctx.rank, tuple(HRow(r, ZERO, LE) for r in ctx.sigma_rays))
+    for u in polyhedra.generators(dual):
         pv = dot(v, u)
-        pw = w.pair(u)
+        if pv > 0:
+            return False
+        pw = w.pair(0, u)
         if (pv < 0) != (pw is None):
             return False
         if pv == 0 and dot(w_hat, u) != pw:
             return False
     return True
-

@@ -9,16 +9,15 @@ the empty map.  Everything is immutable.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, is_zero_vec, primitive,
-                      rank_of, reduce_mod_span, rref, solve_eq, vec)
+from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, primitive, reduce_mod_span,
+                      rref, vec)
 from ._record import _Record
-from .polyhedra import ConeH, HRow, LE
+from .polyhedra import ConeH
 
 COEFF_T = "T"
 COEFF_B = "B"
@@ -63,6 +62,10 @@ class Face(_Record):
         return all(dot(r, u) == 0 for r in self.rays)
 
     def canonical(self, x: Sequence) -> Vec:
+        """x reduced mod span(tau); x must have the ambient length."""
+        if len(x) != self.ambient:
+            raise polyhedra.DimensionMismatchError(
+                "vector of length %d in rank %d" % (len(x), self.ambient))
         return reduce_mod_span(vec(x), self.span_rref)
 
     def cone(self) -> ConeH:
@@ -92,7 +95,6 @@ class ToricContext:
         if lin:
             raise ValueError("sigma contains a line; not strongly convex")
         self._faces = None
-        self._gens = None
         self._hash = hash(self._key())
 
     # presets ---------------------------------------------------------------
@@ -157,12 +159,6 @@ class ToricContext:
             return False
         return all(dot(r, u) <= 0 for r in self.sigma_rays)
 
-    @property
-    def monoid_generators(self) -> tuple:
-        if self._gens is None:
-            self._gens = _monoid_generators(self)
-        return self._gens
-
     def is_affine_preset(self) -> bool:
         want = tuple(sorted(tuple(-ONE if j == i else ZERO for j in range(self.rank))
                             for i in range(self.rank)))
@@ -170,53 +166,6 @@ class ToricContext:
 
     def is_torus(self) -> bool:
         return not self.sigma_rays
-
-
-def _monoid_generators(ctx: ToricContext) -> tuple:
-    n = ctx.rank
-    ei = lambda i: tuple(ONE if j == i else ZERO for j in range(n))
-    if ctx.is_affine_preset():
-        return tuple(ei(i) for i in range(n))
-    if ctx.is_torus():
-        out = []
-        for i in range(n):
-            out.append(ei(i))
-            out.append(tuple(-x for x in ei(i)))
-        return tuple(out)
-    # general sigma: Hilbert-basis style generating set of sigma^v cap Z^n
-    dual = ConeH.make(n, tuple(HRow(r, ZERO, LE) for r in ctx.sigma_rays))
-    lin, rays = polyhedra.cone_generators(dual)
-    gens = set()
-    for v in lin:
-        gens.add(primitive(v))
-        gens.add(primitive(tuple(-x for x in v)))
-    rays = [primitive(r) for r in rays]
-    gens.update(rays)
-    # lattice points of the fundamental parallelepipeds of a ray triangulation
-    if len(rays) >= 2:
-        for sub in itertools.combinations(rays, min(len(rays), n)):
-            if rank_of(sub) != len(sub):
-                continue
-            gens.update(_parallelepiped_points(sub, dual))
-    return tuple(sorted(g for g in gens if not is_zero_vec(g)))
-
-
-def _parallelepiped_points(rays, cone: ConeH):
-    """Integer points in {sum l_i r_i : 0 <= l_i <= 1} that lie in cone."""
-    n = len(rays[0])
-    lo = [min(ZERO, sum(r[j] for r in rays)) for j in range(n)]
-    hi = [max(ZERO, sum(r[j] for r in rays)) for j in range(n)]
-    ranges = [range(int(lo[j]), int(hi[j]) + 1) for j in range(n)]
-    out = []
-    for pt in itertools.product(*ranges):
-        v = vec(pt)
-        if is_zero_vec(v) or not cone.contains(v):
-            continue
-        # inside the parallelepiped: v = sum l_i r_i with 0 <= l_i <= 1
-        sol = solve_eq([tuple(r[j] for r in rays) for j in range(n)], v)
-        if sol is not None and all(0 <= l <= 1 for l in sol):
-            out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +192,9 @@ class TropPoly(_Record):
         items = terms.items() if isinstance(terms, dict) else terms
         for u, a in items:
             u = vec(u)
+            if len(u) != context.rank:
+                raise polyhedra.DimensionMismatchError(
+                    "exponent %r in rank %d" % (u, context.rank))
             if a is None:
                 continue
             a = frac(a)

@@ -285,16 +285,6 @@ def _relint_sample(gens) -> Vec:
     return total
 
 
-def _maximizer_at(p: TropPoly, tau: Face, w: Vec) -> Optional[Vec]:
-    """Term vector of p maximizing at the point w = (r, x); None when p dies."""
-    pr = p.restrict(tau)
-    if pr.is_zero():
-        return None
-    tvs = [term_vec(u, a) for u, a in pr.terms]
-    vals = [dot(v, w) for v in tvs]
-    return tvs[max(range(len(tvs)), key=lambda i: vals[i])]
-
-
 def _cell_sample_points(cell: ConeH) -> list:
     gens = polyhedra.generators(cell)
     if not gens:
@@ -317,22 +307,22 @@ def _quick_counterexample(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> b
 
 
 def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> bool:
+    """f = g on the cell, exactly.
+
+    No two live terms of f and g swap order inside a closed piece of the tie
+    arrangement, so on it each side is one linear form (the term maximal
+    throughout the piece) or bottom throughout.  Two such sides agree on the
+    piece iff they agree at its generators; a piece with no generators is the
+    origin, which the sample check has already decided."""
     if _quick_counterexample(f, g, tau, cell):
         return False
-    gens = polyhedra.generators(cell)
-    if not gens:  # the cell is the origin; sampling above already decided it
-        return True
-    for piece in split_generators_by_forms(gens, _arrangement([(f, g)], tau)):
-        w = _relint_sample(piece)
-        mf = _maximizer_at(f, tau, w)
-        mg = _maximizer_at(g, tau, w)
-        if (mf is None) != (mg is None):
-            return False
-        if mf is None:
-            continue
-        d = vsub(mf, mg)
-        if any(dot(d, gen) != 0 for gen in piece):
-            return False
+    ctx = f.context
+    for piece in split_generators_by_forms(polyhedra.generators(cell),
+                                           _arrangement([(f, g)], tau)):
+        for gen in piece:
+            p = _point_from_vector(ctx, tau, gen)
+            if f.evaluate(p) != g.evaluate(p):
+                return False
     return True
 
 

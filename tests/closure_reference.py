@@ -22,9 +22,9 @@ from tropcong._linalg import ONE, ZERO, nullspace_basis, primitive, vec, zero_ve
 from tropcong.polyhedra import (EQ, LT, EmptyPolyhedronError, Fan, HRow, PolyhedronH,
                                 cone_over, recession_cone, relative_interior_point)
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
-                                 NotInClosure, StratumPoint, _preimage_rows,
+                                 NotInClosure, _preimage_rows,
                                  _tau_in_fan)
-from tropcong.trop_core import Face, ToricContext
+from tropcong.trop_core import ExtPoint, Face, ToricContext
 
 
 def _relint_tau_rows(tau: Face, dim: int):
@@ -42,7 +42,7 @@ def direction_system(L: PolyhedronH, tau: Face, dim: int) -> PolyhedronH:
 
 
 def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
-                                  fan: Fan, w: StratumPoint):
+                                  fan: Fan, w: ExtPoint):
     n = context.rank
     tau = w.tau
     if tau.dim() == 0:

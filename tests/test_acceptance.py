@@ -20,7 +20,7 @@ from tropcong.congruence import (CongruencePresentation, NotFound, PrimeMatrix,
 from tropcong.polyhedra import PolyhedronH, make_flag, row
 from tropcong.resolve import (ResolutionResult, cancellativity_harness,
                               init_stability, resolve_boundary_prime, shifted_point)
-from tropcong.toric_geom import StratumPoint, witness_soundness
+from tropcong.toric_geom import witness_soundness
 from tropcong.trop_core import ExtPoint, TropPoly, parse_poly
 from tropcong.congruence import initial_form_point
 from tropcong.variety import (flag_in_variety, functions_equal_on_variety,
@@ -224,11 +224,11 @@ def test_criterion_5_closure(capsys, fixtures_dir, ctx2):
                     "--point", str(base / "deep_point.json"))
     assert code == 0
     assert doc["w_hat"] == ["0", "-1"] and doc["v"] == ["-1", "-1"]
-    # exact pairing checks on the monoid generators
-    w = StratumPoint.make(ctx2, ctx2.deep_face, (0, 0))
+    # exact pairing checks on the generators of sigma^v
+    w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
     v = (F(-1), F(-1))
     w_hat = (F(0), F(-1))
-    assert witness_soundness(ctx2, ctx2.deep_face, v, w_hat, w)
+    assert witness_soundness(v, w_hat, w)
 
     code, doc = cli(capsys, "closure", "--polyhedron", str(base / "neg_claim1_L.json"),
                     "--fan", str(base / "sigma_fan.json"),

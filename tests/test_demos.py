@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without a traceback."""
+"""Every demo script runs to completion without a traceback and prints
+exactly its golden output, tests/goldens/demos/<demo name>.txt."""
 
 import os
 import pathlib
@@ -9,6 +10,11 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDENS = ROOT / "tests" / "goldens" / "demos"
+
+
+def test_every_demo_has_a_golden():
+    assert sorted(g.stem for g in GOLDENS.glob("*.txt")) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -18,3 +24,4 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == (GOLDENS / (demo.stem + ".txt")).read_text()

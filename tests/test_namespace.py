@@ -14,7 +14,7 @@ EXPORTS = {
                  "PolyhedronH common_refinement covers_equal feasible hrep_from_rays "
                  "is_empty make_flag rays_from_hrep recession_cone "
                  "relative_interior_point validate_flag",
-    "toric_geom": "ClosureWitness NotInClosure StratumPoint cone_closure_witnesses "
+    "toric_geom": "ClosureWitness NotInClosure cone_closure_witnesses "
                   "polyhedron_closure_membership project_to_stratum",
     "congruence": "AddBoth CongruencePresentation Derivation Generator MulMono NotFound "
                   "PrimeMatrix RadicalCertificate Refl SearchBounds Sym Trans "

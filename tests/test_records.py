@@ -23,7 +23,7 @@ from tropcong.polyhedra import (EQ, LE, ConeH, Fan, FlagOfCones, HRow,
                                 validate_flag)
 from tropcong.resolve import (CancellativityReport, ResolutionResult,
                               ResolveFailure, StabilityData)
-from tropcong.toric_geom import ClosureWitness, NotInClosure, StratumPoint
+from tropcong.toric_geom import ClosureWitness, NotInClosure
 from tropcong.trop_core import ExtPoint, Face, ToricContext, TropPoly, parse_poly
 from tropcong.variety import StratumSupport, VarietySupport, hypersurface
 
@@ -49,7 +49,6 @@ RECORDS = [
     (Face, ("ambient", "rays", "span_rref", "pivots"), TAU),
     (TropPoly, ("context", "terms"), F),
     (ExtPoint, ("context", "r", "tau", "coords"), ExtPoint.make(CTX, 1, TAU, (2, 5))),
-    (StratumPoint, ("context", "tau", "coords"), StratumPoint.make(CTX, TAU, (2, 5))),
     (ClosureWitness, ("base", "direction"), ClosureWitness(_q(1, 2), _q(0, -1))),
     (NotInClosure, ("failed_claims",), NotInClosure(("no cone", "no ray"))),
     (HRow, ("a", "b", "rel"), row((1, -2), Fraction(1, 3), LE)),
@@ -83,8 +82,6 @@ RECORDS = [
 ]
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
-FROZEN = [r for r in RECORDS if r[0] is not SearchBounds]
-FROZEN_IDS = [cls.__name__ for cls, _, _ in FROZEN]
 
 
 def _values(obj, fields):
@@ -92,7 +89,7 @@ def _values(obj, fields):
 
 
 def test_table_covers_every_record():
-    assert len(RECORDS) == 28
+    assert len(RECORDS) == 27
     for cls, _, obj in RECORDS:
         assert type(obj) is cls
 
@@ -117,7 +114,7 @@ def test_defaults():
     assert SearchBounds(max_degree=5) == SearchBounds(4, 5, 4000)
 
 
-@pytest.mark.parametrize("cls, fields, obj", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
 def test_hash_is_hash_of_compared_fields(cls, fields, obj):
     values = _values(obj, fields)
     assert hash(obj) == hash(values)
@@ -202,7 +199,7 @@ def test_restriction_cache_stays_out_of_eq_hash_and_repr():
     assert "_restricted" not in repr(f)
 
 
-@pytest.mark.parametrize("cls, fields, obj", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
 def test_assignment_and_deletion_raise(cls, fields, obj):
     before = _values(obj, fields)
     for name in fields + ("extra",):
@@ -218,15 +215,6 @@ def test_cone_fields_are_frozen():
         CONE.rows = ()
     with pytest.raises(AttributeError):
         del CONE.dim
-
-
-def test_search_bounds_mutable_and_unhashable():
-    b = SearchBounds()
-    b.max_nodes = 10
-    assert b == SearchBounds(4, 8, 10)
-    assert SearchBounds.__hash__ is None
-    with pytest.raises(TypeError):
-        hash(b)
 
 
 @pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import closure_reference as ref
 
 from tropcong.polyhedra import Fan, PolyhedronH, cone_over, hrep_from_rays, row
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
-                                 NotInClosure, StratumPoint, cone_closure_witnesses,
+                                 NotInClosure, cone_closure_witnesses,
                                  polyhedron_closure_membership, project_to_stratum,
                                  witness_soundness)
 from tropcong.trop_core import ExtPoint, ToricContext
@@ -35,8 +36,9 @@ def test_project_ray_quotient(ctx2):
     tau = ctx2.face_from_rays([(-1, 0)])
     p = project_to_stratum(ctx2, (5, -1), tau)
     assert p.coords == (F(0), F(-1))
-    assert p.pair((0, 1)) == F(-1)
-    assert p.pair((1, 0)) is None  # u outside tau-perp
+    assert p.r == 1
+    assert p.pair(0, (0, 1)) == F(-1)
+    assert p.pair(0, (1, 0)) is None  # u outside tau-perp
 
 
 # ---------------------------------------------------------------------------
@@ -80,27 +82,35 @@ def test_cone_closure_dense_degenerate(ctx2):
 
 def test_polyhedron_closure_reference_cell(ctx2):
     L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
-    w = StratumPoint.make(ctx2, ctx2.deep_face, (0, 0))
+    w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
     res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2), w)
     assert isinstance(res, ClosureWitness)
     assert res.base == (F(0), F(-1))
     assert res.direction == (F(-1), F(-1))
-    assert witness_soundness(ctx2, ctx2.deep_face, res.direction, res.base, w)
+    assert witness_soundness(res.direction, res.base, w)
 
 
 def test_polyhedron_closure_line_misses_deep(ctx2):
     L = PolyhedronH.make(2, (row([1, 1], 0, "="),))
-    w = StratumPoint.make(ctx2, ctx2.deep_face, (0, 0))
+    w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
     res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2), w)
     assert isinstance(res, NotInClosure)
     assert res.failed_claims == (CLAIM_DIRECTION,)
+
+
+def test_polyhedron_closure_needs_height_one(ctx2):
+    L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
+    for r in (0, 2):
+        with pytest.raises(ValueError, match="height 1"):
+            polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+                                          ExtPoint.make(ctx2, r, ctx2.deep_face, (0, 0)))
 
 
 def test_polyhedron_closure_single_point(ctx2):
     L = PolyhedronH.make(2, (row([1, 0], 2, "="), row([0, 1], 3, "=")))
     for rays in ([(-1, 0)], [(0, -1)], [(-1, 0), (0, -1)]):
         tau = ctx2.face_from_rays(rays)
-        w = StratumPoint.make(ctx2, tau, (2, 3))
+        w = ExtPoint.make(ctx2, 1, tau, (2, 3))
         res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2), w)
         assert isinstance(res, NotInClosure)
         assert CLAIM_DIRECTION in res.failed_claims
@@ -110,7 +120,7 @@ def test_polyhedron_closure_wrong_class(ctx2):
     L = PolyhedronH.make(2, (row([1, 0], 1, "="), row([0, 1], 0, "<=")))
     tau = ctx2.face_from_rays([(0, -1)])
     res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
-                                        StratumPoint.make(ctx2, tau, (5, 0)))
+                                        ExtPoint.make(ctx2, 1, tau, (5, 0)))
     assert isinstance(res, NotInClosure)
     assert res.failed_claims == (CLAIM_PREIMAGE,)
 
@@ -118,23 +128,68 @@ def test_polyhedron_closure_wrong_class(ctx2):
 def test_polyhedron_closure_dense_point_is_plain_membership(ctx2):
     L = PolyhedronH.make(2, (row([0, 1], 0, "<"),))
     inside = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
-                                           StratumPoint.make(ctx2, ctx2.dense_face, (3, 0)))
+                                           ExtPoint.make(ctx2, 1, ctx2.dense_face, (3, 0)))
     assert isinstance(inside, ClosureWitness)
     assert inside.base == (F(3), F(0)) and inside.direction == (F(0), F(0))
     outside = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
-                                            StratumPoint.make(ctx2, ctx2.dense_face, (0, 1)))
+                                            ExtPoint.make(ctx2, 1, ctx2.dense_face, (0, 1)))
     assert isinstance(outside, NotInClosure)
 
 
 def test_limit_check_exact_coordinates(ctx2):
     # exact pairings: v falls on the dead generator, w_hat matches w on the alive one
     tau = ctx2.face_from_rays([(-1, 0)])
-    w = StratumPoint.make(ctx2, tau, (0, -1))
+    w = ExtPoint.make(ctx2, 1, tau, (0, -1))
     v = (F(-1), F(0))
     w_hat = (F(7), F(-1))
-    assert witness_soundness(ctx2, tau, v, w_hat, w)
+    assert witness_soundness(v, w_hat, w)
     # a direction that keeps the dead coordinate finite must fail soundness
-    assert not witness_soundness(ctx2, tau, (F(0), F(0)), w_hat, w)
+    assert not witness_soundness((F(0), F(0)), w_hat, w)
+
+
+def _brute_witness(v, w_hat, w, box=3):
+    """lim_N <u, w_hat + N*v> = w(u) for every u in M with |u_i| <= box:
+    +inf (<u, v> > 0) matches nothing, -inf (<u, v> < 0) matches bottom."""
+    ctx = w.context
+    for u in itertools.product(range(-box, box + 1), repeat=ctx.rank):
+        if not ctx.exponent_in_monoid(u):
+            continue
+        pv = sum(a * b for a, b in zip(v, u))
+        pw = w.pair(0, u)
+        if pv > 0 or (pv < 0) != (pw is None):
+            return False
+        if pv == 0 and sum(a * b for a, b in zip(w_hat, u)) != pw:
+            return False
+    return True
+
+
+def test_witness_soundness_matches_brute_force_pairing():
+    # v = (1, -1) walks the x coordinate to +inf, outside sigma
+    ctx = ToricContext.affine(2)
+    w = ExtPoint.make(ctx, 1, ctx.face_from_rays([(0, -1)]), (3, 0))
+    assert not witness_soundness((1, -1), (3, 5), w)
+    assert witness_soundness((0, -1), (3, 5), w)
+
+    rng = random.Random(20261019)
+    seen = {True: 0, False: 0, "outside sigma": 0}
+    for ctx in (ToricContext.affine(2), ToricContext(2, [(-1, 0), (-1, -2)]),
+                _square_pyramid(), ToricContext.torus(2)):
+        n = ctx.rank
+        for _ in range(150):
+            tau = rng.choice(ctx.faces)
+            if rng.random() < 0.5:  # a point of rel.int(tau), often a true direction
+                v = tuple(sum(rng.randint(1, 3) * r[i] for r in tau.rays) for i in range(n))
+            else:
+                v = tuple(rng.randint(-2, 2) for _ in range(n))
+            w_hat = tuple(rng.randint(-2, 2) for _ in range(n))
+            x = w_hat if rng.random() < 0.5 else [rng.randint(-2, 2) for _ in range(n)]
+            w = ExtPoint.make(ctx, 1, tau, x)
+            want = _brute_witness(v, w_hat, w)
+            assert witness_soundness(v, w_hat, w) == want, (ctx, v, w_hat, w)
+            seen[want] += 1
+            if not ctx.sigma.contains(v):
+                seen["outside sigma"] += 1
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +199,26 @@ def test_closure_empty_strict_polyhedron_reaches_nothing(ctx2):
     # {x < 0, x > 0} is empty: no stratum point is in its closure
     L = PolyhedronH.make(2, (row([1, 0], 0, "<"), row([-1, 0], 0, "<")))
     res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
-                                        StratumPoint.make(ctx2, ctx2.dense_face, (0, 5)))
+                                        ExtPoint.make(ctx2, 1, ctx2.dense_face, (0, 5)))
     assert res == NotInClosure((CLAIM_PREIMAGE,))
     for tau in ctx2.faces[1:]:
         res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
-                                            StratumPoint.make(ctx2, tau, (0, 5)))
+                                            ExtPoint.make(ctx2, 1, tau, (0, 5)))
         assert res == NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
 
 
 def test_closure_strict_polyhedron_boundary_witness(ctx2):
     # {x = y + 1, y < 0} has the closure of the reference cell, so the same witness
     strict = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<")))
-    w = StratumPoint.make(ctx2, ctx2.deep_face, (0, 0))
+    w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
     res = polyhedron_closure_membership(ctx2, strict, sigma_fan(ctx2), w)
     assert res == polyhedron_closure_membership(ctx2, strict.weakened(), sigma_fan(ctx2), w)
     assert res == ClosureWitness((F(0), F(-1)), (F(-1), F(-1)))
-    assert witness_soundness(ctx2, ctx2.deep_face, res.direction, res.base, w)
+    assert witness_soundness(res.direction, res.base, w)
     # rec = {x = y <= 0} misses the ray (0, -1), and so does the class x = 5
     tau = ctx2.face_from_rays([(0, -1)])
     res = polyhedron_closure_membership(ctx2, strict, sigma_fan(ctx2),
-                                        StratumPoint.make(ctx2, tau, (5, 0)))
+                                        ExtPoint.make(ctx2, 1, tau, (5, 0)))
     assert res == NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
 
 
@@ -202,7 +257,7 @@ def _against_reference(ctx, L, w):
         assert got == want, (L, w)
         return got.failed_claims if len(got.failed_claims) == 1 else "both"
     assert isinstance(want, ClosureWitness) and got.base == want.base, (L, w)
-    assert witness_soundness(ctx, w.tau, got.direction, got.base, w)
+    assert witness_soundness(got.direction, got.base, w)
     if got.direction == want.direction:
         return "witness"
     assert ref.direction_system(L, w.tau, ctx.rank).contains(got.direction), (L, w)
@@ -219,7 +274,7 @@ def test_closure_matches_reference_on_every_stratum():
             for tau in ctx.faces:
                 # the anchor's own class (claim 1 holds) and a random one
                 for x in (anchor, [rng.randint(-3, 3) for _ in range(ctx.rank)]):
-                    seen[_against_reference(ctx, L, StratumPoint.make(ctx, tau, x))] += 1
+                    seen[_against_reference(ctx, L, ExtPoint.make(ctx, 1, tau, x))] += 1
     # every verdict is reached, and the directions agree but for rare ties
     assert all(seen[k] for k in seen if k != "tie"), seen
     assert seen["tie"] * 50 < seen["witness"], seen
@@ -230,5 +285,5 @@ def test_closure_direction_tie_against_reference():
     ctx = _square_pyramid()
     L = PolyhedronH.make(3, (row([-1, 0, 1], 1, "<="), row([-1, 1, 0], -2, "<="),
                              row([-1, 1, 0], -1, "<="), row([-1, 1, 1], -3, "<=")))
-    assert _against_reference(ctx, L, StratumPoint.make(ctx, ctx.deep_face, (0, 0, 0))) in (
+    assert _against_reference(ctx, L, ExtPoint.make(ctx, 1, ctx.deep_face, (0, 0, 0))) in (
         "witness", "tie")

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from tropcong.polyhedra import DimensionMismatchError
 from tropcong.trop_core import (ContextMismatchError, ExtPoint, ToricContext,
                                 TropPoly, ZeroPolynomialError, bend_relations,
                                 parse_poly)
@@ -98,7 +99,6 @@ def test_scalar_pow():
 def test_affine_preset_monoid(ctx2):
     assert ctx2.exponent_in_monoid((2, 0))
     assert not ctx2.exponent_in_monoid((-1, 0))
-    assert ctx2.monoid_generators == ((F(1), F(0)), (F(0), F(1)))
     assert len(ctx2.faces) == 4  # {0}, two rays, sigma
     assert ctx2.face_from_rays(()) == ctx2.dense_face
 
@@ -108,16 +108,6 @@ def test_torus_preset_monoid():
     assert t.exponent_in_monoid((-3, 5))
     assert len(t.faces) == 1
     assert t.face_from_rays(()) == t.dense_face
-
-
-def test_custom_sigma_hilbert_basis():
-    # sigma = cone((-1,0), (-1,-2)); dual cone is spanned by (0,1) and (2,-1)
-    # and needs the interior lattice point (1,0) as a generator
-    ctx = ToricContext(2, [(-1, 0), (-1, -2)])
-    gens = set(tuple(int(x) for x in g) for g in ctx.monoid_generators)
-    assert {(0, 1), (2, -1), (1, 0)} <= gens
-    for g in gens:
-        assert ctx.exponent_in_monoid(g)
 
 
 def test_boolean_mode_rejects_coefficients():
@@ -131,6 +121,15 @@ def test_boolean_mode_rejects_coefficients():
 def test_exponent_outside_monoid_rejected(ctx2):
     with pytest.raises(ValueError):
         TropPoly.make(ctx2, {(-1, 0): F(0)})
+
+
+def test_wrong_length_vectors_rejected(ctx2):
+    with pytest.raises(DimensionMismatchError, match="rank 2"):
+        TropPoly.make(ToricContext.torus(2), {(1, 2, 3): 0})
+    with pytest.raises(DimensionMismatchError, match="length 3 in rank 2"):
+        ExtPoint.dense(ctx2, 1, (1, 1, 1))
+    with pytest.raises(DimensionMismatchError):
+        ExtPoint.make(ctx2, 1, ctx2.deep_face, (1,))
 
 
 def test_non_integral_exponent_rejected(ctx2):
