@@ -237,6 +237,21 @@ def test_functions_equal_examples(ctx1):
     assert functions_equal_on_variety(f, f + f, V)
 
 
+def test_functions_differ_only_between_sample_points(ctx1):
+    # on the whole dense stratum, 1 + t^-1*x^2 and the same plus t^-1/4*x
+    # differ exactly where r/4 < x < 3r/4: none of the cell's sample points
+    # (sums of at most two of (1, 0), (0, 1), (0, -1)) lies there, so only
+    # the check at the generators of the tie-arrangement pieces sees it
+    one = parse_poly(ctx1, "1")
+    V = vy.support_of(CongruencePresentation.make(ctx1, [(one, one)], True))
+    f = parse_poly(ctx1, "1 + t^-1*x^2")
+    g = parse_poly(ctx1, "1 + t^-1/4*x + t^-1*x^2")
+    w = ExtPoint.dense(ctx1, 1, (F(1, 2),))
+    assert f.evaluate(w) == 0 and g.evaluate(w) == F(1, 4)
+    assert not functions_equal_on_variety(f, g, V)
+    assert functions_equal_on_variety(f, f + parse_poly(ctx1, "t^-1/2*x"), V)
+
+
 def test_fractions_on_torus():
     ctx = ToricContext.torus(1)
     E = CongruencePresentation.make(ctx, (), finite_tropical_basis=True)
