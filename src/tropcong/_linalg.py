@@ -4,16 +4,16 @@ The number contract of the library: an exact number is an `int` when it is
 integral, and otherwise a `Fraction` whose denominator is above 1 (`canon`).
 Every function here returns that form, takes ints or Fractions in any form,
 and mutates nothing in place; the kernels `dot`, `primitive` and `rref`
-compute on Python ints (one common denominator, or rows cleared of
-denominators and eliminated fraction-free, Bareiss 1968) and build a Fraction
-only for a value that is not integral.  Inputs enter through `frac`/`vec`
-(records' `make`, the JSON decoders), so integer data stays int and plain
-`+`, `-` and `*` on it elsewhere stay int too.  Where such arithmetic mixes
-in Fractions it may give an integral `Fraction`; that is sound, because
-`Fraction(2) == 2`, `hash(Fraction(2)) == hash(2)` and `str(Fraction(2)) ==
-"2"`, so records, cache keys and output do not see the form.  The one hazard
-is `/` between two ints, which gives a float: every division goes through
-`qdiv`, and `frac`, `dot` and `qdiv` reject floats.
+compute on Python ints (a plain sum of int products, one common denominator,
+or rows cleared of denominators and eliminated fraction-free, Bareiss 1968)
+and build a Fraction only for a value that is not integral.  Inputs enter
+through `frac`/`vec` (records' `make`, the JSON decoders), so integer data
+stays int and plain `+`, `-` and `*` on it elsewhere stay int too.  Where
+such arithmetic mixes in Fractions it may give an integral `Fraction`; that
+is sound, because `Fraction(2) == 2`, `hash(Fraction(2)) == hash(2)` and
+`str(Fraction(2)) == "2"`, so records, cache keys and output do not see the
+form.  The one hazard is `/` between two ints, which gives a float: every
+division goes through `qdiv`, and `frac`, `dot` and `qdiv` reject floats.
 """
 
 from __future__ import annotations
@@ -65,11 +65,22 @@ def zero_vec(d: int) -> Vec:
     return (ZERO,) * d
 
 
+_int_mul = int.__mul__
+
+
 def dot(u: Sequence, v: Sequence):
-    """Exact u . v of int or Fraction entries: one integer numerator over a
-    common denominator, a Fraction built at the end only if it is not integral."""
+    """Exact u . v of int or Fraction entries: on int (or bool) vectors a sum
+    of int products; otherwise one integer numerator over a common
+    denominator, a Fraction built at the end only if it is not integral."""
     if len(u) != len(v):
         raise RuntimeError("dot of vectors of lengths %d and %d" % (len(u), len(v)))
+    try:
+        # int.__mul__ multiplies ints only: another entry raises TypeError, or
+        # gives NotImplemented, which the sum rejects.  It never repeats a
+        # string or converts a huge int to float, as operator.mul would.
+        return sum(map(_int_mul, u, v))
+    except TypeError:
+        pass
     num, den = 0, 1
     try:
         for a, b in zip(u, v):

@@ -156,8 +156,7 @@ def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
     _, vals = _live_phis(theta, f)
     if not vals:
         return (None,) * theta.rank()
-    # equal maxima may differ as int and integral Fraction: keep the last term's
-    return max(reversed(vals))
+    return max(vals)
 
 
 def prime_contains_pair(theta: PrimeMatrix, pair) -> bool:

@@ -270,7 +270,7 @@ class TropPoly(_Record):
         if not live:
             return None
         r, x = w.r, w.coords
-        return canon(max(pair_term(r, x, a, u) for u, a in live))
+        return max(pair_term(r, x, a, u) for u, a in live)
 
     def restrict(self, tau: Face) -> "TropPoly":
         """Terms whose exponents survive on the stratum of tau (u in tau-perp).
@@ -319,9 +319,10 @@ class TropPoly(_Record):
 # extended points
 
 def pair_term(r, x: Sequence, a, u: Sequence):
-    """< (a, u), (r, x) > = r*a + <x, u>: the value of the term t^a z^u at a
-    point or a matrix row (r, x), with no check that u is in tau-perp."""
-    return r * a + dot(x, u)
+    """< (a, u), (r, x) > = r*a + <x, u>, canonical: the value of the term
+    t^a z^u at a point or a matrix row (r, x), with no check that u is in
+    tau-perp."""
+    return canon(r * a + dot(x, u))
 
 
 class ExtPoint(_Record):
@@ -351,7 +352,7 @@ class ExtPoint(_Record):
         tau-perp; else None (bottom, -inf)."""
         if not self.tau.perp_contains(u):
             return None
-        return canon(pair_term(self.r, self.coords, a, u))
+        return pair_term(self.r, self.coords, a, u)
 
     def full_vector(self) -> Vec:
         return (self.r,) + self.coords

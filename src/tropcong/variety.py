@@ -393,6 +393,11 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     live term attaining it.  D is where every leading term dominates its side
     and the two of a pair agree.
 
+    C_0 is one ray r_0, a positive multiple of theta's first row mod span
+    tau, so a live term's value at r_0 is a positive multiple of its first
+    Phi entry: every leading term dominates its side there and the two of a
+    pair agree.  The cut of C_0 is C_0 itself, checked on those entries.
+
     A valid flag is simplicial, so C_i is cut in its own ray coordinates:
     w = sum_j l_j r_j over its i + 1 rays turns C_i cap D into the cone
     {l >= 0, (<a, r_j>)_j . l rel 0 for each row (a, rel) of D} in R^{i+1}.
@@ -411,16 +416,20 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     lexicographic Phi order.  `sample_pairs` and `seed` are ignored.
     """
     theta = flag_to_matrix(context, flag)
-    leads = []  # per pair alive on the stratum: (live terms, leading index) per side
+    leads = []  # per pair alive on the stratum, per side: (live terms, Phis, leading index)
     for f, g in E.pairs:
         (top_f, side_f), (top_g, side_g) = _lead(theta, f), _lead(theta, g)
         if top_f != top_g:
             raise ValueError("E is not contained in the prime of the flag")
         if top_f is not None:  # else both sides are dead on the stratum
             leads.append((side_f, side_g))
-    new_cones = []
+    for sides in leads:
+        firsts = [vals[m][0] for _, vals, m in sides]
+        if firsts[0] != firsts[1] or any(v[0] > vals[m][0] for _, vals, m in sides for v in vals):
+            raise InternalConsistencyError("the first flag cone should need no cut")
+    new_cones = [(primitive(flag.cones_rays[0][0]),)]
     simplicial = True
-    for i, rays in enumerate(flag.cones_rays):
+    for i, rays in enumerate(flag.cones_rays[1:], 1):
         _, lams = polyhedra.cone_generators(ConeH.make(len(rays), _cut_rows(leads, rays)))
         if rank_of(lams) != i + 1:
             raise InternalConsistencyError(
@@ -438,15 +447,16 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
 
 
 def _lead(theta: PrimeMatrix, p: TropPoly) -> tuple:
-    """(Phi(p), (live terms, index of the leading one)) from one pass over the
-    terms of p alive on theta's stratum; Phi(p) is None when none is."""
+    """(Phi(p), (live terms, their Phi-vectors, index of the leading one))
+    from one pass over the terms of p alive on theta's stratum; Phi(p) is
+    None when none is."""
     if theta.context != p.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
     live, vals = _live_phis(theta, p)
     if not live:
         return None, None
     top = max(vals)
-    return top, (live, vals.index(top))
+    return top, (live, vals, vals.index(top))
 
 
 def _cut_rows(leads, rays) -> list:
@@ -457,7 +467,7 @@ def _cut_rows(leads, rays) -> list:
     rows = []
     for sides in leads:
         tops = []
-        for live, m in sides:
+        for live, _, m in sides:
             vals = [tuple(pair_term(h, x, a, u) for h, x in pts) for u, a in live]
             rows.extend(HRow(vsub(v, vals[m]), ZERO, LE) for j, v in enumerate(vals) if j != m)
             tops.append(vals[m])

@@ -209,6 +209,26 @@ def test_shrink_flag_matches_reference_on_every_stratum():
     assert seen["dense", "not simplicial"] >= 10, seen
 
 
+def test_shrink_flag_takes_the_first_cone_as_it_is():
+    # C_0 is the ray of theta's first row, where every leading term dominates
+    # and the two sides of a pair agree: its cut is itself, with no cone built
+    ctx = ToricContext.affine(2)
+    tau = ctx.face_from_rays([(-1, 0)])
+    flag = FlagOfCones(3, tau.rays, (((2, 0, -4),),))  # a non-primitive ray
+    theta = flag_to_matrix(ctx, flag)
+    fs = [parse_poly(ctx, s) for s in ("t^1 + x*y + t^-1*y^2 + x", "t^2*y + x^3 + 1")]
+    # x and x^2 are dead on the stratum of tau
+    E = CongruencePresentation.make(
+        ctx, [(f, initial_form_prime(f, theta)) for f in fs]
+        + [(parse_poly(ctx, "x"), parse_poly(ctx, "x^2"))])
+    before = polyhedra.cone_generators.cache_info()
+    out = shrink_flag(ctx, flag, E)
+    after = polyhedra.cone_generators.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    assert out.cones_rays == (((1, 0, -2),),)
+    assert out == shrink_reference.shrink_flag(ctx, flag, E)
+
+
 # a valid flag whose third cut has 4 extreme rays for dimension 3
 def _non_simplicial_case():
     ctx = ToricContext.affine(2)

@@ -14,12 +14,14 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import linalg_reference as ref
-from tropcong._linalg import dot, frac, primitive, qdiv, rref, vadd, vscale, vsub
+from tropcong._linalg import canon, dot, frac, primitive, qdiv, rref, vadd, vscale, vsub
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropcong"
 
@@ -80,6 +82,74 @@ def test_dot_sweep():
         u, v = _vector(rng, d, dens), _vector(rng, d, dens)
         got = dot(u, v)
         assert got == ref.dot(u, v) and _canonical(got), (u, v)
+
+
+def _int_entry(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.choice((True, False))
+    if kind == 2:
+        return rng.choice((-1, 1)) * rng.randint(2**64, 2**70)
+    return rng.randint(-6, 6)
+
+
+def _kind_entry(rng, kind):
+    if kind == "int" or (kind == "mixed" and rng.randrange(2)):
+        return _int_entry(rng)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def test_dot_int_and_mixed_sweep():
+    """Int vectors (with zeros, negatives, bools and ints above 2**64), int
+    vectors mixed with Fractions, and all-Fraction vectors: the value and the
+    canonical type of the reference's product."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for k in range(CASES):
+        d, kind = k % 6, ("int", "mixed", "fraction")[k % 3]
+        u = tuple(_kind_entry(rng, kind) for _ in range(d))
+        v = tuple(_kind_entry(rng, kind) for _ in range(d))
+        got, want = dot(u, v), canon(ref.dot(u, v))
+        assert (type(got), got) == (type(want), want), (u, v)
+        seen[kind, type(got).__name__] += 1
+        seen["bool"] += any(type(x) is bool for x in u + v)
+        seen["big"] += any(abs(x) > 2**64 for x in u + v)
+    assert seen["int", "Fraction"] == 0
+    for part in (("int", "int"), ("mixed", "int"), ("mixed", "Fraction"),
+                 ("fraction", "int"), ("fraction", "Fraction"), "bool", "big"):
+        assert seen[part] >= 20, (part, seen)
+
+
+# what dot raised before its int fast path, which must not change it (floats
+# against small ints are in FLOATS below); an int before the odd entry would
+# overflow into a float or repeat a str if the fast path used operator.mul
+NOT_EXACT = [
+    ("huge int then float", (10**400,), (0.5,), TypeError,
+     "floats are not allowed in exact computations: 0.5"),
+    ("float then huge int", (0.5,), (10**400,), TypeError,
+     "floats are not allowed in exact computations: 0.5"),
+    ("rational str", (1, "1/2"), (1, 1), TypeError, "dot needs int or Fraction entries"),
+    ("rational str after Fraction", (Fraction(1, 2), "1/2"), (1, 1), TypeError,
+     "dot needs int or Fraction entries"),
+    ("other str", (3, 2), ("x", 1), ValueError, "Invalid literal for Fraction: 'x'"),
+    ("str after big int", (10**6,), ("ab",), ValueError, "Invalid literal for Fraction: 'ab'"),
+    ("Decimal first", (Decimal("1.5"), 1), (2, 3), TypeError,
+     "dot needs int or Fraction entries"),
+    ("Decimal second", (2, 3), (Decimal("1.5"), 1), TypeError,
+     "dot needs int or Fraction entries"),
+    ("None", (1,), (None,), TypeError, "argument should be a string or a Rational instance"),
+    ("huge int then complex", (10**400,), (1j,), TypeError,
+     "argument should be a string or a Rational instance"),
+]
+
+
+@pytest.mark.parametrize("name, u, v, exc, msg", NOT_EXACT, ids=[c[0] for c in NOT_EXACT])
+def test_dot_raises_as_before_on_entries_that_are_not_exact(name, u, v, exc, msg):
+    with pytest.raises(exc) as info:
+        dot(u, v)
+    assert type(info.value) is exc and str(info.value) == msg
 
 
 def test_qdiv_and_vector_ops_sweep():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from tropcong.congruence import PrimeMatrix, phi_monomial, prime_eval
 from tropcong.polyhedra import DimensionMismatchError
 from tropcong.trop_core import (ContextMismatchError, ExtPoint, ToricContext,
                                 TropPoly, ZeroPolynomialError, bend_relations,
@@ -179,7 +180,8 @@ def test_eval_deep_stratum_kills_everything(ctx2, quartic):
     st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=4),
     rationals.map(abs), st.tuples(rationals, rationals))
 def test_values_are_exact_numbers_or_none(face, terms, r, x):
-    # 2/3 * 3/2 is an integral Fraction: evaluate and pair return it as an int
+    # 2/3 * 3/2 is an integral Fraction: evaluate, pair, phi_monomial and
+    # prime_eval return it as an int
     ctx = ToricContext.affine(2)
     f = TropPoly.make(ctx, terms)
     w = ExtPoint.make(ctx, r, ctx.faces[face], x)
@@ -190,6 +192,10 @@ def test_values_are_exact_numbers_or_none(face, terms, r, x):
         best = trop_add(best, p)
     got = f.evaluate(w)
     assert is_exact(got) and got == best
+    # Phi-vectors: the matrix rows are (r; x) and (|x_2|; x_2, x_1)
+    theta = PrimeMatrix.make(ctx, ctx.faces[face], [(r, x), (abs(x[1]), x[::-1])])
+    phis = [phi_monomial(theta, a, u) for u, a in f.terms] + [prime_eval(theta, f)]
+    assert all(is_exact(e) for phi in phis for e in phi)
 
 
 def test_eval_context_mismatch(ctx2, ctx1):
