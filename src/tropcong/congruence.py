@@ -140,12 +140,17 @@ def lex_le(v1: LexVec, v2: LexVec) -> bool:
     return True
 
 
-def _live_phis(theta: PrimeMatrix, f: TropPoly) -> tuple:
-    """The terms of f alive on theta's stratum and their Phi-vectors, which
-    hold exact numbers only: tuples of them compare lexicographically."""
-    live = f.restrict(theta.tau).terms
+def _phis(theta: PrimeMatrix, terms) -> list:
+    """The Phi-vectors of terms alive on theta's stratum, which hold exact
+    numbers only: tuples of them compare lexicographically."""
     rows = theta.rows
-    return live, [tuple(pair_term(r, x, a, u) for r, x in rows) for u, a in live]
+    return [tuple(pair_term(r, x, a, u) for r, x in rows) for u, a in terms]
+
+
+def _live_phis(theta: PrimeMatrix, f: TropPoly) -> tuple:
+    """The terms of f alive on theta's stratum and their Phi-vectors."""
+    live = f.restrict(theta.tau).terms
+    return live, _phis(theta, live)
 
 
 def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
@@ -171,8 +176,32 @@ def monomial_le(theta: PrimeMatrix, m1: TropPoly, m2: TropPoly) -> bool:
 # ---------------------------------------------------------------------------
 # congruence presentations
 
+def _pair_table(pairs, tau: Face) -> tuple:
+    """(terms, sides): the distinct terms alive on tau's stratum across every
+    side of pairs, in first-seen order, and each pair as two tuples of indices
+    into terms, each in the order of its side's terms.  A side with no live
+    term gets the empty tuple: it is bottom.
+
+    The k pairs of the bend presentation of a k-term f have 2k^2 - k term
+    slots but only the k terms of f, so a query values k terms."""
+    index = {}  # term -> its position in terms
+
+    def side(p):
+        return tuple(index.setdefault(t, len(index)) for t in p.restrict(tau).terms)
+
+    sides = tuple((side(f), side(g)) for f, g in pairs)
+    return tuple(index), sides
+
+
+def _side_max(values, side):
+    """The max of values over the indices of one side; None (bottom) for a
+    side with no live term."""
+    return max(map(values.__getitem__, side), default=None)
+
+
 class CongruencePresentation(_Record):
     _fields = ("context", "pairs", "finite_tropical_basis")
+    _tables = None  # {face: _pair_table(pairs, face)}, filled by pair_table
 
     def __init__(self, context: ToricContext, pairs: tuple,
                  finite_tropical_basis: bool = False):
@@ -192,9 +221,36 @@ class CongruencePresentation(_Record):
         return CongruencePresentation.make(f.context, bend_relations(f),
                                            finite_tropical_basis)
 
+    def pair_table(self, tau: Face) -> tuple:
+        """_pair_table of the pairs at tau, kept per face in a cache left out
+        of ==, the hash and the repr: a flag query asks for the same stratum
+        again and again."""
+        memo = self._tables
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_tables", memo)
+        out = memo.get(tau)
+        if out is None:
+            out = memo[tau] = _pair_table(self.pairs, tau)
+        return out
+
+
+def _phi_table(E: CongruencePresentation, theta: PrimeMatrix) -> tuple:
+    """(terms, Phi-vectors, sides): E's pair table on theta's stratum with the
+    Phi-vector of each distinct live term."""
+    if theta.context != E.context:
+        raise ContextMismatchError("matrix and polynomial contexts differ")
+    terms, sides = E.pair_table(theta.tau)
+    return terms, _phis(theta, terms), sides
+
 
 def congruence_in_prime(E: CongruencePresentation, theta: PrimeMatrix) -> bool:
-    return all(prime_contains_pair(theta, p) for p in E.pairs)
+    """E in the prime of theta: Phi(f) = Phi(g) for every pair.  Each distinct
+    term alive on theta's stratum is valued once, and each side's Phi is the
+    max of its terms' values; a side with no live term is bottom, equal to
+    another dead side and to no live one."""
+    _, phis, sides = _phi_table(E, theta)
+    return all(_side_max(phis, fs) == _side_max(phis, gs) for fs, gs in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +300,13 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
     """Row i is the primitive sum of the rays of C_i, a relative-interior point.
 
     Any choice of w_i in C_i \\ C_{i-1} induces the same congruence; this one
-    is canonical.
+    is canonical.  The matrix of a valid flag is kept on the flag per context
+    (a flag is immutable), so a second call returns the same PrimeMatrix; an
+    invalid flag raises ValueError on every call.
     """
+    theta = flag._matrices.get(context)
+    if theta is not None:
+        return theta
     bad = validate_flag(flag)
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
@@ -255,7 +316,8 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
         # the sum of the rays of a simplicial cone is a relative interior point
         pt = primitive(vec([sum(r[j] for r in rays) for j in range(flag.ambient_dim)]))
         rows.append((pt[0], pt[1:]))
-    return PrimeMatrix.make(context, tau, rows)
+    theta = flag._matrices[context] = PrimeMatrix.make(context, tau, rows)
+    return theta
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,8 @@ class FlagOfCones(_Record):
         object.__setattr__(self, "cones_rays", cones_rays)  # tuple of tuples of rays
         # [violations] once validate_flag has run; a flag is immutable
         object.__setattr__(self, "_verdict", [])
+        # context -> its PrimeMatrix, filled by congruence.flag_to_matrix
+        object.__setattr__(self, "_matrices", {})
 
     def cone(self, i: int) -> ConeH:
         return hrep_from_rays(self.cones_rays[i], self.ambient_dim)

@@ -2,8 +2,10 @@
 
 Cells live in R^{1+n} coordinates (height first), constrained to the canonical
 representative subspace of their stratum, so every cell is a Gamma-admissible
-H-cone.  Pointwise evaluation of the basis pairs stays authoritative; the cell
-data is an index and any disagreement raises InternalConsistencyError.
+H-cone.  Pointwise evaluation of the basis pairs stays authoritative (each
+distinct term alive on the point's stratum is valued once, and each side of a
+pair is the max of its terms' values); the cell data is an index and any
+disagreement raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
                         pairwise_intersections, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
                         TropPoly, bend_relations, pair_term)
-from .congruence import CongruencePresentation, PrimeMatrix, _live_phis, flag_to_matrix
+from .congruence import (CongruencePresentation, _pair_table, _phi_table, _side_max,
+                         flag_to_matrix)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -128,6 +131,7 @@ class VarietySupport(_Record):
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "strata", strata)  # one StratumSupport per face of sigma
         object.__setattr__(self, "_arrangements", {})  # tau -> arrangement(tau)
+        object.__setattr__(self, "_tables", {})  # tau -> pair_table(tau)
 
     def stratum(self, tau: Face) -> StratumSupport:
         for s in self.strata:
@@ -143,6 +147,12 @@ class VarietySupport(_Record):
         if tau not in self._arrangements:
             self._arrangements[tau] = _arrangement(self.pairs, tau)
         return self._arrangements[tau]
+
+    def pair_table(self, tau: Face) -> tuple:
+        """congruence._pair_table of the pairs at tau, computed once per stratum."""
+        if tau not in self._tables:
+            self._tables[tau] = _pair_table(self.pairs, tau)
+        return self._tables[tau]
 
 
 @lru_cache(maxsize=32)
@@ -219,8 +229,17 @@ def _point_from_vector(ctx: ToricContext, tau: Face, w: Vec) -> ExtPoint:
 
 
 def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
-    """Pointwise evaluation of all pairs (authoritative), cross-checked on cells."""
-    pointwise = all(f.evaluate(w) == g.evaluate(w) for f, g in V.pairs)
+    """Pointwise evaluation of all pairs (authoritative), cross-checked on cells.
+
+    Each distinct term alive on w's stratum is valued once at w, and each
+    side of a pair is the max of its terms' values: the side's value at w, or
+    None (bottom) when no term of the side is alive there."""
+    if w.context != V.context:
+        raise ContextMismatchError("polynomial and point contexts differ")
+    terms, sides = V.pair_table(w.tau)
+    r, x = w.r, w.coords
+    vals = [pair_term(r, x, a, u) for u, a in terms]
+    pointwise = all(_side_max(vals, fs) == _side_max(vals, gs) for fs, gs in sides)
     try:
         sup = V.stratum(w.tau)
     except ValueError:
@@ -387,11 +406,12 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     """Cut each flag cone by the leading-term domination cone D of E's pairs.
 
     Requires E contained in the flag's prime; the output lies inside V~(E) and
-    defines the same prime by construction.  One pass over the terms of each
-    side alive on the flag's stratum gives its Phi-maximum (the two of a pair
-    must be equal, else E is not in the prime) and its leading term, the first
-    live term attaining it.  D is where every leading term dominates its side
-    and the two of a pair agree.
+    defines the same prime by construction.  E's pair table on the flag's
+    stratum values each distinct live term once: its Phi-vector gives each
+    side's Phi-maximum (the two of a pair must be equal, else E is not in the
+    prime) and its leading term, the first of the side's live terms
+    attaining it.  D is where every leading term dominates its side and the
+    two of a pair agree.
 
     C_0 is one ray r_0, a positive multiple of theta's first row mod span
     tau, so a live term's value at r_0 is a positive multiple of its first
@@ -415,22 +435,25 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     lower-triangular change of rows with positive diagonal preserves the
     lexicographic Phi order.  `sample_pairs` and `seed` are ignored.
     """
-    theta = flag_to_matrix(context, flag)
-    leads = []  # per pair alive on the stratum, per side: (live terms, Phis, leading index)
-    for f, g in E.pairs:
-        (top_f, side_f), (top_g, side_g) = _lead(theta, f), _lead(theta, g)
-        if top_f != top_g:
+    terms, phis, sides = _phi_table(E, flag_to_matrix(context, flag))
+    leads = []  # per pair alive on the stratum, per side: (term indices, leading index)
+    for side_f, side_g in sides:
+        top = _side_max(phis, side_f)
+        if top != _side_max(phis, side_g):
             raise ValueError("E is not contained in the prime of the flag")
-        if top_f is not None:  # else both sides are dead on the stratum
-            leads.append((side_f, side_g))
-    for sides in leads:
-        firsts = [vals[m][0] for _, vals, m in sides]
-        if firsts[0] != firsts[1] or any(v[0] > vals[m][0] for _, vals, m in sides for v in vals):
+        if top is not None:  # else both sides are dead on the stratum
+            leads.append(tuple((side, next(j for j in side if phis[j] == top))
+                               for side in (side_f, side_g)))
+    for pair in leads:
+        firsts = [phis[m][0] for _, m in pair]
+        if firsts[0] != firsts[1] or any(phis[j][0] > phis[m][0]
+                                         for side, m in pair for j in side):
             raise InternalConsistencyError("the first flag cone should need no cut")
     new_cones = [(primitive(flag.cones_rays[0][0]),)]
     simplicial = True
     for i, rays in enumerate(flag.cones_rays[1:], 1):
-        _, lams = polyhedra.cone_generators(ConeH.make(len(rays), _cut_rows(leads, rays)))
+        cut_rows = _cut_rows(terms, leads, rays)
+        _, lams = polyhedra.cone_generators(ConeH.make(len(rays), cut_rows))
         if rank_of(lams) != i + 1:
             raise InternalConsistencyError(
                 "dimension dropped while shrinking; the cut should be a neighborhood")
@@ -446,32 +469,17 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     return out
 
 
-def _lead(theta: PrimeMatrix, p: TropPoly) -> tuple:
-    """(Phi(p), (live terms, their Phi-vectors, index of the leading one))
-    from one pass over the terms of p alive on theta's stratum; Phi(p) is
-    None when none is."""
-    if theta.context != p.context:
-        raise ContextMismatchError("matrix and polynomial contexts differ")
-    live, vals = _live_phis(theta, p)
-    if not live:
-        return None, None
-    top = max(vals)
-    return top, (live, vals, vals.index(top))
-
-
-def _cut_rows(leads, rays) -> list:
+def _cut_rows(terms, leads, rays) -> list:
     """Rows of the cut in the coordinates l of w = sum_j l_j r_j: l >= 0, each
     leading term dominates its side and the two of a pair agree.  A term's
-    row entry j is its value at r_j."""
+    row entry j is its value at r_j; each term is valued once."""
     pts = [(r[0], r[1:]) for r in rays]
+    vals = [tuple(pair_term(h, x, a, u) for h, x in pts) for u, a in terms]
     rows = []
-    for sides in leads:
-        tops = []
-        for live, _, m in sides:
-            vals = [tuple(pair_term(h, x, a, u) for h, x in pts) for u, a in live]
-            rows.extend(HRow(vsub(v, vals[m]), ZERO, LE) for j, v in enumerate(vals) if j != m)
-            tops.append(vals[m])
-        rows.append(HRow(vsub(*tops), ZERO, EQ))
+    for (side_f, mf), (side_g, mg) in leads:
+        for side, m in ((side_f, mf), (side_g, mg)):
+            rows.extend(HRow(vsub(vals[j], vals[m]), ZERO, LE) for j in side if j != m)
+        rows.append(HRow(vsub(vals[mf], vals[mg]), ZERO, EQ))
     k = len(rays)
     rows += [HRow(tuple(-ONE if j == q else ZERO for j in range(k)), ZERO, LE)
              for q in range(k)]

@@ -1,9 +1,12 @@
 """Reference flag shrinking: every flag cone rebuilt and cut in R^{1+n}.
 
 This was the library's `variety.shrink_flag` before it cut each flag cone in
-its own ray coordinates.  It is kept verbatim as an independent oracle for
-tests/test_flag_rays.py: containment is decided by `congruence_in_prime`,
-each leading term by a second pass through `initial_form_prime`, and every
+its own ray coordinates.  It is kept as an independent oracle for
+tests/test_flag_rays.py and tests/test_pair_table.py: containment is decided
+pair by pair with `prime_contains_pair` (the library's `congruence_in_prime`
+now reads a term table shared by all pairs, so the reference keeps the
+former per-pair path), each leading term by a second pass through
+`initial_form_prime`, and every
 cut cone is `flag.cone(i)` (an H-representation from the rays, one double
 description) with the domination rows appended, enumerated again by
 `cone_dim` and `generators`.  A cut with more extreme rays than its
@@ -17,8 +20,8 @@ from typing import Optional
 
 from tropcong import polyhedra
 from tropcong._linalg import ZERO, Vec, vsub
-from tropcong.congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
-                                 flag_to_matrix, initial_form_prime)
+from tropcong.congruence import (CongruencePresentation, PrimeMatrix, flag_to_matrix,
+                                 initial_form_prime, prime_contains_pair)
 from tropcong.polyhedra import EQ, FlagOfCones, HRow, validate_flag
 from tropcong.trop_core import ToricContext, TropPoly
 from tropcong.variety import InternalConsistencyError, _difference_rows, term_vec
@@ -27,7 +30,7 @@ from tropcong.variety import InternalConsistencyError, _difference_rows, term_ve
 def shrink_flag(context: ToricContext, flag: FlagOfCones,
                 E: CongruencePresentation) -> FlagOfCones:
     theta = flag_to_matrix(context, flag)
-    if not congruence_in_prime(E, theta):
+    if not all(prime_contains_pair(theta, p) for p in E.pairs):
         raise ValueError("E is not contained in the prime of the flag")
     rows = []
     for f, g in E.pairs:

@@ -386,6 +386,33 @@ def test_flag_verdict_computed_once(monkeypatch):
     assert checked == [flag, bad]
 
 
+def test_flag_matrix_built_once_per_context(monkeypatch):
+    ctx = ToricContext.torus(1)
+    ctxB = ToricContext.torus(1, coeff="B")
+    E = CongruencePresentation.make(ctx, [(parse_poly(ctx, "t^1 + x"), parse_poly(ctx, "t^1"))])
+    built = []
+    inner = congruence.PrimeMatrix.make
+
+    def counting(context, tau, rows):
+        built.append(context)
+        return inner(context, tau, rows)
+
+    monkeypatch.setattr(congruence.PrimeMatrix, "make", staticmethod(counting))
+    flag = make_flag(2, [], [[(1, 0)], [(1, 0), (0, 1)]])
+    theta = flag_to_matrix(ctx, flag)
+    assert congruence_in_prime(E, theta)
+    shrink_flag(ctx, flag, E)  # reads the matrix its caller built
+    assert flag_to_matrix(ctx, flag) is theta
+    theta_b = flag_to_matrix(ctxB, flag)  # over B the heights are inert
+    assert theta_b.rows != theta.rows and flag_to_matrix(ctxB, flag) is theta_b
+    assert built == [ctx, ctxB]
+    bad = make_flag(2, [], [[(1, 0)], [(1, 0)]])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="invalid flag"):
+            flag_to_matrix(ctx, bad)
+    assert bad._matrices == {} and built == [ctx, ctxB]
+
+
 def test_shrink_requires_containment(ctx2, quartic_E):
     flag = make_flag(3, [], [[(1, 1, 1)]])
     with pytest.raises(ValueError):
