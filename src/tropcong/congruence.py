@@ -147,18 +147,12 @@ def _phis(theta: PrimeMatrix, terms) -> list:
     return [tuple(pair_term(r, x, a, u) for r, x in rows) for u, a in terms]
 
 
-def _live_phis(theta: PrimeMatrix, f: TropPoly) -> tuple:
-    """The terms of f alive on theta's stratum and their Phi-vectors."""
-    live = f.restrict(theta.tau).terms
-    return live, _phis(theta, live)
-
-
 def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
     """Phi(f) = lex-max over terms of Theta.(a;u); the all-bottom vector when no
     term is alive on theta's stratum, as for the zero polynomial."""
     if theta.context != f.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    _, vals = _live_phis(theta, f)
+    vals = _phis(theta, f.restrict(theta.tau).terms)
     if not vals:
         return (None,) * theta.rank()
     return max(vals)
@@ -197,6 +191,11 @@ def _side_max(values, side):
     """The max of values over the indices of one side; None (bottom) for a
     side with no live term."""
     return max(map(values.__getitem__, side), default=None)
+
+
+def _sides_equal(values, sides) -> bool:
+    """The two sides of each pair in sides have the same max over values."""
+    return all(_side_max(values, fs) == _side_max(values, gs) for fs, gs in sides)
 
 
 class CongruencePresentation(_Record):
@@ -250,7 +249,7 @@ def congruence_in_prime(E: CongruencePresentation, theta: PrimeMatrix) -> bool:
     max of its terms' values; a side with no live term is bottom, equal to
     another dead side and to no live one."""
     _, phis, sides = _phi_table(E, theta)
-    return all(_side_max(phis, fs) == _side_max(phis, gs) for fs, gs in sides)
+    return _sides_equal(phis, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +260,7 @@ def initial_form_point(f: TropPoly, w: ExtPoint) -> TropPoly:
     if f.is_zero():
         raise ZeroPolynomialError("initial form of the zero polynomial")
     live = f.restrict(w.tau).terms
-    if not live:
-        return f
-    r, x = w.r, w.coords
-    vals = [pair_term(r, x, a, u) for u, a in live]
-    top = max(vals)
-    return TropPoly(f.context, tuple(t for t, v in zip(live, vals) if v == top))
+    return _top_terms(f, live, [pair_term(w.r, w.coords, a, u) for u, a in live])
 
 
 def initial_form_prime(f: TropPoly, theta: PrimeMatrix) -> TropPoly:
@@ -275,7 +269,13 @@ def initial_form_prime(f: TropPoly, theta: PrimeMatrix) -> TropPoly:
         raise ZeroPolynomialError("initial form of the zero polynomial")
     if theta.context != f.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    live, vals = _live_phis(theta, f)
+    live = f.restrict(theta.tau).terms
+    return _top_terms(f, live, _phis(theta, live))
+
+
+def _top_terms(f: TropPoly, live, vals) -> TropPoly:
+    """The live terms of f whose value in vals is the maximum; f itself when
+    no term is alive, as every term is bottom."""
     if not live:
         return f
     top = max(vals)

@@ -178,7 +178,6 @@ class TropPoly(_Record):
     coefficient-exponent)."""
 
     _fields = ("context", "terms")
-    _restricted = None  # {face: restriction}, filled by restrict
 
     def __init__(self, context: ToricContext, terms: tuple):
         object.__setattr__(self, "context", context)
@@ -275,21 +274,11 @@ class TropPoly(_Record):
     def restrict(self, tau: Face) -> "TropPoly":
         """Terms whose exponents survive on the stratum of tau (u in tau-perp).
 
-        tau is a face of sigma.  On the dense stratum every term survives;
-        any other restriction is kept per face, in a cache left out of ==,
-        the hash and the repr: a flag query evaluates the same polynomials on
-        one deep stratum again and again."""
+        tau is a face of sigma.  On the dense stratum every term survives."""
         if not tau.rays:
             return self
-        memo = self._restricted
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_restricted", memo)
-        out = memo.get(tau)
-        if out is None:
-            out = memo[tau] = TropPoly(self.context, tuple(
-                (u, a) for u, a in self.terms if tau.perp_contains(u)))
-        return out
+        return TropPoly(self.context, tuple(
+            (u, a) for u, a in self.terms if tau.perp_contains(u)))
 
     def delete_term(self, u) -> "TropPoly":
         u = vec(u)

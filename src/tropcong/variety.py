@@ -2,10 +2,11 @@
 
 Cells live in R^{1+n} coordinates (height first), constrained to the canonical
 representative subspace of their stratum, so every cell is a Gamma-admissible
-H-cone.  Pointwise evaluation of the basis pairs stays authoritative (each
-distinct term alive on the point's stratum is valued once, and each side of a
-pair is the max of its terms' values); the cell data is an index and any
-disagreement raises InternalConsistencyError.
+H-cone.  Points, flags and function equality all ask whether the two sides of
+each pair of a pair table agree at (1+n)-vectors of that subspace; one kernel,
+`_sides_agree`, values each distinct live term once to answer.  Pointwise
+answers stay authoritative; the cell data is an index and any disagreement
+raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
                         TropPoly, bend_relations, pair_term)
 from .congruence import (CongruencePresentation, _pair_table, _phi_table, _side_max,
-                         flag_to_matrix)
+                         _sides_equal, flag_to_matrix)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -224,8 +225,12 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
 # ---------------------------------------------------------------------------
 # membership
 
-def _point_from_vector(ctx: ToricContext, tau: Face, w: Vec) -> ExtPoint:
-    return ExtPoint.make(ctx, w[0], tau, w[1:])
+def _sides_agree(terms, sides, w: Vec) -> bool:
+    """The two sides of every pair of a pair table (terms, sides) agree at w,
+    a (1+n)-vector (height first) on the table's stratum.  Each term is valued
+    once at w; a side with no live term is bottom."""
+    r, x = w[0], w[1:]
+    return _sides_equal([pair_term(r, x, a, u) for u, a in terms], sides)
 
 
 def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
@@ -236,15 +241,16 @@ def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
     None (bottom) when no term of the side is alive there."""
     if w.context != V.context:
         raise ContextMismatchError("polynomial and point contexts differ")
-    terms, sides = V.pair_table(w.tau)
-    r, x = w.r, w.coords
-    vals = [pair_term(r, x, a, u) for u, a in terms]
-    pointwise = all(_side_max(vals, fs) == _side_max(vals, gs) for fs, gs in sides)
+    return _in_variety(V, w.tau, w.full_vector())
+
+
+def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
+    """point_in_variety at the (1+n)-vector full, canonical on tau's stratum."""
+    pointwise = _sides_agree(*V.pair_table(tau), full)
     try:
-        sup = V.stratum(w.tau)
+        sup = V.stratum(tau)
     except ValueError:
         return pointwise  # stratum filtered out of this support; nothing to check
-    full = w.full_vector()
     indexed = any(c.contains(full) for c in sup.cells)
     if indexed != pointwise:
         raise InternalConsistencyError(
@@ -315,38 +321,31 @@ def _cell_sample_points(cell: ConeH) -> list:
     return pts
 
 
-def _quick_counterexample(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> bool:
-    """Cheap sound disproof of equality: evaluation at sample points of the cell."""
-    ctx = f.context
-    for w in _cell_sample_points(cell):
-        p = _point_from_vector(ctx, tau, w)
-        if f.evaluate(p) != g.evaluate(p):
-            return True
-    return False
-
-
 def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> bool:
-    """f = g on the cell, exactly.
+    """f = g on the cell, exactly: _sides_agree on the pair table of (f, g).
 
-    No two live terms of f and g swap order inside a closed piece of the tie
-    arrangement, so on it each side is one linear form (the term maximal
-    throughout the piece) or bottom throughout.  Two such sides agree on the
-    piece iff they agree at its generators; a piece with no generators is the
-    origin, which the sample check has already decided."""
-    if _quick_counterexample(f, g, tau, cell):
+    The cell's sample points come first, a cheap sound disproof.  No two live
+    terms of f and g swap order inside a closed piece of the tie arrangement,
+    so on it each side is one linear form (the term maximal throughout the
+    piece) or bottom throughout.  Two such sides agree on the piece iff they
+    agree at its generators; a piece with no generators is the origin, which
+    the sample check has already decided."""
+    table = _pair_table(((f, g),), tau)
+    if not all(_sides_agree(*table, w) for w in _cell_sample_points(cell)):
         return False
-    ctx = f.context
-    for piece in split_generators_by_forms(polyhedra.generators(cell),
-                                           _arrangement([(f, g)], tau)):
-        for gen in piece:
-            p = _point_from_vector(ctx, tau, gen)
-            if f.evaluate(p) != g.evaluate(p):
-                return False
-    return True
+    pieces = split_generators_by_forms(polyhedra.generators(cell),
+                                       _arrangement([(f, g)], tau))
+    return all(_sides_agree(*table, w) for piece in pieces for w in piece)
+
+
+def _check_contexts(V: VarietySupport, *polys: TropPoly):
+    if any(p.context != V.context for p in polys):
+        raise ContextMismatchError("polynomial and support contexts differ")
 
 
 def functions_equal_on_variety(f: TropPoly, g: TropPoly, V: VarietySupport) -> bool:
     """Equality of the induced piecewise-linear functions on every cell of V."""
+    _check_contexts(V, f, g)
     for tau, cell in V.all_cells():
         if not _functions_equal_on_cell(f, g, tau, cell):
             return False
@@ -366,6 +365,7 @@ def fractions_equal_on_variety(num_den1, num_den2, V: VarietySupport) -> bool:
     """f1/g1 = f2/g2 on V via cross multiplication; denominators must not vanish."""
     f1, g1 = num_den1
     f2, g2 = num_den2
+    _check_contexts(V, f1, g1, f2, g2)
     for den in (g1, g2):
         for tau, cell in V.all_cells():
             if den.restrict(tau).is_zero():
@@ -378,7 +378,10 @@ def fractions_equal_on_variety(num_den1, num_den2, V: VarietySupport) -> bool:
 # flags against varieties
 
 def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport) -> bool:
-    """Every flag cone refined against the arrangement; pieces tested pointwise."""
+    """Every flag cone refined against the arrangement; pieces tested pointwise
+    at the sum of their generators, canonical as a valid flag's rays are."""
+    if context != V.context:
+        raise ContextMismatchError("flag and support contexts differ")
     bad = validate_flag(flag)
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
@@ -392,8 +395,7 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
         # every piece spans what its cone spans: a generator a split leaves out
         # of a piece is a combination of one it keeps and their crossing
         for piece in split_generators_by_forms(rays, forms):
-            w = _point_from_vector(context, tau, _relint_sample(piece))
-            if not point_in_variety(V, w):
+            if not _in_variety(V, tau, _relint_sample(piece)):
                 return False
     return True
 
@@ -411,12 +413,14 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     side's Phi-maximum (the two of a pair must be equal, else E is not in the
     prime) and its leading term, the first of the side's live terms
     attaining it.  D is where every leading term dominates its side and the
-    two of a pair agree.
+    two of a pair agree.  The two leading terms of a pair have equal
+    Phi-vectors, so they agree on the span of theta's rows, which holds
+    every flag cone: only the domination rows cut.
 
     C_0 is one ray r_0, a positive multiple of theta's first row mod span
     tau, so a live term's value at r_0 is a positive multiple of its first
-    Phi entry: every leading term dominates its side there and the two of a
-    pair agree.  The cut of C_0 is C_0 itself, checked on those entries.
+    Phi entry: every leading term dominates its side there.  The cut of C_0
+    is C_0 itself, checked on those entries.
 
     A valid flag is simplicial, so C_i is cut in its own ray coordinates:
     w = sum_j l_j r_j over its i + 1 rays turns C_i cap D into the cone
@@ -445,9 +449,7 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
             leads.append(tuple((side, next(j for j in side if phis[j] == top))
                                for side in (side_f, side_g)))
     for pair in leads:
-        firsts = [phis[m][0] for _, m in pair]
-        if firsts[0] != firsts[1] or any(phis[j][0] > phis[m][0]
-                                         for side, m in pair for j in side):
+        if any(phis[j][0] > phis[m][0] for side, m in pair for j in side):
             raise InternalConsistencyError("the first flag cone should need no cut")
     new_cones = [(primitive(flag.cones_rays[0][0]),)]
     simplicial = True
@@ -470,16 +472,15 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
 
 
 def _cut_rows(terms, leads, rays) -> list:
-    """Rows of the cut in the coordinates l of w = sum_j l_j r_j: l >= 0, each
-    leading term dominates its side and the two of a pair agree.  A term's
-    row entry j is its value at r_j; each term is valued once."""
+    """Rows of the cut in the coordinates l of w = sum_j l_j r_j: l >= 0 and
+    each leading term dominates its side.  A term's row entry j is its value
+    at r_j; each term is valued once."""
     pts = [(r[0], r[1:]) for r in rays]
     vals = [tuple(pair_term(h, x, a, u) for h, x in pts) for u, a in terms]
     rows = []
-    for (side_f, mf), (side_g, mg) in leads:
-        for side, m in ((side_f, mf), (side_g, mg)):
+    for pair in leads:
+        for side, m in pair:
             rows.extend(HRow(vsub(vals[j], vals[m]), ZERO, LE) for j in side if j != m)
-        rows.append(HRow(vsub(vals[mf], vals[mg]), ZERO, EQ))
     k = len(rays)
     rows += [HRow(tuple(-ONE if j == q else ZERO for j in range(k)), ZERO, LE)
              for q in range(k)]

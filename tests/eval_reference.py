@@ -12,13 +12,22 @@ algorithms over plain values (an exact number, or None for bottom):
   every term, the all-bottom vector for a dead one, compared by `lex_le`
   (the library's former `congruence.lex_max`, inlined here).
 
+`functions_equal_on_cell` is the library's former
+`variety._functions_equal_on_cell`: it builds an `ExtPoint` at each sample
+point of the cell and at each generator of each piece of the tie
+arrangement of (f, g), and compares `TropPoly.evaluate` of both sides there.
+It is the oracle of tests/test_pair_table.py for the agreement kernel on
+pair tables that replaced it.
+
 Test use only.
 """
 
 from __future__ import annotations
 
+from tropcong import polyhedra
 from tropcong.congruence import lex_le, phi_monomial
-from tropcong.trop_core import TropPoly, ZeroPolynomialError
+from tropcong.trop_core import ExtPoint, TropPoly, ZeroPolynomialError
+from tropcong.variety import _arrangement, _cell_sample_points, split_generators_by_forms
 
 
 def evaluate(f, w):
@@ -63,3 +72,17 @@ def initial_form_prime(f, theta):
     top = lex_max(vals)
     keep = [(u, a) for (u, a), v in zip(f.terms, vals) if v == top]
     return TropPoly(f.context, tuple(keep))
+
+
+def functions_equal_on_cell(f, g, tau, cell):
+    def differ(w):
+        p = ExtPoint.make(f.context, w[0], tau, w[1:])
+        return f.evaluate(p) != g.evaluate(p)
+
+    if any(differ(w) for w in _cell_sample_points(cell)):
+        return False
+    for piece in split_generators_by_forms(polyhedra.generators(cell),
+                                           _arrangement([(f, g)], tau)):
+        if any(differ(gen) for gen in piece):
+            return False
+    return True

@@ -16,6 +16,12 @@ presentation and of presentations built to hit the edge cases:
 The sweep asserts that it meets pairs with both sides dead, pairs with one
 side dead, a zero side, terms repeated across sides and both answers of
 each query.
+
+Function equality on a support reads the pair table of (f, g) at (1+n)-vectors
+through `variety._sides_agree`, with no `ExtPoint`.  On every stratum of
+every fixture support it must answer as `eval_reference.functions_equal_on_cell`
+does, and `_sides_agree` at every sample point and piece generator as
+`TropPoly.evaluate` of both sides at the `ExtPoint` there.
 """
 
 import json
@@ -26,15 +32,18 @@ from fractions import Fraction
 
 import pytest
 
-from tropcong import jsonio, polyhedra
+from tropcong import jsonio, polyhedra, trop_core
+from tropcong import variety as vy
 from tropcong._linalg import rank_of
-from tropcong.congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
-                                 flag_to_matrix)
+from tropcong.congruence import (CongruencePresentation, PrimeMatrix, _pair_table,
+                                 congruence_in_prime, flag_to_matrix)
 from tropcong.polyhedra import make_flag, validate_flag
-from tropcong.trop_core import (ContextMismatchError, ExtPoint, ToricContext, TropPoly,
-                                parse_poly)
-from tropcong.variety import (InternalConsistencyError, flag_in_variety, hypersurface,
-                              point_in_variety, shrink_flag, variety_of_basis)
+from tropcong.trop_core import (COEFF_B, ContextMismatchError, ExtPoint, ToricContext,
+                                TropPoly, parse_poly)
+from tropcong.variety import (InternalConsistencyError, flag_in_variety,
+                              fractions_equal_on_variety, functions_equal_on_variety,
+                              hypersurface, point_in_variety, radical_member, shrink_flag,
+                              variety_of_basis)
 
 import eval_reference as ref
 import shrink_reference
@@ -218,27 +227,125 @@ def test_pair_table_of_a_bend_presentation():
 
 
 # ---------------------------------------------------------------------------
+# function equality on a support: the agreement kernel against ExtPoints
+
+SUPPORTS = PRESENTATIONS[:8]  # every fixture support, the bend ones as hypersurfaces
+
+
+def _random_poly(rng, ctx):
+    terms = {}
+    while len(terms) < rng.randint(1, 3):
+        u = tuple(rng.randint(0, 2) for _ in range(ctx.rank))
+        if ctx.exponent_in_monoid(u):
+            terms[u] = 0 if ctx.coeff == COEFF_B else rng.randint(-2, 2)
+    return TropPoly.make(ctx, terms)
+
+
+def _monomial(rng, ctx):
+    return TropPoly(ctx, _random_poly(rng, ctx).terms[:1])
+
+
+def _function_pairs(rng, E):
+    """E's pairs, which agree on its support, pairs built from them that
+    still agree (times a monomial, plus a monomial), and random pairs."""
+    ctx = E.context
+    pairs = list(E.pairs)
+    for _ in range(2):
+        f, g = rng.choice(E.pairs)
+        m, h = _monomial(rng, ctx), _monomial(rng, ctx)
+        pairs += [(m * f, m * g), (f + h, g + h)]
+    pairs += [(_random_poly(rng, ctx), _random_poly(rng, ctx)) for _ in range(3)]
+    return pairs
+
+
+def test_function_equality_matches_the_extpoint_oracle():
+    rng = random.Random(20)
+    seen = Counter()
+    for name, E, V in SUPPORTS:
+        ctx = E.context
+        for f, g in _function_pairs(rng, E):
+            for tau, cell in V.all_cells():
+                case = (name, f, g, tau, cell)
+                table = _pair_table(((f, g),), tau)
+                pieces = vy.split_generators_by_forms(polyhedra.generators(cell),
+                                                      vy._arrangement([(f, g)], tau))
+                for w in vy._cell_sample_points(cell) + [w for p in pieces for w in p]:
+                    pt = ExtPoint.make(ctx, w[0], tau, w[1:])
+                    want = f.evaluate(pt) == g.evaluate(pt)
+                    assert vy._sides_agree(*table, w) == want, (case, w)
+                    seen["point", want] += 1
+                want = ref.functions_equal_on_cell(f, g, tau, cell)
+                assert vy._functions_equal_on_cell(f, g, tau, cell) == want, case
+                seen["cell", tau.dim() > 0, want] += 1
+            seen["support", functions_equal_on_variety(f, g, V)] += 1
+    for part in (("point", True), ("point", False), ("support", True), ("support", False),
+                 ("cell", False, True), ("cell", False, False),
+                 ("cell", True, True), ("cell", True, False)):
+        assert seen[part] >= 5, (part, seen)
+
+
+def test_support_queries_build_no_extpoint(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for name, E, V in SUPPORTS:
+        ctx = E.context
+        flags = [flag for tau in ctx.faces if V.stratum(tau).cells
+                 for flag in _flags(rng, ctx, V, tau)]
+        cases.append((E, V, flags, _function_pairs(rng, E)))
+
+    def answers():
+        out = []
+        for E, V, flags, pairs in cases:
+            out += [flag_in_variety(E.context, flag, V) for flag in flags]
+            out += [functions_equal_on_variety(f, g, V) for f, g in pairs]
+            out += [radical_member(E, pair) for pair in pairs]
+        return out
+
+    want = answers()
+    assert want.count(True) >= 5 and want.count(False) >= 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support query built an ExtPoint")
+
+    monkeypatch.setattr(trop_core.ExtPoint, "make", staticmethod(refuse))
+    monkeypatch.setattr(trop_core.ExtPoint, "__init__", refuse)
+    assert answers() == want
+
+
+# ---------------------------------------------------------------------------
 # exceptions
 
 def test_queries_in_another_context_raise():
     ctx = ToricContext.affine(2)
-    other = ToricContext.affine(2, coeff="B")  # same faces, which compare equal
     f, g = parse_poly(ctx, "1 + x + y"), parse_poly(ctx, "1 + x")
-    E = CongruencePresentation.make(ctx, [(f, g)])
+    E = CongruencePresentation.make(ctx, [(f, g)], finite_tropical_basis=True)
     V = variety_of_basis(E)
     flag = make_flag(3, [], [[(0, -1, -1)]])
     for tau in ctx.faces:  # fill every memo first
         E.pair_table(tau)
         V.pair_table(tau)
     assert congruence_in_prime(E, flag_to_matrix(ctx, flag))
-    for tau in other.faces:
-        assert tau in ctx.faces
+    assert flag_in_variety(ctx, flag, V)
+    # the Boolean context has the same faces, which compare equal
+    for other in (ToricContext.affine(2, coeff="B"), ToricContext.torus(2)):
+        for tau in other.faces:
+            assert tau in ctx.faces
+            with pytest.raises(ContextMismatchError):
+                point_in_variety(V, ExtPoint.make(other, 0, tau, (0, 0)))
+            with pytest.raises(ContextMismatchError):
+                congruence_in_prime(E, PrimeMatrix.make(other, tau, [(0, (-1, -1))]))
         with pytest.raises(ContextMismatchError):
-            point_in_variety(V, ExtPoint.make(other, 0, tau, (0, 0)))
+            shrink_flag(other, flag, E)
         with pytest.raises(ContextMismatchError):
-            congruence_in_prime(E, PrimeMatrix.make(other, tau, [(0, (-1, -1))]))
-    with pytest.raises(ContextMismatchError):
-        shrink_flag(other, flag, E)
+            flag_in_variety(other, flag, V)
+        fo, go = parse_poly(other, "1 + x + y"), parse_poly(other, "1 + x")
+        for pair in ((fo, go), (f, go), (fo, g)):
+            with pytest.raises(ContextMismatchError):
+                functions_equal_on_variety(*pair, V)
+            with pytest.raises(ContextMismatchError):
+                radical_member(E, pair)
+            with pytest.raises(ContextMismatchError):
+                fractions_equal_on_variety(pair, pair, V)
 
 
 @pytest.mark.parametrize("lhs, rhs, tau_rays", [
