@@ -3,12 +3,14 @@
 H-representations carry strict rows.  Ray enumeration of closed cones
 (`cone_generators`, and through it H-representations, faces and fans) is an
 exact double-description kernel that runs no LP: equality rows give the
-starting subspace, each inequality either trades a lineality vector for a ray
-or keeps the rays on its side plus the crossings of positive/negative pairs
-that pass a rank test on the tight rows.  The same kernel, run on the closed
-cone over a polyhedron, answers every yes/no question: emptiness with strict
-rows honored exactly (`feasible`, whose witness is the dehomogenized sum of
-the rays), implicit equalities, and the suprema of linear forms that decide
+starting subspace, and each inequality is one step, `_halves`, which trades a
+lineality vector for a ray or keeps the rays on each side plus the crossings
+of adjacent positive/negative pairs, adjacency read by incidence off bitmasks
+of the rows tight at each ray; `variety` splits cells and flag cones by tie
+hyperplanes with the same step.  The same kernel, run on the closed cone over
+a polyhedron, answers every yes/no question: emptiness with strict rows
+honored exactly (`feasible`, whose witness is the dehomogenized sum of the
+rays), implicit equalities, and the suprema of linear forms that decide
 `is_subset` and `poly_in_union` and give the common slack pinned by
 `relative_interior_point`; `is_face` compares a cone with the smallest face
 containing it.  The one LP left chooses a canonical point: the L1 polish of
@@ -306,20 +308,43 @@ def cone_over(p: PolyhedronH) -> ConeH:
 # ---------------------------------------------------------------------------
 # V-representation (desk scale)
 
-def crossings(pos: Sequence, neg: Sequence) -> list:
-    """Where the segments from pos to neg generators cross a hyperplane h.x = 0.
+def _halves(lin, rays, tight, a, bit):
+    """Both sides, a.x <= 0 and a.x >= 0, of span(lin) + cone(rays) cut by a.x = 0.
 
-    pos and neg hold pairs (g, h.g) with h.g > 0 and h.g < 0 respectively; the
-    result is the sorted distinct primitive vectors (h.gp) gn - (h.gn) gp, each
-    a positive combination of gp and gn on the hyperplane: one double-description
-    step."""
-    out = set()
-    for gp, vp in pos:
-        for gn, vn in neg:
-            w = tuple(vp * b - vn * a for a, b in zip(gp, gn))
-            if not is_zero_vec(w):
-                out.add(primitive(w))
-    return sorted(out)
+    One double-description step (Fukuda & Prodon 1996); each side is returned
+    as (lin, rays, tight).  tight[i] masks the recorded rows that vanish on
+    rays[i]; every recorded row vanishes on lin.  The k-th recorded row is bit
+    1 << k, so a is `bit` and bit - 1 masks every row before it.  If a is
+    nonzero on a lineality vector l0, l0 is traded for the ray -+l0, tight on
+    every row so far, and the other generators are projected onto a.x = 0
+    along l0.  Otherwise each side keeps its rays, and a positive ray p and a
+    negative ray q add their crossing to both iff they are adjacent: no third
+    ray's mask contains tight[p] & tight[q].  So when rays are the extreme
+    rays modulo lin, each side's rays are its extreme rays."""
+    i0 = next((i for i, v in enumerate(lin) if dot(a, v) != 0), None) if lin else None
+    if i0 is not None:
+        l0 = lin[i0]
+        v0 = dot(a, l0)
+        lin = [vsub(v, vscale(qdiv(dot(a, v), v0), l0)) for i, v in enumerate(lin) if i != i0]
+        rays = [primitive(vsub(g, vscale(qdiv(dot(a, g), v0), l0))) for g in rays]
+        tight = [t | bit for t in tight] + [bit - 1]
+        down = primitive(l0 if v0 < 0 else vscale(-1, l0))
+        return (lin, rays + [down], tight), (lin, rays + [tuple(-x for x in down)], tight)
+    vals = [dot(a, g) for g in rays]
+    le, ge = (lin, [], []), (lin, [], [])
+    for g, t, v in zip(rays, tight, vals):
+        for side in (le, ge) if v == 0 else (le if v < 0 else ge,):
+            side[1].append(g)
+            side[2].append(t if v else t | bit)
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    for p, q in itertools.product(pos, [i for i, v in enumerate(vals) if v < 0] if pos else ()):
+        common = tight[p] & tight[q]
+        if all(t & common != common for k, t in enumerate(tight) if k != p and k != q):
+            w = primitive([vals[p] * y - vals[q] * x for x, y in zip(rays[p], rays[q])])
+            for side in (le, ge):
+                side[1].append(w)
+                side[2].append(common | bit)
+    return le, ge
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -327,47 +352,25 @@ def cone_generators(c: ConeH):
     """(lineality_basis, extreme_rays) generating c = span(lineality) + cone(rays).
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start from
-    the subspace cut out by the equality rows and add the inequalities one at a
-    time.  An inequality that is nonzero on a lineality vector l0 trades l0 for
-    the ray +-l0 on its negative side and projects the other generators onto its
-    hyperplane along l0; otherwise rays on the wrong side are dropped and every
-    positive/negative pair contributes its crossing, kept exactly when the rows
-    processed so far that are tight at it have rank d - dim(lineality) - 1.
-    Lineality is the canonical nullspace of all rows, rays are primitive
-    representatives reduced modulo it, both sorted.
+    the subspace cut out by the equality rows and keep the a.x <= 0 side of
+    `_halves` for each inequality a.x <= 0 in turn.  A crossing is kept exactly
+    when its two rays are adjacent, read off the incidence masks of the rows
+    processed so far, so no step keeps a non-extreme ray.  Lineality is the
+    canonical nullspace of all rows, rays are primitive representatives reduced
+    modulo it, both sorted.
     """
     if c.has_strict():
         raise ValueError("generator enumeration needs a closed cone")
     d = c.dim
-    done = [r.a for r in c.rows if r.rel == EQ]
-    lin = nullspace_basis(done, d)
-    rays: list = []
+    state = (nullspace_basis([r.a for r in c.rows if r.rel == EQ], d), [], [])
+    bit = 1
     for r in c.rows:
-        if r.rel == EQ:
-            continue
-        a = r.a
-        done.append(a)
-        i0 = next((i for i, v in enumerate(lin) if dot(a, v) != 0), None)
-        if i0 is not None:
-            l0 = lin.pop(i0)
-            v0 = dot(a, l0)
-            lin = [vsub(v, vscale(qdiv(dot(a, v), v0), l0)) for v in lin]
-            rays = [primitive(vsub(g, vscale(qdiv(dot(a, g), v0), l0))) for g in rays]
-            rays.append(primitive(l0 if v0 < 0 else vscale(-1, l0)))
-            continue
-        vals = [dot(a, g) for g in rays]
-        pos = [(g, v) for g, v in zip(rays, vals) if v > 0]
-        neg = [(g, v) for g, v in zip(rays, vals) if v < 0]
-        rays = [g for g, v in zip(rays, vals) if v <= 0]
-        if pos and neg:
-            want = d - len(lin) - 1
-            for w in crossings(pos, neg):
-                tight = [b for b in done if dot(b, w) == 0]
-                if len(tight) >= want and rank_of(tight) == want:
-                    rays.append(w)
+        if r.rel != EQ:
+            state = _halves(*state, r.a, bit)[0]
+            bit <<= 1
     lin = nullspace_basis([r.a for r in c.rows], d)
     lin_canon = tuple(sorted(neg_primitive_pair(v) for v in lin))
-    return lin_canon, tuple(sorted({primitive(reduce_mod_span(g, lin)) for g in rays}))
+    return lin_canon, tuple(sorted({primitive(reduce_mod_span(g, lin)) for g in state[1]}))
 
 
 def generators(c: ConeH) -> tuple:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
-                      primitive, rank_of, vec, vsub, zero_vec)
+                      primitive, rank_of, vec, vscale, vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
                         pairwise_intersections, validate_flag)
@@ -261,9 +261,9 @@ def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # piecewise-linear equality on cells
 #
-# The refinement of a single cone against the linearity arrangement keeps
-# generator lists and performs double-description steps, so after the one
-# (cached) generator computation per cell everything is LP-free.
+# A cell or flag cone is refined against the linearity arrangement by the
+# double-description step of `cone_generators` on generators and incidence
+# masks, so after one (cached) generator computation everything is LP-free.
 
 def _arrangement(pairs, tau: Face) -> list:
     """Sorted normals of the hyperplanes where two terms of one pair tie at tau.
@@ -280,62 +280,57 @@ def _arrangement(pairs, tau: Face) -> list:
     return sorted(forms)
 
 
-def split_generators_by_forms(gens: Sequence[Vec], forms: Sequence[Vec]) -> list:
-    """Refine cone(gens) by hyperplanes; returns generator lists of the pieces.
+def split_generators_by_forms(state, bit: int, forms: Sequence[Vec]) -> list:
+    """Refine a cone by hyperplanes; returns the pieces as (lin, rays, tight).
 
-    One double-description step per cutting hyperplane; redundant generators may
-    appear but sign tests and relative-interior sampling stay exact."""
-    pieces = [tuple(gens)]
-    for h in forms:
+    state is (lin, rays, tight) as in `polyhedra._halves`, its rows at the bits
+    below `bit`; the forms take the next bits.  A form that crosses a piece
+    splits it by `_halves`, else its bit is recorded at the rays where it
+    vanishes, so the masks stay exact and each piece holds its extreme rays."""
+    pieces = [state]
+    for a in forms:
         nxt = []
-        for G in pieces:
-            vals = [dot(h, g) for g in G]
-            pos = [(g, v) for g, v in zip(G, vals) if v > 0]
-            neg = [(g, v) for g, v in zip(G, vals) if v < 0]
-            if not (pos and neg):
-                nxt.append(G)
-                continue
-            zero = [g for g, v in zip(G, vals) if v == 0]
-            mids = polyhedra.crossings(pos, neg)
-            nxt.append(tuple(dict.fromkeys([g for g, _ in pos] + zero + mids)))
-            nxt.append(tuple(dict.fromkeys([g for g, _ in neg] + zero + mids)))
+        for piece in pieces:
+            lin, rays, tight = piece
+            vals = [dot(a, g) for g in rays]
+            if lin and any(dot(a, v) != 0 for v in lin) or vals and max(vals) > 0 > min(vals):
+                nxt.extend(polyhedra._halves(lin, rays, tight, a, bit))
+            elif 0 in vals:
+                nxt.append((lin, rays, [t | bit if v == 0 else t for t, v in zip(tight, vals)]))
+            else:
+                nxt.append(piece)
         pieces = nxt
+        bit <<= 1
     return pieces
 
 
+def _cell_pieces(cell: ConeH, forms: Sequence[Vec]) -> list:
+    """The split of a cell, started from its cached generators and ray masks."""
+    lin, rays = polyhedra.cone_generators(cell)
+    rows = [r.a for r in cell.rows if r.rel != EQ]
+    tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, g) == 0) for g in rays]
+    return split_generators_by_forms((lin, rays, tight), 1 << len(rows), forms)
+
+
 def _relint_sample(gens) -> Vec:
-    total = gens[0]
-    for g in gens[1:]:
-        total = tuple(a + b for a, b in zip(total, g))
-    return total
-
-
-def _cell_sample_points(cell: ConeH) -> list:
-    gens = polyhedra.generators(cell)
-    if not gens:
-        return [zero_vec(cell.dim)]
-    pts = [_relint_sample(gens)]
-    pts.extend(gens)
-    for g1, g2 in itertools.combinations(gens, 2):
-        pts.append(tuple(a + b for a, b in zip(g1, g2)))
-    return pts
+    return gens[0] if len(gens) == 1 else tuple(map(sum, zip(*gens)))
 
 
 def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> bool:
     """f = g on the cell, exactly: _sides_agree on the pair table of (f, g).
 
-    The cell's sample points come first, a cheap sound disproof.  No two live
-    terms of f and g swap order inside a closed piece of the tie arrangement,
-    so on it each side is one linear form (the term maximal throughout the
-    piece) or bottom throughout.  Two such sides agree on the piece iff they
-    agree at its generators; a piece with no generators is the origin, which
-    the sample check has already decided."""
+    No two live terms of f and g swap order inside a closed piece of the tie
+    arrangement, so on it each side is one linear form (the term maximal
+    throughout the piece) or bottom throughout.  Two such sides agree on the
+    piece iff they agree at its rays and +-lineality.  The origin (all of a cell
+    with no generator; a live side is 0 there) and the cell's own generators
+    come first, so most unequal pairs return before the split is built."""
     table = _pair_table(((f, g),), tau)
-    if not all(_sides_agree(*table, w) for w in _cell_sample_points(cell)):
+    def agree(lin, rays):
+        return all(_sides_agree(*table, w) for w in (*rays, *lin, *(vscale(-1, v) for v in lin)))
+    if not (_sides_agree(*table, zero_vec(cell.dim)) and agree(*polyhedra.cone_generators(cell))):
         return False
-    pieces = split_generators_by_forms(polyhedra.generators(cell),
-                                       _arrangement([(f, g)], tau))
-    return all(_sides_agree(*table, w) for piece in pieces for w in piece)
+    return all(agree(lin, rays) for lin, rays, _ in _cell_pieces(cell, _arrangement([(f, g)], tau)))
 
 
 def _check_contexts(V: VarietySupport, *polys: TropPoly):
@@ -392,9 +387,11 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
         raise ValueError("flag stratum not represented in the support")
     forms = V.arrangement(tau)
     for rays in flag.cones_rays:
-        # every piece spans what its cone spans: a generator a split leaves out
-        # of a piece is a combination of one it keeps and their crossing
-        for piece in split_generators_by_forms(rays, forms):
+        # a valid flag cone is simplicial: ray j lies on every facet but the
+        # j-th, which gives the split exact masks with no H-representation
+        k = len(rays)
+        start = ([], rays, [((1 << k) - 1) ^ (1 << j) for j in range(k)])
+        for _, piece, _ in split_generators_by_forms(start, 1 << k, forms):
             if not _in_variety(V, tau, _relint_sample(piece)):
                 return False
     return True

@@ -14,20 +14,29 @@ algorithms over plain values (an exact number, or None for bottom):
 
 `functions_equal_on_cell` is the library's former
 `variety._functions_equal_on_cell`: it builds an `ExtPoint` at each sample
-point of the cell and at each generator of each piece of the tie
+point of the cell (`cell_sample_points`: the generators, their pairwise sums
+and the sum of all) and at each generator of each piece of the tie
 arrangement of (f, g), and compares `TropPoly.evaluate` of both sides there.
-It is the oracle of tests/test_pair_table.py for the agreement kernel on
-pair tables that replaced it.
+Its pieces come from `split_generators_by_forms`, the library's former split:
+one double-description step per crossing hyperplane on plain generator
+lists, keeping every positive/negative crossing with no adjacency test, so a
+piece may hold redundant generators (they grow multiplicatively with the
+number of forms).  It is the oracle of tests/test_pair_table.py for the
+agreement kernel on pair tables and for the split on incidence masks that
+replaced them.
 
 Test use only.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from tropcong import polyhedra
+from tropcong._linalg import dot, is_zero_vec, primitive, zero_vec
 from tropcong.congruence import lex_le, phi_monomial
 from tropcong.trop_core import ExtPoint, TropPoly, ZeroPolynomialError
-from tropcong.variety import _arrangement, _cell_sample_points, split_generators_by_forms
+from tropcong.variety import _arrangement
 
 
 def evaluate(f, w):
@@ -74,12 +83,52 @@ def initial_form_prime(f, theta):
     return TropPoly(f.context, tuple(keep))
 
 
+def _crossings(pos, neg):
+    out = set()
+    for gp, vp in pos:
+        for gn, vn in neg:
+            w = tuple(vp * b - vn * a for a, b in zip(gp, gn))
+            if not is_zero_vec(w):
+                out.add(primitive(w))
+    return sorted(out)
+
+
+def split_generators_by_forms(gens, forms):
+    pieces = [tuple(gens)]
+    for h in forms:
+        nxt = []
+        for G in pieces:
+            vals = [dot(h, g) for g in G]
+            pos = [(g, v) for g, v in zip(G, vals) if v > 0]
+            neg = [(g, v) for g, v in zip(G, vals) if v < 0]
+            if not (pos and neg):
+                nxt.append(G)
+                continue
+            zero = [g for g, v in zip(G, vals) if v == 0]
+            mids = _crossings(pos, neg)
+            nxt.append(tuple(dict.fromkeys([g for g, _ in pos] + zero + mids)))
+            nxt.append(tuple(dict.fromkeys([g for g, _ in neg] + zero + mids)))
+        pieces = nxt
+    return pieces
+
+
+def cell_sample_points(cell):
+    gens = polyhedra.generators(cell)
+    if not gens:
+        return [zero_vec(cell.dim)]
+    pts = [tuple(map(sum, zip(*gens)))]
+    pts.extend(gens)
+    for g1, g2 in itertools.combinations(gens, 2):
+        pts.append(tuple(a + b for a, b in zip(g1, g2)))
+    return pts
+
+
 def functions_equal_on_cell(f, g, tau, cell):
     def differ(w):
         p = ExtPoint.make(f.context, w[0], tau, w[1:])
         return f.evaluate(p) != g.evaluate(p)
 
-    if any(differ(w) for w in _cell_sample_points(cell)):
+    if any(differ(w) for w in cell_sample_points(cell)):
         return False
     for piece in split_generators_by_forms(polyhedra.generators(cell),
                                            _arrangement([(f, g)], tau)):

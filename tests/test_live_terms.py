@@ -95,8 +95,8 @@ def _agree(f, w, theta):
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=("affine2", "affine3", "pyramid"))
 def test_evaluators_match_reference_on_every_stratum(ctx):
     rng = random.Random(ctx.rank * 100 + len(ctx.sigma_rays))
-    # each polynomial meets every stratum, so the restriction kept per face
-    # is read back on later strata and later points
+    # each polynomial meets every stratum, so one polynomial's restrictions
+    # to different faces are evaluated one after the other
     polys = [_poly(rng, ctx) for _ in range(12)] + [TropPoly.zero(ctx)]
     for tau in ctx.faces:
         everything_dead = [_poly(rng, ctx, dead_on=tau) for _ in range(3)] if tau.rays else []

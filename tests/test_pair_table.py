@@ -34,7 +34,7 @@ import pytest
 
 from tropcong import jsonio, polyhedra, trop_core
 from tropcong import variety as vy
-from tropcong._linalg import rank_of
+from tropcong._linalg import rank_of, vscale
 from tropcong.congruence import (CongruencePresentation, PrimeMatrix, _pair_table,
                                  congruence_in_prime, flag_to_matrix)
 from tropcong.polyhedra import make_flag, validate_flag
@@ -267,9 +267,10 @@ def test_function_equality_matches_the_extpoint_oracle():
             for tau, cell in V.all_cells():
                 case = (name, f, g, tau, cell)
                 table = _pair_table(((f, g),), tau)
-                pieces = vy.split_generators_by_forms(polyhedra.generators(cell),
-                                                      vy._arrangement([(f, g)], tau))
-                for w in vy._cell_sample_points(cell) + [w for p in pieces for w in p]:
+                pieces = vy._cell_pieces(cell, vy._arrangement([(f, g)], tau))
+                gens = [w for lin, rays, _ in pieces
+                        for w in [*rays, *lin, *(vscale(-1, v) for v in lin)]]
+                for w in ref.cell_sample_points(cell) + gens:
                     pt = ExtPoint.make(ctx, w[0], tau, w[1:])
                     want = f.evaluate(pt) == g.evaluate(pt)
                     assert vy._sides_agree(*table, w) == want, (case, w)

@@ -256,12 +256,28 @@ def test_validate_flag_stratum_violations():
 
 
 def test_split_generators_by_forms():
-    from tropcong.variety import split_generators_by_forms
-    quad = ((F(1), F(0)), (F(0), F(1)))
-    pieces = split_generators_by_forms(quad, [(F(1), F(-1))])
-    assert len(pieces) == 2
-    for piece in pieces:
-        assert (F(1), F(1)) in piece or any(g == (F(1), F(1)) for g in piece)
+    from tropcong.variety import _cell_pieces, split_generators_by_forms
+    # the quadrant, ray j tight on every facet but the j-th, cut by x = y
+    quad = ([], [(1, 0), (0, 1)], [0b10, 0b01])
+    assert split_generators_by_forms(quad, 0b100, [(1, -1)]) == [
+        ([], [(0, 1), (1, 1)], [0b01, 0b100]),
+        ([], [(1, 0), (1, 1)], [0b10, 0b100])]
+    # the half-plane x >= 0: x does not cross it and is recorded nowhere, y
+    # trades the line for the ray (0, -1) tight on both rows so far, and
+    # x + y then crosses the lower quadrant
+    half = ([(0, 1)], [(1, 0)], [0])
+    assert split_generators_by_forms(half, 0b10, [(1, 0), (0, 1), (1, 1)]) == [
+        ([], [(0, -1), (1, -1)], [0b011, 0b1000]),
+        ([], [(1, 0), (1, -1)], [0b100, 0b1000]),
+        ([], [(1, 0), (0, 1)], [0b100, 0b011])]
+    # the cone over a square cut by x = 0: the diagonal pairs are not adjacent,
+    # so their crossing (0, 0, 1) is kept by neither piece
+    square = hrep_from_rays([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)], 3)
+    pieces = _cell_pieces(square, [(1, 0, 0)])
+    assert [sorted(rays) for _, rays, _ in pieces] == [
+        [(-1, -1, 1), (-1, 1, 1), (0, -1, 1), (0, 1, 1)],
+        [(0, -1, 1), (0, 1, 1), (1, -1, 1), (1, 1, 1)]]
+    assert all(not lin for lin, _, _ in pieces)
 
 
 @pytest.mark.parametrize("seed", range(8))
