@@ -6,13 +6,14 @@ This base supplies the rest, with the semantics of a frozen dataclass:
 ``==`` within one class only (``NotImplemented`` against any other class, a
 subclass included), a hash equal to the hash of the tuple of compared
 fields, the ``Name(field=value, ...)`` repr, and ``AttributeError`` on any
-assignment or deletion.  A lazily filled cache is set with
-``object.__setattr__`` and left out of ``_fields``, which keeps it out of
-``==``, the hash and the repr.  The hash is one such cache: computed on first
-use and kept in ``_hash``, since cache and dict lookups hash one record many
-times and each hash of a ``Fraction`` field costs a modular inverse.  (The
-kept hash is only valid in the process that computed it: ``str`` hashes are
-seeded per process, so a record must not be pickled with it.)
+assignment or deletion.  The hash is computed on first use and kept in
+``_hash``, set with ``object.__setattr__`` and left out of ``_fields``, which
+keeps it out of ``==`` and the repr: cache and dict lookups hash one record
+many times and each hash of a ``Fraction`` field costs a modular inverse.
+(The kept hash is only valid in the process that computed it: ``str`` hashes
+are seeded per process, so a record must not be pickled with it.)  A record
+holds no other state: results computed from one are cached by the functions
+that compute them, keyed on the record.
 
 ``==`` and the hash are closures over an ``operator.attrgetter``, made once
 per class: unlike ``dataclasses``, no method source is generated and

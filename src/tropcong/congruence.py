@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
@@ -170,14 +171,17 @@ def monomial_le(theta: PrimeMatrix, m1: TropPoly, m2: TropPoly) -> bool:
 # ---------------------------------------------------------------------------
 # congruence presentations
 
-def _pair_table(pairs, tau: Face) -> tuple:
+@lru_cache(maxsize=polyhedra.CACHE_SIZE)
+def _pair_table(pairs: tuple, tau: Face) -> tuple:
     """(terms, sides): the distinct terms alive on tau's stratum across every
     side of pairs, in first-seen order, and each pair as two tuples of indices
     into terms, each in the order of its side's terms.  A side with no live
     term gets the empty tuple: it is bottom.
 
     The k pairs of the bend presentation of a k-term f have 2k^2 - k term
-    slots but only the k terms of f, so a query values k terms."""
+    slots but only the k terms of f, so a query values k terms.  A flag query
+    asks for the same stratum again and again, so tables are cached; a
+    presentation and its support share one table per stratum."""
     index = {}  # term -> its position in terms
 
     def side(p):
@@ -200,7 +204,6 @@ def _sides_equal(values, sides) -> bool:
 
 class CongruencePresentation(_Record):
     _fields = ("context", "pairs", "finite_tropical_basis")
-    _tables = None  # {face: _pair_table(pairs, face)}, filled by pair_table
 
     def __init__(self, context: ToricContext, pairs: tuple,
                  finite_tropical_basis: bool = False):
@@ -220,26 +223,13 @@ class CongruencePresentation(_Record):
         return CongruencePresentation.make(f.context, bend_relations(f),
                                            finite_tropical_basis)
 
-    def pair_table(self, tau: Face) -> tuple:
-        """_pair_table of the pairs at tau, kept per face in a cache left out
-        of ==, the hash and the repr: a flag query asks for the same stratum
-        again and again."""
-        memo = self._tables
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_tables", memo)
-        out = memo.get(tau)
-        if out is None:
-            out = memo[tau] = _pair_table(self.pairs, tau)
-        return out
-
 
 def _phi_table(E: CongruencePresentation, theta: PrimeMatrix) -> tuple:
     """(terms, Phi-vectors, sides): E's pair table on theta's stratum with the
     Phi-vector of each distinct live term."""
     if theta.context != E.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    terms, sides = E.pair_table(theta.tau)
+    terms, sides = _pair_table(E.pairs, theta.tau)
     return terms, _phis(theta, terms), sides
 
 
@@ -296,17 +286,15 @@ def has_trivial_ideal_kernel(theta: PrimeMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # flags -> matrices
 
+@lru_cache(maxsize=polyhedra.CACHE_SIZE)
 def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
     """Row i is the primitive sum of the rays of C_i, a relative-interior point.
 
     Any choice of w_i in C_i \\ C_{i-1} induces the same congruence; this one
-    is canonical.  The matrix of a valid flag is kept on the flag per context
-    (a flag is immutable), so a second call returns the same PrimeMatrix; an
-    invalid flag raises ValueError on every call.
+    is canonical.  The matrix of a valid flag is cached per context (a flag
+    is immutable), so a second call returns the same PrimeMatrix; an invalid
+    flag raises ValueError on every call.
     """
-    theta = flag._matrices.get(context)
-    if theta is not None:
-        return theta
     bad = validate_flag(flag)
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
@@ -316,8 +304,7 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
         # the sum of the rays of a simplicial cone is a relative interior point
         pt = primitive(vec([sum(r[j] for r in rays) for j in range(flag.ambient_dim)]))
         rows.append((pt[0], pt[1:]))
-    theta = flag._matrices[context] = PrimeMatrix.make(context, tau, rows)
-    return theta
+    return PrimeMatrix.make(context, tau, rows)
 
 
 # ---------------------------------------------------------------------------

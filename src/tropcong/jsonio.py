@@ -176,7 +176,9 @@ def dec_congruence(data, ctx: ToricContext, path: str = "$") -> CongruencePresen
     pairs = [dec_pair(p, ctx, "%s.pairs[%d]" % (path, i))
              for i, p in enumerate(_get_list(data, "pairs", path))]
     fb = _get(data, "finite_basis", path, required=False, default=False)
-    return CongruencePresentation.make(ctx, pairs, bool(fb))
+    if not isinstance(fb, bool):  # "false" or [0] must not declare a basis
+        raise ParseError("finite_basis must be true or false", path + ".finite_basis")
+    return CongruencePresentation.make(ctx, pairs, fb)
 
 
 # --- geometry ---------------------------------------------------------------

@@ -32,8 +32,10 @@ from ._record import _Record
 LE, LT, EQ = "<=", "<", "="
 _RELS = (LE, LT, EQ)
 
-# Entries kept by each kernel cache (`cone_generators`, `faces_of`); well above
-# the few hundred distinct cones a CLI run or a 500-flag run builds.
+# Entries kept by each cache: `cone_generators`, `faces_of` and
+# `_flag_violations` here, `congruence._pair_table`, `congruence.flag_to_matrix`
+# and `variety._arrangement`.  Well above the few hundred entries any of them
+# reaches in a CLI run or a 500-flag run.
 CACHE_SIZE = 4096
 
 # Nodes one region difference (`poly_in_union`, and so each containment that
@@ -601,10 +603,6 @@ class FlagOfCones(_Record):
         object.__setattr__(self, "ambient_dim", ambient_dim)  # 1 + n
         object.__setattr__(self, "tau_rays", tau_rays)
         object.__setattr__(self, "cones_rays", cones_rays)  # tuple of tuples of rays
-        # [violations] once validate_flag has run; a flag is immutable
-        object.__setattr__(self, "_verdict", [])
-        # context -> its PrimeMatrix, filled by congruence.flag_to_matrix
-        object.__setattr__(self, "_matrices", {})
 
     def cone(self, i: int) -> ConeH:
         return hrep_from_rays(self.cones_rays[i], self.ambient_dim)
@@ -623,14 +621,13 @@ def make_flag(ambient_dim, tau_rays, cones_rays) -> FlagOfCones:
 def validate_flag(flag: FlagOfCones) -> list[str]:
     """Flag invariants; each violation reported distinctly.
 
-    The violations are computed once per flag object and a fresh list is
-    returned on every call."""
-    if not flag._verdict:
-        flag._verdict.append(_flag_violations(flag))
-    return list(flag._verdict[0])
+    The violations are cached per flag (a flag is immutable) and a fresh list
+    is returned on every call."""
+    return list(_flag_violations(flag))
 
 
-def _flag_violations(flag: FlagOfCones) -> list[str]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _flag_violations(flag: FlagOfCones) -> tuple:
     """The violations of validate_flag, read off the rays.
 
     A cone spans what its rays span, so its dimension is their rank.  The
@@ -667,4 +664,4 @@ def _flag_violations(flag: FlagOfCones) -> list[str]:
             if not nested:
                 out.append("nesting: cone %d is not a face of cone %d" % (i - 1, i))
         prev, prev_simplicial = rays, simplicial
-    return out
+    return tuple(out)

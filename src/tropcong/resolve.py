@@ -361,6 +361,8 @@ def cancellativity_harness(E: CongruencePresentation, trials: int = 200,
     bad = verify_closure_hypothesis(V)
     if bad is not None:
         raise ValueError("closure hypothesis fails: " + bad)
+    if not any(s.cells for s in V.strata):  # else no g counts and the loop never ends
+        raise ValueError("the support has no cell: no g is non-bottom on it")
     ctx = E.context
     rng = random.Random(seed)
     products_equal = 0

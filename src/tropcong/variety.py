@@ -85,7 +85,7 @@ def pair_variety(pair, tau: Face) -> list:
         for uv in gvs:
             rows = _difference_rows(mv, fvs) + _difference_rows(uv, gvs)
             rows += (HRow(vsub(mv, uv), ZERO, EQ),)
-            cells.append(base.with_rows(rows))
+            cells.append(ConeH.make(base.dim, base.rows + rows))
     return _dedupe_absorb(cells)
 
 
@@ -131,8 +131,6 @@ class VarietySupport(_Record):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "strata", strata)  # one StratumSupport per face of sigma
-        object.__setattr__(self, "_arrangements", {})  # tau -> arrangement(tau)
-        object.__setattr__(self, "_tables", {})  # tau -> pair_table(tau)
 
     def stratum(self, tau: Face) -> StratumSupport:
         for s in self.strata:
@@ -142,18 +140,6 @@ class VarietySupport(_Record):
 
     def all_cells(self):
         return [(s.tau, c) for s in self.strata for c in s.cells]
-
-    def arrangement(self, tau: Face) -> list:
-        """_arrangement of the pairs at tau, computed once per stratum."""
-        if tau not in self._arrangements:
-            self._arrangements[tau] = _arrangement(self.pairs, tau)
-        return self._arrangements[tau]
-
-    def pair_table(self, tau: Face) -> tuple:
-        """congruence._pair_table of the pairs at tau, computed once per stratum."""
-        if tau not in self._tables:
-            self._tables[tau] = _pair_table(self.pairs, tau)
-        return self._tables[tau]
 
 
 @lru_cache(maxsize=32)
@@ -197,7 +183,7 @@ def hypersurface(f: TropPoly, strata: Optional[Sequence[Face]] = None) -> Variet
             cells = []
             for i, j in itertools.combinations(range(len(tvs)), 2):
                 rows = _difference_rows(tvs[i], tvs) + (HRow(vsub(tvs[i], tvs[j]), ZERO, EQ),)
-                cells.append(base.with_rows(rows))
+                cells.append(ConeH.make(base.dim, base.rows + rows))
             cells = _dedupe_absorb(cells)
         out.append(StratumSupport(tau, tuple(cells)))
     return VarietySupport(ctx, pairs, tuple(out))
@@ -246,7 +232,7 @@ def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
 
 def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
     """point_in_variety at the (1+n)-vector full, canonical on tau's stratum."""
-    pointwise = _sides_agree(*V.pair_table(tau), full)
+    pointwise = _sides_agree(*_pair_table(V.pairs, tau), full)
     try:
         sup = V.stratum(tau)
     except ValueError:
@@ -265,11 +251,13 @@ def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
 # double-description step of `cone_generators` on generators and incidence
 # masks, so after one (cached) generator computation everything is LP-free.
 
-def _arrangement(pairs, tau: Face) -> list:
+@lru_cache(maxsize=polyhedra.CACHE_SIZE)
+def _arrangement(pairs: tuple, tau: Face) -> tuple:
     """Sorted normals of the hyperplanes where two terms of one pair tie at tau.
 
     On each cell of this arrangement every side of every pair is linear, and the
-    two sides of a pair compare the same way throughout."""
+    two sides of a pair compare the same way throughout.  It depends only on
+    the stratum, so it is cached, not rebuilt for every cell or flag."""
     forms = set()
     for f, g in pairs:
         tvs = [term_vec(u, a) for p in (f, g) for u, a in p.restrict(tau).terms]
@@ -277,7 +265,7 @@ def _arrangement(pairs, tau: Face) -> list:
             d = neg_primitive_pair(vsub(v1, v2))
             if not is_zero_vec(d):
                 forms.add(d)
-    return sorted(forms)
+    return tuple(sorted(forms))
 
 
 def split_generators_by_forms(state, bit: int, forms: Sequence[Vec]) -> list:
@@ -330,7 +318,8 @@ def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -
         return all(_sides_agree(*table, w) for w in (*rays, *lin, *(vscale(-1, v) for v in lin)))
     if not (_sides_agree(*table, zero_vec(cell.dim)) and agree(*polyhedra.cone_generators(cell))):
         return False
-    return all(agree(lin, rays) for lin, rays, _ in _cell_pieces(cell, _arrangement([(f, g)], tau)))
+    forms = _arrangement(((f, g),), tau)
+    return all(agree(lin, rays) for lin, rays, _ in _cell_pieces(cell, forms))
 
 
 def _check_contexts(V: VarietySupport, *polys: TropPoly):
@@ -385,7 +374,7 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
         V.stratum(tau)
     except ValueError:
         raise ValueError("flag stratum not represented in the support")
-    forms = V.arrangement(tau)
+    forms = _arrangement(V.pairs, tau)
     for rays in flag.cones_rays:
         # a valid flag cone is simplicial: ray j lies on every facet but the
         # j-th, which gives the split exact masks with no H-representation

@@ -131,7 +131,7 @@ def functions_equal_on_cell(f, g, tau, cell):
     if any(differ(w) for w in cell_sample_points(cell)):
         return False
     for piece in split_generators_by_forms(polyhedra.generators(cell),
-                                           _arrangement([(f, g)], tau)):
+                                           _arrangement(((f, g),), tau)):
         if any(differ(gen) for gen in piece):
             return False
     return True

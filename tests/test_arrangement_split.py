@@ -99,7 +99,7 @@ def test_cell_pieces_are_the_signed_h_cones():
     for name, E, V in SUPPORTS:
         for f, g in _function_pairs(rng, E):
             for tau, cell in V.all_cells():
-                forms = vy._arrangement([(f, g)], tau)
+                forms = vy._arrangement(((f, g),), tau)
                 split = vy._cell_pieces(cell, forms)
                 _check_pieces(cell, forms, split)
                 pieces += len(split)
@@ -146,7 +146,11 @@ def test_radical_member_of_a_pair_equal_to_itself():
     h = p + q
     assert len(h.terms) == 6
     E = CongruencePresentation.bend_of(f2)
+    vy._arrangement.cache_clear()
     assert radical_member(CongruencePresentation.make(ctx, E.pairs, True), (h, h)) is True
+    # the tie arrangement of (h, h) is built once per stratum, not once per cell
+    strata = sum(1 for s in vy.support_of(E).strata if s.cells)
+    assert vy._arrangement.cache_info().misses <= strata
     assert functions_equal_on_variety(p, q, hypersurface(f2)) is False
 
 

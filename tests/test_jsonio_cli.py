@@ -72,6 +72,21 @@ def test_malformed_rational_position():
     assert "$.x[1]" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["false", "true", [], [0], 0, 1, None])
+def test_finite_basis_is_a_json_boolean(fixtures_dir, value):
+    """Only true or false declare or deny a finite tropical basis; "false"
+    once declared one, as any non-empty string or list did."""
+    doc = json.loads((fixtures_dir / "radical_roundtrip" / "E.json").read_text())
+    ctx = jsonio.context_of_document(doc)
+    for flag in (True, False):
+        doc["finite_basis"] = flag
+        assert jsonio.dec_congruence(doc, ctx).finite_tropical_basis is flag
+    doc["finite_basis"] = value
+    with pytest.raises(ParseError) as err:
+        jsonio.dec_congruence(doc, ctx)
+    assert err.value.path == "$.finite_basis"
+
+
 def test_max_dim_cap():
     doc = {"rank": 9, "sigma_rays": [], "coeff": "T"}
     with pytest.raises(ParseError):
@@ -223,6 +238,22 @@ def test_cli_cancel_check(capsys, fixtures_dir):
                            "--trials", "20")
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_cli_cancel_check_on_a_support_with_no_cell_exit_3(tmp_path):
+    # (0, 1), bottom against the unit, agrees nowhere on affine(1), so no
+    # random g is non-bottom on the support; the harness once drew g forever.
+    # A subprocess with a timeout turns a hang into a failure.
+    from tropcong.congruence import CongruencePresentation
+    from tropcong.trop_core import ToricContext
+    ctx = ToricContext.affine(1)
+    E = CongruencePresentation.make(ctx, [(parse_poly(ctx, "0"), parse_poly(ctx, "1"))], True)
+    cong = tmp_path / "E.json"
+    cong.write_text(json.dumps(dict(jsonio.enc_congruence(E), format="tropcong/1")))
+    proc = subprocess.run([sys.executable, "-m", "tropcong.cli", "cancel-check",
+                           "--cong", str(cong)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("precondition violated") and proc.stderr.count("\n") == 1
 
 
 def test_cli_eval_and_bend(capsys, fixtures_dir, tmp_path):
@@ -469,6 +500,9 @@ _RANK2 = {"rank": 2, "sigma_rays": [[-1, 0], [0, -1]]}
                                                  {"op": "trans", "i": 0, "j": -1}]}),
     (("bend", "--poly", "quartic_bend/f.json"), "quartic_bend/f.json",
      _put([True, False], "terms", 0, "exp")),
+    (("radical-member", "--cong", "radical_roundtrip/E.json",
+      "--pair", "radical_roundtrip/pair_x_1.json"), "radical_roundtrip/E.json",
+     _put("false", "finite_basis")),
 ])
 def test_cli_malformed_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
     _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit)

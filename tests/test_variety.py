@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 from fractions import Fraction as F
 
@@ -7,6 +9,7 @@ import pytest
 
 import eval_reference as ref
 
+import tropcong
 from tropcong import congruence, jsonio
 from tropcong import polyhedra as ph
 from tropcong import variety as vy
@@ -77,6 +80,27 @@ def test_variety_of_basis_equals_hypersurface_for_bend(quartic_E, quartic):
     for s1, s2 in zip(V1.strata, V2.strata):
         assert s1.tau == s2.tau
         assert ph.covers_equal(list(s1.cells), list(s2.cells))
+
+
+def test_support_cells_are_cones_enumerated_once(monkeypatch, quartic_E, quartic, boolean_E):
+    """Cells are built as ConeH, the class `pairwise_intersections` rebuilds
+    them in: records of two classes never compare equal, so an equal
+    PolyhedronH would be a second `cone_generators` entry for one cone."""
+    inner = ph.cone_generators
+    seen = set()
+
+    def recording(c):
+        seen.add((c.dim, c.rows))
+        return inner(c)
+
+    monkeypatch.setattr(ph, "cone_generators", recording)
+    for build, arg in ((variety_of_basis, quartic_E), (hypersurface, quartic),
+                       (variety_of_basis, boolean_E)):
+        seen.clear()
+        inner.cache_clear()
+        V = build(arg)
+        assert V.all_cells() and all(type(c) is ph.ConeH for _, c in V.all_cells())
+        assert inner.cache_info().misses == len(seen), build
 
 
 def test_v_fg_union_pointwise(ctx2):
@@ -351,6 +375,7 @@ def test_shrink_validates_the_shrunk_flag_once(monkeypatch):
 
     monkeypatch.setattr(congruence, "validate_flag", counting)
     monkeypatch.setattr(vy, "validate_flag", counting)
+    flag_to_matrix.cache_clear()  # an equal flag of an earlier test would hit
     out = shrink_flag(ctx, flag, E)
     assert seen == [flag, out] and out != flag
     # a shrunk flag that fails validation is a bug, not a bad input
@@ -360,32 +385,26 @@ def test_shrink_validates_the_shrunk_flag_once(monkeypatch):
         shrink_flag(ctx, flag, E)
 
 
-def test_flag_verdict_computed_once(monkeypatch):
+def test_flag_verdict_computed_once():
     ctx = ToricContext.torus(1)
     E = CongruencePresentation.make(
         ctx, [(parse_poly(ctx, "t^1 + x"), parse_poly(ctx, "t^1"))], finite_tropical_basis=True)
     V = variety_of_basis(E)
-    checked = []
-    inner = ph._flag_violations
-
-    def counting(f):
-        checked.append(f)
-        return inner(f)
-
-    monkeypatch.setattr(ph, "_flag_violations", counting)
+    ph._flag_violations.cache_clear()  # the cache is process-wide
+    flag_to_matrix.cache_clear()
     flag = make_flag(2, [], [[(1, 0)], [(1, 0), (0, 1)]])
     flag_in_variety(ctx, flag, V)
     flag_to_matrix(ctx, flag)
-    assert checked == [flag]
+    assert ph._flag_violations.cache_info().misses == 1
     first = ph.validate_flag(flag)
     first.append("edited by the caller")
-    assert ph.validate_flag(flag) == []
+    assert ph.validate_flag(make_flag(2, [], [[(1, 0)], [(1, 0), (0, 1)]])) == []
     bad = make_flag(2, [], [[(1, 0)], [(1, 0)]])
     with pytest.raises(ValueError, match="invalid flag"):
         flag_in_variety(ctx, bad, V)
     with pytest.raises(ValueError, match="invalid flag"):
         flag_to_matrix(ctx, bad)
-    assert checked == [flag, bad]
+    assert ph._flag_violations.cache_info().misses == 2  # once per distinct flag
 
 
 def test_flag_matrix_built_once_per_context(monkeypatch):
@@ -400,6 +419,7 @@ def test_flag_matrix_built_once_per_context(monkeypatch):
         return inner(context, tau, rows)
 
     monkeypatch.setattr(congruence.PrimeMatrix, "make", staticmethod(counting))
+    flag_to_matrix.cache_clear()  # an equal flag of an earlier test would hit
     flag = make_flag(2, [], [[(1, 0)], [(1, 0), (0, 1)]])
     theta = flag_to_matrix(ctx, flag)
     assert congruence_in_prime(E, theta)
@@ -412,7 +432,8 @@ def test_flag_matrix_built_once_per_context(monkeypatch):
     for _ in range(3):
         with pytest.raises(ValueError, match="invalid flag"):
             flag_to_matrix(ctx, bad)
-    assert bad._matrices == {} and built == [ctx, ctxB]
+    info = flag_to_matrix.cache_info()  # each call a miss, none stored
+    assert (info.misses, info.currsize) == (5, 2) and built == [ctx, ctxB]
 
 
 def test_shrink_requires_containment(ctx2, quartic_E):
@@ -519,10 +540,10 @@ def test_arrangement_equals_within_and_cross_forms(fixtures_dir):
         sides = [p for pair in pairs for p in pair]
         for tau in ctx.faces:
             old = sorted(_forms_within(sides, tau) | _forms_across(pairs, tau))
-            assert vy._arrangement(pairs, tau) == old
+            assert vy._arrangement(pairs, tau) == tuple(old)
             for pair in pairs:  # the per-pair arrangement of _functions_equal_on_cell
                 old = sorted(_forms_within(pair, tau) | _forms_across([pair], tau))
-                assert vy._arrangement([pair], tau) == old
+                assert vy._arrangement((pair,), tau) == tuple(old)
             combos += 1
     assert combos >= 74
 
@@ -530,13 +551,19 @@ def test_arrangement_equals_within_and_cross_forms(fixtures_dir):
 def test_support_arrangement_built_once(quartic_E):
     V = variety_of_basis(quartic_E)
     for s in V.strata:
-        first = V.arrangement(s.tau)
-        assert first == vy._arrangement(V.pairs, s.tau)
-        assert V.arrangement(s.tau) is first
-    again = variety_of_basis(quartic_E)
-    assert V == again and hash(V) == hash(again)  # the memo is not part of the value
+        assert vy._arrangement(V.pairs, s.tau) is vy._arrangement(V.pairs, s.tau)
 
 
 def test_caches_are_bounded():
-    for fn in (ph.cone_generators, ph.faces_of, vy.support_of):
-        assert fn.cache_info().maxsize is not None
+    found = {}
+    for info in pkgutil.iter_modules(tropcong.__path__):
+        mod = importlib.import_module("tropcong." + info.name)
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info"):
+                found[obj.__module__ + "." + name] = obj
+    for name in ("polyhedra.cone_generators", "polyhedra.faces_of",
+                 "polyhedra._flag_violations", "congruence._pair_table",
+                 "congruence.flag_to_matrix", "variety._arrangement", "variety.support_of"):
+        assert "tropcong." + name in found
+    for name, fn in found.items():
+        assert fn.cache_info().maxsize is not None, name
