@@ -1,8 +1,12 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact two-phase simplex over the rationals, kept as a test oracle.
 
-Small dense tableaus, Bland's rule for the entering and leaving variable, so
-every pivot sequence terminates and results are deterministic.  Free variables
-are split into positive parts; problem sizes here are desk scale.
+No library module imports it: every polyhedral question and every
+relative-interior point is read off the double-description kernel of
+`polyhedra`.  The tests' LP reference paths (`tests/*_reference.py`) solve
+with it.  Small dense tableaus, Bland's rule for the entering and leaving
+variable, so every pivot sequence terminates and results are deterministic.
+Free variables are split into positive parts; problem sizes here are desk
+scale.
 """
 
 from __future__ import annotations

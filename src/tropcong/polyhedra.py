@@ -13,8 +13,8 @@ honored exactly (`feasible`, whose witness is the dehomogenized sum of the
 rays), implicit equalities, and the suprema of linear forms that decide
 `is_subset` and `poly_in_union` and give the common slack pinned by
 `relative_interior_point`; `is_face` compares a cone with the smallest face
-containing it.  The one LP left chooses a canonical point: the L1 polish of
-`relative_interior_point`.
+containing it.  No LP runs: `relative_interior_point` also takes its canonical
+point, the lexicographically least of least L1 norm, off the kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, is_zero_vec, neg_primitive_pair,
+from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
                       nullspace_basis, primitive, qdiv, rank_of, reduce_mod_span,
                       rref, vec, vscale, vsub, zero_vec)
 from ._record import _Record
@@ -216,28 +216,24 @@ def _sup(gens, a: Sequence) -> Optional[Fraction]:
 
 
 def _l1_polish(p: PolyhedronH) -> Vec:
-    """Deterministic small point of a (weakly described) nonempty polyhedron.
+    """The lexicographically least of the points of least L1 norm in a nonempty closed p.
 
-    Minimizes sum |x_i| via x = u - v, u,v >= 0; exact simplex keeps it canonical.
+    Lifted to (x, t) by the rows +-x_i - t_i <= 0, p holds no line, so sum t is
+    least at vertices of the lift: rays of its closure generators at positive
+    height.  The L1 minimizers are the polytope spanned by the x of the optimal
+    vertices, whose lexicographic minimum is one of them; so the point does not
+    depend on how p is embedded.
     """
-    from . import _lp  # the library's one LP: loaded only when a point is polished
     d = p.dim
-    # variables (u, v) each length d, minimize sum(u+v) == maximize -(sum)
-    A, B, AE, BE = [], [], [], []
-    for r in p.rows:
-        lhs, rhs = (AE, BE) if r.rel == EQ else (A, B)
-        lhs.append(tuple(r.a) + tuple(-x for x in r.a))
-        rhs.append(r.b)
-    for i in range(2 * d):
-        rr = [ZERO] * (2 * d)
-        rr[i] = -ONE
-        A.append(tuple(rr))
-        B.append(ZERO)
-    c = (-ONE,) * (2 * d)
-    status, x, _ = _lp.solve_lp(c, A, B, AE, BE)
-    if status != _lp.OPTIMAL:
-        raise RuntimeError("L1 polish of a nonempty polyhedron ended %s" % (status,))
-    return tuple(canon(x[i] - x[d + i]) for i in range(d))
+    units = [zero_vec(i) + (ONE,) + zero_vec(d - 1 - i) for i in range(d)]
+    lifted = PolyhedronH.make(2 * d, [HRow(tuple(r.a) + zero_vec(d), r.b, r.rel) for r in p.rows]
+                              + [HRow(vscale(s, e) + vscale(-1, e), ZERO, LE)
+                                 for e in units for s in (1, -1)])
+    _, rays = _closure_generators(lifted)
+    vertices = [(qdiv(sum(g[1 + d:]), g[0]), tuple(qdiv(x, g[0]) for x in g[1:1 + d]))
+                for g in rays if g[0] > 0]
+    least = min(norm for norm, _ in vertices)
+    return min(x for norm, x in vertices if norm == least)
 
 
 def relative_interior_point(p: PolyhedronH) -> Vec:
@@ -248,8 +244,8 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     without an LP: a row a.x <= b is an implicit equality iff (-b, a) vanishes
     on every generator.  The common slack t of the other rows is pinned at its
     maximum (capped at 1), the sup of t over the lifted polyhedron read off its
-    closure generators; then an L1 objective polishes the point for
-    reproducibility.
+    closure generators; of the points left, the lexicographically least of
+    least L1 norm is returned, read off the vertices of one more lift.
     """
     lin, rays = _closure_generators(p)
     eqs, ineq = [], []
@@ -273,12 +269,6 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     else:
         pinned = PolyhedronH.make(d, tuple(eqs))
     return _l1_polish(pinned)
-
-
-def nice_ray(c: ConeH) -> Vec:
-    """relative_interior_point canonicalized to a primitive integer vector."""
-    pt = relative_interior_point(c)
-    return primitive(pt)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ tests/test_relint_face.py:
 * `relative_interior_point` finds implicit equalities by a loop of LPs: a
   strict-feasibility LP, then a weak-emptiness LP and one `max_linear` LP per
   row, repeated until every remaining row can be strict at once.  Then one
-  LP pins the common slack, which the library now reads off the kernel; the
-  L1 polish is the library's own.
+  LP pins the common slack, and `_l1_polish` chooses the point by an L1
+  simplex.  The library reads both off the kernel; on a tie between points
+  of least L1 norm the simplex takes the one its pivot order reaches, the
+  library the lexicographically least.
 * `is_face` looks for a functional that vanishes on the generators of f and
   is at most -1 on every generator of c outside f, by a zero-objective LP
   (formerly `_lp.lp_feasible_point`, inlined here).
@@ -21,10 +23,9 @@ Test use only.
 from __future__ import annotations
 
 from tropcong import _lp
-from tropcong._linalg import ONE, ZERO, Vec, vscale, zero_vec
+from tropcong._linalg import ONE, ZERO, Vec, canon, vscale, zero_vec
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
-                                PolyhedronH, _l1_polish, cone_generators,
-                                cone_key, generators)
+                                PolyhedronH, cone_generators, cone_key, generators)
 
 from lp_reference import feasible, is_empty, max_linear
 
@@ -79,6 +80,30 @@ def relative_interior_point(p: PolyhedronH) -> Vec:
     else:
         pinned = PolyhedronH.make(d, tuple(eqs))
     return _l1_polish(pinned)
+
+
+def _l1_polish(p: PolyhedronH) -> Vec:
+    """Deterministic small point of a (weakly described) nonempty polyhedron.
+
+    Minimizes sum |x_i| via x = u - v, u,v >= 0; exact simplex keeps it canonical.
+    """
+    d = p.dim
+    # variables (u, v) each length d, minimize sum(u+v) == maximize -(sum)
+    A, B, AE, BE = [], [], [], []
+    for r in p.rows:
+        lhs, rhs = (AE, BE) if r.rel == EQ else (A, B)
+        lhs.append(tuple(r.a) + tuple(-x for x in r.a))
+        rhs.append(r.b)
+    for i in range(2 * d):
+        rr = [ZERO] * (2 * d)
+        rr[i] = -ONE
+        A.append(tuple(rr))
+        B.append(ZERO)
+    c = (-ONE,) * (2 * d)
+    status, x, _ = _lp.solve_lp(c, A, B, AE, BE)
+    if status != _lp.OPTIMAL:
+        raise RuntimeError("L1 polish of a nonempty polyhedron ended %s" % (status,))
+    return tuple(canon(x[i] - x[d + i]) for i in range(d))
 
 
 def is_face(f: ConeH, c: ConeH) -> bool:

@@ -315,14 +315,15 @@ def test_light_subcommands_skip_heavy_layers(argv, tmp_path):
 
 
 def test_closure_skips_support_and_resolution_layers():
-    """closure reaches toric_geom and, to polish its witness point, the LP, but
-    neither variety nor resolve (nor congruence)."""
+    """closure reaches toric_geom, but neither variety nor resolve (nor
+    congruence), and its witness point is polished without the LP."""
     rc, modules = _cli_modules(["closure", "--polyhedron", _CL / "cell_L.json",
                                 "--fan", _CL / "sigma_fan.json",
                                 "--point", _CL / "deep_point.json"])
     assert rc == 0
     assert "tropcong.toric_geom" in modules
-    assert not modules & {"tropcong.variety", "tropcong.resolve", "tropcong.congruence"}
+    assert not modules & {"tropcong.variety", "tropcong.resolve", "tropcong.congruence",
+                          "tropcong._lp"}
 
 
 def test_bare_package_import_loads_no_submodule():

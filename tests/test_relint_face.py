@@ -2,14 +2,18 @@
 
 `relint_face_reference` holds the library's former `relative_interior_point`
 (implicit equalities found by a loop of LPs, the common slack pinned by an
-LP) and `is_face` (a separating functional found by an LP).  The library now
-reads all three off the double-description kernel; it must return the same
-point, or raise the same EmptyPolyhedronError, and decide every face question
-the same way.
+LP, the point chosen by an L1 simplex) and `is_face` (a separating functional
+found by an LP).  The library now reads all four off the double-description
+kernel.  It must raise the same EmptyPolyhedronError and decide every face
+question the same way.  Its point must be the oracle's, or, where several
+points share the least L1 norm and the simplex's pivot order chose one, a
+point of the same norm that is lexicographically smaller.
 """
 
+import ast
 import itertools
 import json
+import pathlib
 import sys
 
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relint_face_reference as ref
-from tropcong import _lp, jsonio, resolve, toric_geom
+from tropcong import _lp, jsonio, polyhedra, resolve, toric_geom
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
                                 PolyhedronH, cone_key, faces_of, generators,
                                 hrep_from_rays, is_face, relative_interior_point)
@@ -31,9 +35,23 @@ def _outcome(fn, p):
         return ("empty", str(exc))
 
 
+def _assert_lexicographic_tie(p, got, want):
+    """got and want are points of p of equal L1 norm, and got is the
+    lexicographically smaller."""
+    assert not isinstance(got[0], str) and not isinstance(want[0], str), (p, got, want)
+    assert sum(map(abs, got)) == sum(map(abs, want)) and got < want, (p, got, want)
+    assert p.contains(got), (p, got, want)
+
+
 def _agree(p):
     got = _outcome(relative_interior_point, p)
-    assert got == _outcome(ref.relative_interior_point, p), p
+    want = _outcome(ref.relative_interior_point, p)
+    if got != want:
+        _assert_lexicographic_tie(p, got, want)
+        # both polish the same system with the slack pinned, so got is strict
+        # on every inequality on which want is
+        assert all(dot(r.a, got) < r.b for r in p.rows
+                   if r.rel != EQ and dot(r.a, want) < r.b), (p, got, want)
     return got
 
 
@@ -87,8 +105,9 @@ def test_random_polyhedra():
         seen[k] for k in ("point", "empty", "strict implicit")) < 0.5, seen
 
 
-def test_only_the_l1_polish_runs_an_lp(monkeypatch):
-    # the common slack is read off the kernel; it must equal the LP's optimum
+def test_relative_interior_point_runs_no_lp(monkeypatch):
+    # the common slack and the polished point are read off the kernel; they
+    # must equal the LP's
     def P(d, *rows):
         return PolyhedronH.make(d, tuple(HRow(vec(a), frac(b), rel) for a, b, rel in rows))
 
@@ -110,8 +129,76 @@ def test_only_the_l1_polish_runs_an_lp(monkeypatch):
     monkeypatch.setattr(_lp, "solve_lp", spy)
     points = [relative_interior_point(p) for p in systems]
     monkeypatch.undo()
-    assert callers == ["_l1_polish"] * len(systems)
+    assert callers == []
     assert points == [ref.relative_interior_point(p) for p in systems]
+
+
+# ---------------------------------------------------------------------------
+# the L1 polish against the simplex
+
+@st.composite
+def _closed_polyhedra(draw):
+    # a pinned system: closed rows through a hidden point, so it is nonempty
+    d = draw(st.integers(1, 4))
+    x0 = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.lists(_entries, min_size=d, max_size=d))
+        rel = draw(st.sampled_from((LE, LE, LE, EQ)))
+        b = dot(a, x0) + (draw(st.integers(0, 2)) if rel == LE else 0)
+        rows.append(HRow(vec(a), frac(b), rel))
+    return PolyhedronH.make(d, rows)
+
+
+def _polish_agrees(p):
+    """'unique' when the kernel's point is the simplex's, 'tie' when it is the
+    lexicographically smaller of two points of least L1 norm."""
+    got, want = polyhedra._l1_polish(p), ref._l1_polish(p)
+    assert all(type(x) is int or x.denominator > 1 for x in got), got
+    if got == want:
+        return "unique"
+    _assert_lexicographic_tie(p, got, want)
+    return "tie"
+
+
+def test_l1_polish_against_the_simplex():
+    seen = {"unique": 0, "tie": 0}
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_closed_polyhedra())
+    def sweep(p):
+        seen[_polish_agrees(p)] += 1
+
+    sweep()
+    assert all(seen.values()), seen
+
+
+def _lp_imports(tree):
+    """Line numbers of every import of `_lp`: `from . import _lp`,
+    `from ._lp import ...`, `import tropcong._lp` and their absolute forms."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any(n.split(".")[-1] == "_lp" for n in names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_src_imports_no_lp():
+    """The simplex is a test oracle: no library module loads it."""
+    src = pathlib.Path(polyhedra.__file__).parent
+    files = sorted(f for f in src.glob("*.py") if f.name != "_lp.py")
+    assert len(files) > 10
+    found = {f.name: _lp_imports(ast.parse(f.read_text(), str(f))) for f in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_lp_import_scan_sees_every_form():
+    code = ("from . import _lp\nfrom ._lp import solve_lp\nimport tropcong._lp\n"
+            "from tropcong import jsonio, _lp as simplex\nfrom tropcong._lp import OPTIMAL\n"
+            "def f():\n    from . import _linalg, polyhedra\n    import tropcong._linalg\n")
+    assert _lp_imports(ast.parse(code)) == [1, 2, 3, 4, 5]
 
 
 def test_strict_implicit_and_empty_raise():
@@ -126,15 +213,15 @@ def test_strict_implicit_and_empty_raise():
 # ---------------------------------------------------------------------------
 # every system the closure and resolution code asks about
 
-def _capture(monkeypatch, module):
+def _capture(monkeypatch, module, name="relative_interior_point"):
     seen = []
-    inner = module.relative_interior_point
+    inner = getattr(module, name)
 
     def wrapper(p):
         seen.append(p)
         return inner(p)
 
-    monkeypatch.setattr(module, "relative_interior_point", wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return seen
 
 
@@ -149,11 +236,15 @@ def test_resolve_quartic_systems(monkeypatch, fixtures_dir):
     E = jsonio.dec_congruence(edoc, ctx)
     P = jsonio.dec_matrix(pdoc, ctx)
     systems = _capture(monkeypatch, resolve)
+    pinned = _capture(monkeypatch, polyhedra, "_l1_polish")
     res = resolve.resolve_boundary_prime(E, P, samples=50)
+    monkeypatch.undo()
     assert isinstance(res, resolve.ResolutionResult)
-    assert systems
+    assert systems and len(pinned) == len(systems)
     for p in systems:
         _agree(p)
+    # the L1 minimizer of the resolution system is unique: the simplex finds it too
+    assert [_polish_agrees(p) for p in pinned] == ["unique"] * len(pinned)
 
 
 @pytest.mark.parametrize("polyhedron, point", [
