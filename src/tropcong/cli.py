@@ -9,6 +9,10 @@ so no crash ever reads as "false".  TROPCONG_MAX_DIM caps the ambient
 dimension (default 6); a value that is not an integer >= 1 is a violated
 precondition.
 
+Every input that carries a context is read by one loader, `_inputs`, which
+applies the rank cap and checks that all contexts are equal before decoding
+any input; documents without one (polyhedra, fans, flags, ...) come after.
+
 Only the standard library is imported at module top: each handler imports the
 layers it uses, so a job loads (and, without cached bytecode, compiles) no
 more of the library than its subcommand reaches.
@@ -52,17 +56,17 @@ def _load(path: str):
     return jsonio.load_document(text, path_label=path)
 
 
-def _context(doc, label, max_dim):
+def _inputs(max_dim, *inputs):
+    """Read each (path, decoder) input, check that all of them carry one context
+    under the rank cap before any is decoded, and return (context, value, ...)."""
     from . import jsonio
-    return jsonio.context_of_document(doc, path=label, max_dim=max_dim)
-
-
-def _same_context(*ctxs):
-    first = ctxs[0]
-    for c in ctxs[1:]:
-        if c != first:
-            raise PreconditionError("input files use different contexts")
-    return first
+    docs = [(_load(path), path, decode) for path, decode in inputs]
+    ctxs = [jsonio.context_of_document(doc, path=path, max_dim=max_dim)
+            for doc, path, _ in docs]
+    ctx = ctxs[0]
+    if any(c != ctx for c in ctxs[1:]):
+        raise PreconditionError("input files use different contexts")
+    return (ctx,) + tuple(decode(doc, ctx, path) for doc, path, decode in docs)
 
 
 def _same_dim(dim, want, label):
@@ -86,11 +90,8 @@ def _bool_exit(value: bool) -> int:
 
 def cmd_eval(args, max_dim):
     from . import jsonio
-    fdoc = _load(args.poly)
-    wdoc = _load(args.point)
-    ctx = _same_context(_context(fdoc, args.poly, max_dim), _context(wdoc, args.point, max_dim))
-    f = jsonio.dec_poly(fdoc, ctx, args.poly)
-    w = jsonio.dec_ext_point(wdoc, ctx, args.point)
+    _, f, w = _inputs(max_dim, (args.poly, jsonio.dec_poly),
+                      (args.point, jsonio.dec_ext_point))
     val = f.evaluate(w)
     _emit({"value": "-inf" if val is None else jsonio.enc_frac(val)})
     return EXIT_TRUE
@@ -99,9 +100,7 @@ def cmd_eval(args, max_dim):
 def cmd_bend(args, max_dim):
     from . import jsonio
     from .trop_core import bend_relations
-    fdoc = _load(args.poly)
-    ctx = _context(fdoc, args.poly, max_dim)
-    f = jsonio.dec_poly(fdoc, ctx, args.poly)
+    _, f = _inputs(max_dim, (args.poly, jsonio.dec_poly))
     pairs = bend_relations(f)
     _emit({"pairs": [{"lhs": jsonio.enc_poly(a, False), "rhs": jsonio.enc_poly(b, False)}
                      for a, b in pairs]})
@@ -111,11 +110,8 @@ def cmd_bend(args, max_dim):
 def cmd_prime_eval(args, max_dim):
     from . import jsonio
     from .congruence import prime_eval
-    mdoc = _load(args.matrix)
-    fdoc = _load(args.poly)
-    ctx = _same_context(_context(mdoc, args.matrix, max_dim), _context(fdoc, args.poly, max_dim))
-    theta = jsonio.dec_matrix(mdoc, ctx, args.matrix)
-    f = jsonio.dec_poly(fdoc, ctx, args.poly)
+    _, theta, f = _inputs(max_dim, (args.matrix, jsonio.dec_matrix),
+                          (args.poly, jsonio.dec_poly))
     phi = prime_eval(theta, f)
     _emit({"phi": ["-inf" if x is None else jsonio.enc_frac(x) for x in phi]})
     return EXIT_TRUE
@@ -124,11 +120,8 @@ def cmd_prime_eval(args, max_dim):
 def cmd_member(args, max_dim):
     from . import jsonio
     from .congruence import prime_contains_pair
-    mdoc = _load(args.matrix)
-    pdoc = _load(args.pair)
-    ctx = _same_context(_context(mdoc, args.matrix, max_dim), _context(pdoc, args.pair, max_dim))
-    theta = jsonio.dec_matrix(mdoc, ctx, args.matrix)
-    pair = jsonio.dec_pair(pdoc, ctx, args.pair)
+    _, theta, pair = _inputs(max_dim, (args.matrix, jsonio.dec_matrix),
+                             (args.pair, jsonio.dec_pair))
     ok = prime_contains_pair(theta, pair)
     _emit({"member": ok})
     return _bool_exit(ok)
@@ -137,25 +130,16 @@ def cmd_member(args, max_dim):
 def cmd_kernel(args, max_dim):
     from . import jsonio
     from .congruence import has_trivial_ideal_kernel
-    mdoc = _load(args.matrix)
-    ctx = _context(mdoc, args.matrix, max_dim)
-    theta = jsonio.dec_matrix(mdoc, ctx, args.matrix)
+    _, theta = _inputs(max_dim, (args.matrix, jsonio.dec_matrix))
     trivial = has_trivial_ideal_kernel(theta)
     _emit({"tau_rays": [jsonio.enc_vec_int(r) for r in theta.tau.rays],
            "trivial": trivial})
     return _bool_exit(trivial)
 
 
-def _decode_congruence(path, max_dim):
-    from . import jsonio
-    doc = _load(path)
-    ctx = _context(doc, path, max_dim)
-    return ctx, jsonio.dec_congruence(doc, ctx, path)
-
-
 def cmd_variety(args, max_dim):
     from . import jsonio, variety as variety_mod
-    ctx, E = _decode_congruence(args.cong, max_dim)
+    ctx, E = _inputs(max_dim, (args.cong, jsonio.dec_congruence))
     strata = None
     if args.stratum:
         # a tau that spans no face raises ValueError: a violated precondition
@@ -167,9 +151,7 @@ def cmd_variety(args, max_dim):
 
 def cmd_hypersurface(args, max_dim):
     from . import jsonio, variety as variety_mod
-    fdoc = _load(args.poly)
-    ctx = _context(fdoc, args.poly, max_dim)
-    f = jsonio.dec_poly(fdoc, ctx, args.poly)
+    _, f = _inputs(max_dim, (args.poly, jsonio.dec_poly))
     V = variety_mod.hypersurface(f)
     _emit(jsonio.enc_support(V))
     return EXIT_TRUE
@@ -178,10 +160,8 @@ def cmd_hypersurface(args, max_dim):
 def cmd_radical_member(args, max_dim):
     from . import jsonio, variety as variety_mod
     from .congruence import CongruencePresentation
-    ctx, E = _decode_congruence(args.cong, max_dim)
-    pdoc = _load(args.pair)
-    _same_context(ctx, _context(pdoc, args.pair, max_dim))
-    pair = jsonio.dec_pair(pdoc, ctx, args.pair)
+    ctx, E, pair = _inputs(max_dim, (args.cong, jsonio.dec_congruence),
+                           (args.pair, jsonio.dec_pair))
     if args.finite_basis:
         E = CongruencePresentation.make(ctx, E.pairs, True)
     ok = variety_mod.radical_member(E, pair)
@@ -192,19 +172,15 @@ def cmd_radical_member(args, max_dim):
 def cmd_verify(args, max_dim):
     from . import jsonio
     from .congruence import verify_derivation, verify_radical_certificate
-    ctx, E = _decode_congruence(args.cong, max_dim)
-    pdoc = _load(args.pair)
-    _same_context(ctx, _context(pdoc, args.pair, max_dim))
-    pair = jsonio.dec_pair(pdoc, ctx, args.pair)
+    ctx, E, pair = _inputs(max_dim, (args.cong, jsonio.dec_congruence),
+                           (args.pair, jsonio.dec_pair))
     if args.derivation:
-        ddoc = _load(args.derivation)
-        d = jsonio.dec_derivation(ddoc, ctx, args.derivation)
+        d = jsonio.dec_derivation(_load(args.derivation), ctx, args.derivation)
         ok = verify_derivation(E, d, pair)
         _emit({"verified": ok, "kind": "derivation"})
         return _bool_exit(ok)
     if args.certificate:
-        cdoc = _load(args.certificate)
-        cert = jsonio.dec_certificate(cdoc, ctx, args.certificate)
+        cert = jsonio.dec_certificate(_load(args.certificate), ctx, args.certificate)
         ok = verify_radical_certificate(E, pair, cert)
         _emit({"verified": ok, "kind": "certificate"})
         return _bool_exit(ok)
@@ -214,15 +190,13 @@ def cmd_verify(args, max_dim):
 def cmd_radical_search(args, max_dim):
     from . import jsonio
     from .congruence import NotFound, SearchBounds, search_radical_certificate
-    doc = _load(args.cong)
-    ctx = _context(doc, args.cong, max_dim)
-    if "pairs" in doc:
-        E = jsonio.dec_congruence(doc, ctx, args.cong)
-    else:
-        E = jsonio.dec_matrix(doc, ctx, args.cong)
-    pdoc = _load(args.pair)
-    _same_context(ctx, _context(pdoc, args.pair, max_dim))
-    pair = jsonio.dec_pair(pdoc, ctx, args.pair)
+
+    def dec_cong_or_matrix(doc, ctx, path):
+        decode = jsonio.dec_congruence if "pairs" in doc else jsonio.dec_matrix
+        return decode(doc, ctx, path)
+
+    _, E, pair = _inputs(max_dim, (args.cong, dec_cong_or_matrix),
+                         (args.pair, jsonio.dec_pair))
     bounds = SearchBounds(max_exponent=args.max_i, max_degree=args.max_deg)
     res = search_radical_certificate(E, pair, bounds)
     if isinstance(res, NotFound):
@@ -234,15 +208,11 @@ def cmd_radical_search(args, max_dim):
 
 def cmd_closure(args, max_dim):
     from . import jsonio, toric_geom
-    ldoc = _load(args.polyhedron)
-    fdoc = _load(args.fan)
-    wdoc = _load(args.point)
-    ctx = _context(wdoc, args.point, max_dim)
-    L = jsonio.dec_polyhedron(ldoc, args.polyhedron)
-    fan = jsonio.dec_fan(fdoc, args.fan)
+    ctx, w = _inputs(max_dim, (args.point, jsonio.dec_stratum_point))
+    L = jsonio.dec_polyhedron(_load(args.polyhedron), args.polyhedron)
+    fan = jsonio.dec_fan(_load(args.fan), args.fan)
     _same_dim(L.dim, ctx.rank, args.polyhedron + ".dim")
     _same_dim(fan.dim, ctx.rank, args.fan + ".dim")
-    w = jsonio.dec_stratum_point(wdoc, ctx, args.point)
     try:
         res = toric_geom.polyhedron_closure_membership(ctx, L, fan, w)
     except ValueError as exc:
@@ -258,10 +228,8 @@ def cmd_closure(args, max_dim):
 
 def cmd_resolve(args, max_dim):
     from . import jsonio, resolve as resolve_mod
-    ctx, E = _decode_congruence(args.cong, max_dim)
-    pdoc = _load(args.prime)
-    _same_context(ctx, _context(pdoc, args.prime, max_dim))
-    P = jsonio.dec_matrix(pdoc, ctx, args.prime)
+    _, E, P = _inputs(max_dim, (args.cong, jsonio.dec_congruence),
+                      (args.prime, jsonio.dec_matrix))
     res = resolve_mod.resolve_boundary_prime(
         E, P, sample_degree=args.sample_degree, samples=args.samples, seed=args.seed)
     if isinstance(res, resolve_mod.ResolveFailure):
@@ -280,9 +248,8 @@ def cmd_resolve(args, max_dim):
 
 def cmd_flag_check(args, max_dim):
     from . import jsonio, polyhedra, variety as variety_mod
-    ctx, E = _decode_congruence(args.cong, max_dim)
-    fdoc = _load(args.flag)
-    flag = jsonio.dec_flag(fdoc, args.flag)
+    ctx, E = _inputs(max_dim, (args.cong, jsonio.dec_congruence))
+    flag = jsonio.dec_flag(_load(args.flag), args.flag)
     _same_dim(flag.ambient_dim, ctx.rank + 1, args.flag + ".ambient_dim")
     bad = polyhedra.validate_flag(flag)
     if bad:
@@ -295,8 +262,8 @@ def cmd_flag_check(args, max_dim):
 
 
 def cmd_cancel_check(args, max_dim):
-    from . import resolve as resolve_mod
-    ctx, E = _decode_congruence(args.cong, max_dim)
+    from . import jsonio, resolve as resolve_mod
+    _, E = _inputs(max_dim, (args.cong, jsonio.dec_congruence))
     report = resolve_mod.cancellativity_harness(E, trials=args.trials,
                                                 max_degree=args.max_deg, seed=args.seed)
     _emit({"trials": report.trials,

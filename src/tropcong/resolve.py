@@ -15,8 +15,8 @@ import random
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, primitive, qdiv, vec, vscale,
-                      vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, frac, primitive, qdiv, rank_of, vec,
+                      vscale, vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, feasible, relative_interior_point)
@@ -172,8 +172,11 @@ NO_FEASIBLE_CONE = "no_feasible_cone"
 
 
 def _flag_from_matrix(context: ToricContext, theta: PrimeMatrix) -> FlagOfCones:
-    pts = [vec((r,) + tuple(x)) for r, x in theta.rows]
-    pts = [p for p in pts if any(x != 0 for x in p)]  # a zero row orders nothing
+    pts = []
+    for r, x in theta.rows:
+        p = vec((r,) + tuple(x))
+        if rank_of(pts + [p]) > len(pts):  # a row in the span of earlier rows breaks no tie
+            pts.append(p)
     if not pts:
         if context.coeff != COEFF_B:
             raise ValueError("matrix has no nonzero rows; it defines no flag")

@@ -194,6 +194,8 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
 
     Only strata represented in every input are intersected."""
     ctx = supports[0].context
+    if any(sup.context != ctx for sup in supports[1:]):
+        raise ContextMismatchError("supports from different contexts")
     pairs = tuple(p for s in supports for p in s.pairs)
     common = [tau for tau in ctx.faces
               if all(any(s.tau == tau for s in sup.strata) for sup in supports)]

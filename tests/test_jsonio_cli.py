@@ -386,11 +386,40 @@ def test_cli_unexpected_exception_exit_4(capsys, fixtures_dir, monkeypatch, exc)
     assert err.startswith("internal error: %s(" % type(exc).__name__)
 
 
-def test_cli_context_mismatch_exit_3(capsys, fixtures_dir):
-    code, out, err = run_cli(capsys, "member",
-                             "--matrix", str(fixtures_dir / "quartic_bend" / "Q.json"),
-                             "--pair", str(fixtures_dir / "boolean_cubic" / "gen_pair.json"))
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ("eval", "--poly", "quartic_bend/f.json", "--point", "three_quadrics/witness_point.json"),
+    ("prime-eval", "--matrix", "quartic_bend/Q.json", "--poly", "three_quadrics/f_1.json"),
+    ("member", "--matrix", "quartic_bend/Q.json", "--pair", "boolean_cubic/gen_pair.json"),
+    ("radical-member", "--cong", "radical_roundtrip/E.json",
+     "--pair", "quartic_bend/bend_pair_0.json", "--finite-basis"),
+    # the certificate is never read: contexts are compared first
+    ("verify", "--cong", "quartic_bend/E.json", "--pair", "radical_roundtrip/pair_x_1.json",
+     "--certificate", "no_such_certificate.json"),
+    ("radical-search", "--cong", "radical_roundtrip/theta.json",
+     "--pair", "quartic_bend/bend_pair_0.json"),
+    ("resolve", "--cong", "quartic_bend/E.json", "--prime", "boolean_cubic/P.json"),
+], ids=lambda argv: argv[0])
+def test_cli_context_mismatch_exit_3(capsys, fixtures_dir, argv):
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "precondition violated: input files use different contexts\n"
+
+
+def test_cli_resolve_ignores_a_redundant_row(capsys, fixtures_dir, tmp_path):
+    # a row in the span of the rows before it breaks no lex tie: same prime
+    base = fixtures_dir / "quartic_bend"
+    doc = json.loads((base / "P.json").read_text())
+    doc["matrix"].append(["2", "-inf", "-inf"])
+    redundant = tmp_path / "P.json"
+    redundant.write_text(json.dumps(doc))
+    outs = []
+    for prime in (base / "P.json", redundant):
+        code, out, _ = run_cli(capsys, "resolve", "--cong", str(base / "E.json"),
+                               "--prime", str(prime), "--samples", "50")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_determinism(capsys, fixtures_dir):

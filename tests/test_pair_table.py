@@ -42,8 +42,8 @@ from tropcong.trop_core import (COEFF_B, ContextMismatchError, ExtPoint, ToricCo
                                 TropPoly, parse_poly)
 from tropcong.variety import (InternalConsistencyError, flag_in_variety,
                               fractions_equal_on_variety, functions_equal_on_variety,
-                              hypersurface, point_in_variety, radical_member, shrink_flag,
-                              variety_of_basis)
+                              hypersurface, intersect_supports, point_in_variety,
+                              radical_member, shrink_flag, variety_of_basis)
 
 import eval_reference as ref
 import shrink_reference
@@ -341,6 +341,8 @@ def test_queries_in_another_context_raise():
         with pytest.raises(ContextMismatchError):
             flag_in_variety(other, flag, V)
         fo, go = parse_poly(other, "1 + x + y"), parse_poly(other, "1 + x")
+        with pytest.raises(ContextMismatchError):
+            intersect_supports([hypersurface(f), hypersurface(fo)])
         for pair in ((fo, go), (f, go), (fo, g)):
             with pytest.raises(ContextMismatchError):
                 functions_equal_on_variety(*pair, V)

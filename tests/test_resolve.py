@@ -148,6 +148,13 @@ def test_resolve_quartic(ctx2, quartic_E, quartic_P):
     assert res.matrix.rows[1] == (res.w_hats[0][0], res.w_hats[0][1:])
 
 
+def test_resolve_ignores_a_redundant_row(ctx2, quartic_E, quartic_P):
+    # fixtures/quartic_bend/P.json with a row in the span of the row before it
+    P = PrimeMatrix.from_extended_matrix(ctx2, [["1", None, None], ["2", None, None]])
+    res = resolve_boundary_prime(quartic_E, P, samples=50)
+    assert res == resolve_boundary_prime(quartic_E, quartic_P, samples=50)
+
+
 def test_resolve_already_trivial(ctx2, quartic_E, quartic_Q):
     res = resolve_boundary_prime(quartic_E, quartic_Q)
     assert isinstance(res, ResolutionResult)
