@@ -208,8 +208,13 @@ def nullspace_basis(rows: Sequence[Sequence], dim: int) -> list[Vec]:
 
 def reduce_mod_span(x: Sequence, span_rows: Sequence[Sequence]) -> Vec:
     """Canonical representative of x modulo span(span_rows): pivot coords zeroed."""
+    return reduce_mod_rref(x, *rref(span_rows))
+
+
+def reduce_mod_rref(x: Sequence, red: Sequence[Vec], pivots: Sequence[int]) -> Vec:
+    """reduce_mod_span(x, rows) given (red, pivots) = rref(rows), so that one
+    elimination serves many vectors."""
     x = vec(x)
-    red, pivots = rref(span_rows)
     for rrow, pc in zip(red, pivots):
         if x[pc] != 0:
             x = vsub(x, vscale(x[pc], rrow))

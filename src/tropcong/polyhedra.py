@@ -22,15 +22,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
-                      nullspace_basis, primitive, qdiv, rank_of, reduce_mod_span,
+                      nullspace_basis, primitive, qdiv, rank_of, reduce_mod_rref,
                       rref, vec, vscale, vsub, zero_vec)
 from ._record import _Record
 
 LE, LT, EQ = "<=", "<", "="
 _RELS = (LE, LT, EQ)
+_row_order = attrgetter("rel", "a", "b")  # the order of `make`'s rows
 
 # Entries kept by each cache: `cone_generators`, `faces_of` and
 # `_flag_violations` here, `congruence._pair_table`, `congruence.flag_to_matrix`
@@ -85,7 +87,11 @@ def row(a, b, rel) -> HRow:
 
 
 class PolyhedronH(_Record):
-    """{x in Q^dim : <a_i, x> rel_i b_i}."""
+    """{x in Q^dim : <a_i, x> rel_i b_i}.
+
+    Built by `make` (or by `intersect` from two built by `make`), so its rows
+    are canonical: each scaled by `HRow.scaled_canonical`, none a trivially
+    true zero row, no two equal, sorted by (rel, a, b)."""
 
     _fields = ("dim", "rows")
 
@@ -111,7 +117,7 @@ class PolyhedronH(_Record):
             if r not in seen:  # hashing r keeps its hash for later cache lookups
                 seen.add(r)
                 canon.append(r)
-        canon.sort(key=lambda r: (r.rel, r.a, r.b))
+        canon.sort(key=_row_order)
         return PolyhedronH(dim, tuple(canon))
 
     def is_homogeneous(self) -> bool:
@@ -161,10 +167,16 @@ def origin_cone(dim: int) -> ConeH:
 
 
 def intersect(p: PolyhedronH, q: PolyhedronH) -> PolyhedronH:
+    """p cap q, equal to make(dim, p.rows + q.rows).
+
+    Both operands' rows are canonical, so the result's rows are the sorted
+    union of the two row sets: no row is scaled again."""
     if p.dim != q.dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    cls = ConeH if p.is_homogeneous() and q.is_homogeneous() else PolyhedronH
-    return cls.make(p.dim, p.rows + q.rows)
+    rows = tuple(sorted(set(p.rows).union(q.rows), key=_row_order))
+    if p.is_homogeneous() and q.is_homogeneous():
+        return ConeH(p.dim, rows)
+    return PolyhedronH(p.dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +361,9 @@ def cone_generators(c: ConeH):
     when its two rays are adjacent, read off the incidence masks of the rows
     processed so far, so no step keeps a non-extreme ray.  Lineality is the
     canonical nullspace of all rows, rays are primitive representatives reduced
-    modulo it, both sorted.
+    modulo it (against one elimination of the lineality basis), both sorted.
+    Every ray `_halves` keeps is primitive, so with no lineality the rays are
+    final as they stand.
     """
     if c.has_strict():
         raise ValueError("generator enumeration needs a closed cone")
@@ -362,7 +376,11 @@ def cone_generators(c: ConeH):
             bit <<= 1
     lin = nullspace_basis([r.a for r in c.rows], d)
     lin_canon = tuple(sorted(neg_primitive_pair(v) for v in lin))
-    return lin_canon, tuple(sorted({primitive(reduce_mod_span(g, lin)) for g in state[1]}))
+    if not lin:
+        return lin_canon, tuple(sorted(set(state[1])))
+    red, pivots = rref(lin)
+    return lin_canon, tuple(sorted({primitive(reduce_mod_rref(g, red, pivots))
+                                    for g in state[1]}))
 
 
 def generators(c: ConeH) -> tuple:
@@ -627,7 +645,7 @@ def _flag_violations(flag: FlagOfCones) -> tuple:
     cone builds H-representations and runs is_face.  A nonzero ray of the
     wrong length raises DimensionMismatchError, as building its cone would."""
     out = []
-    span_tau, _ = rref(flag.tau_rays) if flag.tau_rays else ([], [])
+    span_tau, pivots = rref(flag.tau_rays) if flag.tau_rays else ([], [])
     prev = prev_simplicial = None
     for i, rays in enumerate(flag.cones_rays):
         for rr in rays:
@@ -644,7 +662,7 @@ def _flag_violations(flag: FlagOfCones) -> tuple:
             if rr[0] < 0:
                 out.append("stratum: cone %d ray has negative height" % i)
             space = rr[1:]
-            if span_tau and reduce_mod_span(space, span_tau) != vec(space):
+            if span_tau and reduce_mod_rref(space, span_tau, pivots) != vec(space):
                 out.append("stratum: cone %d ray not a canonical representative mod tau" % i)
         if prev is not None:
             if prev_simplicial and simplicial:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, primitive, reduce_mod_span,
+from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, primitive, reduce_mod_rref,
                       rref, vec)
 from ._record import _Record
 from .polyhedra import ConeH
@@ -66,7 +66,7 @@ class Face(_Record):
         if len(x) != self.ambient:
             raise polyhedra.DimensionMismatchError(
                 "vector of length %d in rank %d" % (len(x), self.ambient))
-        return reduce_mod_span(vec(x), self.span_rref)
+        return reduce_mod_rref(x, self.span_rref, self.pivots)
 
     def cone(self) -> ConeH:
         return polyhedra.hrep_from_rays(self.rays, self.ambient)

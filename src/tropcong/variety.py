@@ -19,8 +19,8 @@ from . import polyhedra
 from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
                       primitive, rank_of, vec, vscale, vsub, zero_vec)
 from ._record import _Record
-from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible,
-                        pairwise_intersections, validate_flag)
+from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
+                        validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
                         TropPoly, bend_relations, pair_term)
 from .congruence import (CongruencePresentation, _pair_table, _phi_table, _side_max,
@@ -66,7 +66,11 @@ def _difference_rows(m: Vec, others: Iterable[Vec], rel=LE):
 # per-pair agreement cells
 
 def pair_variety(pair, tau: Face) -> list:
-    """Cells covering {w in R_{>=0} x N_R/tau : f(w) = g(w)} for one pair."""
+    """Cells covering {w in R_{>=0} x N_R/tau : f(w) = g(w)} for one pair.
+
+    The candidate for terms (m, u) is where m leads f, u leads g and the two
+    tie: the stratum cone and m's domination rows, built once per term of f,
+    cut by u's domination rows, built once per term of g, and the tie row."""
     f, g = pair
     ctx = f.context
     if g.context != ctx:
@@ -80,37 +84,69 @@ def pair_variety(pair, tau: Face) -> list:
         return []
     fvs = [term_vec(u, a) for u, a in fr.terms]
     gvs = [term_vec(u, a) for u, a in gr.terms]
-    cells = []
-    for mv in fvs:
-        for uv in gvs:
-            rows = _difference_rows(mv, fvs) + _difference_rows(uv, gvs)
-            rows += (HRow(vsub(mv, uv), ZERO, EQ),)
-            cells.append(ConeH.make(base.dim, base.rows + rows))
-    return _dedupe_absorb(cells)
+    dim = base.dim
+    f_leads = [intersect(base, ConeH.make(dim, _difference_rows(mv, fvs))) for mv in fvs]
+    g_leads = [ConeH.make(dim, _difference_rows(uv, gvs)) for uv in gvs]
+    return _dedupe_absorb([intersect(intersect(fc, gc), _tie(dim, mv, uv))
+                           for mv, fc in zip(fvs, f_leads) for uv, gc in zip(gvs, g_leads)])
 
 
-def _cone_inside(c: ConeH, d: ConeH) -> bool:
-    """Exact containment of cones via generators of c against rows of d."""
-    return all(d.contains(g) for g in polyhedra.generators(c))
+def _tie(dim: int, v1: Vec, v2: Vec) -> ConeH:
+    """The hyperplane where the terms v1 and v2 (as term_vec) take equal values."""
+    return ConeH.make(dim, (HRow(vsub(v1, v2), ZERO, EQ),))
 
 
-def _dedupe_absorb(cells: Sequence[ConeH]) -> list:
-    """Drop duplicates and cells contained in another cell."""
-    uniq = []
-    seen = set()
-    for c in cells:
-        key = polyhedra.cone_key(c)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(c)
-    keep = []
-    for i, c in enumerate(uniq):
-        absorbed = any(j != i and _cone_inside(c, d)
-                       and not (_cone_inside(d, c) and j > i)
-                       for j, d in enumerate(uniq))
-        if not absorbed:
-            keep.append(c)
-    return keep
+def _inside(gens, d: ConeH) -> bool:
+    """The cone generated by gens lies inside the cone d: every generator
+    satisfies d's rows."""
+    rows = d.rows
+    for g in gens:
+        for r in rows:
+            v = dot(r.a, g)
+            if v > 0 or (v != 0 if r.rel == EQ else v == 0 and r.rel != LE):
+                return False
+    return True
+
+
+def _kept_with_generators(cells: Sequence[ConeH]) -> list:
+    """(k, generators of cells[k]) for each cell not inside an earlier cell
+    kept, in order.
+
+    Of cells equal as sets only the first is kept, as a dedupe by cone_key
+    keeps it.  A cell holding every row of a kept cell lies inside it, so it
+    is dropped before its generators are computed."""
+    kept, row_sets = [], []
+    for k, c in enumerate(cells):
+        rows = frozenset(c.rows)
+        if any(s <= rows for s in row_sets):
+            continue
+        g = polyhedra.generators(c)
+        if not any(_inside(g, cells[j]) for j, _ in kept):
+            kept.append((k, g))
+            row_sets.append(rows)
+    return kept
+
+
+def _dedupe_absorb(cells: Iterable[ConeH]) -> list:
+    """The maximal cells, in order, each set as its first cell.
+
+    A cell holding every row of another lies inside it, so each cell lies
+    inside one whose rows hold no other cell's rows, and the maximal sets
+    are the maximal ones among those cells: only they need generators.  Of
+    them, a cell not inside an earlier one (`_kept_with_generators`) is
+    maximal iff it lies inside no later one.  The first cell of a maximal
+    set S is the first cell containing S (a cell containing S lies inside
+    some maximal set, which must be S): S's first fewest-row cell, unless a
+    cell with more rows before it satisfies S's generators."""
+    cells = list(cells)
+    row_sets = [frozenset(c.rows) for c in cells]
+    fewest = [k for k, rows in enumerate(row_sets) if not any(r < rows for r in row_sets)]
+    kept = [(fewest[i], g) for i, g in _kept_with_generators([cells[k] for k in fewest])]
+    more_rows = sorted(set(range(len(cells))).difference(fewest))
+    firsts = [next((j for j in more_rows if j < k and _inside(g, cells[j])), k)
+              for i, (k, g) in enumerate(kept)
+              if not any(_inside(g, cells[j]) for j, _ in kept[i + 1:])]
+    return [cells[k] for k in sorted(firsts)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +185,31 @@ def support_of(E: CongruencePresentation) -> VarietySupport:
     return variety_of_basis(E)
 
 
+def _intersect_all(first: Sequence[ConeH], rest: Iterable[Sequence[ConeH]]) -> tuple:
+    """The maximal cells of the intersections of a cell of first with one
+    cell of each list of rest, each set as its first cell.
+
+    The running cells, in order, meet every cell of the next list, in order,
+    so each cell is the intersection along a path through the lists and the
+    paths come in lexicographic order.  After each list a running cell
+    inside an earlier kept cell is dropped.  Each descendant of a dropped
+    cell lies inside the descendant of the earlier cell along the same later
+    path, which comes first.  So the descendant is maximal only if that
+    earlier one is the same set, which is then not first met at the dropped
+    cell's descendant; and a descendant that is not maximal lies inside a
+    maximal set whose first cell is kept.  So the final `_dedupe_absorb`
+    keeps the same cells, with the same rows, in the same order as it would
+    without the drops, which only spare the intersections of cells that
+    cannot be maximal."""
+    cells = list(first)
+    for others in rest:
+        meets = [intersect(c, d) for c in cells for d in others]
+        cells = [meets[k] for k, _ in _kept_with_generators(meets)]
+        if not cells:
+            break
+    return tuple(_dedupe_absorb(cells))
+
+
 def variety_of_basis(E: CongruencePresentation,
                      strata: Optional[Sequence[Face]] = None) -> VarietySupport:
     """Selected Gamma-admissible cells per stratum for the basis pairs of E."""
@@ -156,12 +217,9 @@ def variety_of_basis(E: CongruencePresentation,
     faces = tuple(strata) if strata is not None else ctx.faces
     out = []
     for tau in faces:
-        cells = [stratum_cone(ctx, tau)]
-        for pair in E.pairs:
-            cells = pairwise_intersections(cells, pair_variety(pair, tau))
-            if not cells:
-                break
-        out.append(StratumSupport(tau, tuple(_dedupe_absorb(cells))))
+        cells = _intersect_all([stratum_cone(ctx, tau)],
+                               (pair_variety(pair, tau) for pair in E.pairs))
+        out.append(StratumSupport(tau, cells))
     return VarietySupport(ctx, E.pairs, tuple(out))
 
 
@@ -180,11 +238,10 @@ def hypersurface(f: TropPoly, strata: Optional[Sequence[Face]] = None) -> Variet
         elif len(tvs) == 1:
             cells = []
         else:
-            cells = []
-            for i, j in itertools.combinations(range(len(tvs)), 2):
-                rows = _difference_rows(tvs[i], tvs) + (HRow(vsub(tvs[i], tvs[j]), ZERO, EQ),)
-                cells.append(ConeH.make(base.dim, base.rows + rows))
-            cells = _dedupe_absorb(cells)
+            leads = [intersect(base, ConeH.make(base.dim, _difference_rows(v, tvs)))
+                     for v in tvs]
+            cells = _dedupe_absorb(intersect(leads[i], _tie(base.dim, tvs[i], tvs[j]))
+                                   for i, j in itertools.combinations(range(len(tvs)), 2))
         out.append(StratumSupport(tau, tuple(cells)))
     return VarietySupport(ctx, pairs, tuple(out))
 
@@ -199,14 +256,9 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
     pairs = tuple(p for s in supports for p in s.pairs)
     common = [tau for tau in ctx.faces
               if all(any(s.tau == tau for s in sup.strata) for sup in supports)]
-    out = []
-    for tau in common:
-        cells = list(supports[0].stratum(tau).cells)
-        for s in supports[1:]:
-            cells = pairwise_intersections(cells, s.stratum(tau).cells)
-            if not cells:
-                break
-        out.append(StratumSupport(tau, tuple(_dedupe_absorb(cells))))
+    out = [StratumSupport(tau, _intersect_all(supports[0].stratum(tau).cells,
+                                              (s.stratum(tau).cells for s in supports[1:])))
+           for tau in common]
     return VarietySupport(ctx, pairs, tuple(out))
 
 

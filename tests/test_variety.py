@@ -89,7 +89,7 @@ def test_variety_of_basis_equals_hypersurface_for_bend(fixtures_dir, name):
 
 
 def test_support_cells_are_cones_enumerated_once(monkeypatch, quartic_E, quartic, boolean_E):
-    """Cells are built as ConeH, the class `pairwise_intersections` rebuilds
+    """Cells are built as ConeH, the class `intersect` builds
     them in: records of two classes never compare equal, so an equal
     PolyhedronH would be a second `cone_generators` entry for one cone."""
     inner = ph.cone_generators
