@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple  # tuple of canonical exact numbers
 
@@ -99,10 +99,6 @@ def dot(u: Sequence, v: Sequence):
         vec(v)
         raise TypeError("dot needs int or Fraction entries") from None
     return num if den == 1 else _ratio(num, den)
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(canon(a + b) for a, b in zip(u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -206,31 +202,12 @@ def nullspace_basis(rows: Sequence[Sequence], dim: int) -> list[Vec]:
     return basis
 
 
-def reduce_mod_span(x: Sequence, span_rows: Sequence[Sequence]) -> Vec:
-    """Canonical representative of x modulo span(span_rows): pivot coords zeroed."""
-    return reduce_mod_rref(x, *rref(span_rows))
-
-
 def reduce_mod_rref(x: Sequence, red: Sequence[Vec], pivots: Sequence[int]) -> Vec:
-    """reduce_mod_span(x, rows) given (red, pivots) = rref(rows), so that one
-    elimination serves many vectors."""
+    """Canonical representative of x modulo span(rows), pivot coords zeroed,
+    given (red, pivots) = rref(rows), so that one elimination serves many
+    vectors."""
     x = vec(x)
     for rrow, pc in zip(red, pivots):
         if x[pc] != 0:
             x = vsub(x, vscale(x[pc], rrow))
     return x
-
-
-def solve_eq(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
-    """One solution of rows . x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    dim = len(rows[0])
-    aug = [list(vec(r)) + [frac(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    x = [ZERO] * dim
-    for rrow, pc in zip(red, pivots):
-        if pc == dim:  # 0 = 1 row
-            return None
-        x[pc] = rrow[dim]
-    return tuple(x)

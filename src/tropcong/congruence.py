@@ -10,7 +10,6 @@ check here exact and fast.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -121,12 +120,6 @@ def _face_of_dead_columns(context: ToricContext, dead) -> Face:
 # Phi evaluation
 
 LexVec = tuple  # entries exact numbers or None (= -inf)
-
-
-def phi_monomial(theta: PrimeMatrix, a: Fraction, u: Sequence) -> LexVec:
-    if not theta.tau.perp_contains(u):
-        return (None,) * theta.rank()
-    return tuple(pair_term(r, x, a, u) for r, x in theta.rows)
 
 
 def lex_le(v1: LexVec, v2: LexVec) -> bool:

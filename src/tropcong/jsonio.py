@@ -72,6 +72,17 @@ def _get_index(data, key, path):
     return _as_int(_get(data, key, path), 0, "%s.%s" % (path, key))
 
 
+def _at(path, make, *args):
+    """make(*args), a ValueError it raises reported as a ParseError at path;
+    a ParseError keeps its own path."""
+    try:
+        return make(*args)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), path)
+
+
 # --- rationals --------------------------------------------------------------
 
 def enc_frac(x: Fraction) -> str:
@@ -127,10 +138,7 @@ def dec_context(data, path: str = "$.context", max_dim: Optional[int] = None) ->
     coeff = _get(data, "coeff", path, required=False, default=COEFF_T)
     if coeff not in (COEFF_T, COEFF_B):
         raise ParseError("coeff must be 'T' or 'B'", path + ".coeff")
-    try:
-        return ToricContext(rank, rays, coeff)
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    return _at(path, ToricContext, rank, rays, coeff)
 
 
 # --- polynomials ------------------------------------------------------------
@@ -153,22 +161,12 @@ def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
         a = dec_frac(_get(t, "coeff", tpath), tpath + ".coeff")
         key = tuple(u)
         terms[key] = max(terms.get(key, a), a)
-    try:
-        return TropPoly.make(ctx, terms)
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    return _at(path, TropPoly.make, ctx, terms)
 
 
 def dec_pair(data, ctx: ToricContext, path: str = "$"):
     return (dec_poly(_get(data, "lhs", path), ctx, path + ".lhs"),
             dec_poly(_get(data, "rhs", path), ctx, path + ".rhs"))
-
-
-def enc_congruence(E: CongruencePresentation) -> dict:
-    return {"context": enc_context(E.context),
-            "pairs": [{"lhs": enc_poly(f, False), "rhs": enc_poly(g, False)}
-                      for f, g in E.pairs],
-            "finite_basis": E.finite_tropical_basis}
 
 
 def dec_congruence(data, ctx: ToricContext, path: str = "$") -> CongruencePresentation:
@@ -200,10 +198,7 @@ def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
         if rel not in (LE, LT, EQ):
             raise ParseError("rel must be one of <=, <, =", rpath + ".rel")
         rows.append(HRow(a, b, rel))
-    try:
-        return (ConeH if cone else PolyhedronH).make(dim, tuple(rows))
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    return _at(path, (ConeH if cone else PolyhedronH).make, dim, tuple(rows))
 
 
 def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
@@ -230,13 +225,6 @@ def dec_fan(data, path: str = "$") -> Fan:
             raise ParseError("cone dim %d != fan dim %d" % (c.dim, dim),
                              "%s.cones[%d]" % (path, i))
     return Fan.make(dim, cones, close_faces=True)
-
-
-def enc_flag(flag: FlagOfCones) -> dict:
-    return {"ambient_dim": flag.ambient_dim,
-            "tau_rays": [enc_vec_int(r) for r in flag.tau_rays],
-            "cones": [{"rays": [enc_vec_int(r) for r in rays]}
-                      for rays in flag.cones_rays]}
 
 
 def dec_flag(data, path: str = "$") -> FlagOfCones:
@@ -285,26 +273,21 @@ def enc_matrix(theta: PrimeMatrix) -> dict:
 
 def dec_matrix(data, ctx: ToricContext, path: str = "$") -> PrimeMatrix:
     from .congruence import PrimeMatrix
-    try:
-        if "matrix" in data:
-            entries = []
-            for i, raw in enumerate(_get_list(data, "matrix", path)):
-                rpath = "%s.matrix[%d]" % (path, i)
-                entries.append([dec_extfrac(x, "%s[%d]" % (rpath, j))
-                                for j, x in enumerate(_as_list(raw, rpath))])
-            return PrimeMatrix.from_extended_matrix(ctx, entries)
-        tau = dec_face(data, ctx, path)
-        rows = []
-        for i, r in enumerate(_get_list(data, "rows", path)):
-            rpath = "%s.rows[%d]" % (path, i)
-            rows.append((dec_frac(_get(r, "r", rpath), rpath + ".r"),
-                         _sized(dec_vec(_get(r, "x", rpath), rpath + ".x"), ctx.rank,
-                                rpath + ".x")))
-        return PrimeMatrix.make(ctx, tau, rows)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    if "matrix" in data:
+        entries = []
+        for i, raw in enumerate(_get_list(data, "matrix", path)):
+            rpath = "%s.matrix[%d]" % (path, i)
+            entries.append([dec_extfrac(x, "%s[%d]" % (rpath, j))
+                            for j, x in enumerate(_as_list(raw, rpath))])
+        return _at(path, PrimeMatrix.from_extended_matrix, ctx, entries)
+    tau = _at(path, dec_face, data, ctx, path)
+    rows = []
+    for i, r in enumerate(_get_list(data, "rows", path)):
+        rpath = "%s.rows[%d]" % (path, i)
+        rows.append((dec_frac(_get(r, "r", rpath), rpath + ".r"),
+                     _sized(dec_vec(_get(r, "x", rpath), rpath + ".x"), ctx.rank,
+                            rpath + ".x")))
+    return _at(path, PrimeMatrix.make, ctx, tau, rows)
 
 
 # --- points -----------------------------------------------------------------
@@ -320,30 +303,20 @@ def dec_face(data, ctx: ToricContext, path: str = "$") -> Face:
     return ctx.face_from_rays(tau_rays)
 
 
-def _dec_point_coords(data, ctx: ToricContext, path: str) -> Vec:
-    return _sized(dec_vec(_get(data, "x", path), path + ".x"), ctx.rank, path + ".x")
+def _dec_point(data, ctx: ToricContext, path: str, r) -> ExtPoint:
+    """The ExtPoint at height r of "x" on the stratum of "tau_rays"."""
+    tau = _at(path, dec_face, data, ctx, path)
+    x = _sized(dec_vec(_get(data, "x", path), path + ".x"), ctx.rank, path + ".x")
+    return _at(path, ExtPoint.make, ctx, r, tau, x)
 
 
 def dec_ext_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
-    r = dec_frac(_get(data, "r", path), path + ".r")
-    try:
-        tau = dec_face(data, ctx, path)
-        return ExtPoint.make(ctx, r, tau, _dec_point_coords(data, ctx, path))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    return _dec_point(data, ctx, path, dec_frac(_get(data, "r", path), path + ".r"))
 
 
 def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
     """A point of N_R(sigma): the height-1 ExtPoint of "x" on the stratum of "tau_rays"."""
-    try:
-        tau = dec_face(data, ctx, path)
-        return ExtPoint.make(ctx, 1, tau, _dec_point_coords(data, ctx, path))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    return _dec_point(data, ctx, path, 1)
 
 
 # --- derivations and certificates -------------------------------------------

@@ -11,7 +11,7 @@ hyperplanes with the same step.  The same kernel, run on the closed cone over
 a polyhedron, answers every yes/no question: emptiness with strict rows
 honored exactly (`feasible`, whose witness is the dehomogenized sum of the
 rays), implicit equalities, and the suprema of linear forms that decide
-`is_subset` and `poly_in_union` and give the common slack pinned by
+containment in `poly_in_union` and give the common slack pinned by
 `relative_interior_point`; `is_face` compares a cone with the smallest face
 containing it.  No LP runs: `relative_interior_point` also takes its canonical
 point, the lexicographically least of least L1 norm, off the kernel.
@@ -421,17 +421,9 @@ def hrep_from_rays(gens: Sequence[Sequence], dim: int) -> ConeH:
     return ConeH.make(dim, tuple(rows))
 
 
-def is_subset(p: PolyhedronH, q: PolyhedronH) -> bool:
-    """Exact containment p (with strict rows honored) inside q."""
-    try:
-        gens = _closure_generators(p)
-    except EmptyPolyhedronError:
-        return True
-    return _nonempty_subset(p, gens, q)
-
-
 def _nonempty_subset(p: PolyhedronH, gens, q: PolyhedronH) -> bool:
-    """is_subset for a nonempty p with closure generators gens.
+    """Exact containment p (with strict rows honored) inside q, for a
+    nonempty p with closure generators gens.
 
     Every row of q bounds sup a.x over p, which is sup a.x over its closure;
     a strict row whose bound is that sup also needs it not attained on p."""
@@ -499,21 +491,6 @@ class Fan(_Record):
                 out.setdefault(cone_key(m), m)
         ordered = tuple(sorted(out.values(), key=lambda f: (cone_dim(f), cone_key(f))))
         return Fan(dim, ordered)
-
-
-def fan_violations(fan: Fan) -> list[str]:
-    """Check face closure and that pairwise intersections are faces of both."""
-    keys = {cone_key(c) for c in fan.cones}
-    out = []
-    for c in fan.cones:
-        for f in faces_of(c):
-            if cone_key(f) not in keys:
-                out.append("missing face of a member cone")
-    for c1, c2 in itertools.combinations(fan.cones, 2):
-        inter = intersect(c1, c2)
-        if not (is_face(inter, c1) and is_face(inter, c2)):
-            out.append("pairwise intersection is not a common face")
-    return out
 
 
 def common_refinement(fans: Sequence[Fan]) -> Fan:
@@ -643,8 +620,9 @@ def _flag_violations(flag: FlagOfCones) -> tuple:
     cones i-1 and i are both simplicial, cone i-1 is a face of cone i iff its
     primitive rays are rays of cone i.  Only the nesting of a non-simplicial
     cone builds H-representations and runs is_face.  A nonzero ray of the
-    wrong length raises DimensionMismatchError, as building its cone would."""
-    out = []
+    wrong length raises DimensionMismatchError, as building its cone would.
+    A flag with no cone is a violation: it defines no prime matrix."""
+    out = [] if flag.cones_rays else ["cones: the flag has no cone"]
     span_tau, pivots = rref(flag.tau_rays) if flag.tau_rays else ([], [])
     prev = prev_simplicial = None
     for i, rays in enumerate(flag.cones_rays):

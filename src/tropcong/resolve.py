@@ -15,8 +15,8 @@ import random
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, primitive, qdiv, rank_of, vec,
-                      vscale, vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, primitive, qdiv, rank_of, vec, vscale,
+                      vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, feasible, relative_interior_point)
@@ -44,6 +44,33 @@ class StabilityData(_Record):
         object.__setattr__(self, "margins", margins)
 
 
+def _deleted_terms(f: TropPoly, v: ExtPoint):
+    """init_v(f), and (m, margin) for each term m = (a_u, u) of f alive at v
+    but outside init_v(f), with margin f~(v) - <m, v> > 0."""
+    init_v = initial_form_point(f, v)
+    init_support = set(init_v.support())
+    fv = f.evaluate(v)
+    deleted = []
+    for u, a in f.terms:
+        if u in init_support:
+            continue
+        pv = v.pair(a, u)
+        if pv is None:
+            continue  # dies on the stratum; harmless at w + N v as well
+        deleted.append(((a,) + vec(u), fv - pv))
+    return init_v, deleted
+
+
+def _gap(hw, w: ExtPoint, m: Vec):
+    """hw - <m, w> for hw = h(w), or None when the term m dies at w."""
+    bm = w.pair(m[0], m[1:])
+    if bm is None:
+        return None
+    if hw is None:
+        raise ValueError("initial form dies at w while a deleted term survives")
+    return hw - bm
+
+
 def init_stability(f: TropPoly, v: ExtPoint, w: ExtPoint):
     """Threshold N0 with init_{w + N v}(f) = init_w(init_v(f)) for all N > N0.
 
@@ -53,90 +80,48 @@ def init_stability(f: TropPoly, v: ExtPoint, w: ExtPoint):
         raise ValueError("v and w must lie in the same stratum")
     if f.is_zero():
         raise ZeroPolynomialError("stability of the zero polynomial")
-    init_v = initial_form_point(f, v)
-    init_support = set(init_v.support())
-    fv = f.evaluate(v)
-    deleted, margins = [], []
-    for u, a in f.terms:
-        if u in init_support:
-            continue
-        pv = v.pair(a, u)
-        if pv is None:
-            continue  # dies on the stratum; harmless at w + N v as well
-        deleted.append((a,) + vec(u))
-        margins.append(fv - pv)
-    n0 = ZERO
+    init_v, deleted = _deleted_terms(f, v)
     base = init_v.evaluate(w)
-    for m, margin in zip(deleted, margins):
-        bm = w.pair(m[0], m[1:])
-        if bm is None:
-            continue
-        if base is None:
-            raise ValueError("initial form dies at w while a deleted term survives")
-        bound = qdiv(bm - base, margin)
-        n0 = max(n0, bound)
-    return n0, StabilityData(tuple(deleted), tuple(margins))
-
-
-def shifted_point(w: ExtPoint, v: ExtPoint, N) -> ExtPoint:
-    N = frac(N)
-    return ExtPoint.make(w.context, w.r + N * v.r, w.tau,
-                         tuple(a + N * b for a, b in zip(w.coords, v.coords)))
+    n0 = ZERO
+    for m, margin in deleted:
+        gap = _gap(base, w, m)
+        if gap is not None:
+            n0 = max(n0, qdiv(-gap, margin))
+    return n0, StabilityData(tuple(m for m, _ in deleted),
+                             tuple(margin for _, margin in deleted))
 
 
 def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> PolyhedronH:
     """Polyhedron Q in (N_1..N_k)-space whose interior makes the iterated initial
     forms at xi_0, .., xi_k equal the single-point initial form at
-    xi_0 + N_1 xi_1 + ... + N_k xi_k, for every given polynomial."""
+    xi_0 + N_1 xi_1 + ... + N_k xi_k, for every given polynomial.
+
+    As in the existence proof, each polynomial h_k = f gives the chain
+    h_{d-1} = init_{xi_d}(h_d), and each term deleted at xi_d gives the row
+    N_d * margin >= -(h_0(xi_0) - <m, xi_0>) - sum_{0<j<d} N_j (h_j(xi_j) - <m, xi_j>),
+    unless m dies at some xi_j with j < d."""
     k = len(xis) - 1
     if k < 0:
         raise ValueError("need at least xi_0")
-
-    # recursive construction mirroring the existence proof
-    def region(fs, depth):
-        """Rows over (N_1..N_depth); also returns h-chains h_{i,j} for j=0..depth."""
-        if depth == 0:
-            return [], [[fi] for fi in fs]
-        gs = [initial_form_point(fi, xis[depth]) for fi in fs]
-        sub_rows, sub_chains = region(gs, depth - 1)
-        out_rows = list(sub_rows)
-        chains = []
-        for fi, gi, chain in zip(fs, gs, sub_chains):
-            chain = list(chain) + [fi]  # h_{i,0}, ..., h_{i,depth}
-            chains.append(chain)
-            fv = fi.evaluate(xis[depth])
-            init_support = set(gi.support())
-            for u, a in fi.terms:
-                if u in init_support:
-                    continue
-                pv = xis[depth].pair(a, u)
-                if pv is None:
-                    continue
-                margin = fv - pv
-                m = (a,) + vec(u)
-                # N_depth * margin >= -( (h0(xi0)-<m,xi0>) + sum_j N_j (hj(xij)-<m,xij>) )
-                coeffs = [ZERO] * k
-                coeffs[depth - 1] = -margin
-                const = ZERO
-                dead = False
-                for j in range(depth):
-                    hj = chain[j]
-                    val = hj.evaluate(xis[j])
-                    bm = xis[j].pair(m[0], m[1:])
-                    if bm is None:
-                        dead = True
+    rows = []
+    for f in polys:
+        chain, steps = [f], []
+        for xi in reversed(xis[1:]):
+            h, deleted = _deleted_terms(chain[0], xi)
+            chain.insert(0, h)
+            steps.insert(0, deleted)
+        values = [h.evaluate(xi) for h, xi in zip(chain, xis[:-1])]
+        for d, deleted in enumerate(steps, 1):
+            for m, margin in deleted:
+                gaps = []
+                for hw, xi in zip(values[:d], xis):
+                    gap = _gap(hw, xi, m)
+                    if gap is None:
                         break
-                    gap = val - bm
-                    if j == 0:
-                        const += gap
-                    else:
-                        coeffs[j - 1] -= gap
-                if dead:
-                    continue
-                out_rows.append(HRow(tuple(coeffs), const, LE))
-        return out_rows, chains
-
-    rows, _ = region(list(polys), k)
+                    gaps.append(gap)
+                else:
+                    coeffs = tuple(-g for g in gaps[1:]) + (-margin,) + (ZERO,) * (k - d)
+                    rows.append(HRow(coeffs, gaps[0], LE))
     return PolyhedronH.make(k, tuple(rows))
 
 
@@ -394,11 +379,11 @@ def _nonzero_on_support(g: TropPoly, V: VarietySupport) -> bool:
     return False
 
 
-def _random_poly(ctx, rng, max_degree: int, max_terms: int = 3) -> TropPoly:
+def _random_poly(ctx, rng, max_degree: int) -> TropPoly:
     n = ctx.rank
     lo = -max_degree if ctx.is_torus() else 0
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         u = tuple(rng.randint(lo, max_degree) for _ in range(n))
         a = ZERO if ctx.coeff == COEFF_B else rng.randint(-3, 3)
         terms[u] = max(terms.get(u, a), a)

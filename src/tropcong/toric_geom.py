@@ -65,15 +65,11 @@ def _preimage_rows(tau: Face, target_full: Vec, dim: int):
 def _relint_tau_rows(tau: Face, dim: int):
     """Rows for {0} x rel.int(tau) in R^{1+dim}.
 
-    For the zero cone the nullspace of no rays is spanned by every unit
-    vector, so the rows pin the origin."""
-    rows = [HRow((ONE,) + zero_vec(dim), ZERO, EQ)]
-    for c in nullspace_basis(tau.rays, dim):
-        rows.append(HRow((ZERO,) + tuple(c), ZERO, EQ))
-    for r in tau.cone().rows:
-        if r.rel != EQ:
-            rows.append(HRow((ZERO,) + tuple(r.a), ZERO, LT))
-    return rows
+    The preimage rows of the origin put (r, x) at height 0 in span(tau),
+    and the strict facet rows of tau cut out its relative interior.  For
+    the zero cone they pin the origin."""
+    return _preimage_rows(tau, zero_vec(1 + dim), dim) + [
+        HRow((ZERO,) + tuple(r.a), ZERO, LT) for r in tau.cone().rows if r.rel != EQ]
 
 
 def _closure_systems(L: ConeH, tau: Face, targets: Sequence[Vec], dim: int):

@@ -57,9 +57,9 @@ def term_vec(u, a) -> Vec:
     return (a,) + vec(u)
 
 
-def _difference_rows(m: Vec, others: Iterable[Vec], rel=LE):
+def _difference_rows(m: Vec, others: Iterable[Vec]):
     """Rows <other - m, w> <= 0, i.e. m dominates the others."""
-    return tuple(HRow(vsub(o, m), ZERO, rel) for o in others if o != m)
+    return tuple(HRow(vsub(o, m), ZERO, LE) for o in others if o != m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,8 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
     """Support of the union of the pair sets: per-stratum pairwise intersections.
 
     Only strata represented in every input are intersected."""
+    if not supports:
+        raise ValueError("need at least one support")
     ctx = supports[0].context
     if any(sup.context != ctx for sup in supports[1:]):
         raise ContextMismatchError("supports from different contexts")

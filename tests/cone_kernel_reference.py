@@ -13,10 +13,10 @@ import itertools
 
 from tropcong import _lp
 from tropcong._linalg import (ONE, Vec, dot, is_zero_vec, neg_primitive_pair,
-                              nullspace_basis, primitive, rank_of, reduce_mod_span,
-                              vadd, vscale, zero_vec)
+                              nullspace_basis, primitive, rank_of, vscale, zero_vec)
 from tropcong.polyhedra import EQ, ConeH, PolyhedronH
 
+from helpers import reduce_mod_span, vadd
 from lp_reference import max_linear
 
 

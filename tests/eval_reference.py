@@ -10,7 +10,8 @@ algorithms over plain values (an exact number, or None for bottom):
   outside tau-perp) with the max-plus sum;
 * `prime_eval` and `initial_form_prime` take `lex_max` of the Phi-vector of
   every term, the all-bottom vector for a dead one, compared by `lex_le`
-  (the library's former `congruence.lex_max`, inlined here).
+  (the library's former `congruence.lex_max`, inlined here); the
+  Phi-vector is `phi_monomial`, the library's former `congruence.phi_monomial`.
 
 `functions_equal_on_cell` is the library's former
 `variety._functions_equal_on_cell`: it builds an `ExtPoint` at each sample
@@ -34,9 +35,16 @@ import itertools
 
 from tropcong import polyhedra
 from tropcong._linalg import dot, is_zero_vec, primitive, zero_vec
-from tropcong.congruence import lex_le, phi_monomial
-from tropcong.trop_core import ExtPoint, TropPoly, ZeroPolynomialError
+from tropcong.congruence import lex_le
+from tropcong.trop_core import ExtPoint, TropPoly, ZeroPolynomialError, pair_term
 from tropcong.variety import _arrangement
+
+
+def phi_monomial(theta, a, u):
+    """The Phi-vector of the term (a, u): all bottom off theta's stratum."""
+    if not theta.tau.perp_contains(u):
+        return (None,) * theta.rank()
+    return tuple(pair_term(r, x, a, u) for r, x in theta.rows)
 
 
 def evaluate(f, w):

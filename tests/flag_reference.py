@@ -10,8 +10,10 @@ by `is_face` on the two rebuilt cones.  Test use only.
 
 from __future__ import annotations
 
-from tropcong._linalg import reduce_mod_span, rref, vec
+from tropcong._linalg import rref, vec
 from tropcong.polyhedra import FlagOfCones, cone_dim, is_face
+
+from helpers import reduce_mod_span
 
 
 def flag_violations(flag: FlagOfCones) -> list[str]:

@@ -19,13 +19,15 @@ from tropcong.congruence import (CongruencePresentation, NotFound, PrimeMatrix,
                                  verify_radical_certificate)
 from tropcong.polyhedra import PolyhedronH, make_flag, row
 from tropcong.resolve import (ResolutionResult, cancellativity_harness,
-                              init_stability, resolve_boundary_prime, shifted_point)
+                              init_stability, resolve_boundary_prime)
 from tropcong.toric_geom import witness_soundness
 from tropcong.trop_core import ExtPoint, TropPoly, parse_poly
 from tropcong.congruence import initial_form_point
 from tropcong.variety import (flag_in_variety, functions_equal_on_variety,
                               hypersurface, intersect_supports, point_in_variety,
                               radical_member, slice_at_height)
+
+from helpers import shifted_point
 
 
 def cli(capsys, *argv):

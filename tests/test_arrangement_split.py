@@ -24,13 +24,14 @@ import sys
 
 from tropcong import jsonio
 from tropcong import variety as vy
-from tropcong._linalg import dot, primitive, rank_of, reduce_mod_span, vscale
+from tropcong._linalg import dot, primitive, rank_of, vscale
 from tropcong.congruence import CongruencePresentation
 from tropcong.polyhedra import (EQ, LE, ConeH, HRow, cone_generators, cone_key,
                                 hrep_from_rays)
 from tropcong.trop_core import ToricContext, parse_poly
 from tropcong.variety import functions_equal_on_variety, hypersurface, radical_member
 
+from helpers import enc_congruence, reduce_mod_span
 from test_pair_table import SUPPORTS, _function_pairs
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -159,7 +160,7 @@ def test_cli_radical_member_of_a_pair_equal_to_itself(tmp_path):
     h = parse_poly(f2.context, P) + parse_poly(f2.context, Q)
     cong = tmp_path / "E.json"
     pair = tmp_path / "pair.json"
-    cong.write_text(json.dumps(dict(jsonio.enc_congruence(CongruencePresentation.bend_of(f2)),
+    cong.write_text(json.dumps(dict(enc_congruence(CongruencePresentation.bend_of(f2)),
                                     format="tropcong/1")))
     pair.write_text(json.dumps({"format": "tropcong/1",
                                 "context": jsonio.enc_context(f2.context),

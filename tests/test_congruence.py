@@ -4,19 +4,22 @@ from fractions import Fraction as F
 import pytest
 
 from tropcong import polyhedra as ph
-from tropcong._linalg import primitive, solve_eq
+from tropcong._linalg import primitive
 from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  Generator, InvalidMatrixError, MulMono, NotFound,
                                  PrimeMatrix, RadicalCertificate, Refl, SearchBounds,
                                  Sym, Trans, congruence_in_prime, flag_to_matrix,
                                  has_trivial_ideal_kernel, ideal_kernel_face,
                                  initial_form_point, initial_form_prime,
-                                 monomial_le, phi_monomial, prime_contains_pair,
+                                 monomial_le, prime_contains_pair,
                                  prime_eval, search_radical_certificate,
                                  verify_derivation, verify_radical_certificate)
 from tropcong.jsonio import enc_certificate
 from tropcong.polyhedra import make_flag
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
+
+from eval_reference import phi_monomial
+from helpers import solve_eq
 
 
 # ---------------------------------------------------------------------------

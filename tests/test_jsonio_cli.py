@@ -11,6 +11,8 @@ from tropcong.jsonio import ParseError
 from tropcong.polyhedra import CoverBudgetExceeded
 from tropcong.trop_core import parse_poly
 
+from helpers import enc_congruence, enc_flag
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -29,7 +31,7 @@ def test_fixture_files_reparse(fixtures_dir):
             ctx = jsonio.context_of_document(doc, str(path))
             if "pairs" in doc:
                 E = jsonio.dec_congruence(doc, ctx, str(path))
-                assert jsonio.dec_congruence(jsonio.enc_congruence(E), ctx) == E
+                assert jsonio.dec_congruence(enc_congruence(E), ctx) == E
             elif "matrix" in doc or "rows" in doc and "r" in doc.get("rows", [{}])[0]:
                 theta = jsonio.dec_matrix(doc, ctx, str(path))
                 assert jsonio.dec_matrix(jsonio.enc_matrix(theta), ctx) == theta
@@ -44,7 +46,7 @@ def test_poly_round_trip(ctx2):
 def test_flag_round_trip():
     from tropcong.polyhedra import make_flag
     flag = make_flag(3, [(-1, 0)], [[(1, 0, -1)]])
-    assert jsonio.dec_flag(jsonio.enc_flag(flag)) == flag
+    assert jsonio.dec_flag(enc_flag(flag)) == flag
 
 
 def test_derivation_round_trip(ctx1):
@@ -232,6 +234,18 @@ def test_cli_flag_check(capsys, fixtures_dir, tmp_path):
     assert code == 0 and json.loads(out)["in_variety"] is True
 
 
+def test_cli_flag_check_rejects_a_flag_with_no_cone(capsys, fixtures_dir, tmp_path):
+    # flag_to_matrix refuses such a flag, so it cannot be a valid one
+    p = tmp_path / "flag.json"
+    p.write_text(json.dumps({"format": "tropcong/1", "ambient_dim": 3,
+                             "tau_rays": [], "cones": []}))
+    code, out, _ = run_cli(capsys, "flag-check", "--flag", str(p),
+                           "--cong", str(fixtures_dir / "quartic_bend" / "E.json"))
+    assert code == 1
+    assert json.loads(out) == {"format": "tropcong/1", "valid": False,
+                               "violations": ["cones: the flag has no cone"]}
+
+
 def test_cli_cancel_check(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "cancel-check",
                            "--cong", str(fixtures_dir / "quartic_bend" / "E.json"),
@@ -249,7 +263,7 @@ def test_cli_cancel_check_on_a_support_with_no_cell_exit_3(tmp_path):
     ctx = ToricContext.affine(1)
     E = CongruencePresentation.make(ctx, [(parse_poly(ctx, "0"), parse_poly(ctx, "1"))], True)
     cong = tmp_path / "E.json"
-    cong.write_text(json.dumps(dict(jsonio.enc_congruence(E), format="tropcong/1")))
+    cong.write_text(json.dumps(dict(enc_congruence(E), format="tropcong/1")))
     proc = subprocess.run([sys.executable, "-m", "tropcong.cli", "cancel-check",
                            "--cong", str(cong)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""

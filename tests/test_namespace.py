@@ -1,6 +1,8 @@
 """The lazy package namespace: every exported name, and nothing else."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,44 @@ def test_submodules_import_through_the_package():
     from tropcong import _lp, polyhedra
     assert polyhedra.__name__ == "tropcong.polyhedra" and _lp.__name__ == "tropcong._lp"
     assert tropcong.polyhedra is polyhedra
+
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "tropcong"
+# `_lp` has no importer in src/ (test_relint_face keeps it so); it stays in the
+# package only because bench/tracer.py wraps it, so its public names are
+# exempt until it moves under tests/ with the reference modules.
+SCAN_EXEMPT = {"_lp.py"}
+
+
+def _referenced(paths) -> set:
+    """Every identifier read as a Name, an Attribute or an imported alias."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_name_in_src_has_a_user():
+    """Each public top-level function or class of a src/ module is used in
+    src/, exported by the package, or used by demos/ or bench/; a name that
+    only tests call belongs beside those tests."""
+    src_files = sorted(SRC.glob("*.py"))
+    used = (_referenced(src_files) | set(tropcong.__all__)
+            | _referenced(sorted((REPO / "demos").glob("*.py")))
+            | _referenced(sorted((REPO / "bench").glob("*.py"))))
+    unused = []
+    for path in src_files:
+        if path.name in SCAN_EXEMPT:
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used):
+                unused.append("%s.%s" % (path.stem, node.name))
+    assert not unused, unused

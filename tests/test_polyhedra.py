@@ -7,11 +7,26 @@ from tropcong import polyhedra as ph
 from tropcong._linalg import primitive
 from tropcong.polyhedra import (ConeH, EmptyPolyhedronError, Fan, PolyhedronH,
                                 common_refinement, cone_over, covers_equal,
-                                faces_of, fan_violations, feasible,
-                                hrep_from_rays, intersect, is_face, is_subset,
+                                faces_of, feasible, hrep_from_rays,
+                                intersect, is_face,
                                 make_flag, poly_in_union, rays_from_hrep,
                                 recession_cone, relative_interior_point, row,
                                 validate_flag)
+
+
+def fan_violations(fan: Fan) -> list[str]:
+    """Check face closure and that pairwise intersections are faces of both."""
+    keys = {ph.cone_key(c) for c in fan.cones}
+    out = []
+    for c in fan.cones:
+        for f in faces_of(c):
+            if ph.cone_key(f) not in keys:
+                out.append("missing face of a member cone")
+    for c1, c2 in itertools.combinations(fan.cones, 2):
+        inter = intersect(c1, c2)
+        if not (is_face(inter, c1) and is_face(inter, c2)):
+            out.append("pairwise intersection is not a common face")
+    return out
 
 
 def P(dim, *rows_):
@@ -160,16 +175,12 @@ def test_two_lines_refinement_enumeration_oracle():
     # oracle: 4 sectors + 4 rays + origin
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2]
     assert not fan_violations(ref)
+    quad = hrep_from_rays([(1, 0), (0, 1)], 2)
+    assert fan_violations(Fan(2, (quad,)))  # the oracle sees missing faces
     # support of the refinement = intersection of the (complete) supports
     import itertools
     for pt in itertools.product((-2, -1, 0, 1, 2), repeat=2):
         assert any(c.contains(pt) for c in ref.cones)
-
-
-def test_fan_violation_detected():
-    quad = hrep_from_rays([(1, 0), (0, 1)], 2)
-    bad = Fan(2, (quad,))  # faces missing
-    assert fan_violations(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +247,7 @@ def test_validate_flag_examples():
     assert any(v.startswith("dimension") for v in validate_flag(equal_cones))
     nested = make_flag(3, [], [[(1, 0, -1)], [(1, 0, -1), (0, -1, -1)]])
     assert validate_flag(nested) == []
+    assert validate_flag(make_flag(3, [], [])) == ["cones: the flag has no cone"]
 
 
 def test_validate_flag_on_simplicial_flags_enumerates_no_cone():

@@ -11,9 +11,12 @@ from tropcong.resolve import (CLOSURE_VIOLATED, NO_FLAG,
                               ResolutionResult, ResolveFailure,
                               cancellativity_harness, init_stability,
                               iterated_init_region, resolve_boundary_prime,
-                              shifted_point, verify_closure_hypothesis)
+                              verify_closure_hypothesis)
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
 from tropcong.variety import functions_equal_on_variety, variety_of_basis, support_of
+
+import init_region_reference as ref
+from helpers import shifted_point
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,50 @@ def test_region_zero_vectors_whole_space(ctx2, quartic):
     xi0 = ExtPoint.dense(ctx2, 1, (2, 3))
     Q = iterated_init_region([quartic], [xi0, origin, origin])
     assert Q.rows == ()  # all of R^2
+
+
+def test_region_form_bottom_where_a_deleted_term_survives():
+    # init_{xi1}(x + y) = x is bottom on the stratum of xi0, where the deleted
+    # term y survives: the region is undefined, as for init_stability
+    ctx = ToricContext.affine(2)
+    f = parse_poly(ctx, "x + y")
+    xi0 = ExtPoint.make(ctx, 1, ctx.face_from_rays([(-1, 0)]), (0, 0))
+    xi1 = ExtPoint.dense(ctx, 0, (1, 0))
+    with pytest.raises(ValueError, match="initial form dies at w"):
+        iterated_init_region([f], [xi0, xi1])
+    with pytest.raises(TypeError):
+        ref.iterated_init_region([f], [xi0, xi1])
+
+
+def _random_point(rng, ctx):
+    face = rng.choice(ctx.faces)
+    return ExtPoint.make(ctx, rng.randint(0, 2), face,
+                         tuple(rng.randint(-3, 3) for _ in range(ctx.rank)))
+
+
+def test_region_matches_the_recursive_reference():
+    # the chain loop emits the rows of the former recursion; where that one
+    # subtracted a number from bottom (TypeError), the library raises ValueError
+    rng = random.Random(26)
+    seen = {"rows": 0, "whole space": 0, "bottom": 0}
+    for ctx in (ToricContext.affine(2), ToricContext.torus(2)):
+        lo = -3 if ctx.is_torus() else 0
+        for _ in range(200):
+            polys = [TropPoly.make(ctx, {(rng.randint(lo, 3), rng.randint(lo, 3)):
+                                         rng.randint(-3, 3) for _ in range(rng.randint(1, 4))})
+                     for _ in range(rng.randint(1, 2))]
+            xis = [_random_point(rng, ctx) for _ in range(rng.randint(1, 3))]
+            try:
+                want = ref.iterated_init_region(polys, xis)
+            except TypeError:
+                with pytest.raises(ValueError, match="initial form dies at w"):
+                    iterated_init_region(polys, xis)
+                seen["bottom"] += 1
+                continue
+            got = iterated_init_region(polys, xis)
+            assert (got.dim, got.rows) == (want.dim, want.rows), (polys, xis)
+            seen["rows" if got.rows else "whole space"] += 1
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 import eval_reference as ref
+from helpers import solve_eq
 
 import tropcong
 from tropcong import congruence, jsonio
 from tropcong import polyhedra as ph
 from tropcong import variety as vy
-from tropcong._linalg import (is_zero_vec, neg_primitive_pair, primitive, solve_eq,
-                              vec, vsub)
+from tropcong._linalg import is_zero_vec, neg_primitive_pair, primitive, vec, vsub
 from tropcong.congruence import CongruencePresentation, congruence_in_prime, flag_to_matrix
 from tropcong.polyhedra import PolyhedronH, make_flag, row
 from tropcong.trop_core import ExtPoint, ToricContext, bend_relations, parse_poly
@@ -461,6 +461,11 @@ def test_intersect_supports_pointwise(ctx2):
         w = ExtPoint.dense(ctx2, F(rng.randint(0, 2)),
                            (rng.randint(-4, 4), rng.randint(-4, 4)))
         assert point_in_variety(V, w) == (point_in_variety(Vf, w) and point_in_variety(Vg, w))
+
+
+def test_intersect_supports_needs_a_support():
+    with pytest.raises(ValueError, match="at least one support"):
+        intersect_supports([])
 
 
 def test_v_product_cover_equality(ctx2):
