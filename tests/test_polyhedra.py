@@ -175,12 +175,16 @@ def test_two_lines_refinement_enumeration_oracle():
     # oracle: 4 sectors + 4 rays + origin
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2]
     assert not fan_violations(ref)
-    quad = hrep_from_rays([(1, 0), (0, 1)], 2)
-    assert fan_violations(Fan(2, (quad,)))  # the oracle sees missing faces
     # support of the refinement = intersection of the (complete) supports
     import itertools
     for pt in itertools.product((-2, -1, 0, 1, 2), repeat=2):
         assert any(c.contains(pt) for c in ref.cones)
+
+
+def test_fan_violation_detected():
+    quad = hrep_from_rays([(1, 0), (0, 1)], 2)
+    bad = Fan(2, (quad,))  # faces missing
+    assert fan_violations(bad)
 
 
 # ---------------------------------------------------------------------------
