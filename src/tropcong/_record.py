@@ -25,31 +25,20 @@ from operator import attrgetter
 
 def _compare(fields):
     """``__eq__`` and ``__hash__`` over the tuple of the named fields."""
-    get = attrgetter(*fields)
-    if len(fields) == 1:  # attrgetter returns the bare value
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
-            return NotImplemented
+    one = attrgetter(*fields)  # of one field, the bare value: wrap it in a 1-tuple
+    get = one if len(fields) > 1 else lambda self: (one(self),)
 
-        def __hash__(self):
-            h = self._hash
-            if h is None:
-                h = hash((get(self),))
-                object.__setattr__(self, "_hash", h)
-            return h
-    else:
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
 
-        def __hash__(self):
-            h = self._hash
-            if h is None:
-                h = hash(get(self))
-                object.__setattr__(self, "_hash", h)
-            return h
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(get(self))
+            object.__setattr__(self, "_hash", h)
+        return h
     return __eq__, __hash__
 
 

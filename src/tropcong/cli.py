@@ -209,10 +209,12 @@ def cmd_radical_search(args, max_dim):
 def cmd_closure(args, max_dim):
     from . import jsonio, toric_geom
     ctx, w = _inputs(max_dim, (args.point, jsonio.dec_stratum_point))
-    L = jsonio.dec_polyhedron(_load(args.polyhedron), args.polyhedron)
-    fan = jsonio.dec_fan(_load(args.fan), args.fan)
-    _same_dim(L.dim, ctx.rank, args.polyhedron + ".dim")
-    _same_dim(fan.dim, ctx.rank, args.fan + ".dim")
+    L_doc, fan_doc = _load(args.polyhedron), _load(args.fan)
+    # sizes first: decoding closes a fan's cones under faces (2^k on k unit rays)
+    for doc, path in ((L_doc, args.polyhedron), (fan_doc, args.fan)):
+        _same_dim(jsonio.dec_dim(doc, path), ctx.rank, path + ".dim")
+    L = jsonio.dec_polyhedron(L_doc, args.polyhedron)
+    fan = jsonio.dec_fan(fan_doc, args.fan)
     try:
         res = toric_geom.polyhedron_closure_membership(ctx, L, fan, w)
     except ValueError as exc:

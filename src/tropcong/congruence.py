@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, frac, primitive, vec
@@ -51,9 +51,6 @@ class PrimeMatrix(_Record):
             canon.append((r, tau.canonical(x)))
         if not canon:
             raise InvalidMatrixError("a prime matrix needs at least one row")
-        heights = tuple(r for r, _ in canon)
-        if _lex_negative(heights):
-            raise InvalidMatrixError("first column must be lexicographically >= 0")
         return PrimeMatrix(context, tau, tuple(canon))
 
     @staticmethod
@@ -91,15 +88,6 @@ class PrimeMatrix(_Record):
 
     def rank(self) -> int:
         return len(self.rows)
-
-
-def _lex_negative(v: Sequence) -> bool:
-    for x in v:
-        if x < 0:
-            return True
-        if x > 0:
-            return False
-    return False
 
 
 def _face_of_dead_columns(context: ToricContext, dead) -> Face:
@@ -534,54 +522,35 @@ def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None)
     bounds = bounds or SearchBounds()
     f, g = pair
     ctx = f.context
-    cofactors = [TropPoly.zero(ctx)]
-    seen_cof = {()}
-    powers = [(f + g) ** i for i in range(bounds.max_exponent + 1)]
-    pool = []
-    if isinstance(E, PrimeMatrix):
-        gen_pairs = ()
-    else:
-        gen_pairs = E.pairs
-    for p in powers:
-        pool.extend(p.terms)
-    for a, b in gen_pairs:
-        pool.extend(a.terms)
-        pool.extend(b.terms)
-    for u, c in sorted(set(pool)):
-        key = ((u, c),)
-        if key not in seen_cof:
-            seen_cof.add(key)
-            cofactors.append(TropPoly(ctx, key))
+    exponents = range(bounds.max_exponent + 1)
+    gen_pairs = () if isinstance(E, PrimeMatrix) else E.pairs
+    # the cofactors: bottom, then each distinct term of a power of f + g or of
+    # a generator, as a monomial
+    polys = [(f + g) ** i for i in exponents] + [p for gp in gen_pairs for p in gp]
+    pool = {t for p in polys for t in p.terms}
+    cofactors = [TropPoly.zero(ctx)] + [TropPoly(ctx, (t,)) for t in sorted(pool)]
+    candidates = [(i, h) for i in exponents for h in cofactors]
 
     if isinstance(E, PrimeMatrix):
-        explored = 0
-        for i in range(bounds.max_exponent + 1):
-            for h in cofactors:
-                explored += 1
-                if prime_contains_pair(E, _scaled_pair(f, g, i, h)):
-                    return RadicalCertificate(i, h, None)
-        return NotFound(explored)
+        for i, h in candidates:
+            if prime_contains_pair(E, _scaled_pair(f, g, i, h)):
+                return RadicalCertificate(i, h, None)
+        return NotFound(len(candidates))
 
     targets = []
-    for i in range(bounds.max_exponent + 1):
-        for h in cofactors:
-            lhs, rhs = _scaled_pair(f, g, i, h)
-            if lhs.degree() <= bounds.max_degree and rhs.degree() <= bounds.max_degree:
-                targets.append((i, h, lhs, rhs))
+    for i, h in candidates:
+        lhs, rhs = _scaled_pair(f, g, i, h)
+        if lhs.degree() <= bounds.max_degree and rhs.degree() <= bounds.max_degree:
+            targets.append((i, h, lhs, rhs))
 
     multipliers = _multiplier_universe(ctx, gen_pairs, targets, bounds)
     forest = _ProofForest()
     frontier = deque()
-    for _, _, lhs, rhs in targets:
-        for node in (lhs, rhs):
-            if node not in forest.parent:
-                forest.add(node)
-                frontier.append(node)
-    for a, b in gen_pairs:
-        for node in (a, b):
-            if node not in forest.parent:
-                forest.add(node)
-                frontier.append(node)
+    sides = [x for _, _, lhs, rhs in targets for x in (lhs, rhs)]
+    for node in sides + [x for gp in gen_pairs for x in gp]:
+        if node not in forest.parent:
+            forest.add(node)
+            frontier.append(node)
     explored = 0
     while frontier and explored < bounds.max_nodes:
         x = frontier.popleft()
@@ -628,11 +597,8 @@ def _multiplier_universe(ctx, gen_pairs, targets, bounds):
             u = tuple(x - y for x, y in zip(ut, ug))
             if not ctx.exponent_in_monoid(u):
                 continue
-            a = at - ag
-            if ctx.coeff == COEFF_B:
-                a = ZERO
             if sum(abs(x) for x in u) <= bounds.max_degree:
-                mult.add(TropPoly.make(ctx, {u: a}))
+                mult.add(TropPoly.make(ctx, {u: at - ag}))
     return sorted(mult, key=lambda m: m.terms)
 
 
@@ -666,7 +632,5 @@ def _extract_derivation(E: CongruencePresentation, forest: _ProofForest, lhs, rh
         if prev_idx is None:
             prev_idx = aidx
         else:
-            pa, pb = produced[prev_idx]
-            ca, cb = produced[aidx]
-            prev_idx = emit(Trans(prev_idx, aidx), (pa, cb))
+            prev_idx = emit(Trans(prev_idx, aidx), (produced[prev_idx][0], produced[aidx][1]))
     return Derivation(tuple(steps))

@@ -187,8 +187,13 @@ def enc_polyhedron(p: PolyhedronH) -> dict:
                      for r in p.rows]}
 
 
+def dec_dim(data, path: str = "$") -> int:
+    """The "dim" of a polyhedron or fan document, read before anything else."""
+    return _as_int(_get(data, "dim", path), 1, path + ".dim")
+
+
 def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
-    dim = _as_int(_get(data, "dim", path), 1, path + ".dim")
+    dim = dec_dim(data, path)
     rows = []
     for i, r in enumerate(_get_list(data, "rows", path, required=False)):
         rpath = "%s.rows[%d]" % (path, i)
@@ -217,7 +222,7 @@ def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
 
 
 def dec_fan(data, path: str = "$") -> Fan:
-    dim = _as_int(_get(data, "dim", path), 1, path + ".dim")
+    dim = dec_dim(data, path)
     cones = [dec_cone(c, "%s.cones[%d]" % (path, i), default_dim=dim)
              for i, c in enumerate(_get_list(data, "cones", path))]
     for i, c in enumerate(cones):

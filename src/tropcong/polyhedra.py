@@ -127,16 +127,7 @@ class PolyhedronH(_Record):
         return any(r.rel == LT for r in self.rows)
 
     def contains(self, x: Sequence) -> bool:
-        x = vec(x)
-        for r in self.rows:
-            v = dot(r.a, x)
-            if r.rel == LE and not v <= r.b:
-                return False
-            if r.rel == LT and not v < r.b:
-                return False
-            if r.rel == EQ and v != r.b:
-                return False
-        return True
+        return satisfied_at(self, (vec(x),))
 
     def with_rows(self, extra: Iterable[HRow]) -> "PolyhedronH":
         return PolyhedronH.make(self.dim, self.rows + tuple(extra))
@@ -164,6 +155,17 @@ class ConeH(PolyhedronH):
 def origin_cone(dim: int) -> ConeH:
     return ConeH.make(dim, tuple(row([ONE if j == i else ZERO for j in range(dim)], 0, EQ)
                                  for i in range(dim)))
+
+
+def satisfied_at(p: PolyhedronH, points) -> bool:
+    """Every row of p, with its right-hand side, holds at every given point."""
+    rows = p.rows
+    for x in points:
+        for r in rows:
+            v = dot(r.a, x)
+            if v > r.b or (v != r.b if r.rel == EQ else v == r.b and r.rel == LT):
+                return False
+    return True
 
 
 def intersect(p: PolyhedronH, q: PolyhedronH) -> PolyhedronH:
@@ -446,7 +448,7 @@ def is_face(f: ConeH, c: ConeH) -> bool:
     That face is c with every row tight on all generators of f made an
     equality; both sides are compared by cone_key, so no LP runs."""
     gf = generators(f)
-    if not all(c.contains(g) for g in gf):
+    if not satisfied_at(c, gf):
         return False
     rows = tuple(HRow(r.a, r.b, EQ) if all(dot(r.a, g) == 0 for g in gf) else r
                  for r in c.rows)

@@ -207,7 +207,9 @@ def resolve_boundary_prime(E: CongruencePresentation,
     Follows the constructive existence argument: pick a flag for P inside the
     support of E, then solve one feasibility system per dense cell in the
     unknowns (V-hat_i, b_i, v) with partial-sum projection constraints.  Each
-    candidate Q lies on the dense stratum, so its ideal-kernel is trivial."""
+    candidate Q lies on the dense stratum, so its ideal-kernel is trivial.
+    Containment E <= P is checked first, on every path: a P with trivial
+    ideal-kernel that contains E is its own resolution."""
     if not E.finite_tropical_basis:
         raise FiniteBasisRequiredError("resolution needs a declared finite tropical basis")
     ctx = E.context
@@ -217,11 +219,11 @@ def resolve_boundary_prime(E: CongruencePresentation,
     else:
         theta = P
         flag = _flag_from_matrix(ctx, P)
+    if not congruence_in_prime(E, theta):
+        return ResolveFailure(NO_FLAG, "E is not contained in P")
     if has_trivial_ideal_kernel(theta):
         return ResolutionResult(theta, stratum_cone(ctx, ctx.dense_face),
                                 (), (), (), tuple((r,) + x for r, x in theta.rows), 0)
-    if not congruence_in_prime(E, theta):
-        return ResolveFailure(NO_FLAG, "E is not contained in P")
     V = support_of(E)
     bad = verify_closure_hypothesis(V)
     if bad is not None:

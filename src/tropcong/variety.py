@@ -20,7 +20,7 @@ from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair
                       primitive, rank_of, vec, vscale, vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
-                        validate_flag)
+                        satisfied_at, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
                         TropPoly, bend_relations, pair_term)
 from .congruence import (CongruencePresentation, _pair_table, _phi_table, _side_max,
@@ -69,43 +69,30 @@ def pair_variety(pair, tau: Face) -> list:
     """Cells covering {w in R_{>=0} x N_R/tau : f(w) = g(w)} for one pair.
 
     The candidate for terms (m, u) is where m leads f, u leads g and the two
-    tie: the stratum cone and m's domination rows, built once per term of f,
-    cut by u's domination rows, built once per term of g, and the tie row."""
+    tie: the stratum cone cut by m's domination rows, by u's and by the tie
+    row.  Each term's domination cell (`_lead_cells`) is built once."""
     f, g = pair
     ctx = f.context
     if g.context != ctx:
         raise ContextMismatchError("pair members from different contexts")
     base = stratum_cone(ctx, tau)
-    fr = f.restrict(tau)
-    gr = g.restrict(tau)
-    if fr.is_zero() and gr.is_zero():
-        return [base]
-    if fr.is_zero() or gr.is_zero():
-        return []
-    fvs = [term_vec(u, a) for u, a in fr.terms]
-    gvs = [term_vec(u, a) for u, a in gr.terms]
-    dim = base.dim
-    f_leads = [intersect(base, ConeH.make(dim, _difference_rows(mv, fvs))) for mv in fvs]
-    g_leads = [ConeH.make(dim, _difference_rows(uv, gvs)) for uv in gvs]
-    return _dedupe_absorb([intersect(intersect(fc, gc), _tie(dim, mv, uv))
-                           for mv, fc in zip(fvs, f_leads) for uv, gc in zip(gvs, g_leads)])
+    fvs, gvs = ([term_vec(u, a) for u, a in p.restrict(tau).terms] for p in pair)
+    if not (fvs and gvs):
+        return [] if fvs or gvs else [base]
+    g_leads = _lead_cells(base, gvs)
+    return _dedupe_absorb([intersect(intersect(fc, gc), _tie(base.dim, mv, uv))
+                           for mv, fc in zip(fvs, _lead_cells(base, fvs))
+                           for uv, gc in zip(gvs, g_leads)])
+
+
+def _lead_cells(base: ConeH, tvs: Sequence[Vec]) -> list:
+    """For each term vector of tvs, the part of base where that term dominates."""
+    return [intersect(base, ConeH.make(base.dim, _difference_rows(v, tvs))) for v in tvs]
 
 
 def _tie(dim: int, v1: Vec, v2: Vec) -> ConeH:
     """The hyperplane where the terms v1 and v2 (as term_vec) take equal values."""
     return ConeH.make(dim, (HRow(vsub(v1, v2), ZERO, EQ),))
-
-
-def _inside(gens, d: ConeH) -> bool:
-    """The cone generated by gens lies inside the cone d: every generator
-    satisfies d's rows."""
-    rows = d.rows
-    for g in gens:
-        for r in rows:
-            v = dot(r.a, g)
-            if v > 0 or (v != 0 if r.rel == EQ else v == 0 and r.rel != LE):
-                return False
-    return True
 
 
 def _kept_with_generators(cells: Sequence[ConeH]) -> list:
@@ -121,7 +108,7 @@ def _kept_with_generators(cells: Sequence[ConeH]) -> list:
         if any(s <= rows for s in row_sets):
             continue
         g = polyhedra.generators(c)
-        if not any(_inside(g, cells[j]) for j, _ in kept):
+        if not any(satisfied_at(cells[j], g) for j, _ in kept):
             kept.append((k, g))
             row_sets.append(rows)
     return kept
@@ -143,9 +130,9 @@ def _dedupe_absorb(cells: Iterable[ConeH]) -> list:
     fewest = [k for k, rows in enumerate(row_sets) if not any(r < rows for r in row_sets)]
     kept = [(fewest[i], g) for i, g in _kept_with_generators([cells[k] for k in fewest])]
     more_rows = sorted(set(range(len(cells))).difference(fewest))
-    firsts = [next((j for j in more_rows if j < k and _inside(g, cells[j])), k)
+    firsts = [next((j for j in more_rows if j < k and satisfied_at(cells[j], g)), k)
               for i, (k, g) in enumerate(kept)
-              if not any(_inside(g, cells[j]) for j, _ in kept[i + 1:])]
+              if not any(satisfied_at(cells[j], g) for j, _ in kept[i + 1:])]
     return [cells[k] for k in sorted(firsts)]
 
 
@@ -210,40 +197,36 @@ def _intersect_all(first: Sequence[ConeH], rest: Iterable[Sequence[ConeH]]) -> t
     return tuple(_dedupe_absorb(cells))
 
 
+def _support(ctx: ToricContext, pairs: tuple, strata: Optional[Sequence[Face]],
+             cells_of) -> VarietySupport:
+    """The cells cells_of(tau) on each face tau of strata (default: every face
+    of sigma), in order."""
+    faces = ctx.faces if strata is None else strata
+    return VarietySupport(ctx, pairs, tuple(StratumSupport(tau, tuple(cells_of(tau)))
+                                            for tau in faces))
+
+
 def variety_of_basis(E: CongruencePresentation,
                      strata: Optional[Sequence[Face]] = None) -> VarietySupport:
     """Selected Gamma-admissible cells per stratum for the basis pairs of E."""
     ctx = E.context
-    faces = tuple(strata) if strata is not None else ctx.faces
-    out = []
-    for tau in faces:
-        cells = _intersect_all([stratum_cone(ctx, tau)],
-                               (pair_variety(pair, tau) for pair in E.pairs))
-        out.append(StratumSupport(tau, cells))
-    return VarietySupport(ctx, E.pairs, tuple(out))
+    return _support(ctx, E.pairs, strata, lambda tau: _intersect_all(
+        [stratum_cone(ctx, tau)], (pair_variety(pair, tau) for pair in E.pairs)))
 
 
 def hypersurface(f: TropPoly, strata: Optional[Sequence[Face]] = None) -> VarietySupport:
     """Support of the bend congruence of f: max attained twice, or all terms dead."""
     ctx = f.context
-    faces = tuple(strata) if strata is not None else ctx.faces
-    pairs = tuple(bend_relations(f))
-    out = []
-    for tau in faces:
+
+    def cells_of(tau):
         base = stratum_cone(ctx, tau)
-        fr = f.restrict(tau)
-        tvs = [term_vec(u, a) for u, a in fr.terms]
-        if len(tvs) == 0:
-            cells = [base]
-        elif len(tvs) == 1:
-            cells = []
-        else:
-            leads = [intersect(base, ConeH.make(base.dim, _difference_rows(v, tvs)))
-                     for v in tvs]
-            cells = _dedupe_absorb(intersect(leads[i], _tie(base.dim, tvs[i], tvs[j]))
-                                   for i, j in itertools.combinations(range(len(tvs)), 2))
-        out.append(StratumSupport(tau, tuple(cells)))
-    return VarietySupport(ctx, pairs, tuple(out))
+        tvs = [term_vec(u, a) for u, a in f.restrict(tau).terms]
+        if not tvs:
+            return (base,)
+        leads = _lead_cells(base, tvs)
+        return _dedupe_absorb(intersect(leads[i], _tie(base.dim, tvs[i], tvs[j]))
+                              for i, j in itertools.combinations(range(len(tvs)), 2))
+    return _support(ctx, tuple(bend_relations(f)), strata, cells_of)
 
 
 def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
@@ -293,7 +276,7 @@ def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
         sup = V.stratum(tau)
     except ValueError:
         return pointwise  # stratum filtered out of this support; nothing to check
-    indexed = any(c.contains(full) for c in sup.cells)
+    indexed = any(satisfied_at(c, (full,)) for c in sup.cells)
     if indexed != pointwise:
         raise InternalConsistencyError(
             "cell index disagrees with pointwise evaluation at %r" % (full,))

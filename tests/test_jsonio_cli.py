@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tropcong import jsonio
+from tropcong import jsonio, polyhedra
 from tropcong.cli import main
+from tropcong.congruence import Derivation, Generator, MulMono, PrimeMatrix
 from tropcong.jsonio import ParseError
 from tropcong.polyhedra import CoverBudgetExceeded
-from tropcong.trop_core import parse_poly
+from tropcong.trop_core import ToricContext, parse_poly
 
 from helpers import enc_congruence, enc_flag
 
@@ -47,6 +48,18 @@ def test_flag_round_trip():
     from tropcong.polyhedra import make_flag
     flag = make_flag(3, [(-1, 0)], [[(1, 0, -1)]])
     assert jsonio.dec_flag(enc_flag(flag)) == flag
+
+
+def test_matrix_stratum_form_round_trip():
+    # the square pyramid is neither affine nor a torus: no -inf column form,
+    # so every prime matrix travels as tau_rays and rows
+    ctx = ToricContext(3, [(1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)])
+    for tau in ctx.faces:
+        theta = PrimeMatrix.make(ctx, tau, [(2, (1, 2, 3)), (Fraction(1, 2), (1, 0, -1))])
+        doc = json.loads(jsonio.dumps(jsonio.enc_matrix(theta)))
+        assert sorted(doc) == ["context", "format", "rows", "tau_rays"]
+        assert jsonio.context_of_document(doc) == ctx
+        assert jsonio.dec_matrix(doc, ctx) == theta
 
 
 def test_derivation_round_trip(ctx1):
@@ -162,6 +175,28 @@ def test_cli_closure_strict_polyhedron(capsys, fixtures_dir, tmp_path):
     assert doc["w_hat"] == ["0", "-1"] and doc["v"] == ["-1", "-1"]
 
 
+def test_cli_closure_checks_sizes_before_decoding_the_fan(capsys, fixtures_dir, tmp_path,
+                                                          monkeypatch):
+    # a fan in R^3 against a rank-2 context is refused on its "dim", before
+    # any of its cones is closed under faces (the context's own cone is)
+    closed = []
+    faces_of = polyhedra.faces_of
+
+    def counted(c):
+        if c.dim == 3:
+            closed.append(c)
+        return faces_of(c)
+    monkeypatch.setattr(polyhedra, "faces_of", counted)
+    fan = tmp_path / "fan.json"
+    unit_rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    fan.write_text(json.dumps({"dim": 3, "cones": [{"rays": unit_rays}]}))
+    base = fixtures_dir / "closure"
+    code, out, err = run_cli(capsys, "closure", "--polyhedron", str(base / "cell_L.json"),
+                             "--fan", str(fan), "--point", str(base / "deep_point.json"))
+    assert (code, out) == (2, "")
+    assert "dimension 3, expected 2" in err and closed == []
+
+
 def test_cli_radical_search_and_verify(capsys, fixtures_dir, tmp_path):
     base = fixtures_dir / "radical_roundtrip"
     code, out, _ = run_cli(capsys, "radical-search",
@@ -178,6 +213,34 @@ def test_cli_radical_search_and_verify(capsys, fixtures_dir, tmp_path):
                            "--pair", str(base / "pair_x_1.json"),
                            "--certificate", str(cert_path))
     assert code == 0 and json.loads(out)["verified"] is True
+
+
+def test_cli_verify_derivation(capsys, fixtures_dir, tmp_path):
+    # E = <(x^2, 1)>: the generator times x derives (x^3, x), and not (x, 1)
+    base = fixtures_dir / "radical_roundtrip"
+    doc = json.loads((base / "E.json").read_text())
+    ctx = jsonio.context_of_document(doc)
+    x, x3 = parse_poly(ctx, "x"), parse_poly(ctx, "x^3")
+    deriv = tmp_path / "d.json"
+    deriv.write_text(jsonio.dumps(jsonio.enc_derivation(
+        Derivation((Generator(0), MulMono(0, x))))))
+    pair = tmp_path / "pair.json"
+    pair.write_text(jsonio.dumps({"context": doc["context"], "lhs": jsonio.enc_poly(x3, False),
+                                  "rhs": jsonio.enc_poly(x, False)}))
+    for target, want in ((pair, True), (base / "pair_x_1.json", False)):
+        code, out, err = run_cli(capsys, "verify", "--cong", str(base / "E.json"),
+                                 "--pair", str(target), "--derivation", str(deriv))
+        assert (code, err) == (0 if want else 1, "")
+        assert json.loads(out) == {"format": "tropcong/1", "kind": "derivation",
+                                   "verified": want}
+
+
+def test_cli_verify_without_a_proof_exit_3(capsys, fixtures_dir):
+    base = fixtures_dir / "radical_roundtrip"
+    code, out, err = run_cli(capsys, "verify", "--cong", str(base / "E.json"),
+                             "--pair", str(base / "pair_x_1.json"))
+    assert (code, out) == (3, "")
+    assert err == "precondition violated: verify needs --derivation or --certificate\n"
 
 
 def test_cli_radical_search_notfound(capsys, fixtures_dir):
@@ -202,6 +265,21 @@ def test_cli_resolve(capsys, fixtures_dir):
     assert doc["v"] == ["0", "-1", "-1"]
     assert doc["v_hats"] == doc["w_hats"] == [["1", "-1", "0"]]
     assert doc["b"] == []
+
+
+def test_cli_resolve_refuses_a_dense_prime_without_E(capsys, fixtures_dir, tmp_path):
+    # a dense prime has trivial ideal-kernel, but this one does not contain E
+    base = fixtures_dir / "quartic_bend"
+    doc = json.loads((base / "P.json").read_text())
+    doc["matrix"] = [["0", "1", "5"]]
+    prime = tmp_path / "P.json"
+    prime.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "resolve", "--cong", str(base / "E.json"),
+                             "--prime", str(prime))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"format": "tropcong/1", "resolved": False,
+                               "reason": "no_flag_in_variety",
+                               "detail": "E is not contained in P"}
 
 
 def test_cli_radical_member(capsys, fixtures_dir):

@@ -79,7 +79,7 @@ def _matrix(rng, ctx, tau):
                 for _ in range(rng.randint(1, 3))]
         try:
             return PrimeMatrix.make(ctx, tau, rows)
-        except InvalidMatrixError:  # first column lexicographically negative
+        except InvalidMatrixError:  # a negative height
             continue
 
 

@@ -214,13 +214,57 @@ def test_resolve_boolean_cubic(ctxB, boolean_E):
     _check_resolution(boolean_E, P, res)
 
 
-def test_resolve_not_containing(ctx2, quartic_E):
-    # boundary prime that does not contain E: stratum ray(-e1), one row
-    tau = ctx2.face_from_rays([(-1, 0)])
-    P = PrimeMatrix.make(ctx2, tau, [(F(1), (F(0), F(2)))])
+CTX2 = ToricContext.affine(2)
+
+
+@pytest.mark.parametrize("P", [
+    # a boundary prime: stratum ray(-e1), one row
+    PrimeMatrix.make(CTX2, CTX2.face_from_rays([(-1, 0)]), [(F(1), (F(0), F(2)))]),
+    # a dense prime: its ideal-kernel is trivial, and it is refused all the same
+    PrimeMatrix.from_extended_matrix(CTX2, [["0", "1", "5"]]),
+], ids=["boundary", "dense"])
+def test_resolve_not_containing(quartic_E, P):
     assert not congruence_in_prime(quartic_E, P)
     res = resolve_boundary_prime(quartic_E, P)
     assert isinstance(res, ResolveFailure) and res.reason == NO_FLAG
+
+
+def test_resolve_shrinks_the_flag_and_skips_an_infeasible_cell(ctx2, monkeypatch):
+    # E = <(1 + x, 1 + x + t^-1*x^2)>: where x lives, its support is x <= r,
+    # cut into the dense cells x <= 0 and 0 <= x <= r.  The flag on the
+    # stratum where y dies leaves (1, 0) towards (0, 1): its prime contains E,
+    # as the germ lies in the support, but its second cone does not, so the
+    # flag is shrunk.  The first dense cell holds no point of the germ, so its
+    # system is infeasible and the second cell gives the resolution.
+    import tropcong.resolve as resolve_mod
+    from tropcong.polyhedra import make_flag
+    from tropcong.congruence import flag_to_matrix
+    from tropcong.variety import flag_in_variety
+    f = parse_poly(ctx2, "1 + x")
+    E = CongruencePresentation.make(ctx2, [(f, f + parse_poly(ctx2, "t^-1*x^2"))],
+                                    finite_tropical_basis=True)
+    flag = make_flag(3, [(0, -1)], [[(1, 0, 0)], [(1, 0, 0), (0, 1, 0)]])
+    P = flag_to_matrix(ctx2, flag)
+    dense = support_of(E).stratum(ctx2.dense_face).cells
+    assert congruence_in_prime(E, P) and not flag_in_variety(ctx2, flag, support_of(E))
+    assert len(dense) == 2
+    calls = {"shrink": 0, "infeasible": 0}
+    shrink, system = resolve_mod.shrink_flag, resolve_mod._resolution_system
+
+    def counted_shrink(*args):
+        calls["shrink"] += 1
+        return shrink(*args)
+
+    def counted_system(*args):
+        sol = system(*args)
+        calls["infeasible"] += sol is None
+        return sol
+    monkeypatch.setattr(resolve_mod, "shrink_flag", counted_shrink)
+    monkeypatch.setattr(resolve_mod, "_resolution_system", counted_system)
+    res = resolve_boundary_prime(E, flag, samples=200)
+    assert calls == {"shrink": 1, "infeasible": 1}
+    _check_resolution(E, P, res)
+    assert res.cone == dense[1]
 
 
 def test_resolve_closure_hypothesis_violated(ctx1):

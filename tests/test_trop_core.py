@@ -121,6 +121,14 @@ def test_boolean_mode_rejects_coefficients():
     assert ctx.face_from_rays(()) == ctx.dense_face
 
 
+def test_make_keeps_the_max_coefficient_of_a_repeated_exponent(ctx2):
+    # pairs, unlike a dict, can repeat an exponent ((1, 0) and (F(1), 0) are
+    # one); the largest coefficient wins and a bottom one is dropped
+    f = TropPoly.make(ctx2, [((1, 0), F(2)), ((0, 1), 0), ((F(1), 0), F(5)),
+                             ((1, 0), F(-1)), ((0, 1), None)])
+    assert f == parse_poly(ctx2, "t^5*x + y")
+
+
 def test_exponent_outside_monoid_rejected(ctx2):
     with pytest.raises(ValueError):
         TropPoly.make(ctx2, {(-1, 0): F(0)})
