@@ -8,14 +8,14 @@ inequalities" is a certified answer, not a tolerance.
 
 from tropcong import polyhedra as ph
 from tropcong.polyhedra import (Fan, PolyhedronH, common_refinement, feasible,
-                                hrep_from_rays, rays_from_hrep, recession_cone,
+                                generators, hrep_from_rays, recession_cone,
                                 relative_interior_point, row)
 
 L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
 print("L = {x = y + 1, y <= 0}")
 print("  a relative interior point:", relative_interior_point(L))
 rec = recession_cone(L)
-print("  recession cone rays:", rays_from_hrep(rec))
+print("  recession cone rays:", generators(rec))
 
 print("\nStrict rows are honored exactly:")
 empty = PolyhedronH.make(1, (row([1], 0, "<"), row([-1], 0, "<")))
@@ -26,7 +26,7 @@ print("  rec(L) meets the open negative quadrant at:", feasible(strict))
 print("\nDouble description at desk scale:")
 c = hrep_from_rays([(-1, 0), (0, -1)], 2)
 print("  cone(-e1,-e2) facet rows:", [(tuple(map(int, r.a)), r.rel) for r in c.rows])
-print("  and back to rays:", rays_from_hrep(c))
+print("  and back to rays:", generators(c))
 
 print("\nCommon refinement of the fans of two lines through the origin:")
 def line_fan(n):

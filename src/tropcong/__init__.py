@@ -20,8 +20,7 @@ _EXPORTS = {
     "polyhedra": ("ConeH", "CoverBudgetExceeded", "EmptyPolyhedronError", "Fan",
                   "FlagOfCones", "HRow", "PolyhedronH", "common_refinement",
                   "covers_equal", "feasible", "hrep_from_rays", "is_empty", "make_flag",
-                  "rays_from_hrep", "recession_cone", "relative_interior_point",
-                  "validate_flag"),
+                  "recession_cone", "relative_interior_point", "validate_flag"),
     "toric_geom": ("ClosureWitness", "NotInClosure", "cone_closure_witnesses",
                    "polyhedron_closure_membership", "project_to_stratum"),
     "congruence": ("AddBoth", "CongruencePresentation", "Derivation", "Generator",

@@ -1,19 +1,24 @@
 """Base class of tropcong's immutable records.
 
-A record class names its compared fields in ``_fields`` and writes out its
-own ``__init__``: one ``object.__setattr__`` per field, then its checks.
-This base supplies the rest, with the semantics of a frozen dataclass:
-``==`` within one class only (``NotImplemented`` against any other class, a
-subclass included), a hash equal to the hash of the tuple of compared
-fields, the ``Name(field=value, ...)`` repr, and ``AttributeError`` on any
-assignment or deletion.  The hash is computed on first use and kept in
-``_hash``, set with ``object.__setattr__`` and left out of ``_fields``, which
-keeps it out of ``==`` and the repr: cache and dict lookups hash one record
-many times and each hash of a ``Fraction`` field costs a modular inverse.
-(The kept hash is only valid in the process that computed it: ``str`` hashes
-are seeded per process, so a record must not be pickled with it.)  A record
-holds no other state: results computed from one are cached by the functions
-that compute them, keyed on the record.
+A record class names its fields in ``_fields``; this base is its one
+constructor and gives it the semantics of a frozen dataclass.  The
+constructor binds its arguments as a function whose parameters are
+``_fields`` would (by position or keyword, each field exactly once, no
+defaults; ``TypeError`` otherwise) and stores each with
+``object.__setattr__``.  A class that checks its fields or has default
+values defines an ``__init__`` that calls this one first.  The base also
+supplies ``==`` within one class only (``NotImplemented`` against any other
+class, a subclass included), a hash equal to the hash of the tuple of fields,
+the ``Name(field=value, ...)`` repr, ``AttributeError`` on any assignment or
+deletion, and pickling as a call of the class on the field values.
+
+The hash is computed on first use and kept in ``_hash``, left out of
+``_fields``, which keeps it out of ``==``, the repr and pickles: cache and
+dict lookups hash one record many times and each hash of a ``Fraction``
+field costs a modular inverse, while ``str`` hashes are seeded per process,
+so an unpickled record computes its hash afresh.  A record holds no other
+state: results computed from one are cached by the functions that compute
+them, keyed on the record.
 
 ``==`` and the hash are closures over an ``operator.attrgetter``, made once
 per class: unlike ``dataclasses``, no method source is generated and
@@ -49,6 +54,22 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__eq__, cls.__hash__ = _compare(cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:  # the later fields in order; a field not named leaves values short
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+            if named:
+                raise TypeError("%s() got an unknown or repeated field: %s" % (
+                    type(self).__name__, ", ".join(named)))
+        if len(values) != len(fields):
+            raise TypeError("%s() takes the fields (%s), each once" % (
+                type(self).__name__, ", ".join(fields)))
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

@@ -338,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a derivation or radical certificate")
     p.add_argument("--cong", required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--derivation", default=None)
-    p.add_argument("--certificate", default=None)
+    proof = p.add_mutually_exclusive_group()
+    proof.add_argument("--derivation", default=None)
+    proof.add_argument("--certificate", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("radical-search", help="bounded search for a radical certificate")

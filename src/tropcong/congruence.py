@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from . import polyhedra
-from ._linalg import ONE, ZERO, Vec, frac, primitive, vec
+from ._linalg import ONE, ZERO, frac, primitive, vec
 from ._record import _Record
 from .polyhedra import FlagOfCones, validate_flag
 from .trop_core import (COEFF_B, ContextMismatchError, ExtPoint, Face,
@@ -30,14 +30,11 @@ class InvalidMatrixError(ValueError):
 # prime matrices
 
 class PrimeMatrix(_Record):
-    """Defining matrix of a prime congruence: rows (height, coords) in one stratum."""
+    """Defining matrix of a prime congruence: rows (height, coords) in one stratum.
+
+    `rows` is a tuple of (exact height, Vec coords)."""
 
     _fields = ("context", "tau", "rows")
-
-    def __init__(self, context: ToricContext, tau: Face, rows: tuple):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "rows", rows)  # tuple of (exact height, Vec coords)
 
     @staticmethod
     def make(context: ToricContext, tau: Face, rows) -> "PrimeMatrix":
@@ -184,13 +181,13 @@ def _sides_equal(values, sides) -> bool:
 
 
 class CongruencePresentation(_Record):
+    """`pairs` is a tuple of (TropPoly, TropPoly)."""
+
     _fields = ("context", "pairs", "finite_tropical_basis")
 
     def __init__(self, context: ToricContext, pairs: tuple,
                  finite_tropical_basis: bool = False):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "pairs", pairs)  # tuple of (TropPoly, TropPoly)
-        object.__setattr__(self, "finite_tropical_basis", finite_tropical_basis)
+        super().__init__(context, pairs, finite_tropical_basis)
 
     @staticmethod
     def make(context, pairs, finite_tropical_basis=False) -> "CongruencePresentation":
@@ -294,46 +291,25 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
 class Generator(_Record):
     _fields = ("index",)
 
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
 
 class Refl(_Record):
     _fields = ("poly",)
-
-    def __init__(self, poly: TropPoly):
-        object.__setattr__(self, "poly", poly)
 
 
 class Sym(_Record):
     _fields = ("i",)
 
-    def __init__(self, i: int):
-        object.__setattr__(self, "i", i)
-
 
 class Trans(_Record):
     _fields = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
 
 
 class AddBoth(_Record):
     _fields = ("i", "h")
 
-    def __init__(self, i: int, h: TropPoly):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "h", h)
-
 
 class MulMono(_Record):
     _fields = ("i", "m")
-
-    def __init__(self, i: int, m: TropPoly):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "m", m)
 
 
 Step = Union[Generator, Refl, Sym, Trans, AddBoth, MulMono]
@@ -341,9 +317,6 @@ Step = Union[Generator, Refl, Sym, Trans, AddBoth, MulMono]
 
 class Derivation(_Record):
     _fields = ("steps",)
-
-    def __init__(self, steps: tuple):
-        object.__setattr__(self, "steps", steps)
 
 
 class DerivationError(ValueError):
@@ -404,13 +377,9 @@ def verify_derivation(E: CongruencePresentation, d: Derivation, target) -> bool:
 # radical certificates
 
 class RadicalCertificate(_Record):
-    _fields = ("exponent", "cofactor", "derivation")
+    """`derivation` is None when the congruence is matrix-backed."""
 
-    def __init__(self, exponent: int, cofactor: TropPoly, derivation: Optional[Derivation]):
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "cofactor", cofactor)
-        # None when the congruence is matrix-backed
-        object.__setattr__(self, "derivation", derivation)
+    _fields = ("exponent", "cofactor", "derivation")
 
 
 Congruence = Union[CongruencePresentation, PrimeMatrix]
@@ -437,16 +406,11 @@ class SearchBounds(_Record):
     _fields = ("max_exponent", "max_degree", "max_nodes")
 
     def __init__(self, max_exponent: int = 4, max_degree: int = 8, max_nodes: int = 4000):
-        object.__setattr__(self, "max_exponent", max_exponent)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "max_nodes", max_nodes)
+        super().__init__(max_exponent, max_degree, max_nodes)
 
 
 class NotFound(_Record):
     _fields = ("explored",)
-
-    def __init__(self, explored: int):
-        object.__setattr__(self, "explored", explored)
 
 
 class _ProofForest:

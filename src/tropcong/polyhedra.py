@@ -64,9 +64,7 @@ class HRow(_Record):
     _fields = ("a", "b", "rel")
 
     def __init__(self, a: Vec, b: Fraction, rel: str):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rel", rel)
+        super().__init__(a, b, rel)
         if rel not in _RELS:
             raise ValueError("bad relation %r" % (rel,))
 
@@ -96,8 +94,7 @@ class PolyhedronH(_Record):
     _fields = ("dim", "rows")
 
     def __init__(self, dim: int, rows: tuple):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(dim, rows)
         for r in rows:
             if len(r.a) != dim:
                 raise DimensionMismatchError("row length %d != dim %d" % (len(r.a), dim))
@@ -395,10 +392,6 @@ def generators(c: ConeH) -> tuple:
     return tuple(sorted(gens))
 
 
-def rays_from_hrep(c: ConeH) -> tuple:
-    return generators(c)
-
-
 def cone_dim(c: ConeH) -> int:
     lin, rays = cone_generators(c)
     return rank_of(list(lin) + list(rays))
@@ -479,10 +472,6 @@ def faces_of(c: ConeH) -> tuple:
 
 class Fan(_Record):
     _fields = ("dim", "cones")
-
-    def __init__(self, dim: int, cones: tuple):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cones", cones)
 
     @staticmethod
     def make(dim: int, cones: Iterable[ConeH], close_faces: bool = False) -> "Fan":
@@ -582,14 +571,10 @@ class FlagOfCones(_Record):
     """Nested cones C_0 <= ... <= C_k in R_{>=0} x (N_R / tau), dim C_i = i+1.
 
     Rays are (1+n)-vectors (height first); tau_rays are n-vectors spanning tau.
+    `ambient_dim` is 1 + n; `cones_rays` is a tuple of tuples of rays, one per cone.
     """
 
     _fields = ("ambient_dim", "tau_rays", "cones_rays")
-
-    def __init__(self, ambient_dim: int, tau_rays: tuple, cones_rays: tuple):
-        object.__setattr__(self, "ambient_dim", ambient_dim)  # 1 + n
-        object.__setattr__(self, "tau_rays", tau_rays)
-        object.__setattr__(self, "cones_rays", cones_rays)  # tuple of tuples of rays
 
     def cone(self, i: int) -> ConeH:
         return hrep_from_rays(self.cones_rays[i], self.ambient_dim)

@@ -35,13 +35,10 @@ from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
 # initial-form stability
 
 class StabilityData(_Record):
-    _fields = ("deleted", "margins")
+    """`deleted` is Xi: the term vectors (a_u, u) absent from init_v(f);
+    `margins`, aligned with it, are V_m = f~(v) - <m, v> > 0."""
 
-    def __init__(self, deleted: tuple, margins: tuple):
-        # Xi: term vectors (a_u, u) absent from init_v(f)
-        object.__setattr__(self, "deleted", deleted)
-        # V_m = f~(v) - <m, v> > 0, aligned with deleted
-        object.__setattr__(self, "margins", margins)
+    _fields = ("deleted", "margins")
 
 
 def _deleted_terms(f: TropPoly, v: ExtPoint):
@@ -131,24 +128,11 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
 class ResolutionResult(_Record):
     _fields = ("matrix", "cone", "v", "v_hats", "b", "w_hats", "refinement_samples")
 
-    def __init__(self, matrix: PrimeMatrix, cone: ConeH, v: Vec,
-                 v_hats: tuple, b: tuple, w_hats: tuple, refinement_samples: int):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "v_hats", v_hats)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w_hats", w_hats)
-        object.__setattr__(self, "refinement_samples", refinement_samples)
-
 
 class ResolveFailure(_Record):
-    _fields = ("reason", "detail")
+    """`reason` is no_flag_in_variety, closure_hypothesis_violated or no_feasible_cone."""
 
-    def __init__(self, reason: str, detail: str):
-        # no_flag_in_variety | closure_hypothesis_violated | no_feasible_cone
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "detail", detail)
+    _fields = ("reason", "detail")
 
 
 NO_FLAG = "no_flag_in_variety"
@@ -334,11 +318,6 @@ def _sample_monomial_pairs(context: ToricContext, rng, count: int, degree: int):
 
 class CancellativityReport(_Record):
     _fields = ("trials", "products_equal", "violations")
-
-    def __init__(self, trials: int, products_equal: int, violations: tuple):
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "products_equal", products_equal)
-        object.__setattr__(self, "violations", violations)
 
 
 def cancellativity_harness(E: CongruencePresentation, trials: int = 200,

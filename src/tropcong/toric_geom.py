@@ -29,18 +29,13 @@ CLAIM_DIRECTION = "claim3-direction"
 
 
 class ClosureWitness(_Record):
-    _fields = ("base", "direction")
+    """`base` is w_hat and `direction` is v."""
 
-    def __init__(self, base: Vec, direction: Vec):
-        object.__setattr__(self, "base", base)  # w_hat
-        object.__setattr__(self, "direction", direction)  # v
+    _fields = ("base", "direction")
 
 
 class NotInClosure(_Record):
     _fields = ("failed_claims",)
-
-    def __init__(self, failed_claims: tuple):
-        object.__setattr__(self, "failed_claims", failed_claims)
 
 
 def project_to_stratum(context: ToricContext, x: Sequence, tau: Face) -> ExtPoint:

@@ -42,12 +42,6 @@ class Face(_Record):
 
     _fields = ("ambient", "rays", "span_rref", "pivots")
 
-    def __init__(self, ambient: int, rays: tuple, span_rref: tuple, pivots: tuple):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "span_rref", span_rref)
-        object.__setattr__(self, "pivots", pivots)
-
     @staticmethod
     def from_rays(ambient: int, rays: Iterable[Vec]) -> "Face":
         rays = tuple(sorted(primitive(r) for r in rays))
@@ -118,6 +112,9 @@ class ToricContext:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # rebuilt, so the str-seeded hash is recomputed
+        return type(self), self._key()
+
     def __repr__(self):
         return "ToricContext(rank=%d, sigma_rays=%r, coeff=%s)" % (
             self.rank, self.sigma_rays, self.coeff)
@@ -178,10 +175,6 @@ class TropPoly(_Record):
     coefficient-exponent)."""
 
     _fields = ("context", "terms")
-
-    def __init__(self, context: ToricContext, terms: tuple):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def make(context: ToricContext, terms) -> "TropPoly":
@@ -318,12 +311,6 @@ class ExtPoint(_Record):
     """Point (r, x) of R_{>=0} x N_R(sigma): height r, stratum face tau, coords mod span(tau)."""
 
     _fields = ("context", "r", "tau", "coords")
-
-    def __init__(self, context: ToricContext, r: Fraction, tau: Face, coords: Vec):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "coords", coords)
 
     @staticmethod
     def make(context: ToricContext, r, tau: Face, coords) -> "ExtPoint":

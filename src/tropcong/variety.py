@@ -142,18 +142,11 @@ def _dedupe_absorb(cells: Iterable[ConeH]) -> list:
 class StratumSupport(_Record):
     _fields = ("tau", "cells")
 
-    def __init__(self, tau: Face, cells: tuple):
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "cells", cells)
-
 
 class VarietySupport(_Record):
-    _fields = ("context", "pairs", "strata")
+    """`strata` holds one StratumSupport per face of sigma."""
 
-    def __init__(self, context: ToricContext, pairs: tuple, strata: tuple):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "strata", strata)  # one StratumSupport per face of sigma
+    _fields = ("context", "pairs", "strata")
 
     def stratum(self, tau: Face) -> StratumSupport:
         for s in self.strata:

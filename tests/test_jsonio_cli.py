@@ -7,7 +7,8 @@ import pytest
 
 from tropcong import jsonio, polyhedra
 from tropcong.cli import main
-from tropcong.congruence import Derivation, Generator, MulMono, PrimeMatrix
+from tropcong.congruence import (AddBoth, Derivation, Generator, MulMono, PrimeMatrix,
+                                 RadicalCertificate)
 from tropcong.jsonio import ParseError
 from tropcong.polyhedra import CoverBudgetExceeded
 from tropcong.trop_core import ToricContext, parse_poly
@@ -241,6 +242,29 @@ def test_cli_verify_without_a_proof_exit_3(capsys, fixtures_dir):
                              "--pair", str(base / "pair_x_1.json"))
     assert (code, out) == (3, "")
     assert err == "precondition violated: verify needs --derivation or --certificate\n"
+
+
+def test_cli_verify_derivation_and_certificate_exit_2(capsys, fixtures_dir, tmp_path):
+    # the certificate alone verifies; given with a derivation it was once ignored
+    # exponent 0 and cofactor x ask for (x^2 + x, x + 1) in <(x^2, 1)>: the
+    # generator, times 1, plus x on both sides
+    base = fixtures_dir / "radical_roundtrip"
+    ctx = jsonio.context_of_document(json.loads((base / "E.json").read_text()))
+    x, one = parse_poly(ctx, "x"), parse_poly(ctx, "1")
+    cert = tmp_path / "c.json"
+    cert.write_text(jsonio.dumps(jsonio.enc_certificate(RadicalCertificate(
+        0, x, Derivation((Generator(0), MulMono(0, one), AddBoth(1, x)))))))
+    args = ["verify", "--cong", str(base / "E.json"), "--pair", str(base / "pair_x_1.json"),
+            "--certificate", str(cert)]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["verified"] is True
+    deriv = tmp_path / "d.json"
+    deriv.write_text(jsonio.dumps({"steps": []}))
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--derivation", str(deriv)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
 
 
 def test_cli_radical_search_notfound(capsys, fixtures_dir):

@@ -7,9 +7,9 @@ from tropcong import polyhedra as ph
 from tropcong._linalg import primitive
 from tropcong.polyhedra import (ConeH, EmptyPolyhedronError, Fan, PolyhedronH,
                                 common_refinement, cone_over, covers_equal,
-                                faces_of, feasible, hrep_from_rays,
+                                faces_of, feasible, generators, hrep_from_rays,
                                 intersect, is_face,
-                                make_flag, poly_in_union, rays_from_hrep,
+                                make_flag, poly_in_union,
                                 recession_cone, relative_interior_point, row,
                                 validate_flag)
 
@@ -65,12 +65,12 @@ def test_feasible_witness_satisfies_all_rows():
 
 def test_recession_halfline():
     rec = recession_cone(P(2, ([1, -1], 1, "="), ([0, 1], 0, "<=")))
-    assert rays_from_hrep(rec) == ((F(-1), F(-1)),)
+    assert generators(rec) == ((F(-1), F(-1)),)
 
 
 def test_recession_of_empty_is_origin():
     rec = recession_cone(P(1, ([1], 0, "<"), ([-1], 0, "<")))
-    assert rays_from_hrep(rec) == ()
+    assert generators(rec) == ()
     assert rec.contains((0,)) and not rec.contains((1,))
 
 
@@ -133,7 +133,7 @@ def test_relint_empty_raises():
 def test_hrep_rays_round_trip(rays):
     dim = len(rays[0])
     c = hrep_from_rays(rays, dim)
-    back = hrep_from_rays(rays_from_hrep(c), dim)
+    back = hrep_from_rays(generators(c), dim)
     assert ph.cone_key(back) == ph.cone_key(c)
     for r in rays:
         assert c.contains(r)
@@ -141,7 +141,7 @@ def test_hrep_rays_round_trip(rays):
 
 def test_rays_from_hrep_example():
     c = PolyhedronH.make(2, (row([1, 0], 0, "<="), row([0, 1], 0, "<=")))
-    assert rays_from_hrep(ConeH(2, c.rows)) == ((F(-1), F(0)), (F(0), F(-1)))
+    assert generators(ConeH(2, c.rows)) == ((F(-1), F(0)), (F(0), F(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ small_rays = st.lists(
 @given(small_rays)
 def test_hrep_rays_fixed_point_random(rays):
     c = hrep_from_rays(rays, 3)
-    gens = rays_from_hrep(c)
+    gens = generators(c)
     again = hrep_from_rays(gens, 3)
     assert ph.cone_key(again) == ph.cone_key(c)
     for r in rays:
@@ -348,4 +348,4 @@ def test_relint_point_inside_random(rays):
         if r.rel == "<=":
             v = sum(a * x for a, x in zip(r.a, w))
             assert v < r.b or all(
-                sum(a * x for a, x in zip(r.a, g)) == 0 for g in rays_from_hrep(c))
+                sum(a * x for a, x in zip(r.a, g)) == 0 for g in generators(c))

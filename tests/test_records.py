@@ -5,9 +5,11 @@ an example instance built through the library.  The checks pin the behaviour
 that set, dict and lru_cache keys, goldens and error messages rely on.
 """
 
+import ast
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -83,6 +85,9 @@ RECORDS = [
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
+# the records whose last field has a default, pinned in test_defaults
+DEFAULTED = (CongruencePresentation, SearchBounds)
+
 
 def _values(obj, fields):
     return tuple(getattr(obj, f) for f in fields)
@@ -102,8 +107,57 @@ def test_positional_and_keyword_construction(cls, fields, obj):
     assert by_position == obj and by_keyword == obj
     assert not (by_position != obj)
     assert _values(by_keyword, fields) == values
-    with pytest.raises(TypeError):
-        cls(*values, None)
+    named = dict(zip(fields, values))
+    bad_calls = [
+        lambda: cls(*values, None),  # an extra field
+        lambda: cls(*values, extra=None),  # an unknown keyword
+        lambda: cls(**named, extra=None),
+        lambda: cls(*values[:1], **named),  # the first field by position and keyword
+        lambda: cls(*values, **{fields[-1]: values[-1]}),  # the last one likewise
+    ]
+    if cls not in DEFAULTED:
+        bad_calls += [lambda: cls(*values[:-1]),  # the last field missing
+                      lambda: cls(**dict(zip(fields[:-1], values[:-1])))]
+    for call in bad_calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_pickle_rebuilds_each_record():
+    for cls, fields, obj in RECORDS:
+        hash(obj)
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is cls and back == obj
+        assert _values(back, fields) == _values(obj, fields)
+        assert "_hash" not in vars(back)
+
+
+_UNPICKLE = """
+import json, pickle, sys
+from tropcong.polyhedra import LE, row
+from tropcong.trop_core import ToricContext, parse_poly
+ctx = ToricContext.affine(2)
+fresh = [row((1, -2), 0, LE), ctx, parse_poly(ctx, "x^2 + t*x*y + y^2")]
+loaded = pickle.loads(sys.stdin.buffer.read())
+print(json.dumps([hash("<="), [a == b for a, b in zip(loaded, fresh)],
+                  [a in {b} for a, b in zip(loaded, fresh)]]))
+"""
+
+
+def test_unpickled_hash_is_the_new_process_hash():
+    """A record or context keeps a hash over a `str` field, and `str` hashes are
+    seeded per process: a pickle must not carry the hash along."""
+    objs = [row((1, -2), 0, LE), CTX, F]
+    for obj in objs:
+        hash(obj)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+    proc = subprocess.run([sys.executable, "-S", "-c", _UNPICKLE], env=env,
+                          input=pickle.dumps(objs), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    str_hash, equal, found = json.loads(proc.stdout)
+    assert str_hash != hash("<=")
+    assert equal == found == [True] * len(objs)
 
 
 def test_defaults():
@@ -261,6 +315,23 @@ def test_int_and_fraction_forms_are_one_record():
     assert cone_generators(cone) == gens
     after = cone_generators.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+def _setattr_calls(tree):
+    """Line numbers of every `object.__setattr__`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"]
+
+
+def test_only_the_record_base_stores_fields():
+    """`_Record.__init__` is the one storage rule: no other module of the
+    library calls `object.__setattr__`."""
+    src = ROOT / "src" / "tropcong"
+    found = {f.name: _setattr_calls(ast.parse(f.read_text(), str(f)))
+             for f in sorted(src.glob("*.py"))}
+    assert len(found) > 10 and found.pop("_record.py")  # the scan sees the base
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
