@@ -1,4 +1,4 @@
-"""Base class of tropcong's immutable records.
+"""Base class of tropcong's immutable records, which every value type is.
 
 A record class names its fields in ``_fields``; this base is its one
 constructor and gives it the semantics of a frozen dataclass.  The
@@ -6,10 +6,12 @@ constructor binds its arguments as a function whose parameters are
 ``_fields`` would (by position or keyword, each field exactly once, no
 defaults; ``TypeError`` otherwise) and stores each with
 ``object.__setattr__``.  A class that checks its fields or has default
-values defines an ``__init__`` that calls this one first.  The base also
-supplies ``==`` within one class only (``NotImplemented`` against any other
-class, a subclass included), a hash equal to the hash of the tuple of fields,
-the ``Name(field=value, ...)`` repr, ``AttributeError`` on any assignment or
+values defines an ``__init__`` that calls this one; a toric context first
+reduces its rays to the extreme rays of its cone, so it is identified by its
+cone.  The base also supplies ``==`` within one class only (``True`` at once
+for one object, ``NotImplemented`` against any other class, a subclass
+included), a hash equal to the hash of the tuple of fields, the
+``Name(field=value, ...)`` repr, ``AttributeError`` on any assignment or
 deletion, and pickling as a call of the class on the field values.
 
 The hash is computed on first use and kept in ``_hash``, left out of
@@ -17,8 +19,8 @@ The hash is computed on first use and kept in ``_hash``, left out of
 dict lookups hash one record many times and each hash of a ``Fraction``
 field costs a modular inverse, while ``str`` hashes are seeded per process,
 so an unpickled record computes its hash afresh.  A record holds no other
-state: results computed from one are cached by the functions that compute
-them, keyed on the record.
+state: results computed from one, a context's faces say, are cached by the
+functions that compute them, keyed on the record.
 
 ``==`` and the hash are closures over an ``operator.attrgetter``, made once
 per class: unlike ``dataclasses``, no method source is generated and
@@ -34,6 +36,8 @@ def _compare(fields):
     get = one if len(fields) > 1 else lambda self: (one(self),)
 
     def __eq__(self, other):
+        if other is self:  # polynomials of one context share its object
+            return True
         if other.__class__ is self.__class__:
             return get(self) == get(other)
         return NotImplemented

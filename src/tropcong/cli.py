@@ -102,7 +102,7 @@ def cmd_bend(args, max_dim):
     from .trop_core import bend_relations
     _, f = _inputs(max_dim, (args.poly, jsonio.dec_poly))
     pairs = bend_relations(f)
-    _emit({"pairs": [{"lhs": jsonio.enc_poly(a, False), "rhs": jsonio.enc_poly(b, False)}
+    _emit({"pairs": [{"lhs": jsonio.enc_poly(a), "rhs": jsonio.enc_poly(b)}
                      for a, b in pairs]})
     return EXIT_TRUE
 

@@ -143,11 +143,8 @@ def dec_context(data, path: str = "$.context", max_dim: Optional[int] = None) ->
 
 # --- polynomials ------------------------------------------------------------
 
-def enc_poly(f: TropPoly, with_context: bool = True) -> dict:
-    out = {"terms": [{"coeff": enc_frac(a), "exp": enc_vec_int(u)} for u, a in f.terms]}
-    if with_context:
-        out["context"] = enc_context(f.context)
-    return out
+def enc_poly(f: TropPoly) -> dict:
+    return {"terms": [{"coeff": enc_frac(a), "exp": enc_vec_int(u)} for u, a in f.terms]}
 
 
 def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
@@ -331,15 +328,15 @@ def enc_step(s) -> dict:
     if isinstance(s, Generator):
         return {"op": "gen", "index": s.index}
     if isinstance(s, Refl):
-        return {"op": "refl", "poly": enc_poly(s.poly, False)}
+        return {"op": "refl", "poly": enc_poly(s.poly)}
     if isinstance(s, Sym):
         return {"op": "sym", "i": s.i}
     if isinstance(s, Trans):
         return {"op": "trans", "i": s.i, "j": s.j}
     if isinstance(s, AddBoth):
-        return {"op": "addboth", "i": s.i, "h": enc_poly(s.h, False)}
+        return {"op": "addboth", "i": s.i, "h": enc_poly(s.h)}
     if isinstance(s, MulMono):
-        return {"op": "mulmono", "i": s.i, "m": enc_poly(s.m, False)}
+        return {"op": "mulmono", "i": s.i, "m": enc_poly(s.m)}
     raise TypeError("unknown step %r" % (s,))
 
 
@@ -375,7 +372,7 @@ def dec_derivation(data, ctx: ToricContext, path: str = "$") -> Derivation:
 
 def enc_certificate(c: RadicalCertificate) -> dict:
     return {"exponent": c.exponent,
-            "cofactor": enc_poly(c.cofactor, False),
+            "cofactor": enc_poly(c.cofactor),
             "derivation": None if c.derivation is None else enc_derivation(c.derivation)}
 
 

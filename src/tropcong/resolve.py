@@ -301,16 +301,27 @@ def _sampled_refinement(ctx, Q: PrimeMatrix, P: PrimeMatrix, rng, samples, degre
 
 def _sample_monomial_pairs(context: ToricContext, rng, count: int, degree: int):
     out = []
-    n = context.rank
-    lo = -degree if context.is_torus() else 0
+    exponents = _random_exponents(context, rng, degree)
     for _ in range(count):
         pair = []
         for _ in range(2):
-            u = tuple(rng.randint(lo, degree) for _ in range(n))
+            u = next(exponents)
             a = ZERO if context.coeff == COEFF_B else rng.randint(-4, 4)
             pair.append(TropPoly.make(context, {u: a}))
         out.append(tuple(pair))
     return out
+
+
+def _random_exponents(ctx: ToricContext, rng, d: int):
+    """Endless random exponents of the monoid: entries uniform in [0, d] on the
+    affine preset and in [-d, d] otherwise, redrawn until the exponent lies in
+    sigma^v (0 does, so the redraws end)."""
+    lo = 0 if ctx.is_affine_preset() else -d
+    inside = lo == 0 or ctx.is_torus()  # the whole box lies in sigma^v
+    while True:
+        u = tuple(rng.randint(lo, d) for _ in range(ctx.rank))
+        if inside or ctx.exponent_in_monoid(u):
+            yield u
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +347,10 @@ def cancellativity_harness(E: CongruencePresentation, trials: int = 200,
     rng = random.Random(seed)
     products_equal = 0
     violations = []
+    exponents = _random_exponents(ctx, rng, max_degree)
     done = 0
     while done < trials:
-        g = _random_poly(ctx, rng, max_degree)
-        f1 = _random_poly(ctx, rng, max_degree)
-        f2 = _random_poly(ctx, rng, max_degree)
+        g, f1, f2 = (_random_poly(ctx, rng, exponents) for _ in range(3))
         if g.is_zero() or not _nonzero_on_support(g, V):
             continue
         done += 1
@@ -360,12 +370,10 @@ def _nonzero_on_support(g: TropPoly, V: VarietySupport) -> bool:
     return False
 
 
-def _random_poly(ctx, rng, max_degree: int) -> TropPoly:
-    n = ctx.rank
-    lo = -max_degree if ctx.is_torus() else 0
+def _random_poly(ctx, rng, exponents) -> TropPoly:
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        u = tuple(rng.randint(lo, max_degree) for _ in range(n))
+        u = next(exponents)
         a = ZERO if ctx.coeff == COEFF_B else rng.randint(-3, 3)
         terms[u] = max(terms.get(u, a), a)
     return TropPoly.make(ctx, terms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import polyhedra
@@ -66,30 +67,26 @@ class Face(_Record):
         return polyhedra.hrep_from_rays(self.rays, self.ambient)
 
 
-class ToricContext:
+class ToricContext(_Record):
     """Rank-n lattice, strongly convex rational cone sigma, monoid M = sigma^v cap Z^n.
 
     Uses the dual convention sigma^v = {u : <v, u> <= 0 for all v in sigma}.
+    A context is identified by its cone: `sigma_rays` holds the primitive
+    extreme rays of sigma, sorted, whatever rays spanned it.
     """
 
+    _fields = ("rank", "sigma_rays", "coeff")
+
     def __init__(self, rank: int, sigma_rays: Iterable[Vec], coeff: str = COEFF_T):
-        self.rank = rank
-        self.sigma_rays = tuple(sorted(primitive(r) for r in sigma_rays))
-        for r in self.sigma_rays:
-            if len(r) != rank:
-                raise polyhedra.DimensionMismatchError("ray length != rank")
+        rays = tuple(map(tuple, sigma_rays))
+        if any(len(r) != rank for r in rays):
+            raise polyhedra.DimensionMismatchError("ray length != rank")
         if coeff not in (COEFF_T, COEFF_B):
             raise ValueError("coeff mode must be 'T' or 'B'")
-        self.coeff = coeff
-        self.var_names = (_DEFAULT_NAMES[:rank] if rank <= len(_DEFAULT_NAMES)
-                          else tuple("x%d" % (i + 1) for i in range(rank)))
-        self._sigma = polyhedra.hrep_from_rays(self.sigma_rays, rank) if self.sigma_rays \
-            else polyhedra.origin_cone(rank)
-        lin, _ = polyhedra.cone_generators(self._sigma)
+        lin, rays = polyhedra.cone_generators(_sigma(rank, rays))
         if lin:
             raise ValueError("sigma contains a line; not strongly convex")
-        self._faces = None
-        self._hash = hash(self._key())
+        super().__init__(rank, rays, coeff)
 
     # presets ---------------------------------------------------------------
     @classmethod
@@ -101,39 +98,21 @@ class ToricContext:
     def torus(cls, n: int, coeff: str = COEFF_T) -> "ToricContext":
         return cls(n, (), coeff)
 
-    # identity ---------------------------------------------------------------
-    def _key(self):
-        return (self.rank, self.sigma_rays, self.coeff)
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, ToricContext)
-                                 and self._key() == other._key())
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt, so the str-seeded hash is recomputed
-        return type(self), self._key()
-
-    def __repr__(self):
-        return "ToricContext(rank=%d, sigma_rays=%r, coeff=%s)" % (
-            self.rank, self.sigma_rays, self.coeff)
+    @property
+    def var_names(self) -> tuple:
+        n = self.rank
+        return (_DEFAULT_NAMES[:n] if n <= len(_DEFAULT_NAMES)
+                else tuple("x%d" % (i + 1) for i in range(n)))
 
     # geometry ---------------------------------------------------------------
     @property
     def sigma(self) -> ConeH:
-        return self._sigma
+        return _sigma(self.rank, self.sigma_rays)
 
     @property
     def faces(self) -> tuple:
-        if self._faces is None:
-            fs = []
-            for c in polyhedra.faces_of(self._sigma):
-                _, rays = polyhedra.cone_generators(c)
-                fs.append(Face.from_rays(self.rank, rays))
-            fs.sort(key=lambda f: (f.dim(), f.rays))
-            self._faces = tuple(fs)
-        return self._faces
+        """The faces of sigma, by dimension then rays: the dense face first."""
+        return _faces(self)
 
     @property
     def dense_face(self) -> Face:
@@ -157,12 +136,23 @@ class ToricContext:
         return all(dot(r, u) <= 0 for r in self.sigma_rays)
 
     def is_affine_preset(self) -> bool:
-        want = tuple(sorted(tuple(-ONE if j == i else ZERO for j in range(self.rank))
-                            for i in range(self.rank)))
-        return self.sigma_rays == want
+        return self == ToricContext.affine(self.rank, self.coeff)
 
     def is_torus(self) -> bool:
         return not self.sigma_rays
+
+
+@lru_cache(maxsize=polyhedra.CACHE_SIZE)
+def _sigma(rank: int, rays: tuple) -> ConeH:
+    """cone(rays); a canonical spelling (a preset's) shares its context's key."""
+    return polyhedra.hrep_from_rays(rays, rank)
+
+
+@lru_cache(maxsize=polyhedra.CACHE_SIZE)
+def _faces(ctx: ToricContext) -> tuple:
+    fs = [Face.from_rays(ctx.rank, polyhedra.cone_generators(c)[1])
+          for c in polyhedra.faces_of(ctx.sigma)]
+    return tuple(sorted(fs, key=lambda f: (f.dim(), f.rays)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +342,7 @@ def parse_poly(context: ToricContext, text: str) -> TropPoly:
     text = text.strip()
     if text == "0":
         return TropPoly.zero(context)
+    names = context.var_names
     terms = {}
     for chunk in text.split("+"):
         a = ZERO
@@ -370,8 +361,8 @@ def parse_poly(context: ToricContext, text: str) -> TropPoly:
                 a += frac(m.group(1))
                 continue
             m = re.fullmatch(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?", fac)
-            if m and m.group(1) in context.var_names:
-                i = context.var_names.index(m.group(1))
+            if m and m.group(1) in names:
+                i = names.index(m.group(1))
                 u[i] += int(m.group(2)) if m.group(2) else 1
                 continue
             raise ValueError("cannot parse factor %r" % (fac,))

@@ -44,7 +44,7 @@ def solve_eq(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vec]:
 
 def enc_congruence(E) -> dict:
     return {"context": enc_context(E.context),
-            "pairs": [{"lhs": enc_poly(f, False), "rhs": enc_poly(g, False)}
+            "pairs": [{"lhs": enc_poly(f), "rhs": enc_poly(g)}
                       for f, g in E.pairs],
             "finite_basis": E.finite_tropical_basis}
 

@@ -164,8 +164,8 @@ def test_cli_radical_member_of_a_pair_equal_to_itself(tmp_path):
                                     format="tropcong/1")))
     pair.write_text(json.dumps({"format": "tropcong/1",
                                 "context": jsonio.enc_context(f2.context),
-                                "lhs": jsonio.enc_poly(h, False),
-                                "rhs": jsonio.enc_poly(h, False)}))
+                                "lhs": jsonio.enc_poly(h),
+                                "rhs": jsonio.enc_poly(h)}))
     proc = subprocess.run(
         [sys.executable, "-m", "tropcong.cli", "radical-member", "--cong", str(cong),
          "--pair", str(pair), "--finite-basis"],

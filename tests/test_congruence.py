@@ -322,6 +322,16 @@ def test_search_prime_notfound(ctx1):
     assert res.explored > 0
 
 
+def test_search_presentation_notfound(ctx1):
+    # E only identifies t*x with x; x and 1 are never joined within the bounds
+    x, one = parse_poly(ctx1, "x"), parse_poly(ctx1, "1")
+    E = CongruencePresentation.make(ctx1, [(parse_poly(ctx1, "t^1*x"), x)])
+    res = search_radical_certificate(E, (x, one),
+                                     SearchBounds(max_exponent=1, max_degree=3, max_nodes=50))
+    assert isinstance(res, NotFound)
+    assert res.explored > 0
+
+
 def test_search_prime_positive(ctx1):
     theta = PrimeMatrix.from_extended_matrix(ctx1, [["1", "0"], ["0", "-1"]])
     f = parse_poly(ctx1, "1 + x")

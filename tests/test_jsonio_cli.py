@@ -8,7 +8,7 @@ import pytest
 from tropcong import jsonio, polyhedra
 from tropcong.cli import main
 from tropcong.congruence import (AddBoth, Derivation, Generator, MulMono, PrimeMatrix,
-                                 RadicalCertificate)
+                                 RadicalCertificate, prime_eval)
 from tropcong.jsonio import ParseError
 from tropcong.polyhedra import CoverBudgetExceeded
 from tropcong.trop_core import ToricContext, parse_poly
@@ -41,8 +41,8 @@ def test_fixture_files_reparse(fixtures_dir):
 
 def test_poly_round_trip(ctx2):
     f = parse_poly(ctx2, "x^2 + t^-3*x*y + y^2")
-    doc = jsonio.enc_poly(f)
-    assert jsonio.dec_poly(doc, ctx2) == f
+    doc = dict(jsonio.enc_poly(f), context=jsonio.enc_context(ctx2))
+    assert jsonio.dec_poly(doc, jsonio.context_of_document(doc)) == f
 
 
 def test_flag_round_trip():
@@ -226,8 +226,8 @@ def test_cli_verify_derivation(capsys, fixtures_dir, tmp_path):
     deriv.write_text(jsonio.dumps(jsonio.enc_derivation(
         Derivation((Generator(0), MulMono(0, x))))))
     pair = tmp_path / "pair.json"
-    pair.write_text(jsonio.dumps({"context": doc["context"], "lhs": jsonio.enc_poly(x3, False),
-                                  "rhs": jsonio.enc_poly(x, False)}))
+    pair.write_text(jsonio.dumps({"context": doc["context"], "lhs": jsonio.enc_poly(x3),
+                                  "rhs": jsonio.enc_poly(x)}))
     for target, want in ((pair, True), (base / "pair_x_1.json", False)):
         code, out, err = run_cli(capsys, "verify", "--cong", str(base / "E.json"),
                                  "--pair", str(target), "--derivation", str(deriv))
@@ -522,6 +522,24 @@ def test_cli_context_mismatch_exit_3(capsys, fixtures_dir, argv):
     assert err == "precondition violated: input files use different contexts\n"
 
 
+def test_cli_prime_eval_across_spellings_of_one_cone(capsys, fixtures_dir, tmp_path):
+    # a context is its cone: a redundant, scaled spelling of sigma in one
+    # input is the context of the other
+    base = fixtures_dir / "quartic_bend"
+    doc = json.loads((base / "f.json").read_text())
+    doc["context"]["sigma_rays"] = [[0, -2], [-1, -1], [-1, 0]]
+    poly = tmp_path / "f.json"
+    poly.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "prime-eval", "--matrix", str(base / "Q.json"),
+                             "--poly", str(poly))
+    assert code == 0, err
+    ctx = ToricContext.affine(2)
+    theta = jsonio.dec_matrix(json.loads((base / "Q.json").read_text()), ctx)
+    phi = prime_eval(theta, jsonio.dec_poly(doc, ctx))
+    assert json.loads(out) == {"format": "tropcong/1", "phi": [
+        "-inf" if x is None else jsonio.enc_frac(x) for x in phi]}
+
+
 def test_cli_resolve_ignores_a_redundant_row(capsys, fixtures_dir, tmp_path):
     # a row in the span of the rows before it breaks no lex tie: same prime
     base = fixtures_dir / "quartic_bend"
@@ -648,6 +666,10 @@ _RANK2 = {"rank": 2, "sigma_rays": [[-1, 0], [0, -1]]}
     (("radical-member", "--cong", "radical_roundtrip/E.json",
       "--pair", "radical_roundtrip/pair_x_1.json"), "radical_roundtrip/E.json",
      _put("false", "finite_basis")),
+    (("kernel", "--matrix", "quartic_bend/Q.json"), "quartic_bend/Q.json",
+     _put({"sigma_rays": [[-1, 0], [0, -1]]}, "context")),  # no rank
+    (("kernel", "--matrix", "quartic_bend/Q.json"), "quartic_bend/Q.json",
+     lambda d: json.dumps(d)[:-1]),  # not JSON
 ])
 def test_cli_malformed_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
     _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit)
@@ -657,7 +679,7 @@ def _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit):
     source = fixtures_dir / target
     doc = edit(json.loads(source.read_text()) if source.exists() else {})
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     args = [str(bad) if a == target else str(fixtures_dir / a) if "/" in a else a
             for a in argv]
     code, out, err = run_cli(capsys, *args)

@@ -20,9 +20,9 @@ from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  Generator, MulMono, NotFound, PrimeMatrix,
                                  RadicalCertificate, Refl, SearchBounds, Sym,
                                  Trans, flag_to_matrix)
-from tropcong.polyhedra import (EQ, LE, ConeH, Fan, FlagOfCones, HRow,
-                                PolyhedronH, cone_generators, make_flag, row,
-                                validate_flag)
+from tropcong.polyhedra import (EQ, LE, ConeH, DimensionMismatchError, Fan,
+                                FlagOfCones, HRow, PolyhedronH, cone_generators,
+                                make_flag, row, validate_flag)
 from tropcong.resolve import (CancellativityReport, ResolutionResult,
                               ResolveFailure, StabilityData)
 from tropcong.toric_geom import ClosureWitness, NotInClosure
@@ -48,6 +48,7 @@ def _q(*xs):
 
 # (class, compared fields, example); examples are built once, at collection
 RECORDS = [
+    (ToricContext, ("rank", "sigma_rays", "coeff"), CTX),
     (Face, ("ambient", "rays", "span_rref", "pivots"), TAU),
     (TropPoly, ("context", "terms"), F),
     (ExtPoint, ("context", "r", "tau", "coords"), ExtPoint.make(CTX, 1, TAU, (2, 5))),
@@ -86,7 +87,7 @@ RECORDS = [
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 # the records whose last field has a default, pinned in test_defaults
-DEFAULTED = (CongruencePresentation, SearchBounds)
+DEFAULTED = (ToricContext, CongruencePresentation, SearchBounds)
 
 
 def _values(obj, fields):
@@ -94,7 +95,7 @@ def _values(obj, fields):
 
 
 def test_table_covers_every_record():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 28
     for cls, _, obj in RECORDS:
         assert type(obj) is cls
 
@@ -166,6 +167,19 @@ def test_defaults():
     assert E == CongruencePresentation(CTX, ((X, X),), False)
     assert SearchBounds() == SearchBounds(4, 8, 4000)
     assert SearchBounds(max_degree=5) == SearchBounds(4, 5, 4000)
+    assert ToricContext(2, CTX.sigma_rays) == ToricContext(2, CTX.sigma_rays, "T") == CTX
+
+
+# a context checks its fields before it is stored
+@pytest.mark.parametrize("args, error, match", [
+    ((2, [(-1, 0, 0)]), DimensionMismatchError, "ray length != rank"),
+    ((2, [(-1, 0), (0, -1)], "Q"), ValueError, "coeff mode"),
+    ((2, [(1, 0), (-1, 0)]), ValueError, "not strongly convex"),
+    ((1, [(1,), (-1,)], "B"), ValueError, "not strongly convex"),
+], ids=["ray length", "coeff", "line", "line in rank 1"])
+def test_context_construction_errors(args, error, match):
+    with pytest.raises(error, match=match):
+        ToricContext(*args)
 
 
 @pytest.mark.parametrize("cls, fields, obj", RECORDS, ids=IDS)
@@ -290,6 +304,7 @@ def test_repr_text():
         "FlagOfCones(ambient_dim=3, tau_rays=(), "
         "cones_rays=(((1, 1, 0),),))")
     assert repr(Refl(X)) == "Refl(poly=x)"
+    assert repr(CTX) == "ToricContext(rank=2, sigma_rays=((-1, 0), (0, -1)), coeff='T')"
 
 
 def test_int_and_fraction_forms_are_one_record():
@@ -332,6 +347,35 @@ def test_only_the_record_base_stores_fields():
              for f in sorted(src.glob("*.py"))}
     assert len(found) > 10 and found.pop("_record.py")  # the scan sees the base
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_IDENTITY = {"__eq__", "__hash__", "__reduce__", "__repr__"}
+
+
+def _identity_methods(tree):
+    """(class, name) of every identity method a class body defines or assigns."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(cls.name, name) for name in names if name in _IDENTITY]
+    return found
+
+
+def test_only_the_record_base_defines_identity():
+    """Equality, hashing, pickling and repr come from `_Record` alone.  The one
+    other definition is the polynomial's repr, its printed form (`__str__`)."""
+    src = ROOT / "src" / "tropcong"
+    found = {f.name: _identity_methods(ast.parse(f.read_text(), str(f)))
+             for f in sorted(src.glob("*.py"))}
+    assert len(found) > 10 and found.pop("_record.py")  # the scan sees the base
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "trop_core.py": [("TropPoly", "__repr__")]}
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

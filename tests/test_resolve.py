@@ -7,6 +7,7 @@ from tropcong.congruence import (CongruencePresentation, PrimeMatrix,
                                  congruence_in_prime, has_trivial_ideal_kernel,
                                  initial_form_point, monomial_le)
 from tropcong.polyhedra import relative_interior_point
+from tropcong import resolve
 from tropcong.resolve import (CLOSURE_VIOLATED, NO_FLAG,
                               ResolutionResult, ResolveFailure,
                               cancellativity_harness, init_stability,
@@ -287,6 +288,49 @@ def test_cancellativity_quartic(quartic_E):
     report = cancellativity_harness(quartic_E, trials=60, max_degree=3, seed=7)
     assert report.trials == 60
     assert report.violations == ()
+
+
+PYRAMID = ToricContext(3, [(1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)])
+
+
+# bend_of(1 + x): 41 of 200 trials have equal products, so the harness reaches
+# its cancellation check (paper application 2); on the pyramid every random
+# exponent must be drawn inside sigma^v
+@pytest.mark.parametrize("ctx, text, trials, products_equal", [
+    (ToricContext.affine(1), "1 + x", 200, 41),
+    (PYRAMID, "1 + z", 20, 0),
+], ids=["cancels", "pyramid"])
+def test_cancellativity_of_a_bend(ctx, text, trials, products_equal):
+    E = CongruencePresentation.bend_of(parse_poly(ctx, text))
+    report = cancellativity_harness(E, trials=trials)
+    assert (report.trials, report.products_equal, report.violations) == (
+        trials, products_equal, ())
+
+
+@pytest.mark.parametrize("ctx", [ToricContext.affine(2), ToricContext.torus(2), PYRAMID],
+                         ids=["affine", "torus", "pyramid"])
+def test_random_exponents_lie_in_the_monoid(ctx):
+    drawn = resolve._random_exponents(ctx, random.Random(5), 3)
+    got = [next(drawn) for _ in range(100)]
+    assert all(ctx.exponent_in_monoid(u) for u in got)
+    assert any(x < 0 for u in got for x in u) == (not ctx.is_affine_preset())
+
+
+@pytest.mark.parametrize("ctx, lo", [(ToricContext.affine(2), 0), (ToricContext.torus(2), -3)],
+                         ids=["affine", "torus"])
+def test_random_exponents_of_the_presets_are_the_whole_box(ctx, lo):
+    # no draw is redrawn: the pinned resolve and cancel-check outputs rely on it
+    drawn = resolve._random_exponents(ctx, random.Random(5), 3)
+    rng = random.Random(5)
+    assert [next(drawn) for _ in range(100)] == [
+        tuple(rng.randint(lo, 3) for _ in range(2)) for _ in range(100)]
+
+
+def test_sampled_monomial_pairs_on_the_pyramid():
+    pairs = resolve._sample_monomial_pairs(PYRAMID, random.Random(5), 30, 3)
+    assert len(pairs) == 30
+    assert all(PYRAMID.exponent_in_monoid(u) for pair in pairs for m in pair
+               for u in m.support())
 
 
 def test_cancellativity_unit_multiplier(ctx2, quartic_E):

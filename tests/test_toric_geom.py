@@ -106,6 +106,19 @@ def test_polyhedron_closure_needs_height_one(ctx2):
                                           ExtPoint.make(ctx2, r, ctx2.deep_face, (0, 0)))
 
 
+def test_polyhedron_closure_needs_tau_in_the_fan(ctx2):
+    # a fan of one ray and its origin: the other ray and the deep face of sigma
+    # are faces of no member
+    L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
+    fan = Fan.make(2, [hrep_from_rays([(-1, 0)], 2)], close_faces=True)
+    for rays in ([(0, -1)], [(-1, 0), (0, -1)]):
+        w = ExtPoint.make(ctx2, 1, ctx2.face_from_rays(rays), (0, 0))
+        with pytest.raises(ValueError, match="not a face of any fan member"):
+            polyhedron_closure_membership(ctx2, L, fan, w)
+    w = ExtPoint.make(ctx2, 1, ctx2.face_from_rays([(-1, 0)]), (0, -1))
+    assert polyhedron_closure_membership(ctx2, L, fan, w) == NotInClosure((CLAIM_DIRECTION,))
+
+
 def test_polyhedron_closure_single_point(ctx2):
     L = PolyhedronH.make(2, (row([1, 0], 2, "="), row([0, 1], 3, "=")))
     for rays in ([(-1, 0)], [(0, -1)], [(-1, 0), (0, -1)]):

@@ -113,6 +113,17 @@ def test_torus_preset_monoid():
     assert t.face_from_rays(()) == t.dense_face
 
 
+def test_context_is_identified_by_its_cone():
+    # zero, repeated, scaled and non-extreme rays span the same cone
+    assert ToricContext(2, [(0, 0)]) == ToricContext.torus(2)
+    for rays in ([(-1, 0), (0, -1), (-1, -1)], [(0, -3), (-2, 0), (-1, 0), (0, 0)]):
+        ctx = ToricContext(2, rays)
+        assert ctx == ToricContext.affine(2) and hash(ctx) == hash(ToricContext.affine(2))
+        assert ctx.sigma_rays == ((-1, 0), (0, -1)) and ctx.is_affine_preset()
+    assert ToricContext(2, [(-1, 0)]) != ToricContext.affine(2)
+    assert ToricContext.affine(2, "B") != ToricContext.affine(2)
+
+
 def test_boolean_mode_rejects_coefficients():
     ctx = ToricContext.affine(1, coeff="B")
     with pytest.raises(ValueError):

@@ -157,6 +157,20 @@ def test_point_membership_examples(ctx2, quartic_E):
     assert not point_in_variety(V, ExtPoint.dense(ctx2, 1, (5, 5)))
 
 
+def test_support_filtered_to_the_dense_stratum(ctx2, quartic_E):
+    # off the support's strata a point is decided pointwise alone, and a flag
+    # there cannot be tested at all
+    V = variety_of_basis(quartic_E)
+    dense_only = variety_of_basis(quartic_E, strata=[ctx2.dense_face])
+    ray = ctx2.face_from_rays([(-1, 0)])
+    for w, want in ((ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0)), True),
+                    (ExtPoint.make(ctx2, 1, ray, (0, 2)), False)):
+        assert point_in_variety(dense_only, w) == point_in_variety(V, w) == want
+    deep_ray = make_flag(3, [(-1, 0), (0, -1)], [[(1, 0, 0)]])
+    with pytest.raises(ValueError, match="flag stratum not represented in the support"):
+        flag_in_variety(ctx2, deep_ray, dense_only)
+
+
 def test_index_discrepancy_raises(ctx2, quartic_E):
     V = variety_of_basis(quartic_E)
     broken = vy.VarietySupport(ctx2, V.pairs, tuple(
@@ -572,7 +586,8 @@ def test_caches_are_bounded():
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_info"):
                 found[obj.__module__ + "." + name] = obj
-    for name in ("polyhedra.cone_generators", "polyhedra.faces_of",
+    for name in ("trop_core._sigma", "trop_core._faces",
+                 "polyhedra.cone_generators", "polyhedra.faces_of",
                  "polyhedra._flag_violations", "congruence._pair_table",
                  "congruence.flag_to_matrix", "variety._arrangement", "variety.support_of"):
         assert "tropcong." + name in found
