@@ -9,6 +9,10 @@ so no crash ever reads as "false".  TROPCONG_MAX_DIM caps the ambient
 dimension (default 6); a value that is not an integer >= 1 is a violated
 precondition.
 
+`radical-search` and `verify` read --cong as a presentation, or as a prime
+matrix without "pairs", where each is one Phi check and exit 1 is a theorem;
+on a presentation, exit 1 of `radical-search` means only "none within bounds".
+
 Every input that carries a context is read by one loader, `_inputs`, which
 applies the rank cap and checks that all contexts are equal before decoding
 any input; documents without one (polyhedra, fans, flags, ...) come after.
@@ -169,12 +173,21 @@ def cmd_radical_member(args, max_dim):
     return _bool_exit(ok)
 
 
+def _dec_cong_or_matrix(doc, ctx, path):
+    """A congruence presentation, or a prime matrix for a document without "pairs"."""
+    from . import jsonio
+    decode = jsonio.dec_congruence if "pairs" in doc else jsonio.dec_matrix
+    return decode(doc, ctx, path)
+
+
 def cmd_verify(args, max_dim):
     from . import jsonio
-    from .congruence import verify_derivation, verify_radical_certificate
-    ctx, E, pair = _inputs(max_dim, (args.cong, jsonio.dec_congruence),
+    from .congruence import PrimeMatrix, verify_derivation, verify_radical_certificate
+    ctx, E, pair = _inputs(max_dim, (args.cong, _dec_cong_or_matrix),
                            (args.pair, jsonio.dec_pair))
     if args.derivation:
+        if isinstance(E, PrimeMatrix):
+            raise PreconditionError("a derivation needs a presentation, not a prime matrix")
         d = jsonio.dec_derivation(_load(args.derivation), ctx, args.derivation)
         ok = verify_derivation(E, d, pair)
         _emit({"verified": ok, "kind": "derivation"})
@@ -190,12 +203,7 @@ def cmd_verify(args, max_dim):
 def cmd_radical_search(args, max_dim):
     from . import jsonio
     from .congruence import NotFound, SearchBounds, search_radical_certificate
-
-    def dec_cong_or_matrix(doc, ctx, path):
-        decode = jsonio.dec_congruence if "pairs" in doc else jsonio.dec_matrix
-        return decode(doc, ctx, path)
-
-    _, E, pair = _inputs(max_dim, (args.cong, dec_cong_or_matrix),
+    _, E, pair = _inputs(max_dim, (args.cong, _dec_cong_or_matrix),
                          (args.pair, jsonio.dec_pair))
     bounds = SearchBounds(max_exponent=args.max_i, max_degree=args.max_deg)
     res = search_radical_certificate(E, pair, bounds)

@@ -312,9 +312,6 @@ class MulMono(_Record):
     _fields = ("i", "m")
 
 
-Step = Union[Generator, Refl, Sym, Trans, AddBoth, MulMono]
-
-
 class Derivation(_Record):
     _fields = ("steps",)
 
@@ -323,12 +320,9 @@ class DerivationError(ValueError):
     pass
 
 
-def pairs_equal_unordered(p, q) -> bool:
-    return (p[0] == q[0] and p[1] == q[1]) or (p[0] == q[1] and p[1] == q[0])
-
-
 def run_derivation(E: CongruencePresentation, d: Derivation):
-    """Replay steps, returning the produced pairs; raises on malformed steps."""
+    """Replay the steps and return the pair the last one derives; raises
+    DerivationError on a malformed or empty derivation."""
     produced = []
     for s in d.steps:
         if isinstance(s, Generator):
@@ -356,7 +350,9 @@ def run_derivation(E: CongruencePresentation, d: Derivation):
             produced.append((s.m * a, s.m * b))
         else:
             raise DerivationError("unknown step %r" % (s,))
-    return produced
+    if not produced:
+        raise DerivationError("a derivation needs at least one step")
+    return produced[-1]
 
 
 def _prior(produced, i):
@@ -367,10 +363,9 @@ def _prior(produced, i):
 
 def verify_derivation(E: CongruencePresentation, d: Derivation, target) -> bool:
     try:
-        produced = run_derivation(E, d)
+        return set(run_derivation(E, d)) == set(target)  # in either order
     except DerivationError:
         return False
-    return bool(produced) and pairs_equal_unordered(produced[-1], target)
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +380,32 @@ class RadicalCertificate(_Record):
 Congruence = Union[CongruencePresentation, PrimeMatrix]
 
 
-def _scaled_pair(f: TropPoly, g: TropPoly, i: int, h: TropPoly):
-    s = (f + g) ** i + h
-    return (s * f, s * g)
-
-
 def verify_radical_certificate(E: Congruence, pair, cert: RadicalCertificate) -> bool:
-    f, g = pair
-    target = _scaled_pair(f, g, cert.exponent, cert.cofactor)
+    """((f+g)^i + h)(f, g) in E for the certificate's exponent i and cofactor h.
+
+    On a prime this is (f, g) in E: its quotient is totally ordered and
+    cancellative (JM17), so with s = (f+g)^i + h, Phi(s*f) = Phi(s) + Phi(f)
+    and s*f ~ s*g iff f ~ g or Phi(s) is bottom.  Phi(s) >= Phi(1) = 0 for
+    i = 0; for i >= 1 it is bottom only when Phi(f) and Phi(g) are: f ~ g.
+
+    On a presentation the derivation is replayed first.  When f + g has two or
+    more terms, (f+g)^i has at least i + 1 terms (its support is the i-fold
+    Minkowski sum of theirs), and so has s*f or s*g; an i at least the term
+    count of both sides of the derived pair is refused without building s.
+    """
     if isinstance(E, PrimeMatrix):
-        return prime_contains_pair(E, target)
+        return prime_contains_pair(E, pair)
     if cert.derivation is None:
         return False
-    return verify_derivation(E, cert.derivation, target)
+    try:
+        last = run_derivation(E, cert.derivation)
+    except DerivationError:
+        return False
+    f, g = pair
+    if len((f + g).terms) >= 2 and cert.exponent >= max(len(p.terms) for p in last):
+        return False
+    s = (f + g) ** cert.exponent + cert.cofactor
+    return set(last) == {s * f, s * g}
 
 
 class SearchBounds(_Record):
@@ -440,9 +448,6 @@ class _ProofForest:
             self.edges[x].append((y, reason))
             self.edges[y].append((x, reason))
 
-    def connected(self, x, y):
-        return self.find(x) == self.find(y)
-
     def explain(self, x, y):
         """Tree path x -> y as (node, other, reason) hops."""
         via = {x: None}  # node -> (previous node, reason)
@@ -475,13 +480,14 @@ def _minimal_completion(big: TropPoly, small: TropPoly) -> Optional[TropPoly]:
 def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None):
     """Bounded search for ((f+g)^i + h)(f, g) in <E>.
 
-    For matrix-backed congruences this is a direct Phi check per candidate.
-    For presentations it saturates one-step rewrites m*(a,b) + (h,h) under
+    On a prime matrix one Phi check decides every candidate (see
+    verify_radical_certificate): the answer is the first, (0, bottom), the
+    pair itself, or NotFound, a proof that no candidate the bounds allow holds.
+    On a presentation it saturates one-step rewrites m*(a,b) + (h,h) under
     transitivity over a bounded universe, keeping a union-find of the reached
     polynomials and the rewrite that joined each two classes.  Those rewrites
     form a spanning forest; the forest path between the two sides of a target
-    replays into a verifiable derivation.  NotFound is not a proof of
-    non-membership.
+    replays into a verifiable derivation.  NotFound there proves nothing.
     """
     bounds = bounds or SearchBounds()
     f, g = pair
@@ -490,24 +496,28 @@ def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None)
     gen_pairs = () if isinstance(E, PrimeMatrix) else E.pairs
     # the cofactors: bottom, then each distinct term of a power of f + g or of
     # a generator, as a monomial
-    polys = [(f + g) ** i for i in exponents] + [p for gp in gen_pairs for p in gp]
-    pool = {t for p in polys for t in p.terms}
+    powers = [(f + g) ** i for i in exponents]
+    pool = {t for p in powers + [q for gp in gen_pairs for q in gp] for t in p.terms}
     cofactors = [TropPoly.zero(ctx)] + [TropPoly(ctx, (t,)) for t in sorted(pool)]
     candidates = [(i, h) for i in exponents for h in cofactors]
 
     if isinstance(E, PrimeMatrix):
-        for i, h in candidates:
-            if prime_contains_pair(E, _scaled_pair(f, g, i, h)):
-                return RadicalCertificate(i, h, None)
+        if prime_contains_pair(E, pair):
+            return RadicalCertificate(0, cofactors[0], None)
         return NotFound(len(candidates))
 
     targets = []
     for i, h in candidates:
-        lhs, rhs = _scaled_pair(f, g, i, h)
+        s = powers[i] + h
+        lhs, rhs = s * f, s * g
         if lhs.degree() <= bounds.max_degree and rhs.degree() <= bounds.max_degree:
             targets.append((i, h, lhs, rhs))
 
     multipliers = _multiplier_universe(ctx, gen_pairs, targets, bounds)
+    # the rewrites (generator, m, m*src, m*dst, src is a), built once
+    rewrites = [(gi, m, ma, m * dst, src is a)
+                for gi, (a, b) in enumerate(gen_pairs) for src, dst in ((a, b), (b, a))
+                for m in multipliers if (ma := m * src).degree() <= bounds.max_degree]
     forest = _ProofForest()
     frontier = deque()
     sides = [x for _, _, lhs, rhs in targets for x in (lhs, rhs)]
@@ -519,26 +529,20 @@ def search_radical_certificate(E: Congruence, pair, bounds: SearchBounds = None)
     while frontier and explored < bounds.max_nodes:
         x = frontier.popleft()
         explored += 1
-        for gi, (a, b) in enumerate(gen_pairs):
-            for src, dst in ((a, b), (b, a)):
-                for m in multipliers:
-                    ma = m * src
-                    if ma.degree() > bounds.max_degree:
-                        continue
-                    h = _minimal_completion(x, ma)
-                    if h is None:
-                        continue
-                    for hh in (h, x):
-                        y = m * dst + hh
-                        if y.degree() > bounds.max_degree:
-                            continue
-                        new = y not in forest.parent
-                        if new:
-                            forest.add(y)
-                            frontier.append(y)
-                        forest.union(x, y, (gi, m, hh, src is a))
+        for gi, m, ma, mb, src_is_a in rewrites:
+            h = _minimal_completion(x, ma)
+            if h is None:
+                continue
+            for hh in (h, x):
+                y = mb + hh
+                if y.degree() > bounds.max_degree:
+                    continue
+                if y not in forest.parent:
+                    forest.add(y)
+                    frontier.append(y)
+                forest.union(x, y, (gi, m, hh, src_is_a))
     for i, h, lhs, rhs in targets:
-        if forest.connected(lhs, rhs):
+        if forest.find(lhs) == forest.find(rhs):
             deriv = _extract_derivation(E, forest, lhs, rhs)
             cert = RadicalCertificate(i, h, deriv)
             if verify_radical_certificate(E, pair, cert):
@@ -567,34 +571,21 @@ def _multiplier_universe(ctx, gen_pairs, targets, bounds):
 
 
 def _extract_derivation(E: CongruencePresentation, forest: _ProofForest, lhs, rhs):
-    """Replay the proof-forest path into Generator/MulMono/AddBoth/Sym/Trans steps."""
+    """The forest path lhs -> rhs as steps.  A hop's edge joins m*src + h to
+    m*dst + h, so the hop runs along it iff its node is m*src + h."""
     hops = forest.explain(lhs, rhs)
-    steps = []
-    produced = []
-
-    def emit(step, pair):
-        steps.append(step)
-        produced.append(pair)
-        return len(produced) - 1
-
     if not hops:
         return Derivation((Refl(lhs),))
-    prev_idx = None
-    for node, other, reason in hops:
-        gi, m, h, src_is_a = reason
-        a, b = E.pairs[gi]
-        gidx = emit(Generator(gi), (a, b))
+    steps, prev = [], None  # each step but Trans acts on the one before it
+    for node, _, (gi, m, h, src_is_a) in hops:
+        steps.append(Generator(gi))
         if not src_is_a:
-            gidx = emit(Sym(gidx), (b, a))
-            a, b = b, a
-        midx = emit(MulMono(gidx, m), (m * a, m * b))
-        aidx = emit(AddBoth(midx, h), (m * a + h, m * b + h))
-        # oriented edge is node -> other
-        cur = produced[aidx]
-        if not (cur[0] == node and cur[1] == other):
-            aidx = emit(Sym(aidx), (cur[1], cur[0]))
-        if prev_idx is None:
-            prev_idx = aidx
-        else:
-            prev_idx = emit(Trans(prev_idx, aidx), (produced[prev_idx][0], produced[aidx][1]))
+            steps.append(Sym(len(steps) - 1))
+        steps.append(MulMono(len(steps) - 1, m))
+        steps.append(AddBoth(len(steps) - 1, h))
+        if m * E.pairs[gi][0 if src_is_a else 1] + h != node:
+            steps.append(Sym(len(steps) - 1))
+        if prev is not None:
+            steps.append(Trans(prev, len(steps) - 1))
+        prev = len(steps) - 1
     return Derivation(tuple(steps))

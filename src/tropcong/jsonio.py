@@ -323,41 +323,35 @@ def dec_stratum_point(data, ctx: ToricContext, path: str = "$") -> ExtPoint:
 
 # --- derivations and certificates -------------------------------------------
 
-def enc_step(s) -> dict:
+def _step_ops() -> dict:
+    """The derivation step classes by their JSON op."""
     from .congruence import AddBoth, Generator, MulMono, Refl, Sym, Trans
-    if isinstance(s, Generator):
-        return {"op": "gen", "index": s.index}
-    if isinstance(s, Refl):
-        return {"op": "refl", "poly": enc_poly(s.poly)}
-    if isinstance(s, Sym):
-        return {"op": "sym", "i": s.i}
-    if isinstance(s, Trans):
-        return {"op": "trans", "i": s.i, "j": s.j}
-    if isinstance(s, AddBoth):
-        return {"op": "addboth", "i": s.i, "h": enc_poly(s.h)}
-    if isinstance(s, MulMono):
-        return {"op": "mulmono", "i": s.i, "m": enc_poly(s.m)}
-    raise TypeError("unknown step %r" % (s,))
+    return {"gen": Generator, "refl": Refl, "sym": Sym, "trans": Trans,
+            "addboth": AddBoth, "mulmono": MulMono}
+
+
+_POLY_FIELDS = ("poly", "h", "m")  # of a step; its other fields are indices
+
+
+def enc_step(s) -> dict:
+    op = next((op for op, cls in _step_ops().items() if isinstance(s, cls)), None)
+    if op is None:
+        raise TypeError("unknown step %r" % (s,))
+    doc = {"op": op}
+    for name in s._fields:
+        value = getattr(s, name)
+        doc[name] = enc_poly(value) if name in _POLY_FIELDS else value
+    return doc
 
 
 def dec_step(data, ctx: ToricContext, path: str):
-    from .congruence import AddBoth, Generator, MulMono, Refl, Sym, Trans
     op = _get(data, "op", path)
-    if op == "gen":
-        return Generator(_get_index(data, "index", path))
-    if op == "refl":
-        return Refl(dec_poly(_get(data, "poly", path), ctx, path + ".poly"))
-    if op == "sym":
-        return Sym(_get_index(data, "i", path))
-    if op == "trans":
-        return Trans(_get_index(data, "i", path), _get_index(data, "j", path))
-    if op == "addboth":
-        return AddBoth(_get_index(data, "i", path),
-                       dec_poly(_get(data, "h", path), ctx, path + ".h"))
-    if op == "mulmono":
-        return MulMono(_get_index(data, "i", path),
-                       dec_poly(_get(data, "m", path), ctx, path + ".m"))
-    raise ParseError("unknown derivation op %r" % op, path + ".op")
+    cls = _step_ops().get(op) if isinstance(op, str) else None
+    if cls is None:
+        raise ParseError("unknown derivation op %r" % op, path + ".op")
+    return cls(*(dec_poly(_get(data, name, path), ctx, "%s.%s" % (path, name))
+                 if name in _POLY_FIELDS else _get_index(data, name, path)
+                 for name in cls._fields))
 
 
 def enc_derivation(d: Derivation) -> dict:

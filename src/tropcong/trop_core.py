@@ -237,9 +237,13 @@ class TropPoly(_Record):
     def __pow__(self, k: int) -> "TropPoly":
         if k < 0:
             raise ValueError("negative power")
-        acc = TropPoly.one(self.context)
-        for _ in range(k):
-            acc = acc * self
+        acc, base = TropPoly.one(self.context), self
+        while k:
+            if k & 1:
+                acc = acc * base
+            k >>= 1
+            if k:
+                base = base * base
         return acc
 
     # --- evaluation ---

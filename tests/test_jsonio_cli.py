@@ -8,7 +8,7 @@ import pytest
 from tropcong import jsonio, polyhedra
 from tropcong.cli import main
 from tropcong.congruence import (AddBoth, Derivation, Generator, MulMono, PrimeMatrix,
-                                 RadicalCertificate, prime_eval)
+                                 RadicalCertificate, Refl, Sym, Trans, prime_eval)
 from tropcong.jsonio import ParseError
 from tropcong.polyhedra import CoverBudgetExceeded
 from tropcong.trop_core import ToricContext, parse_poly
@@ -70,6 +70,61 @@ def test_derivation_round_trip(ctx1):
     d = Derivation((Generator(0), Refl(x), Sym(0), Trans(0, 2),
                     AddBoth(3, x), MulMono(4, x)))
     assert jsonio.dec_derivation(jsonio.enc_derivation(d), ctx1) == d
+
+
+_X = {"terms": [{"coeff": "0", "exp": [1]}]}  # x on T[x]
+# each derivation op as the JSON document of one step, and the step it decodes to
+STEP_DOCS = [
+    ({"op": "gen", "index": 2}, lambda x: Generator(2)),
+    ({"op": "refl", "poly": _X}, lambda x: Refl(x)),
+    ({"op": "sym", "i": 1}, lambda x: Sym(1)),
+    ({"op": "trans", "i": 0, "j": 3}, lambda x: Trans(0, 3)),
+    ({"op": "addboth", "i": 4, "h": _X}, lambda x: AddBoth(4, x)),
+    ({"op": "mulmono", "i": 5, "m": _X}, lambda x: MulMono(5, x)),
+]
+
+
+@pytest.mark.parametrize("doc, step", STEP_DOCS, ids=[d["op"] for d, _ in STEP_DOCS])
+def test_step_round_trip(ctx1, doc, step):
+    step = step(parse_poly(ctx1, "x"))
+    assert jsonio.enc_step(step) == doc
+    assert jsonio.dec_step(doc, ctx1, "$") == step
+
+
+def test_enc_step_refuses_what_is_no_step(ctx1):
+    with pytest.raises(TypeError, match="unknown step"):
+        jsonio.enc_step(parse_poly(ctx1, "x"))
+
+
+def _step_errors():
+    """(step document, message, path) for each field of each op: missing,
+    and, for an index, negative or a bool; for a polynomial, not an object.
+    A step of two fields missing both is reported at its first."""
+    for doc, _ in STEP_DOCS:
+        op, fields = doc["op"], [k for k in doc if k != "op"]
+        if len(fields) > 1:
+            yield pytest.param({"op": op}, "missing key %r" % fields[0], "$",
+                               id="%s-no-fields" % op)
+        for k in fields:
+            yield pytest.param({f: v for f, v in doc.items() if f != k},
+                               "missing key %r" % k, "$", id="%s-no-%s" % (op, k))
+            if isinstance(doc[k], dict):
+                yield pytest.param(dict(doc, **{k: 5}), "expected an object", "$." + k,
+                                   id="%s-%s-not-an-object" % (op, k))
+                continue
+            for value in (-1, True):
+                yield pytest.param(dict(doc, **{k: value}), "expected an integer >= 0",
+                                   "$." + k, id="%s-%s-%r" % (op, k, value))
+    yield pytest.param({"op": "lemma"}, "unknown derivation op 'lemma'", "$.op", id="lemma")
+    yield pytest.param({"op": ["gen"]}, "unknown derivation op ['gen']", "$.op", id="list")
+    yield pytest.param({"index": 0}, "missing key 'op'", "$", id="no-op")
+
+
+@pytest.mark.parametrize("doc, message, path", list(_step_errors()))
+def test_step_decode_errors(ctx1, doc, message, path):
+    with pytest.raises(ParseError) as err:
+        jsonio.dec_step(doc, ctx1, "$")
+    assert str(err.value) == "%s (at %s)" % (message, path)
 
 
 def test_decoded_rationals_are_canonical():
@@ -265,6 +320,58 @@ def test_cli_verify_derivation_and_certificate_exit_2(capsys, fixtures_dir, tmp_
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "not allowed with argument" in out.err
+
+
+def test_cli_radical_search_and_verify_on_a_prime(capsys, fixtures_dir, tmp_path):
+    # the certificate found on a prime has no derivation; verify reads the
+    # matrix as radical-search does and accepts it
+    base = fixtures_dir / "radical_roundtrip"
+    doc = json.loads((base / "pair_x_1.json").read_text())
+    ctx = jsonio.context_of_document(doc)
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(dict(doc, lhs=jsonio.enc_poly(parse_poly(ctx, "1 + x")))))
+    code, out, _ = run_cli(capsys, "radical-search", "--cong", str(base / "theta.json"),
+                           "--pair", str(pair))
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert == {"exponent": 0, "cofactor": {"terms": []}, "derivation": None}
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    for target, want in ((pair, 0), (base / "pair_x_1.json", 1)):
+        code, out, err = run_cli(capsys, "verify", "--cong", str(base / "theta.json"),
+                                 "--pair", str(target), "--certificate", str(cert_path))
+        assert (code, err) == (want, "")
+        assert json.loads(out) == {"format": "tropcong/1", "kind": "certificate",
+                                   "verified": want == 0}
+
+
+def test_cli_verify_derivation_against_a_matrix_exit_3(capsys, fixtures_dir, tmp_path):
+    base = fixtures_dir / "radical_roundtrip"
+    deriv = tmp_path / "d.json"
+    deriv.write_text(jsonio.dumps({"steps": [{"op": "gen", "index": 0}]}))
+    code, out, err = run_cli(capsys, "verify", "--cong", str(base / "theta.json"),
+                             "--pair", str(base / "pair_x_1.json"), "--derivation", str(deriv))
+    assert (code, out) == (3, "")
+    assert err == ("precondition violated: "
+                   "a derivation needs a presentation, not a prime matrix\n")
+
+
+def test_cli_verify_a_large_exponent(capsys, fixtures_dir, tmp_path):
+    # exponent 10^6 of the certificate for (x, 1) in <(x^2, 1)>: (x+1)^i has
+    # i + 1 terms, more than either side of the derived pair, so the answer is
+    # false without building the power (at 3200 it once took 10 s)
+    base = fixtures_dir / "radical_roundtrip"
+    ctx = jsonio.context_of_document(json.loads((base / "E.json").read_text()))
+    x, one = parse_poly(ctx, "x"), parse_poly(ctx, "1")
+    cert = tmp_path / "c.json"
+    for exponent, want in ((0, 0), (10 ** 6, 1)):
+        cert.write_text(jsonio.dumps(jsonio.enc_certificate(RadicalCertificate(
+            exponent, x, Derivation((Generator(0), MulMono(0, one), AddBoth(1, x)))))))
+        code, out, err = run_cli(capsys, "verify", "--cong", str(base / "E.json"),
+                                 "--pair", str(base / "pair_x_1.json"),
+                                 "--certificate", str(cert))
+        assert (code, err) == (want, "")
+        assert json.loads(out)["verified"] is (want == 0)
 
 
 def test_cli_radical_search_notfound(capsys, fixtures_dir):
@@ -670,6 +777,10 @@ _RANK2 = {"rank": 2, "sigma_rays": [[-1, 0], [0, -1]]}
      _put({"sigma_rays": [[-1, 0], [0, -1]]}, "context")),  # no rank
     (("kernel", "--matrix", "quartic_bend/Q.json"), "quartic_bend/Q.json",
      lambda d: json.dumps(d)[:-1]),  # not JSON
+] + [
+    # each derivation op without its last field
+    (_VERIFY, "derivation", lambda d, doc=doc: {"steps": [dict(list(doc.items())[:-1])]})
+    for doc, _ in STEP_DOCS
 ])
 def test_cli_malformed_field_exit_2(capsys, fixtures_dir, tmp_path, argv, target, edit):
     _assert_parse_error(capsys, fixtures_dir, tmp_path, argv, target, edit)

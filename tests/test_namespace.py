@@ -74,11 +74,12 @@ SCAN_EXEMPT = {"_lp.py"}
 
 
 def _referenced(paths) -> set:
-    """Every identifier read as a Name, an Attribute or an imported alias."""
+    """Every identifier read as a Name, an Attribute or an imported alias.  A
+    Name counts only where it is loaded: a binding is no use of itself."""
     out = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
@@ -87,10 +88,24 @@ def _referenced(paths) -> set:
     return out
 
 
+def _public_top_level(tree) -> list:
+    """The public names a module binds at top level: functions, classes and
+    the targets of plain and annotated assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_name_in_src_has_a_user():
-    """Each public top-level function or class of a src/ module is used in
-    src/, exported by the package, or used by demos/ or bench/; a name that
-    only tests call belongs beside those tests."""
+    """Each public top-level function, class or assigned name of a src/
+    module is used in src/, exported by the package, or used by demos/ or
+    bench/; a name that only tests use belongs beside those tests, and one
+    that nothing reads belongs nowhere."""
     src_files = sorted(SRC.glob("*.py"))
     used = (_referenced(src_files) | set(tropcong.__all__)
             | _referenced(sorted((REPO / "demos").glob("*.py")))
@@ -99,8 +114,7 @@ def test_every_public_name_in_src_has_a_user():
     for path in src_files:
         if path.name in SCAN_EXEMPT:
             continue
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in used):
-                unused.append("%s.%s" % (path.stem, node.name))
+        unused.extend("%s.%s" % (path.stem, name)
+                      for name in _public_top_level(ast.parse(path.read_text()))
+                      if name not in used)
     assert not unused, unused
