@@ -21,8 +21,9 @@ _EXPORTS = {
                   "FlagOfCones", "HRow", "PolyhedronH", "common_refinement",
                   "covers_equal", "feasible", "hrep_from_rays", "is_empty", "make_flag",
                   "recession_cone", "relative_interior_point", "validate_flag"),
-    "toric_geom": ("ClosureWitness", "NotInClosure", "cone_closure_witnesses",
-                   "polyhedron_closure_membership", "project_to_stratum"),
+    "toric_geom": ("ClosureWitness", "NotInClosure", "closure_on_stratum",
+                   "cone_closure_witnesses", "polyhedron_closure_membership",
+                   "project_to_stratum"),
     "congruence": ("AddBoth", "CongruencePresentation", "Derivation", "Generator",
                    "MulMono", "NotFound", "PrimeMatrix", "RadicalCertificate", "Refl",
                    "SearchBounds", "Sym", "Trans", "congruence_in_prime",

@@ -19,13 +19,13 @@ from ._linalg import (ONE, ZERO, Vec, dot, primitive, qdiv, rank_of, vec, vscale
                       vsub, zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
-                        HRow, PolyhedronH, feasible, relative_interior_point)
+                        HRow, PolyhedronH, poly_in_union, relative_interior_point)
 from .trop_core import (COEFF_B, ExtPoint, Face, ToricContext, TropPoly,
                         ZeroPolynomialError)
 from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
                          flag_to_matrix, has_trivial_ideal_kernel,
                          initial_form_point, monomial_le)
-from .toric_geom import _closure_systems, _preimage_rows, _relint_tau_rows
+from .toric_geom import _preimage_rows, _relint_tau_rows, closure_on_stratum
 from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
                       functions_equal_on_variety, shrink_flag, stratum_cone,
                       support_of)
@@ -160,25 +160,25 @@ def _flag_from_matrix(context: ToricContext, theta: PrimeMatrix) -> FlagOfCones:
 
 
 def verify_closure_hypothesis(V: VarietySupport) -> Optional[str]:
-    """Every boundary cell must be reachable from some dense cell (preimage of
-    its generators nonempty and a height-0 direction through rel.int tau)."""
-    ctx = V.context
-    dense = V.stratum(ctx.dense_face).cells
+    """The closure hypothesis: every boundary cell lies in the closure of the
+    dense part, or a message naming the stratum of one that does not.
+
+    The dense part is a finite union of cells L, so its closure meets the
+    stratum of tau in the union of the cones `closure_on_stratum(L, tau)`.
+    Each boundary cell is one exact `poly_in_union` against that union, under
+    the cover budget (CoverBudgetExceeded past it)."""
+    dense = V.stratum(V.context.dense_face).cells
     for sup in V.strata:
         tau = sup.tau
-        if tau.dim() == 0:
+        if tau.dim() == 0 or not sup.cells:
             continue
+        closures = [c for c in (closure_on_stratum(L, tau) for L in dense)
+                    if c is not None]
         for cell in sup.cells:
-            gens = polyhedra.generators(cell)
-            if not any(_cell_reaches(ctx, L, tau, gens) for L in dense):
+            if not poly_in_union(cell, closures):
                 return ("boundary cell in stratum with rays %r is not a limit of "
                         "the dense part" % (tau.rays,))
     return None
-
-
-def _cell_reaches(ctx, L: ConeH, tau: Face, target_gens) -> bool:
-    return all(feasible(s) is not None
-               for s in _closure_systems(L, tau, target_gens, ctx.rank))
 
 
 def resolve_boundary_prime(E: CongruencePresentation,

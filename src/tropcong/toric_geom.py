@@ -1,13 +1,14 @@
-"""Strata of tropical toric varieties, projections, and closure witnesses.
+"""Strata of tropical toric varieties, projections, and closures of cones.
 
 A stratum point w is reached from a cone or polyhedron along a ray: the
 witness pair (w_hat, v) satisfies lim_{N->oo} w_hat + N*v = w.  One lemma
 decides membership in the closure of a cone L in R_{>=0} x N_R: L must meet
-the preimage of each target under the stratum projection (claim 1) and
-{0} x rel.int(tau) (claim 3).  `_closure_systems` builds those systems in one
-place; `cone_closure_witnesses` solves them for witnesses, the closure
-hypothesis of `resolve` only asks whether they are feasible, and
-`polyhedron_closure_membership` runs the lemma on the closed cone over a
+the preimage of the target under the stratum projection (claim 1) and
+{0} x rel.int(tau) (claim 3).  Claim 3 does not depend on the target, so
+`closure_on_stratum` computes cl(L) cap O(tau) as one cone, the projection of
+L, and the closure hypothesis of `resolve` is a cover by those cones.
+`cone_closure_witnesses` solves the two systems for one target's witnesses,
+and `polyhedron_closure_membership` runs the lemma on the closed cone over a
 polyhedron, strict rows weakened, at every stratum.  A point of N_R(sigma)
 is an `ExtPoint` at height 1; `witness_soundness` checks a witness exactly on
 the generators of the cone sigma^v.
@@ -15,13 +16,14 @@ the generators of the cone sigma^v.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, zero_vec
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
-                        PolyhedronH, cone_over, is_empty, relative_interior_point)
+                        PolyhedronH, cone_over, hrep_from_rays, is_empty,
+                        relative_interior_point)
 from .trop_core import ExtPoint, Face, ToricContext
 
 CLAIM_PREIMAGE = "claim1-preimage"
@@ -67,13 +69,20 @@ def _relint_tau_rows(tau: Face, dim: int):
         HRow((ZERO,) + tuple(r.a), ZERO, LT) for r in tau.cone().rows if r.rel != EQ]
 
 
-def _closure_systems(L: ConeH, tau: Face, targets: Sequence[Vec], dim: int):
-    """The systems of the closure lemma for a cone L in R^{1+dim}, in order:
-    L cut by the preimage rows of each target (claim 1), then L cut by
-    {0} x rel.int(tau) (claim 3)."""
-    for t in targets:
-        yield L.with_rows(_preimage_rows(tau, t, dim))
-    yield L.with_rows(_relint_tau_rows(tau, dim))
+def closure_on_stratum(L: ConeH, tau: Face) -> Optional[ConeH]:
+    """cl(L) cap O(tau) for a cone L in R^{1+n}, in the (1+n) canonical
+    coordinates of the stratum of tau, or None when it is empty.
+
+    By the lemma a target lies in cl(L) iff L meets its preimage (claim 1)
+    and {0} x rel.int(tau) (claim 3).  Claim 3 does not depend on the target,
+    so when it holds the closure is the image of L under
+    (r, x) -> (r, x mod span(tau)): the cone over the images of L's
+    generators.  When it fails no target is reached."""
+    n = tau.ambient
+    if is_empty(L.with_rows(_relint_tau_rows(tau, n))):
+        return None
+    return hrep_from_rays([(g[0],) + tau.canonical(g[1:])
+                           for g in polyhedra.generators(L)], 1 + n)
 
 
 def _interior_point_or_none(p: PolyhedronH):
@@ -83,26 +92,24 @@ def _interior_point_or_none(p: PolyhedronH):
         return None
 
 
-def cone_closure_witnesses(context: ToricContext, L: ConeH, tau: Face,
-                           targets: Sequence[ExtPoint]):
-    """Witnesses for targets in cl(L) inside R_{>=0} x N_R(sigma).
+def cone_closure_witnesses(L: ConeH, w: ExtPoint):
+    """Witnesses for a target w in cl(L) inside R_{>=0} x N_R(sigma).
 
-    L lives in R^{1+n}; every target must sit in the stratum of tau.  Succeeds
-    iff L meets every projection preimage and {0} x rel.int(tau); the limit
-    property then holds automatically.  Returns (v, hats) or NotInClosure.
+    L lives in R^{1+n}, n the rank of w's context, and w sits in the stratum
+    of w.tau.  Succeeds iff L meets the projection preimage of w (claim 1)
+    and {0} x rel.int(tau) (claim 3); the limit property then holds
+    automatically.  Returns (v, w_hat) or NotInClosure.
     """
-    n = context.rank
+    n = w.context.rank
     if L.dim != n + 1:
         raise polyhedra.DimensionMismatchError("cone must live in R^(1+n)")
-    if any(w.tau != tau for w in targets):
-        raise ValueError("all targets must lie in the stratum of tau")
-    *hats, v = map(_interior_point_or_none, _closure_systems(
-        L, tau, [w.full_vector() for w in targets], n))
-    failed = (((CLAIM_PREIMAGE,) if None in hats else ())
+    w_hat = _interior_point_or_none(L.with_rows(_preimage_rows(w.tau, w.full_vector(), n)))
+    v = _interior_point_or_none(L.with_rows(_relint_tau_rows(w.tau, n)))
+    failed = (((CLAIM_PREIMAGE,) if w_hat is None else ())
               + ((CLAIM_DIRECTION,) if v is None else ()))
     if failed:
         return NotInClosure(failed)
-    return primitive(v), tuple(hats)
+    return primitive(v), w_hat
 
 
 def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
@@ -126,10 +133,10 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
     if is_empty(L):
         return NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION) if boundary
                             else (CLAIM_PREIMAGE,))
-    res = cone_closure_witnesses(context, cone_over(L.weakened()), tau, [w])
+    res = cone_closure_witnesses(cone_over(L.weakened()), w)
     if isinstance(res, NotInClosure):
         return res
-    v, (w_hat,) = res
+    v, w_hat = res
     return ClosureWitness(w_hat[1:], v[1:])
 
 

@@ -7,6 +7,8 @@
   the CLI reads but never emits, for round trips and CLI inputs.
 * `shifted_point` is the point w + N v that `init_stability` and
   `iterated_init_region` describe.
+* `random_poly` draws a seeded polynomial with k distinct terms, exponents
+  in [0, 3] and coefficients t^-2 .. t^2, for sweeps over random bends.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 from tropcong._linalg import ZERO, Vec, canon, frac, reduce_mod_rref, rref, vec
 from tropcong.jsonio import enc_context, enc_poly, enc_vec_int
-from tropcong.trop_core import ExtPoint
+from tropcong.trop_core import ExtPoint, parse_poly
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -60,3 +62,12 @@ def shifted_point(w: ExtPoint, v: ExtPoint, N) -> ExtPoint:
     N = frac(N)
     return ExtPoint.make(w.context, w.r + N * v.r, w.tau,
                          tuple(a + N * b for a, b in zip(w.coords, v.coords)))
+
+
+def random_poly(ctx, rng, k):
+    exps = set()
+    while len(exps) < k:
+        exps.add(tuple(rng.randint(0, 3) for _ in range(ctx.rank)))
+    return parse_poly(ctx, " + ".join(
+        "t^%d*" % rng.randint(-2, 2) + "*".join("%s^%d" % (v, e) for v, e in zip("xyz", u))
+        for u in sorted(exps)))

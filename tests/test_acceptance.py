@@ -21,13 +21,13 @@ from tropcong.polyhedra import PolyhedronH, make_flag, row
 from tropcong.resolve import (ResolutionResult, cancellativity_harness,
                               init_stability, resolve_boundary_prime)
 from tropcong.toric_geom import witness_soundness
-from tropcong.trop_core import ExtPoint, TropPoly, parse_poly
+from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
 from tropcong.congruence import initial_form_point
 from tropcong.variety import (flag_in_variety, functions_equal_on_variety,
                               hypersurface, intersect_supports, point_in_variety,
                               radical_member, slice_at_height)
 
-from helpers import shifted_point
+from helpers import random_poly, shifted_point
 
 
 def cli(capsys, *argv):
@@ -328,12 +328,27 @@ def _random_flag(ctx, V, rng):
         pick = ray
 
 
+def _flag_theorem(ctx, E, V, flag):
+    """Check the main theorem on one flag: a flag in the support gives a prime
+    containing E, and a prime containing E shrinks to a flag for the same
+    prime inside the support.  Returns (flag in V, E in its prime)."""
+    from tropcong.variety import shrink_flag
+    from test_variety import ray_sums, same_prime_rows
+    in_variety = flag_in_variety(ctx, flag, V)
+    contains = congruence_in_prime(E, flag_to_matrix(ctx, flag))
+    if in_variety:
+        assert contains, flag
+    if contains:
+        shrunk = shrink_flag(ctx, flag, E, sample_pairs=40, seed=9)
+        assert same_prime_rows(ray_sums(flag), ray_sums(shrunk)), flag
+        assert flag_in_variety(ctx, shrunk, V), flag
+    return in_variety, contains
+
+
 def test_criterion_6c_flag_theorem_500(ctx2, ctx1, quartic_E):
     # Containment of the support forces containment of the congruence; in the
     # converse direction the theorem produces some flag for the same prime
     # inside the support, realized constructively by shrinking.
-    from tropcong.variety import shrink_flag
-    from test_variety import ray_sums, same_prime_rows
     gle = CongruencePresentation.make(
         ctx1, [(parse_poly(ctx1, "x^2"), parse_poly(ctx1, "1"))], True)
     jobs = [(ctx2, quartic_E, vy.support_of(quartic_E), 400, random.Random(3006)),
@@ -341,20 +356,27 @@ def test_criterion_6c_flag_theorem_500(ctx2, ctx1, quartic_E):
     checked = forward_hits = converse_hits = 0
     for ctx, E, V, count, rng in jobs:
         for _ in range(count):
-            flag = _random_flag(ctx, V, rng)
-            in_variety = flag_in_variety(ctx, flag, V)
-            contains = congruence_in_prime(E, flag_to_matrix(ctx, flag))
-            if in_variety:
-                assert contains, flag
-                forward_hits += 1
-            if contains:
-                shrunk = shrink_flag(ctx, flag, E, sample_pairs=40, seed=9)
-                assert same_prime_rows(ray_sums(flag), ray_sums(shrunk)), flag
-                assert flag_in_variety(ctx, shrunk, V), flag
-                converse_hits += 1
+            in_variety, contains = _flag_theorem(ctx, E, V, _random_flag(ctx, V, rng))
+            forward_hits += in_variety
+            converse_hits += contains
             checked += 1
     assert checked == 500 and forward_hits > 20 and converse_hits > 20
     print("ACCEPTANCE 6c (flag containment theorem, 500 flags): PASS")
+
+
+def test_flag_theorem_on_random_bends():
+    # the same theorem on 30 seeded random bends on affine(2) and affine(3),
+    # 20 flags each, beyond the two fixtures above
+    rng = random.Random(1)
+    seen = {"both": 0, "neither": 0, "shrunk": 0}
+    for i in range(30):
+        ctx = ToricContext.affine(2 + i % 2)
+        E = CongruencePresentation.bend_of(random_poly(ctx, rng, rng.randint(3, 5)))
+        V = vy.support_of(E)
+        for _ in range(20):
+            in_variety, contains = _flag_theorem(ctx, E, V, _random_flag(ctx, V, rng))
+            seen["both" if in_variety else "shrunk" if contains else "neither"] += 1
+    assert sum(seen.values()) == 600 and all(seen.values()), seen
 
 
 def test_criterion_6d_radical_member_oracle(ctx1, ctx2, quartic_E):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -13,11 +14,12 @@ from tropcong.resolve import (CLOSURE_VIOLATED, NO_FLAG,
                               cancellativity_harness, init_stability,
                               iterated_init_region, resolve_boundary_prime,
                               verify_closure_hypothesis)
+from tropcong.cli import main
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
 from tropcong.variety import functions_equal_on_variety, variety_of_basis, support_of
 
 import init_region_reference as ref
-from helpers import shifted_point
+from helpers import enc_congruence, shifted_point
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +281,20 @@ def test_resolve_closure_hypothesis_violated(ctx1):
     res = resolve_boundary_prime(E, P)
     assert isinstance(res, ResolveFailure) and res.reason == CLOSURE_VIOLATED
     assert verify_closure_hypothesis(support_of(E)) is not None
+
+
+def test_closure_hypothesis_holds_for_a_union_of_closures(tmp_path, capsys):
+    # on the stratum of tau = cone((-1,0,0), (0,-1,0)) a boundary cell lies in
+    # the union of the dense cells' closures but in no single one; the
+    # hypothesis concerns the closure of the whole dense part, so it holds
+    ctx = ToricContext.affine(3)
+    f = parse_poly(ctx, "t^-1*y^2 + y^2*z^2 + t^-2*x*z^2 + t^-1*x^2*y*z + t^1*x^2*y^2")
+    E = CongruencePresentation.bend_of(f)
+    assert verify_closure_hypothesis(support_of(E)) is None
+    cong = tmp_path / "E.json"
+    cong.write_text(json.dumps(dict(enc_congruence(E), format="tropcong/1")))
+    assert main(["cancel-check", "--cong", str(cong)]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from tropcong import polyhedra as ph
 from tropcong import variety as vy
 from tropcong.congruence import CongruencePresentation
 from tropcong.polyhedra import EQ, LE, LT, ConeH, HRow, PolyhedronH
-from tropcong.trop_core import ToricContext, parse_poly
+from tropcong.trop_core import ToricContext
+
+from helpers import random_poly
 
 QUADRICS = ("g_xy", "g_xz", "g_yz")
 THREE_QUADRICS = ("f_1", "f_2", "f_3", "f_5") + QUADRICS
@@ -77,15 +79,6 @@ def test_three_quadrics_intersection(fixtures_dir):
 # ---------------------------------------------------------------------------
 # seeded random presentations
 
-def _random_poly(ctx, rng, k):
-    exps = set()
-    while len(exps) < k:
-        exps.add(tuple(rng.randint(0, 3) for _ in range(ctx.rank)))
-    return parse_poly(ctx, " + ".join(
-        "t^%d*" % rng.randint(-2, 2) + "*".join("%s^%d" % (v, e) for v, e in zip("xyz", u))
-        for u in sorted(exps)))
-
-
 def _random_strata(ctx, rng, seed):
     """Every third seed takes a subset of the faces, in a shuffled order."""
     if seed % 3:
@@ -98,7 +91,7 @@ def test_random_bend_presentations(seed):
     # 3 to 8 terms, each on affine(2) and affine(3)
     rng = random.Random(2500 + seed)
     ctx = ToricContext.affine(2 + seed % 2)
-    f = _random_poly(ctx, rng, 3 + seed // 2)
+    f = random_poly(ctx, rng, 3 + seed // 2)
     strata = _random_strata(ctx, rng, seed)
     E = CongruencePresentation.bend_of(f)
     _same(vy.variety_of_basis(E, strata), ref.variety_of_basis(E, strata))
@@ -115,7 +108,7 @@ def test_random_presentations(seed):
     ctx = ToricContext.affine(2 + seed % 2)
     pairs = []
     while not 3 <= sum(len(p.terms) for pair in pairs for p in pair) <= 8:
-        pairs = [tuple(_random_poly(ctx, rng, rng.randint(1, 3)) for _ in "fg")
+        pairs = [tuple(random_poly(ctx, rng, rng.randint(1, 3)) for _ in "fg")
                  for _ in range(rng.randint(2, 3))]
     strata = _random_strata(ctx, rng, seed)
     E = CongruencePresentation.make(ctx, pairs)

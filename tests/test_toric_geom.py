@@ -5,13 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 import closure_reference as ref
+from helpers import random_poly
 
-from tropcong.polyhedra import Fan, PolyhedronH, cone_over, hrep_from_rays, row
+from tropcong.congruence import CongruencePresentation
+from tropcong.polyhedra import (Fan, PolyhedronH, cone_over, generators, hrep_from_rays,
+                                poly_in_union, row)
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
-                                 NotInClosure, cone_closure_witnesses,
-                                 polyhedron_closure_membership, project_to_stratum,
-                                 witness_soundness)
+                                 NotInClosure, closure_on_stratum,
+                                 cone_closure_witnesses, polyhedron_closure_membership,
+                                 project_to_stratum, witness_soundness)
 from tropcong.trop_core import ExtPoint, ToricContext
+from tropcong.variety import support_of
 
 
 def sigma_fan(ctx):
@@ -48,11 +52,11 @@ def test_cone_closure_height_one_cell(ctx2):
     # closed cone over {x = y+1, y <= 0}; target the deep point at height 1
     L = cone_over(PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<="))))
     target = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
-    res = cone_closure_witnesses(ctx2, L, ctx2.deep_face, [target])
+    res = cone_closure_witnesses(L, target)
     assert not isinstance(res, NotInClosure)
-    v, hats = res
+    v, w_hat = res
     assert v == (F(0), F(-1), F(-1))
-    assert hats[0] == (F(1), F(0), F(-1))
+    assert w_hat == (F(1), F(0), F(-1))
 
 
 def test_cone_closure_direction_missing(ctx2):
@@ -61,20 +65,64 @@ def test_cone_closure_direction_missing(ctx2):
     L = hrep_from_rays([(1, 0, 0)], 3)
     tau = ctx2.face_from_rays([(-1, 0)])
     target = ExtPoint.make(ctx2, 1, tau, (7, 0))
-    res = cone_closure_witnesses(ctx2, L, tau, [target])
+    res = cone_closure_witnesses(L, target)
     assert isinstance(res, NotInClosure)
     assert res.failed_claims == (CLAIM_DIRECTION,)
 
 
 def test_cone_closure_dense_degenerate(ctx2):
     L = hrep_from_rays([(1, 1, 0), (1, 0, 1), (0, -1, -1)], 3)
-    tau = ctx2.dense_face
     w = ExtPoint.dense(ctx2, 1, (1, 0))
-    res = cone_closure_witnesses(ctx2, L, tau, [w])
+    res = cone_closure_witnesses(L, w)
     assert not isinstance(res, NotInClosure)
-    v, hats = res
+    v, w_hat = res
     assert v == (F(0), F(0), F(0))  # rel.int of the zero face is the origin
-    assert hats[0] == w.full_vector()
+    assert w_hat == w.full_vector()
+
+
+def _reached(L, w) -> bool:
+    return not isinstance(cone_closure_witnesses(L, w), NotInClosure)
+
+
+def test_closure_on_stratum_against_witnesses_on_random_bends():
+    # application (4) on two paths: the projected cone covers a boundary cell
+    # C iff the per-target lemma reaches every generator of C (the cone is
+    # convex), and a point of a cell inside the union of the closures is
+    # reached by some dense cell with a sound witness
+    rng = random.Random(11)
+    seen = {"reached": 0, "missed": 0, "union only": 0, "points": 0}
+    for i in range(20):
+        ctx = ToricContext.affine(2 + i % 2)
+        V = support_of(CongruencePresentation.bend_of(random_poly(ctx, rng, rng.randint(3, 5))))
+        dense = V.stratum(ctx.dense_face).cells
+        for sup in V.strata:
+            tau = sup.tau
+            if tau.dim() == 0:
+                continue
+            closures = [closure_on_stratum(L, tau) for L in dense]
+            union = [cl for cl in closures if cl is not None]
+            for C in sup.cells:
+                gens = generators(C)
+                covered = [cl is not None and poly_in_union(C, [cl]) for cl in closures]
+                for L, cov in zip(dense, covered):
+                    assert cov == all(_reached(L, ExtPoint.make(ctx, g[0], tau, g[1:]))
+                                      for g in gens), (V, tau, C, L)
+                    seen["reached" if cov else "missed"] += 1
+                if not poly_in_union(C, union):
+                    continue
+                seen["union only"] += not any(covered)
+                up = [g for g in gens if g[0] > 0]
+                if not up:
+                    continue
+                total = [sum(g[j] for g in up) for j in range(1 + ctx.rank)]
+                w = ExtPoint.make(ctx, 1, tau, [F(x, total[0]) for x in total[1:]])
+                witnesses = [res for res in (cone_closure_witnesses(L, w) for L in dense)
+                             if not isinstance(res, NotInClosure)]
+                assert witnesses, (V, tau, C)
+                for v, w_hat in witnesses:
+                    assert witness_soundness(v[1:], w_hat[1:], w)
+                seen["points"] += 1
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
