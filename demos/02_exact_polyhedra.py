@@ -33,7 +33,7 @@ def line_fan(n):
     hplus = ph.ConeH.make(2, (row([-n[0], -n[1]], 0, "<="),))
     hminus = ph.ConeH.make(2, (row(list(n), 0, "<="),))
     line = ph.ConeH.make(2, (row(list(n), 0, "="),))
-    return Fan.make(2, [hplus, hminus, line], close_faces=True)
+    return Fan.make(2, [hplus, hminus, line])
 
 ref = common_refinement([line_fan((1, 0)), line_fan((1, -1))])
 by_dim = {}

@@ -3,10 +3,11 @@
 The number contract of the library: an exact number is an `int` when it is
 integral, and otherwise a `Fraction` whose denominator is above 1 (`canon`).
 Every function here returns that form, takes ints or Fractions in any form,
-and mutates nothing in place; the kernels `dot`, `primitive` and `rref`
-compute on Python ints (a plain sum of int products, one common denominator,
-or rows cleared of denominators and eliminated fraction-free, Bareiss 1968)
-and build a Fraction only for a value that is not integral.  Inputs enter
+and mutates nothing in place.  The kernels `primitive` and `rref` compute on
+Python ints (rows cleared of denominators and eliminated fraction-free,
+Bareiss 1968) and build a Fraction only for a value that is not integral;
+`dot` is a plain sum of int products on int vectors, and the canonical sum
+of exact products on the rare vector that holds a Fraction.  Inputs enter
 through `frac`/`vec` (records' `make`, the JSON decoders), so integer data
 stays int and plain `+`, `-` and `*` on it elsewhere stay int too.  Where
 such arithmetic mixes in Fractions it may give an integral `Fraction`; that
@@ -70,8 +71,7 @@ _int_mul = int.__mul__
 
 def dot(u: Sequence, v: Sequence):
     """Exact u . v of int or Fraction entries: on int (or bool) vectors a sum
-    of int products; otherwise one integer numerator over a common
-    denominator, a Fraction built at the end only if it is not integral."""
+    of int products; otherwise the canonical sum of the exact products."""
     if len(u) != len(v):
         raise RuntimeError("dot of vectors of lengths %d and %d" % (len(u), len(v)))
     try:
@@ -81,24 +81,11 @@ def dot(u: Sequence, v: Sequence):
         return sum(map(_int_mul, u, v))
     except TypeError:
         pass
-    num, den = 0, 1
-    try:
-        for a, b in zip(u, v):
-            an = a.numerator
-            bn = b.numerator
-            if an and bn:
-                d = a.denominator * b.denominator
-                if d == den:
-                    num += an * bn
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + an * bn * (den // g)
-                    den = den // g * d
-    except AttributeError:  # an entry without numerator: floats raise in vec
-        vec(u)
+    if not all(isinstance(a, (int, Fraction)) for a in (*u, *v)):
+        vec(u)  # floats raise here
         vec(v)
-        raise TypeError("dot needs int or Fraction entries") from None
-    return num if den == 1 else _ratio(num, den)
+        raise TypeError("dot needs int or Fraction entries")
+    return canon(sum(a * b for a, b in zip(u, v)))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:

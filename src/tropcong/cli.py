@@ -218,13 +218,14 @@ def cmd_closure(args, max_dim):
     from . import jsonio, toric_geom
     ctx, w = _inputs(max_dim, (args.point, jsonio.dec_stratum_point))
     L_doc, fan_doc = _load(args.polyhedron), _load(args.fan)
-    # sizes first: decoding closes a fan's cones under faces (2^k on k unit rays)
+    # sizes first: a document of the wrong rank is refused on its "dim", before
+    # any of its cones is decoded
     for doc, path in ((L_doc, args.polyhedron), (fan_doc, args.fan)):
         _same_dim(jsonio.dec_dim(doc, path), ctx.rank, path + ".dim")
     L = jsonio.dec_polyhedron(L_doc, args.polyhedron)
     fan = jsonio.dec_fan(fan_doc, args.fan)
     try:
-        res = toric_geom.polyhedron_closure_membership(ctx, L, fan, w)
+        res = toric_geom.polyhedron_closure_membership(L, fan, w)
     except ValueError as exc:
         raise PreconditionError(str(exc))
     if isinstance(res, toric_geom.NotInClosure):

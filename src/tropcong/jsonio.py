@@ -148,16 +148,14 @@ def enc_poly(f: TropPoly) -> dict:
 
 
 def dec_poly(data, ctx: ToricContext, path: str = "$") -> TropPoly:
-    terms = {}
+    terms = []
     for i, t in enumerate(_get_list(data, "terms", path)):
         tpath = "%s.terms[%d]" % (path, i)
         u = _get(t, "exp", tpath)
         if not isinstance(u, list) or any(type(x) is not int for x in u):  # no bools
             raise ParseError("exponent must be a list of integers", tpath + ".exp")
         _sized(u, ctx.rank, tpath + ".exp")
-        a = dec_frac(_get(t, "coeff", tpath), tpath + ".coeff")
-        key = tuple(u)
-        terms[key] = max(terms.get(key, a), a)
+        terms.append((u, dec_frac(_get(t, "coeff", tpath), tpath + ".coeff")))
     return _at(path, TropPoly.make, ctx, terms)
 
 
@@ -226,7 +224,7 @@ def dec_fan(data, path: str = "$") -> Fan:
         if c.dim != dim:
             raise ParseError("cone dim %d != fan dim %d" % (c.dim, dim),
                              "%s.cones[%d]" % (path, i))
-    return Fan.make(dim, cones, close_faces=True)
+    return Fan.make(dim, cones)
 
 
 def dec_flag(data, path: str = "$") -> FlagOfCones:

@@ -471,15 +471,16 @@ def faces_of(c: ConeH) -> tuple:
 # fans
 
 class Fan(_Record):
+    """The cones given, one per cone_key, sorted by dimension; their faces
+    are implied, not listed."""
+
     _fields = ("dim", "cones")
 
     @staticmethod
-    def make(dim: int, cones: Iterable[ConeH], close_faces: bool = False) -> "Fan":
+    def make(dim: int, cones: Iterable[ConeH]) -> "Fan":
         out = {}
         for c in cones:
-            members = faces_of(c) if close_faces else (c,)
-            for m in members:
-                out.setdefault(cone_key(m), m)
+            out.setdefault(cone_key(c), c)
         ordered = tuple(sorted(out.values(), key=lambda f: (cone_dim(f), cone_key(f))))
         return Fan(dim, ordered)
 
@@ -491,24 +492,9 @@ def common_refinement(fans: Sequence[Fan]) -> Fan:
     for f in fans:
         if f.dim != dim:
             raise DimensionMismatchError("fans in different ambient spaces")
-    cells = list(fans[0].cones)
+    out = fans[0]
     for f in fans[1:]:
-        cells = pairwise_intersections(cells, f.cones)
-    return Fan.make(dim, cells)
-
-
-def pairwise_intersections(cells: Sequence[ConeH], others: Sequence[ConeH]) -> list:
-    """c cap d for every c in cells and d in others, in that order, the first
-    cell of each cone_key kept."""
-    out = []
-    seen = set()
-    for c in cells:
-        for d in others:
-            cell = intersect(c, d)
-            key = cone_key(cell)
-            if key not in seen:
-                seen.add(key)
-                out.append(cell)
+        out = Fan.make(dim, [intersect(c, d) for c in out.cones for d in f.cones])
     return out
 
 

@@ -371,9 +371,8 @@ def _nonzero_on_support(g: TropPoly, V: VarietySupport) -> bool:
 
 
 def _random_poly(ctx, rng, exponents) -> TropPoly:
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, 3)):
         u = next(exponents)
-        a = ZERO if ctx.coeff == COEFF_B else rng.randint(-3, 3)
-        terms[u] = max(terms.get(u, a), a)
+        terms.append((u, ZERO if ctx.coeff == COEFF_B else rng.randint(-3, 3)))
     return TropPoly.make(ctx, terms)

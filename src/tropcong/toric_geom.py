@@ -112,11 +112,11 @@ def cone_closure_witnesses(L: ConeH, w: ExtPoint):
     return primitive(v), w_hat
 
 
-def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
-                                  fan: Fan, w: ExtPoint):
+def polyhedron_closure_membership(L: PolyhedronH, fan: Fan, w: ExtPoint):
     """Decide w in cl_{N_R(Sigma)}(L), for every stratum, the dense one included.
 
-    w is a point of N_R(sigma), an ExtPoint at height 1 (else ValueError).
+    w is a point of N_R(sigma), an ExtPoint at height 1, and off the dense
+    stratum w.tau is a face of a cone of the fan (else ValueError).
     Returns a ClosureWitness (w_hat in cl(L) over w, v in rec(cl L) cap
     rel.int(tau), zero on the dense stratum) or NotInClosure naming the
     failed claims.  An empty L reaches nothing: claim 1 fails, and claim 3
@@ -141,7 +141,9 @@ def polyhedron_closure_membership(context: ToricContext, L: PolyhedronH,
 
 
 def _tau_in_fan(tau: Face, fan: Fan) -> bool:
-    tc = tau.cone() if tau.rays else polyhedra.origin_cone(fan.dim)
+    """tau is a face of a listed cone: the faces of the fan are implied, and
+    a face of a face is a face."""
+    tc = tau.cone()
     return any(polyhedra.is_face(tc, member) for member in fan.cones)
 
 

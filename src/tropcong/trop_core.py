@@ -347,7 +347,7 @@ def parse_poly(context: ToricContext, text: str) -> TropPoly:
     if text == "0":
         return TropPoly.zero(context)
     names = context.var_names
-    terms = {}
+    terms = []
     for chunk in text.split("+"):
         a = ZERO
         u = [0] * context.rank
@@ -370,6 +370,5 @@ def parse_poly(context: ToricContext, text: str) -> TropPoly:
                 u[i] += int(m.group(2)) if m.group(2) else 1
                 continue
             raise ValueError("cannot parse factor %r" % (fac,))
-        key = tuple(u)
-        terms[key] = max(terms[key], a) if key in terms else a
+        terms.append((u, a))
     return TropPoly.make(context, terms)

@@ -399,6 +399,33 @@ def test_criterion_6d_radical_member_oracle(ctx1, ctx2, quartic_E):
     print("ACCEPTANCE 6d (radical membership vs brute-force oracle): PASS")
 
 
+def test_radical_certificates_on_random_bends():
+    # application (1): a verified certificate puts the pair in sqrt(E), which
+    # radical_member decides on the support.  Each of 20 seeded random bends
+    # on affine(1) and affine(2) is searched with a random pair and with a
+    # generator pair times a monomial, which lies in E by construction.
+    rng = random.Random(1)
+    bounds = SearchBounds(1, 4, 300)
+    found = {"random": 0, "in E": 0}
+    for i in range(20):
+        ctx = ToricContext.affine(1 + i % 2)
+        E = CongruencePresentation.bend_of(random_poly(ctx, rng, rng.randint(2, 3)))
+        a, b = rng.choice(E.pairs)
+        m = TropPoly.make(ctx, [(tuple(rng.randint(0, 1) for _ in range(ctx.rank)),
+                                 rng.randint(-2, 2))])
+        in_E = (a * m, b * m)
+        assert radical_member(E, in_E), in_E
+        pairs = {"random": (random_poly(ctx, rng, rng.randint(1, 2)),
+                            random_poly(ctx, rng, rng.randint(1, 2))), "in E": in_E}
+        for kind, pair in pairs.items():
+            cert = search_radical_certificate(E, pair, bounds)
+            if not isinstance(cert, NotFound):
+                assert verify_radical_certificate(E, pair, cert), pair
+                assert radical_member(E, pair), pair
+                found[kind] += 1
+    assert found["random"] and found["in E"], found
+
+
 def test_criterion_6e_cancellativity_200(quartic_E):
     report = cancellativity_harness(quartic_E, trials=200, max_degree=3, seed=42)
     assert report.trials == 200

@@ -234,15 +234,14 @@ def test_cli_closure_strict_polyhedron(capsys, fixtures_dir, tmp_path):
 def test_cli_closure_checks_sizes_before_decoding_the_fan(capsys, fixtures_dir, tmp_path,
                                                           monkeypatch):
     # a fan in R^3 against a rank-2 context is refused on its "dim", before
-    # any of its cones is closed under faces (the context's own cone is)
-    closed = []
-    faces_of = polyhedra.faces_of
+    # any of its cones is decoded from its rays
+    decoded = []
+    hrep_from_rays = jsonio.hrep_from_rays
 
-    def counted(c):
-        if c.dim == 3:
-            closed.append(c)
-        return faces_of(c)
-    monkeypatch.setattr(polyhedra, "faces_of", counted)
+    def counted(rays, dim):
+        decoded.append(dim)
+        return hrep_from_rays(rays, dim)
+    monkeypatch.setattr(jsonio, "hrep_from_rays", counted)
     fan = tmp_path / "fan.json"
     unit_rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     fan.write_text(json.dumps({"dim": 3, "cones": [{"rays": unit_rays}]}))
@@ -250,7 +249,36 @@ def test_cli_closure_checks_sizes_before_decoding_the_fan(capsys, fixtures_dir, 
     code, out, err = run_cli(capsys, "closure", "--polyhedron", str(base / "cell_L.json"),
                              "--fan", str(fan), "--point", str(base / "deep_point.json"))
     assert (code, out) == (2, "")
-    assert "dimension 3, expected 2" in err and closed == []
+    assert "dimension 3, expected 2" in err and decoded == []
+
+
+@pytest.mark.parametrize("polyhedron, point", [
+    ("cell_L.json", "deep_point.json"),
+    ("neg_claim1_L.json", "neg_claim1_point.json"),
+    ("neg_claim3_L.json", "neg_claim3_point.json"),
+])
+def test_cli_closure_on_sigma_alone_prints_the_same(capsys, fixtures_dir, tmp_path,
+                                                    polyhedron, point):
+    # the fixture fan lists sigma and its three proper faces; sigma alone implies them
+    base = fixtures_dir / "closure"
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps({"dim": 2, "cones": [{"rays": [[-1, 0], [0, -1]]}]}))
+    runs = [run_cli(capsys, "closure", "--polyhedron", str(base / polyhedron),
+                    "--fan", str(fan), "--point", str(base / point))
+            for fan in (base / "sigma_fan.json", sigma)]
+    assert runs[0] == runs[1] and runs[0][1]
+
+
+def test_dec_fan_keeps_its_cones_and_lists_no_faces(monkeypatch):
+    # the cone over 10 points of the moment curve in R^6 has 304 faces
+    def no_faces(c):
+        raise AssertionError("dec_fan enumerated faces")
+    monkeypatch.setattr(polyhedra, "faces_of", no_faces)
+    orthant = [[-int(i == j) for j in range(6)] for i in range(6)]
+    cyclic = [[-t ** k for k in range(6)] for t in range(1, 11)]
+    doc = {"dim": 6, "cones": [{"rays": orthant}, {"rays": cyclic}, {"rays": orthant}]}
+    fan = jsonio.dec_fan(doc)
+    assert sorted(len(polyhedra.generators(c)) for c in fan.cones) == [6, 10]
 
 
 def test_cli_radical_search_and_verify(capsys, fixtures_dir, tmp_path):

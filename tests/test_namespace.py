@@ -138,3 +138,32 @@ def test_every_public_name_in_src_has_a_user():
                       for name in _public_top_level(ast.parse(path.read_text()))
                       if name not in used)
     assert not unused, unused
+
+
+# `shrink_flag` ignores these two, and keeps them because bench/workloads.py
+# passes them
+PARAMS_EXEMPT = {("variety.py", "shrink_flag", "sample_pairs"),
+                 ("variety.py", "shrink_flag", "seed")}
+
+
+def test_every_parameter_in_src_is_read():
+    """Each parameter of a src/ function is read in its body: a parameter
+    left behind by a change is found here, not by a caller.  Dunder methods
+    are skipped, since their protocol fixes their signatures."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend("%s: %s(%s)" % (path.name, name, p) for p in params
+                          if p not in read and (path.name, name, p) not in PARAMS_EXEMPT)
+    assert not unread, unread

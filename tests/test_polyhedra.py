@@ -150,7 +150,7 @@ def test_rays_from_hrep_example():
 def _halfline_fan():
     pos = hrep_from_rays([(1,)], 1)
     neg = hrep_from_rays([(-1,)], 1)
-    return Fan.make(1, [pos, neg], close_faces=True)
+    return Fan.make(1, [pos, neg, ph.origin_cone(1)])
 
 
 def test_refinement_idempotent():
@@ -164,7 +164,7 @@ def _line_fan(normal):
     hplus = ConeH.make(2, (row([-normal[0], -normal[1]], 0, "<="),))
     hminus = ConeH.make(2, (row(list(normal), 0, "<="),))
     line = ConeH.make(2, (row(list(normal), 0, "="),))
-    return Fan.make(2, [hplus, hminus, line], close_faces=True)
+    return Fan.make(2, [hplus, hminus, line])
 
 
 def test_two_lines_refinement_enumeration_oracle():

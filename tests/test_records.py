@@ -56,7 +56,7 @@ RECORDS = [
     (NotInClosure, ("failed_claims",), NotInClosure(("no cone", "no ray"))),
     (HRow, ("a", "b", "rel"), row((1, -2), Fraction(1, 3), LE)),
     (PolyhedronH, ("dim", "rows"), POLY),
-    (Fan, ("dim", "cones"), Fan.make(2, [CONE], close_faces=True)),
+    (Fan, ("dim", "cones"), Fan.make(2, [CONE])),
     (FlagOfCones, ("ambient_dim", "tau_rays", "cones_rays"),
      make_flag(3, [(-1, 0)], [[(1, 0, 1)]])),
     (PrimeMatrix, ("context", "tau", "rows"), THETA),

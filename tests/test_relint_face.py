@@ -260,7 +260,7 @@ def test_closure_fixture_systems(monkeypatch, fixtures_dir, polyhedron, point):
     fan = jsonio.dec_fan(_load(base / "sigma_fan.json"))
     w = jsonio.dec_stratum_point(wdoc, ctx)
     systems = _capture(monkeypatch, toric_geom)
-    toric_geom.polyhedron_closure_membership(ctx, L, fan, w)
+    toric_geom.polyhedron_closure_membership(L, fan, w)
     assert systems
     for p in systems:
         _agree(p)

@@ -8,8 +8,9 @@ import closure_reference as ref
 from helpers import random_poly
 
 from tropcong.congruence import CongruencePresentation
-from tropcong.polyhedra import (Fan, PolyhedronH, cone_over, generators, hrep_from_rays,
-                                poly_in_union, row)
+from tropcong import jsonio
+from tropcong.polyhedra import (Fan, PolyhedronH, cone_over, faces_of, generators,
+                                hrep_from_rays, poly_in_union, row)
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
                                  NotInClosure, closure_on_stratum,
                                  cone_closure_witnesses, polyhedron_closure_membership,
@@ -19,7 +20,7 @@ from tropcong.variety import support_of
 
 
 def sigma_fan(ctx):
-    return Fan.make(ctx.rank, [ctx.sigma], close_faces=True)
+    return Fan.make(ctx.rank, [ctx.sigma])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_closure_on_stratum_against_witnesses_on_random_bends():
 def test_polyhedron_closure_reference_cell(ctx2):
     L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
     w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
-    res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2), w)
+    res = polyhedron_closure_membership(L, sigma_fan(ctx2), w)
     assert isinstance(res, ClosureWitness)
     assert res.base == (F(0), F(-1))
     assert res.direction == (F(-1), F(-1))
@@ -141,7 +142,7 @@ def test_polyhedron_closure_reference_cell(ctx2):
 def test_polyhedron_closure_line_misses_deep(ctx2):
     L = PolyhedronH.make(2, (row([1, 1], 0, "="),))
     w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
-    res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2), w)
+    res = polyhedron_closure_membership(L, sigma_fan(ctx2), w)
     assert isinstance(res, NotInClosure)
     assert res.failed_claims == (CLAIM_DIRECTION,)
 
@@ -150,21 +151,21 @@ def test_polyhedron_closure_needs_height_one(ctx2):
     L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
     for r in (0, 2):
         with pytest.raises(ValueError, match="height 1"):
-            polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+            polyhedron_closure_membership(L, sigma_fan(ctx2),
                                           ExtPoint.make(ctx2, r, ctx2.deep_face, (0, 0)))
 
 
 def test_polyhedron_closure_needs_tau_in_the_fan(ctx2):
-    # a fan of one ray and its origin: the other ray and the deep face of sigma
-    # are faces of no member
+    # a fan of one ray: the other ray and the deep face of sigma are faces of
+    # no member
     L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
-    fan = Fan.make(2, [hrep_from_rays([(-1, 0)], 2)], close_faces=True)
+    fan = Fan.make(2, [hrep_from_rays([(-1, 0)], 2)])
     for rays in ([(0, -1)], [(-1, 0), (0, -1)]):
         w = ExtPoint.make(ctx2, 1, ctx2.face_from_rays(rays), (0, 0))
         with pytest.raises(ValueError, match="not a face of any fan member"):
-            polyhedron_closure_membership(ctx2, L, fan, w)
+            polyhedron_closure_membership(L, fan, w)
     w = ExtPoint.make(ctx2, 1, ctx2.face_from_rays([(-1, 0)]), (0, -1))
-    assert polyhedron_closure_membership(ctx2, L, fan, w) == NotInClosure((CLAIM_DIRECTION,))
+    assert polyhedron_closure_membership(L, fan, w) == NotInClosure((CLAIM_DIRECTION,))
 
 
 def test_polyhedron_closure_single_point(ctx2):
@@ -172,7 +173,7 @@ def test_polyhedron_closure_single_point(ctx2):
     for rays in ([(-1, 0)], [(0, -1)], [(-1, 0), (0, -1)]):
         tau = ctx2.face_from_rays(rays)
         w = ExtPoint.make(ctx2, 1, tau, (2, 3))
-        res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2), w)
+        res = polyhedron_closure_membership(L, sigma_fan(ctx2), w)
         assert isinstance(res, NotInClosure)
         assert CLAIM_DIRECTION in res.failed_claims
 
@@ -180,7 +181,7 @@ def test_polyhedron_closure_single_point(ctx2):
 def test_polyhedron_closure_wrong_class(ctx2):
     L = PolyhedronH.make(2, (row([1, 0], 1, "="), row([0, 1], 0, "<=")))
     tau = ctx2.face_from_rays([(0, -1)])
-    res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+    res = polyhedron_closure_membership(L, sigma_fan(ctx2),
                                         ExtPoint.make(ctx2, 1, tau, (5, 0)))
     assert isinstance(res, NotInClosure)
     assert res.failed_claims == (CLAIM_PREIMAGE,)
@@ -188,11 +189,11 @@ def test_polyhedron_closure_wrong_class(ctx2):
 
 def test_polyhedron_closure_dense_point_is_plain_membership(ctx2):
     L = PolyhedronH.make(2, (row([0, 1], 0, "<"),))
-    inside = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+    inside = polyhedron_closure_membership(L, sigma_fan(ctx2),
                                            ExtPoint.make(ctx2, 1, ctx2.dense_face, (3, 0)))
     assert isinstance(inside, ClosureWitness)
     assert inside.base == (F(3), F(0)) and inside.direction == (F(0), F(0))
-    outside = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+    outside = polyhedron_closure_membership(L, sigma_fan(ctx2),
                                             ExtPoint.make(ctx2, 1, ctx2.dense_face, (0, 1)))
     assert isinstance(outside, NotInClosure)
 
@@ -259,11 +260,11 @@ def test_witness_soundness_matches_brute_force_pairing():
 def test_closure_empty_strict_polyhedron_reaches_nothing(ctx2):
     # {x < 0, x > 0} is empty: no stratum point is in its closure
     L = PolyhedronH.make(2, (row([1, 0], 0, "<"), row([-1, 0], 0, "<")))
-    res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+    res = polyhedron_closure_membership(L, sigma_fan(ctx2),
                                         ExtPoint.make(ctx2, 1, ctx2.dense_face, (0, 5)))
     assert res == NotInClosure((CLAIM_PREIMAGE,))
     for tau in ctx2.faces[1:]:
-        res = polyhedron_closure_membership(ctx2, L, sigma_fan(ctx2),
+        res = polyhedron_closure_membership(L, sigma_fan(ctx2),
                                             ExtPoint.make(ctx2, 1, tau, (0, 5)))
         assert res == NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
 
@@ -272,13 +273,13 @@ def test_closure_strict_polyhedron_boundary_witness(ctx2):
     # {x = y + 1, y < 0} has the closure of the reference cell, so the same witness
     strict = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<")))
     w = ExtPoint.make(ctx2, 1, ctx2.deep_face, (0, 0))
-    res = polyhedron_closure_membership(ctx2, strict, sigma_fan(ctx2), w)
-    assert res == polyhedron_closure_membership(ctx2, strict.weakened(), sigma_fan(ctx2), w)
+    res = polyhedron_closure_membership(strict, sigma_fan(ctx2), w)
+    assert res == polyhedron_closure_membership(strict.weakened(), sigma_fan(ctx2), w)
     assert res == ClosureWitness((F(0), F(-1)), (F(-1), F(-1)))
     assert witness_soundness(res.direction, res.base, w)
     # rec = {x = y <= 0} misses the ray (0, -1), and so does the class x = 5
     tau = ctx2.face_from_rays([(0, -1)])
-    res = polyhedron_closure_membership(ctx2, strict, sigma_fan(ctx2),
+    res = polyhedron_closure_membership(strict, sigma_fan(ctx2),
                                         ExtPoint.make(ctx2, 1, tau, (5, 0)))
     assert res == NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION))
 
@@ -312,7 +313,7 @@ def _against_reference(ctx, L, w):
     least of them, which the height coordinate of the library's system does
     not move."""
     fan = sigma_fan(ctx)
-    got = polyhedron_closure_membership(ctx, L, fan, w)
+    got = polyhedron_closure_membership(L, fan, w)
     want = ref.polyhedron_closure_membership(ctx, L, fan, w)
     if not isinstance(got, ClosureWitness):
         assert got == want, (L, w)
@@ -343,3 +344,44 @@ def test_closure_direction_tie_against_reference():
     L = PolyhedronH.make(3, (row([-1, 0, 1], 1, "<="), row([-1, 1, 0], -2, "<="),
                              row([-1, 1, 0], -1, "<="), row([-1, 1, 1], -3, "<=")))
     assert _against_reference(ctx, L, ExtPoint.make(ctx, 1, ctx.deep_face, (0, 0, 0))) == "witness"
+
+
+# ---------------------------------------------------------------------------
+# a fan is the cones it is given: listing their faces changes no verdict
+
+def _verdict(L, fan, w):
+    try:
+        return polyhedron_closure_membership(L, fan, w)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _maximal_fans(ctx):
+    """Fans by their maximal cones: sigma alone, the rays of sigma (no face
+    of dimension 2 or more is in that fan), and every orthant of R^n."""
+    n = ctx.rank
+    orthants = [hrep_from_rays([[s * (i == j) for j in range(n)] for i, s in enumerate(signs)], n)
+                for signs in itertools.product((1, -1), repeat=n)]
+    return [[ctx.sigma], [hrep_from_rays([r], n) for r in ctx.sigma_rays], orthants]
+
+
+def test_closure_on_maximal_cones_matches_the_face_closed_fan(fixtures_dir):
+    rng = random.Random(20261020)
+    base = fixtures_dir / "closure"
+    fixture_Ls = [jsonio.dec_polyhedron(jsonio.load_document((base / name).read_text()))
+                  for name in ("cell_L.json", "neg_claim1_L.json", "neg_claim3_L.json")]
+    seen = set()
+    for ctx in (ToricContext.affine(2), ToricContext.affine(3)):
+        Ls = (fixture_Ls if ctx.rank == 2 else []) + [
+            _nonempty_closed(rng, ctx.rank)[0] for _ in range(4)]
+        for cones in _maximal_fans(ctx):
+            fan = Fan.make(ctx.rank, cones)
+            closed = Fan.make(ctx.rank, [f for c in cones for f in faces_of(c)])
+            assert len(closed.cones) > len(fan.cones)
+            for tau in ctx.faces:
+                w = ExtPoint.make(ctx, 1, tau, [rng.randint(-3, 3) for _ in range(ctx.rank)])
+                for L in Ls:
+                    got = _verdict(L, fan, w)
+                    assert got == _verdict(L, closed, w), (cones, L, w)
+                    seen.add(type(got).__name__)
+    assert seen == {"ClosureWitness", "NotInClosure", "str"}, seen

@@ -128,6 +128,8 @@ def test_boolean_mode_rejects_coefficients():
     ctx = ToricContext.affine(1, coeff="B")
     with pytest.raises(ValueError):
         TropPoly.make(ctx, {(1,): F(1)})
+    with pytest.raises(ValueError, match="Boolean"):  # a repeat does not hide it
+        parse_poly(ctx, "t^-1*x + x")
     assert not parse_poly(ctx, "1 + x").is_zero()
     assert ctx.face_from_rays(()) == ctx.dense_face
 
@@ -138,6 +140,7 @@ def test_make_keeps_the_max_coefficient_of_a_repeated_exponent(ctx2):
     f = TropPoly.make(ctx2, [((1, 0), F(2)), ((0, 1), 0), ((F(1), 0), F(5)),
                              ((1, 0), F(-1)), ((0, 1), None)])
     assert f == parse_poly(ctx2, "t^5*x + y")
+    assert f == parse_poly(ctx2, "t^2*x + y + t^5*x + t^-1*x")
 
 
 def test_exponent_outside_monoid_rejected(ctx2):
