@@ -3,10 +3,11 @@
 Cells live in R^{1+n} coordinates (height first), constrained to the canonical
 representative subspace of their stratum, so every cell is a Gamma-admissible
 H-cone.  Points, flags and function equality all ask whether the two sides of
-each pair of a pair table agree at (1+n)-vectors of that subspace; one kernel,
-`_sides_agree`, values each distinct live term once to answer.  Pointwise
-answers stay authoritative; the cell data is an index and any disagreement
-raises InternalConsistencyError.
+each pair of a pair table agree at (1+n)-vectors of that subspace, valuing
+each distinct live term once: points and flags by one dot with its vector in
+the point table cached per support and stratum, function equality by
+`_sides_agree`.  Pointwise answers stay authoritative; the cell data is an
+index and any disagreement raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -262,15 +263,25 @@ def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
     return _in_variety(V, w.tau, w.full_vector())
 
 
+@lru_cache(maxsize=polyhedra.CACHE_SIZE)
+def _point_table(V: VarietySupport, tau: Face) -> tuple:
+    """(term vectors, sides, cells): the `term_vec` of each term of the pair
+    table of V's pairs on tau, its sides, and V's cells on tau, or None when
+    V leaves the stratum out."""
+    terms, sides = _pair_table(V.pairs, tau)
+    cells = next((s.cells for s in V.strata if s.tau == tau), None)
+    return tuple(term_vec(u, a) for u, a in terms), sides, cells
+
+
 def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
-    """point_in_variety at the (1+n)-vector full, canonical on tau's stratum."""
-    pointwise = _sides_agree(*_pair_table(V.pairs, tau), full)
-    try:
-        sup = V.stratum(tau)
-    except ValueError:
+    """point_in_variety at the (1+n)-vector full, canonical on tau's stratum.
+    Each term of the point table `_point_table(V, tau)` is valued by one dot
+    with full, and the cells are cross-checked by `satisfied_at`."""
+    tvs, sides, cells = _point_table(V, tau)
+    pointwise = _sides_equal([dot(v, full) for v in tvs], sides)
+    if cells is None:
         return pointwise  # stratum filtered out of this support; nothing to check
-    indexed = any(satisfied_at(c, (full,)) for c in sup.cells)
-    if indexed != pointwise:
+    if any(satisfied_at(c, (full,)) for c in cells) != pointwise:
         raise InternalConsistencyError(
             "cell index disagrees with pointwise evaluation at %r" % (full,))
     return pointwise
@@ -394,28 +405,28 @@ def fractions_equal_on_variety(num_den1, num_den2, V: VarietySupport) -> bool:
 # flags against varieties
 
 def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport) -> bool:
-    """Every flag cone refined against the arrangement; pieces tested pointwise
-    at the sum of their generators, canonical as a valid flag's rays are."""
+    """The top flag cone C_k refined against the arrangement; its pieces are
+    tested pointwise at the sum of their generators, canonical as a valid
+    flag's rays are.  A valid flag is nested, every C_i a face of C_k, so C_k
+    inside V puts the whole flag inside V.  A one-ray C_k is its own only
+    piece: its ray is tested with no split."""
     if context != V.context:
         raise ContextMismatchError("flag and support contexts differ")
     bad = validate_flag(flag)
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
     tau = context.face_from_rays(flag.tau_rays)
-    try:
-        V.stratum(tau)
-    except ValueError:
+    if _point_table(V, tau)[2] is None:
         raise ValueError("flag stratum not represented in the support")
-    forms = _arrangement(V.pairs, tau)
-    for rays in flag.cones_rays:
-        # a valid flag cone is simplicial: ray j lies on every facet but the
-        # j-th, which gives the split exact masks with no H-representation
-        k = len(rays)
-        start = ([], rays, [((1 << k) - 1) ^ (1 << j) for j in range(k)])
-        for _, piece, _ in split_generators_by_forms(start, 1 << k, forms):
-            if not _in_variety(V, tau, _relint_sample(piece)):
-                return False
-    return True
+    rays = flag.cones_rays[-1]
+    if len(rays) == 1:
+        return _in_variety(V, tau, rays[0])
+    # a valid flag cone is simplicial: ray j lies on every facet but the j-th,
+    # which gives the split exact masks with no H-representation
+    k = len(rays)
+    start = ([], rays, [((1 << k) - 1) ^ (1 << j) for j in range(k)])
+    return all(_in_variety(V, tau, _relint_sample(piece)) for _, piece, _ in
+               split_generators_by_forms(start, 1 << k, _arrangement(V.pairs, tau)))
 
 
 # ---------------------------------------------------------------------------
