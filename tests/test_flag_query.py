@@ -39,6 +39,9 @@ def _random_bends():
     return out
 
 
+RANDOM_BENDS = _random_bends()
+
+
 def _flags(rng, ctx, V, tau):
     """Valid flags of length 1, 2 and 3 (as the stratum allows) on tau's
     stratum, drawn from random rays and from points of each cell of V."""
@@ -56,7 +59,7 @@ def _flags(rng, ctx, V, tau):
 def test_top_cone_matches_every_cone_oracle():
     rng = random.Random(34)
     seen = Counter()
-    for name, E, V in PRESENTATIONS + _random_bends():
+    for name, E, V in PRESENTATIONS + RANDOM_BENDS:
         ctx = E.context
         for tau in ctx.faces:
             stratum = "dense" if tau == ctx.dense_face else "boundary"
@@ -90,7 +93,7 @@ def test_only_the_top_cone_is_split(monkeypatch):
         return inner(state, bit, forms)
 
     monkeypatch.setattr(vy, "split_generators_by_forms", counting)
-    name, E, V = _random_bends()[2]  # affine(3)
+    name, E, V = RANDOM_BENDS[2]  # affine(3)
     ctx = E.context
     flags = list(_flags(random.Random(35), ctx, V, ctx.dense_face))
     for k in (1, 2, 3):
