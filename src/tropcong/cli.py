@@ -224,10 +224,7 @@ def cmd_closure(args, max_dim):
         _same_dim(jsonio.dec_dim(doc, path), ctx.rank, path + ".dim")
     L = jsonio.dec_polyhedron(L_doc, args.polyhedron)
     fan = jsonio.dec_fan(fan_doc, args.fan)
-    try:
-        res = toric_geom.polyhedron_closure_membership(L, fan, w)
-    except ValueError as exc:
-        raise PreconditionError(str(exc))
+    res = toric_geom.polyhedron_closure_membership(L, fan, w)
     if isinstance(res, toric_geom.NotInClosure):
         _emit({"in_closure": False, "failed_claims": list(res.failed_claims)})
         return EXIT_FALSE

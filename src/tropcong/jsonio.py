@@ -187,7 +187,7 @@ def dec_dim(data, path: str = "$") -> int:
     return _as_int(_get(data, "dim", path), 1, path + ".dim")
 
 
-def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
+def dec_polyhedron(data, path: str = "$") -> PolyhedronH:
     dim = dec_dim(data, path)
     rows = []
     for i, r in enumerate(_get_list(data, "rows", path, required=False)):
@@ -198,7 +198,7 @@ def dec_polyhedron(data, path: str = "$", cone: bool = False) -> PolyhedronH:
         if rel not in (LE, LT, EQ):
             raise ParseError("rel must be one of <=, <, =", rpath + ".rel")
         rows.append(HRow(a, b, rel))
-    return _at(path, (ConeH if cone else PolyhedronH).make, dim, tuple(rows))
+    return _at(path, PolyhedronH.make, dim, tuple(rows))
 
 
 def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
@@ -213,7 +213,8 @@ def dec_cone(data, path: str = "$", default_dim: Optional[int] = None) -> ConeH:
         for i, r in enumerate(rays):
             _sized(r, dim, "%s.rays[%d]" % (path, i))
         return hrep_from_rays(rays, dim)
-    return dec_polyhedron(data, path, cone=True)
+    p = dec_polyhedron(data, path)
+    return _at(path, ConeH, p.dim, p.rows)  # rows already canonical
 
 
 def dec_fan(data, path: str = "$") -> Fan:

@@ -9,12 +9,10 @@ of adjacent positive/negative pairs, adjacency read by incidence off bitmasks
 of the rows tight at each ray; `variety` splits cells and flag cones by tie
 hyperplanes with the same step.  The same kernel, run on the closed cone over
 a polyhedron, answers every yes/no question: emptiness with strict rows
-honored exactly (`feasible`, whose witness is the dehomogenized sum of the
-rays), implicit equalities, and the suprema of linear forms that decide
-containment in `poly_in_union` and give the common slack pinned by
-`relative_interior_point`; `is_face` compares a cone with the smallest face
-containing it.  No LP runs: `relative_interior_point` also takes its canonical
-point, the lexicographically least of least L1 norm, off the kernel.
+honored exactly (`feasible`), implicit equalities, and the suprema of linear
+forms that decide containment in `poly_in_union`; `is_face` compares a cone
+with the smallest face containing it.  No LP runs: the point of `feasible`
+and `relative_interior_point` is one, the dehomogenized sum of the rays.
 """
 
 from __future__ import annotations
@@ -198,18 +196,35 @@ def _closure_generators(p: PolyhedronH):
     return lin, rays
 
 
-def feasible(p: PolyhedronH) -> Optional[Vec]:
-    """Exact witness honoring strict rows strictly, or None (certified empty).
+def _closure_point(p: PolyhedronH) -> Vec:
+    """The sum of the closure generators' rays, dehomogenized.
 
-    The sum of the closure generators' rays lies in the relative interior of
-    the cone over p's closure, so dehomogenized it satisfies every row that is
-    not an implicit equality strictly, strict rows included."""
-    try:
-        _, rays = _closure_generators(p)
-    except EmptyPolyhedronError:
-        return None
+    That sum lies in the relative interior of the cone over p's closure, so
+    the point satisfies every row that is not an implicit equality strictly,
+    strict rows included; raises EmptyPolyhedronError for an empty p."""
+    _, rays = _closure_generators(p)
     s = [sum(col) for col in zip(*rays)]
     return tuple(qdiv(x, s[0]) for x in s[1:])
+
+
+def feasible(p: PolyhedronH) -> Optional[Vec]:
+    """Exact witness honoring strict rows strictly, or None (certified empty):
+    the point of `relative_interior_point`."""
+    try:
+        return _closure_point(p)
+    except EmptyPolyhedronError:
+        return None
+
+
+def relative_interior_point(p: PolyhedronH) -> Vec:
+    """A point satisfying every non-implicit inequality strictly.
+
+    Strict rows must be satisfiable; raises EmptyPolyhedronError otherwise.
+    The point is the dehomogenized sum of the rays of the closure generators
+    (Fukuda & Prodon 1996), the witness of `feasible`: one double description,
+    canonical because the generators are, and unchanged by inserting a
+    coordinate pinned to 0."""
+    return _closure_point(p)
 
 
 def is_empty(p: PolyhedronH) -> bool:
@@ -224,62 +239,6 @@ def _sup(gens, a: Sequence) -> Optional[Fraction]:
             g[0] == 0 and dot(a, g[1:]) > 0 for g in rays):
         return None
     return max(qdiv(dot(a, g[1:]), g[0]) for g in rays if g[0] > 0)
-
-
-def _l1_polish(p: PolyhedronH) -> Vec:
-    """The lexicographically least of the points of least L1 norm in a nonempty closed p.
-
-    Lifted to (x, t) by the rows +-x_i - t_i <= 0, p holds no line, so sum t is
-    least at vertices of the lift: rays of its closure generators at positive
-    height.  The L1 minimizers are the polytope spanned by the x of the optimal
-    vertices, whose lexicographic minimum is one of them; so the point does not
-    depend on how p is embedded.
-    """
-    d = p.dim
-    units = [zero_vec(i) + (ONE,) + zero_vec(d - 1 - i) for i in range(d)]
-    lifted = PolyhedronH.make(2 * d, [HRow(tuple(r.a) + zero_vec(d), r.b, r.rel) for r in p.rows]
-                              + [HRow(vscale(s, e) + vscale(-1, e), ZERO, LE)
-                                 for e in units for s in (1, -1)])
-    _, rays = _closure_generators(lifted)
-    vertices = [(qdiv(sum(g[1 + d:]), g[0]), tuple(qdiv(x, g[0]) for x in g[1:1 + d]))
-                for g in rays if g[0] > 0]
-    least = min(norm for norm, _ in vertices)
-    return min(x for norm, x in vertices if norm == least)
-
-
-def relative_interior_point(p: PolyhedronH) -> Vec:
-    """A point satisfying every non-implicit inequality strictly.
-
-    Strict rows must be satisfiable; raises EmptyPolyhedronError otherwise.
-    Emptiness and implicit equalities are read off the closure generators
-    without an LP: a row a.x <= b is an implicit equality iff (-b, a) vanishes
-    on every generator.  The common slack t of the other rows is pinned at its
-    maximum (capped at 1), the sup of t over the lifted polyhedron read off its
-    closure generators; of the points left, the lexicographically least of
-    least L1 norm is returned, read off the vertices of one more lift.
-    """
-    lin, rays = _closure_generators(p)
-    eqs, ineq = [], []
-    for r in p.rows:
-        h = (-r.b,) + tuple(r.a)
-        if r.rel == EQ:
-            eqs.append(r)
-        elif all(dot(h, g) == 0 for g in lin + rays):
-            eqs.append(HRow(r.a, r.b, EQ))
-        else:
-            ineq.append(r)
-    # pin the slack at its (capped) maximum, then polish
-    d = p.dim
-    if ineq:
-        lifted = PolyhedronH.make(d + 1, tuple(
-            [HRow(tuple(r.a) + (ONE,), r.b, LE) for r in ineq]
-            + [HRow(zero_vec(d) + (ONE,), ONE, LE), HRow(zero_vec(d) + (-ONE,), ZERO, LE)]
-            + [HRow(tuple(r.a) + (ZERO,), r.b, EQ) for r in eqs]))
-        eps = _sup(_closure_generators(lifted), zero_vec(d) + (ONE,))
-        pinned = PolyhedronH.make(d, tuple(HRow(r.a, r.b - eps, LE) for r in ineq) + tuple(eqs))
-    else:
-        pinned = PolyhedronH.make(d, tuple(eqs))
-    return _l1_polish(pinned)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prim
                          flag_to_matrix, has_trivial_ideal_kernel,
                          initial_form_point, monomial_le)
 from .toric_geom import _preimage_rows, _relint_tau_rows, closure_on_stratum
-from .variety import (FiniteBasisRequiredError, VarietySupport, flag_in_variety,
-                      functions_equal_on_variety, shrink_flag, stratum_cone,
-                      support_of)
+from .variety import (FiniteBasisRequiredError, InternalConsistencyError,
+                      VarietySupport, flag_in_variety, functions_equal_on_variety,
+                      shrink_flag, stratum_cone, support_of)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +214,8 @@ def resolve_boundary_prime(E: CongruencePresentation,
         return ResolveFailure(CLOSURE_VIOLATED, bad)
     if not flag_in_variety(ctx, flag, V):
         flag = shrink_flag(ctx, flag, E)
-        if not flag_in_variety(ctx, flag, V):
-            return ResolveFailure(NO_FLAG, "no flag for P inside the support")
+        if not flag_in_variety(ctx, flag, V):  # shrink_flag's output lies in V~(E)
+            raise InternalConsistencyError("the shrunk flag is not inside the support")
     theta_flag = flag_to_matrix(ctx, flag)
     w_rows = [vec((r,) + tuple(x)) for r, x in theta_flag.rows]
     tau = theta_flag.tau

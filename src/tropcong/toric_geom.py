@@ -21,9 +21,8 @@ from typing import Optional, Sequence
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, zero_vec
 from ._record import _Record
-from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, Fan, HRow,
-                        PolyhedronH, cone_over, hrep_from_rays, is_empty,
-                        relative_interior_point)
+from .polyhedra import (EQ, LE, LT, ConeH, Fan, HRow, PolyhedronH, cone_over,
+                        feasible, hrep_from_rays, is_empty)
 from .trop_core import ExtPoint, Face, ToricContext
 
 CLAIM_PREIMAGE = "claim1-preimage"
@@ -85,13 +84,6 @@ def closure_on_stratum(L: ConeH, tau: Face) -> Optional[ConeH]:
                            for g in polyhedra.generators(L)], 1 + n)
 
 
-def _interior_point_or_none(p: PolyhedronH):
-    try:
-        return relative_interior_point(p)
-    except EmptyPolyhedronError:
-        return None
-
-
 def cone_closure_witnesses(L: ConeH, w: ExtPoint):
     """Witnesses for a target w in cl(L) inside R_{>=0} x N_R(sigma).
 
@@ -103,8 +95,8 @@ def cone_closure_witnesses(L: ConeH, w: ExtPoint):
     n = w.context.rank
     if L.dim != n + 1:
         raise polyhedra.DimensionMismatchError("cone must live in R^(1+n)")
-    w_hat = _interior_point_or_none(L.with_rows(_preimage_rows(w.tau, w.full_vector(), n)))
-    v = _interior_point_or_none(L.with_rows(_relint_tau_rows(w.tau, n)))
+    w_hat = feasible(L.with_rows(_preimage_rows(w.tau, w.full_vector(), n)))
+    v = feasible(L.with_rows(_relint_tau_rows(w.tau, n)))
     failed = (((CLAIM_PREIMAGE,) if w_hat is None else ())
               + ((CLAIM_DIRECTION,) if v is None else ()))
     if failed:

@@ -9,9 +9,10 @@ tests/test_relint_face.py:
   strict-feasibility LP, then a weak-emptiness LP and one `max_linear` LP per
   row, repeated until every remaining row can be strict at once.  Then one
   LP pins the common slack, and `_l1_polish` chooses the point by an L1
-  simplex.  The library reads both off the kernel; on a tie between points
-  of least L1 norm the simplex takes the one its pivot order reaches, the
-  library the lexicographically least.
+  simplex.  The library now returns the dehomogenized sum of the closure
+  generators' rays, another point, so the tests compare what any
+  relative-interior point shares: emptiness, the error message, and the set
+  of rows tight at the point (the implicit equalities).
 * `is_face` looks for a functional that vanishes on the generators of f and
   is at most -1 on every generator of c outside f, by a zero-objective LP
   (formerly `_lp.lp_feasible_point`, inlined here).

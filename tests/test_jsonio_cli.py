@@ -252,6 +252,21 @@ def test_cli_closure_checks_sizes_before_decoding_the_fan(capsys, fixtures_dir, 
     assert "dimension 3, expected 2" in err and decoded == []
 
 
+@pytest.mark.parametrize("cone, code, err", [
+    # the point's stratum is sigma, which the one ray is not
+    ({"rays": [[-1, 0]]}, 3, "precondition violated: tau is not a face of any fan member\n"),
+    ({"dim": 2, "rows": [{"a": ["1", "0"], "b": "1", "rel": "<="}]}, 2,
+     "parse error: cone rows must be homogeneous (at %s.cones[0])\n"),
+], ids=["tau-off-the-fan", "inhomogeneous-cone"])
+def test_cli_closure_refuses_a_bad_fan(capsys, fixtures_dir, tmp_path, cone, code, err):
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"dim": 2, "cones": [cone]}))
+    base = fixtures_dir / "closure"
+    got = run_cli(capsys, "closure", "--polyhedron", str(base / "neg_claim3_L.json"),
+                  "--fan", str(fan), "--point", str(base / "neg_claim3_point.json"))
+    assert got == (code, "", err.replace("%s", str(fan)))
+
+
 @pytest.mark.parametrize("polyhedron, point", [
     ("cell_L.json", "deep_point.json"),
     ("neg_claim1_L.json", "neg_claim1_point.json"),

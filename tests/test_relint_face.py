@@ -3,11 +3,12 @@
 `relint_face_reference` holds the library's former `relative_interior_point`
 (implicit equalities found by a loop of LPs, the common slack pinned by an
 LP, the point chosen by an L1 simplex) and `is_face` (a separating functional
-found by an LP).  The library now reads all four off the double-description
-kernel.  It must raise the same EmptyPolyhedronError and decide every face
-question the same way.  Its point must be the oracle's, or, where several
-points share the least L1 norm and the simplex's pivot order chose one, a
-point of the same norm that is lexicographically smaller.
+found by an LP).  The library reads both off the double-description kernel,
+and its point is its own: the dehomogenized sum of the closure generators'
+rays.  It must raise the same EmptyPolyhedronError and decide every face
+question the same way.  Its point need not be the oracle's, but it must lie
+in p and be tight on exactly the rows on which the oracle's point is tight:
+the implicit equalities, since both points are relative-interior points.
 """
 
 import ast
@@ -15,6 +16,7 @@ import itertools
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ import relint_face_reference as ref
 from tropcong import _lp, jsonio, polyhedra, resolve, toric_geom
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
                                 PolyhedronH, cone_key, faces_of, generators,
-                                hrep_from_rays, is_face, relative_interior_point)
-from tropcong._linalg import ZERO, dot, frac, vec
+                                cone_over, hrep_from_rays, is_face, recession_cone,
+                                relative_interior_point, row)
+from tropcong._linalg import ZERO, dot, frac, primitive, vec
+from tropcong.trop_core import ExtPoint, ToricContext
 
 
 def _outcome(fn, p):
@@ -35,23 +39,21 @@ def _outcome(fn, p):
         return ("empty", str(exc))
 
 
-def _assert_lexicographic_tie(p, got, want):
-    """got and want are points of p of equal L1 norm, and got is the
-    lexicographically smaller."""
-    assert not isinstance(got[0], str) and not isinstance(want[0], str), (p, got, want)
-    assert sum(map(abs, got)) == sum(map(abs, want)) and got < want, (p, got, want)
-    assert p.contains(got), (p, got, want)
+def _tight(p, x):
+    return [r for r in p.rows if dot(r.a, x) == r.b]
 
 
 def _agree(p):
+    """The library and the oracle agree on emptiness (and its message); on a
+    nonempty p the library's point lies in p, tight on the oracle's rows."""
     got = _outcome(relative_interior_point, p)
     want = _outcome(ref.relative_interior_point, p)
-    if got != want:
-        _assert_lexicographic_tie(p, got, want)
-        # both polish the same system with the slack pinned, so got is strict
-        # on every inequality on which want is
-        assert all(dot(r.a, got) < r.b for r in p.rows
-                   if r.rel != EQ and dot(r.a, want) < r.b), (p, got, want)
+    if isinstance(got[0], str) or isinstance(want[0], str):
+        assert got == want, (p, got, want)
+    else:
+        assert all(type(x) is int or x.denominator > 1 for x in got), got
+        assert p.contains(got), (p, got)
+        assert _tight(p, got) == _tight(p, want), (p, got, want)
     return got
 
 
@@ -106,18 +108,17 @@ def test_random_polyhedra():
 
 
 def test_relative_interior_point_runs_no_lp(monkeypatch):
-    # the common slack and the polished point are read off the kernel; they
-    # must equal the LP's
+    # the point is the dehomogenized sum of the closure generators' rays
     def P(d, *rows):
         return PolyhedronH.make(d, tuple(HRow(vec(a), frac(b), rel) for a, b, rel in rows))
 
     systems = [
-        P(1, ((-1,), 0, LE), ((1,), 4, LE)),  # slack capped at 1
-        P(1, ((-1,), 0, LE), ((2,), 1, LE)),  # slack 1/6
+        P(1, ((-1,), 0, LE), ((1,), 4, LE)),  # the midpoint of [0, 4]
+        P(1, ((-1,), 0, LE), ((2,), 1, LE)),
         P(1, ((-1,), -1, LE), ((1,), 3, LT)),  # a strict row
         P(2, ((-1, 0), 0, LE), ((0, -1), 0, LE), ((1, 1), 1, LE), ((1, -1), 0, EQ)),
         P(2, ((1, 0), 1, LE), ((-1, 0), -1, LE), ((0, 1), 2, LE)),  # an implicit equality
-        P(2, ((1, 1), 0, EQ)),  # no inequality: no slack to pin
+        P(2, ((1, 1), 0, EQ)),  # a line: its one ray is reduced modulo the lineality
     ]
     callers = []
     solve = _lp.solve_lp
@@ -130,47 +131,59 @@ def test_relative_interior_point_runs_no_lp(monkeypatch):
     points = [relative_interior_point(p) for p in systems]
     monkeypatch.undo()
     assert callers == []
-    assert points == [ref.relative_interior_point(p) for p in systems]
+    assert points == [(2,), (Fraction(1, 3),), (2,), (Fraction(1, 3),) * 2, (1, 1), (0, 0)]
+    for p in systems:
+        _agree(p)
 
 
 # ---------------------------------------------------------------------------
-# the L1 polish against the simplex
+# the point does not depend on how p is embedded
 
-@st.composite
-def _closed_polyhedra(draw):
-    # a pinned system: closed rows through a hidden point, so it is nonempty
-    d = draw(st.integers(1, 4))
-    x0 = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        a = draw(st.lists(_entries, min_size=d, max_size=d))
-        rel = draw(st.sampled_from((LE, LE, LE, EQ)))
-        b = dot(a, x0) + (draw(st.integers(0, 2)) if rel == LE else 0)
-        rows.append(HRow(vec(a), frac(b), rel))
-    return PolyhedronH.make(d, rows)
+def _embed(p, k):
+    """p in R^(dim+1) with a coordinate pinned to 0 inserted at position k."""
+    rows = [HRow(r.a[:k] + (ZERO,) + r.a[k:], r.b, r.rel) for r in p.rows]
+    rows.append(HRow(vec(1 if i == k else 0 for i in range(p.dim + 1)), ZERO, EQ))
+    return PolyhedronH.make(p.dim + 1, rows)
 
 
-def _polish_agrees(p):
-    """'unique' when the kernel's point is the simplex's, 'tie' when it is the
-    lexicographically smaller of two points of least L1 norm."""
-    got, want = polyhedra._l1_polish(p), ref._l1_polish(p)
-    assert all(type(x) is int or x.denominator > 1 for x in got), got
-    if got == want:
-        return "unique"
-    _assert_lexicographic_tie(p, got, want)
-    return "tie"
+def _embedding_agrees(p, k):
+    low = _outcome(relative_interior_point, p)
+    high = _outcome(relative_interior_point, _embed(p, k))
+    if isinstance(low[0], str):
+        assert high == low, (p, k, high, low)
+    else:
+        assert high == low[:k] + (0,) + low[k:], (p, k, high, low)
+    return low
 
 
-def test_l1_polish_against_the_simplex():
-    seen = {"unique": 0, "tie": 0}
+def test_random_embeddings():
+    seen = {"point": 0, "empty": 0}
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(_closed_polyhedra())
-    def sweep(p):
-        seen[_polish_agrees(p)] += 1
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_polyhedra(), st.integers(0, 4))
+    def sweep(p, k):
+        got = _embedding_agrees(p, min(k, p.dim))
+        seen["empty" if isinstance(got[0], str) else "point"] += 1
 
     sweep()
     assert all(seen.values()), seen
+
+
+def test_square_pyramid_direction_embedding():
+    # rec(L) cap rel.int(sigma) on the square pyramid, asked in R^3 and, as
+    # the claim-3 system of the closure lemma, in R^(1+3) with the height
+    # pinned to 0: an L1 tie between (0, -1, -2) and (1, 0, -2) once gave
+    # two answers
+    ctx = ToricContext(3, [(1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)])
+    sigma = ctx.deep_face
+    L = PolyhedronH.make(3, (row([-1, 0, 1], 1, LE), row([-1, 1, 0], -2, LE),
+                             row([-1, 1, 0], -1, LE), row([-1, 1, 1], -3, LE)))
+    p = recession_cone(L).with_rows(HRow(r.a, ZERO, LT if r.rel == LE else r.rel)
+                                    for r in sigma.cone().rows)
+    v = _embedding_agrees(p, 0)
+    assert not isinstance(v[0], str) and p.contains(v), v
+    witness = toric_geom.cone_closure_witnesses(cone_over(L), ExtPoint.make(ctx, 1, sigma, (0, 0, 0)))
+    assert witness[0] == primitive((0,) + v), (witness, v)
 
 
 def _lp_imports(tree):
@@ -213,7 +226,7 @@ def test_strict_implicit_and_empty_raise():
 # ---------------------------------------------------------------------------
 # every system the closure and resolution code asks about
 
-def _capture(monkeypatch, module, name="relative_interior_point"):
+def _capture(monkeypatch, module, name):
     seen = []
     inner = getattr(module, name)
 
@@ -235,16 +248,13 @@ def test_resolve_quartic_systems(monkeypatch, fixtures_dir):
     ctx = jsonio.context_of_document(edoc)
     E = jsonio.dec_congruence(edoc, ctx)
     P = jsonio.dec_matrix(pdoc, ctx)
-    systems = _capture(monkeypatch, resolve)
-    pinned = _capture(monkeypatch, polyhedra, "_l1_polish")
+    systems = _capture(monkeypatch, resolve, "relative_interior_point")
     res = resolve.resolve_boundary_prime(E, P, samples=50)
     monkeypatch.undo()
     assert isinstance(res, resolve.ResolutionResult)
-    assert systems and len(pinned) == len(systems)
+    assert systems
     for p in systems:
         _agree(p)
-    # the L1 minimizer of the resolution system is unique: the simplex finds it too
-    assert [_polish_agrees(p) for p in pinned] == ["unique"] * len(pinned)
 
 
 @pytest.mark.parametrize("polyhedron, point", [
@@ -259,7 +269,7 @@ def test_closure_fixture_systems(monkeypatch, fixtures_dir, polyhedron, point):
     L = jsonio.dec_polyhedron(_load(base / polyhedron))
     fan = jsonio.dec_fan(_load(base / "sigma_fan.json"))
     w = jsonio.dec_stratum_point(wdoc, ctx)
-    systems = _capture(monkeypatch, toric_geom)
+    systems = _capture(monkeypatch, toric_geom, "feasible")
     toric_geom.polyhedron_closure_membership(L, fan, w)
     assert systems
     for p in systems:

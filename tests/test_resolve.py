@@ -270,6 +270,34 @@ def test_resolve_shrinks_the_flag_and_skips_an_infeasible_cell(ctx2, monkeypatch
     assert res.cone == dense[1]
 
 
+def test_resolve_reports_a_rejected_shrunk_flag_as_a_bug(ctx2, monkeypatch, tmp_path, capsys):
+    # shrink_flag puts its output inside the support by construction, so a
+    # shrunk flag that flag_in_variety rejects is an internal inconsistency,
+    # not a failed resolution: here shrink_flag returns the flag unshrunk
+    from tropcong.polyhedra import make_flag
+    from tropcong.congruence import flag_to_matrix
+    from tropcong.variety import InternalConsistencyError
+    f = parse_poly(ctx2, "1 + x")
+    E = CongruencePresentation.make(ctx2, [(f, f + parse_poly(ctx2, "t^-1*x^2"))],
+                                    finite_tropical_basis=True)
+    flag = make_flag(3, [(0, -1)], [[(1, 0, 0)], [(1, 0, 0), (0, 1, 0)]])
+    monkeypatch.setattr(resolve, "shrink_flag", lambda ctx, flag, E: flag)
+    with pytest.raises(InternalConsistencyError, match="shrunk flag"):
+        resolve_boundary_prime(E, flag)
+    # the CLI reads a matrix; given this flag for it, it exits 4
+    from tropcong import jsonio
+    monkeypatch.setattr(resolve, "_flag_from_matrix", lambda ctx, theta: flag)
+    cong, prime = tmp_path / "E.json", tmp_path / "P.json"
+    cong.write_text(json.dumps(dict(enc_congruence(E), format="tropcong/1")))
+    prime.write_text(json.dumps(dict(jsonio.enc_matrix(flag_to_matrix(ctx2, flag)),
+                                     format="tropcong/1")))
+    assert main(["resolve", "--cong", str(cong), "--prime", str(prime)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal consistency error: "
+                            "the shrunk flag is not inside the support\n")
+
+
 def test_resolve_closure_hypothesis_violated(ctx1):
     # E = <(t^1 x, x)>: the dense part of the support is {r = 0} but the whole
     # deep ray survives, so boundary heights are not limits of the dense part
