@@ -40,5 +40,6 @@ print("  initial form of f at Q:", initial_form_prime(f, Q))
 flag = make_flag(3, [], [[(0, -1, -1)], [(0, -1, -1), (1, 0, -1)]])
 theta = flag_to_matrix(ctx, flag)
 print("\nThe flag ray(0,-1,-1) <= cone{(0,-1,-1),(1,0,-1)} induces the matrix")
-print("  rows:", theta.rows, "(same prime as Q; rows differ by a positive")
+print("  rows:", tuple((row[0], row[1:]) for row in theta.rows),  # (height, coords)
+      "(same prime as Q; rows differ by a positive")
 print("  lower-triangular change, which leaves the order untouched)")

@@ -14,6 +14,12 @@ from tropcong.congruence import (CongruencePresentation, PrimeMatrix,
 from tropcong.resolve import (ResolveFailure, cancellativity_harness,
                               resolve_boundary_prime)
 
+
+def height_coords(theta):
+    """The rows of a prime matrix as (height, coords) pairs."""
+    return tuple((row[0], row[1:]) for row in theta.rows)
+
+
 ctx = ToricContext.affine(2)
 f = parse_poly(ctx, "x^2 + t^1*x*y + y^2 + x^2*y^2")
 E = CongruencePresentation.bend_of(f)
@@ -22,7 +28,7 @@ print("E = Bend(%s), P = the boundary prime (1 | -inf, -inf)" % f)
 
 res = resolve_boundary_prime(E, P, samples=300)
 Q = res.matrix
-print("  resolved matrix rows:", Q.rows)
+print("  resolved matrix rows:", height_coords(Q))
 print("  v =", res.v, " w_hats =", res.w_hats)
 print("  E <= Q:", congruence_in_prime(E, Q),
       " trivial kernel:", has_trivial_ideal_kernel(Q),
@@ -34,7 +40,7 @@ EB = CongruencePresentation.make(
             parse_poly(ctxB, "x^2*z + x^2 + y"))], finite_tropical_basis=True)
 PB = PrimeMatrix.from_extended_matrix(ctxB, [[None, None, None]])
 resB = resolve_boundary_prime(EB, PB, samples=300)
-print("\nBoolean example: resolved rows =", resB.matrix.rows)
+print("\nBoolean example: resolved rows =", height_coords(resB.matrix))
 
 bad = CongruencePresentation.make(
     ToricContext.affine(1),

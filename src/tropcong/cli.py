@@ -395,8 +395,9 @@ def main(argv=None) -> int:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
     except Exception as exc:  # a bug, RecursionError included: never exit 1 ("false")
-        # only variety raises InternalConsistencyError: a job that never loaded
-        # variety cannot have raised it, so the check imports nothing
+        # InternalConsistencyError lives in variety (resolve raises it too): a
+        # job that never loaded variety cannot have raised it, so the check
+        # imports nothing
         variety = sys.modules.get(__package__ + ".variety")
         if variety is not None and isinstance(exc, variety.InternalConsistencyError):
             print("internal consistency error: %s" % exc, file=sys.stderr)

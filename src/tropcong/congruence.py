@@ -1,10 +1,11 @@
 """Congruence presentations, matrix-defined primes, derivations, certificates.
 
 A prime congruence on S[M] is given by a matrix whose rows live in a single
-stratum R_{>=0} x N_R/tau; monomials evaluate to lexicographically compared
-vectors Phi(m), with the convention that an exponent outside tau-perp kills
-the whole row vector.  Membership of a pair is Phi-equality, which makes every
-check here exact and fast.
+stratum R_{>=0} x N_R/tau, each a (1+n)-vector, height first; a term t^a z^u
+pairs with a row as its term vector (a,) + u by one dot, so monomials
+evaluate to lexicographically compared vectors Phi(m), with the convention
+that an exponent outside tau-perp kills the whole row vector.  Membership of
+a pair is Phi-equality, which makes every check here exact and fast.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from . import polyhedra
-from ._linalg import ONE, ZERO, frac, primitive, vec
+from ._linalg import ONE, ZERO, dot, frac, primitive
 from ._record import _Record
 from .polyhedra import FlagOfCones, validate_flag
 from .trop_core import (COEFF_B, ContextMismatchError, ExtPoint, Face,
                         ToricContext, TropPoly, ZeroPolynomialError,
-                        bend_relations, pair_term)
+                        bend_relations)
 
 
 class InvalidMatrixError(ValueError):
@@ -30,22 +31,24 @@ class InvalidMatrixError(ValueError):
 # prime matrices
 
 class PrimeMatrix(_Record):
-    """Defining matrix of a prime congruence: rows (height, coords) in one stratum.
+    """Defining matrix of a prime congruence: rows in one stratum.
 
-    `rows` is a tuple of (exact height, Vec coords)."""
+    `rows` is a tuple of (1+n)-vectors (height,) + coords, the coords
+    canonical mod span(tau)."""
 
     _fields = ("context", "tau", "rows")
 
     @staticmethod
     def make(context: ToricContext, tau: Face, rows) -> "PrimeMatrix":
         canon = []
-        for r, x in rows:
-            r = frac(r)
-            if context.coeff == COEFF_B:
-                r = ZERO  # the coefficient column is inert over B
+        for row in rows:
+            if len(row) != 1 + context.rank:
+                raise polyhedra.DimensionMismatchError(
+                    "matrix row of length %d in rank %d" % (len(row), context.rank))
+            r = ZERO if context.coeff == COEFF_B else frac(row[0])  # inert over B
             if r < 0:
                 raise InvalidMatrixError("row height must be non-negative")
-            canon.append((r, tau.canonical(x)))
+            canon.append((r,) + tau.canonical(row[1:]))
         if not canon:
             raise InvalidMatrixError("a prime matrix needs at least one row")
         return PrimeMatrix(context, tau, tuple(canon))
@@ -63,25 +66,20 @@ class PrimeMatrix(_Record):
             if context.coeff == COEFF_B:
                 if len(raw) != n:
                     raise InvalidMatrixError("expected %d variable columns" % n)
-                height, coords = ZERO, raw
+                raw = [ZERO] + raw
             else:
                 if len(raw) != n + 1:
                     raise InvalidMatrixError("expected %d columns" % (n + 1))
-                height, coords = raw[0], raw[1:]
-                if height is None:
+                if raw[0] is None:
                     raise InvalidMatrixError("coefficient column cannot be -inf over T")
-            dead = frozenset(i for i, x in enumerate(coords) if x is None)
+            dead = frozenset(i for i, x in enumerate(raw[1:]) if x is None)
             if dead_cols is None:
                 dead_cols = dead
             elif dead_cols != dead:
                 raise InvalidMatrixError("-inf entries must fill whole columns")
-            rows.append((height, coords))
+            rows.append([ZERO if x is None else x for x in raw])
         tau = _face_of_dead_columns(context, dead_cols or frozenset())
-        fixed = []
-        for height, coords in rows:
-            full = [ZERO if x is None else frac(x) for x in coords]
-            fixed.append((height, tuple(full)))
-        return PrimeMatrix.make(context, tau, fixed)
+        return PrimeMatrix.make(context, tau, rows)
 
     def rank(self) -> int:
         return len(self.rows)
@@ -119,11 +117,12 @@ def lex_le(v1: LexVec, v2: LexVec) -> bool:
     return True
 
 
-def _phis(theta: PrimeMatrix, terms) -> list:
-    """The Phi-vectors of terms alive on theta's stratum, which hold exact
-    numbers only: tuples of them compare lexicographically."""
+def _phis(theta: PrimeMatrix, tvs) -> list:
+    """The Phi-vectors of the term vectors tvs of terms alive on theta's
+    stratum, which hold exact numbers only: tuples of them compare
+    lexicographically."""
     rows = theta.rows
-    return [tuple(pair_term(r, x, a, u) for r, x in rows) for u, a in terms]
+    return [tuple(dot(row, m) for row in rows) for m in tvs]
 
 
 def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
@@ -131,7 +130,7 @@ def prime_eval(theta: PrimeMatrix, f: TropPoly) -> LexVec:
     term is alive on theta's stratum, as for the zero polynomial."""
     if theta.context != f.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    vals = _phis(theta, f.restrict(theta.tau).terms)
+    vals = _phis(theta, f.restrict(theta.tau).term_vectors())
     if not vals:
         return (None,) * theta.rank()
     return max(vals)
@@ -151,19 +150,20 @@ def monomial_le(theta: PrimeMatrix, m1: TropPoly, m2: TropPoly) -> bool:
 
 @lru_cache(maxsize=polyhedra.CACHE_SIZE)
 def _pair_table(pairs: tuple, tau: Face) -> tuple:
-    """(terms, sides): the distinct terms alive on tau's stratum across every
-    side of pairs, in first-seen order, and each pair as two tuples of indices
-    into terms, each in the order of its side's terms.  A side with no live
-    term gets the empty tuple: it is bottom.
+    """(tvs, sides): the term vectors of the distinct terms alive on tau's
+    stratum across every side of pairs, in first-seen order, and each pair as
+    two tuples of indices into tvs, each in the order of its side's terms.  A
+    side with no live term gets the empty tuple: it is bottom.
 
     The k pairs of the bend presentation of a k-term f have 2k^2 - k term
     slots but only the k terms of f, so a query values k terms.  A flag query
     asks for the same stratum again and again, so tables are cached; a
     presentation and its support share one table per stratum."""
-    index = {}  # term -> its position in terms
+    index = {}  # term vector -> its position in tvs
 
     def side(p):
-        return tuple(index.setdefault(t, len(index)) for t in p.restrict(tau).terms)
+        return tuple(index.setdefault(m, len(index))
+                     for m in p.restrict(tau).term_vectors())
 
     sides = tuple((side(f), side(g)) for f, g in pairs)
     return tuple(index), sides
@@ -203,12 +203,12 @@ class CongruencePresentation(_Record):
 
 
 def _phi_table(E: CongruencePresentation, theta: PrimeMatrix) -> tuple:
-    """(terms, Phi-vectors, sides): E's pair table on theta's stratum with the
-    Phi-vector of each distinct live term."""
+    """(term vectors, Phi-vectors, sides): E's pair table on theta's stratum
+    with the Phi-vector of each distinct live term."""
     if theta.context != E.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    terms, sides = _pair_table(E.pairs, theta.tau)
-    return terms, _phis(theta, terms), sides
+    tvs, sides = _pair_table(E.pairs, theta.tau)
+    return tvs, _phis(theta, tvs), sides
 
 
 def congruence_in_prime(E: CongruencePresentation, theta: PrimeMatrix) -> bool:
@@ -227,8 +227,9 @@ def initial_form_point(f: TropPoly, w: ExtPoint) -> TropPoly:
     """Sum of the terms maximizing <(a_u, u), w>; all-bottom keeps every term."""
     if f.is_zero():
         raise ZeroPolynomialError("initial form of the zero polynomial")
-    live = f.restrict(w.tau).terms
-    return _top_terms(f, live, [pair_term(w.r, w.coords, a, u) for u, a in live])
+    live = f.restrict(w.tau)
+    full = w.full_vector()
+    return _top_terms(f, live.terms, [dot(m, full) for m in live.term_vectors()])
 
 
 def initial_form_prime(f: TropPoly, theta: PrimeMatrix) -> TropPoly:
@@ -237,8 +238,8 @@ def initial_form_prime(f: TropPoly, theta: PrimeMatrix) -> TropPoly:
         raise ZeroPolynomialError("initial form of the zero polynomial")
     if theta.context != f.context:
         raise ContextMismatchError("matrix and polynomial contexts differ")
-    live = f.restrict(theta.tau).terms
-    return _top_terms(f, live, _phis(theta, live))
+    live = f.restrict(theta.tau)
+    return _top_terms(f, live.terms, _phis(theta, live.term_vectors()))
 
 
 def _top_terms(f: TropPoly, live, vals) -> TropPoly:
@@ -277,12 +278,9 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
     tau = context.face_from_rays(flag.tau_rays)
-    rows = []
-    for rays in flag.cones_rays:
-        # the sum of the rays of a simplicial cone is a relative interior point
-        pt = primitive(vec([sum(r[j] for r in rays) for j in range(flag.ambient_dim)]))
-        rows.append((pt[0], pt[1:]))
-    return PrimeMatrix.make(context, tau, rows)
+    # the sum of the rays of a simplicial cone is a relative interior point
+    return PrimeMatrix.make(context, tau, [primitive(tuple(map(sum, zip(*rays))))
+                                           for rays in flag.cones_rays])
 
 
 # ---------------------------------------------------------------------------

@@ -262,13 +262,13 @@ def enc_matrix(theta: PrimeMatrix) -> dict:
             if not theta.tau.perp_contains(vec(e)):
                 dead.add(i)
         matrix = []
-        for r, x in theta.rows:
-            body = [enc_frac(x[i]) if i not in dead else "-inf" for i in range(ctx.rank)]
-            matrix.append(body if ctx.coeff == COEFF_B else [enc_frac(r)] + body)
+        for row in theta.rows:
+            body = [enc_frac(x) if i not in dead else "-inf" for i, x in enumerate(row[1:])]
+            matrix.append(body if ctx.coeff == COEFF_B else [enc_frac(row[0])] + body)
         out["matrix"] = matrix
         return out
     out["tau_rays"] = [enc_vec_int(r) for r in theta.tau.rays]
-    out["rows"] = [{"r": enc_frac(r), "x": enc_vec(x)} for r, x in theta.rows]
+    out["rows"] = [{"r": enc_frac(row[0]), "x": enc_vec(row[1:])} for row in theta.rows]
     return out
 
 
@@ -285,9 +285,9 @@ def dec_matrix(data, ctx: ToricContext, path: str = "$") -> PrimeMatrix:
     rows = []
     for i, r in enumerate(_get_list(data, "rows", path)):
         rpath = "%s.rows[%d]" % (path, i)
-        rows.append((dec_frac(_get(r, "r", rpath), rpath + ".r"),
-                     _sized(dec_vec(_get(r, "x", rpath), rpath + ".x"), ctx.rank,
-                            rpath + ".x")))
+        rows.append((dec_frac(_get(r, "r", rpath), rpath + ".r"),)
+                    + _sized(dec_vec(_get(r, "x", rpath), rpath + ".x"), ctx.rank,
+                             rpath + ".x"))
     return _at(path, PrimeMatrix.make, ctx, tau, rows)
 
 

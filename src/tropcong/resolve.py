@@ -4,9 +4,10 @@ boundary primes to trivial-ideal-kernel primes.
 The resolution replaces the generic-epsilon argument of the existence proof by
 one exact feasibility system per dense-stratum cell (partial sums of the flag
 rows, strictly positive combination coefficients, a direction through the
-relative interior of tau), followed by exact verification of the produced
-matrix.  A feasible cell whose matrix fails verification is skipped; running
-out of cells is reported as a bug indicator, not masked.
+relative interior of tau), followed by verification of the produced matrix.
+The matrix of a feasible cell contains E and refines P by construction, so a
+failed verification raises InternalConsistencyError; running out of cells
+means that every cell's system is infeasible.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import random
 from typing import Optional, Sequence, Union
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, primitive, qdiv, rank_of, vec, vscale,
-                      vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, primitive, qdiv, rank_of, vscale, vsub,
+                      zero_vec)
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, FlagOfCones,
                         HRow, PolyhedronH, poly_in_union, relative_interior_point)
@@ -42,25 +43,25 @@ class StabilityData(_Record):
 
 
 def _deleted_terms(f: TropPoly, v: ExtPoint):
-    """init_v(f), and (m, margin) for each term m = (a_u, u) of f alive at v
-    but outside init_v(f), with margin f~(v) - <m, v> > 0."""
+    """init_v(f), and (m, margin) for each term vector m = (a_u, u) of f alive
+    at v but outside init_v(f), with margin f~(v) - <m, v> > 0."""
     init_v = initial_form_point(f, v)
-    init_support = set(init_v.support())
+    kept = set(init_v.term_vectors())
     fv = f.evaluate(v)
     deleted = []
-    for u, a in f.terms:
-        if u in init_support:
+    for m in f.term_vectors():
+        if m in kept:
             continue
-        pv = v.pair(a, u)
+        pv = v.pair(m)
         if pv is None:
             continue  # dies on the stratum; harmless at w + N v as well
-        deleted.append(((a,) + vec(u), fv - pv))
+        deleted.append((m, fv - pv))
     return init_v, deleted
 
 
 def _gap(hw, w: ExtPoint, m: Vec):
     """hw - <m, w> for hw = h(w), or None when the term m dies at w."""
-    bm = w.pair(m[0], m[1:])
+    bm = w.pair(m)
     if bm is None:
         return None
     if hw is None:
@@ -130,27 +131,26 @@ class ResolutionResult(_Record):
 
 
 class ResolveFailure(_Record):
-    """`reason` is no_flag_in_variety, closure_hypothesis_violated or no_feasible_cone."""
+    """`reason` is not_contained, closure_hypothesis_violated or no_feasible_cone."""
 
     _fields = ("reason", "detail")
 
 
-NO_FLAG = "no_flag_in_variety"
+NOT_CONTAINED = "not_contained"
 CLOSURE_VIOLATED = "closure_hypothesis_violated"
 NO_FEASIBLE_CONE = "no_feasible_cone"
 
 
 def _flag_from_matrix(context: ToricContext, theta: PrimeMatrix) -> FlagOfCones:
     pts = []
-    for r, x in theta.rows:
-        p = vec((r,) + tuple(x))
+    for p in theta.rows:
         if rank_of(pts + [p]) > len(pts):  # a row in the span of earlier rows breaks no tie
             pts.append(p)
     if not pts:
         if context.coeff != COEFF_B:
             raise ValueError("matrix has no nonzero rows; it defines no flag")
         # over B the height coordinate is inert, so the height ray is equivalent
-        pts = [vec((ONE,) + zero_vec(context.rank))]
+        pts = [(ONE,) + zero_vec(context.rank)]
     cones = []
     acc = []
     for p in pts:
@@ -204,10 +204,10 @@ def resolve_boundary_prime(E: CongruencePresentation,
         theta = P
         flag = _flag_from_matrix(ctx, P)
     if not congruence_in_prime(E, theta):
-        return ResolveFailure(NO_FLAG, "E is not contained in P")
+        return ResolveFailure(NOT_CONTAINED, "E is not contained in P")
     if has_trivial_ideal_kernel(theta):
         return ResolutionResult(theta, stratum_cone(ctx, ctx.dense_face),
-                                (), (), (), tuple((r,) + x for r, x in theta.rows), 0)
+                                (), (), (), theta.rows, 0)
     V = support_of(E)
     bad = verify_closure_hypothesis(V)
     if bad is not None:
@@ -217,33 +217,27 @@ def resolve_boundary_prime(E: CongruencePresentation,
         if not flag_in_variety(ctx, flag, V):  # shrink_flag's output lies in V~(E)
             raise InternalConsistencyError("the shrunk flag is not inside the support")
     theta_flag = flag_to_matrix(ctx, flag)
-    w_rows = [vec((r,) + tuple(x)) for r, x in theta_flag.rows]
-    tau = theta_flag.tau
-    k = len(w_rows) - 1
+    k = len(theta_flag.rows) - 1
     dense = V.stratum(ctx.dense_face).cells
-    rng = random.Random(seed)
-    tried = []
     for L in dense:
-        sol = _resolution_system(ctx, L, tau, w_rows)
+        sol = _resolution_system(ctx, L, theta_flag.tau, theta_flag.rows)
         if sol is None:
-            tried.append("infeasible")
             continue
         v, v_hats, bs = sol
         w_hats = [v_hats[0]]
         for i in range(1, k + 1):
             w_hats.append(vscale(qdiv(ONE, bs[i - 1]), vsub(v_hats[i], v_hats[i - 1])))
-        rows = [(v[0], v[1:])] + [(wh[0], wh[1:]) for wh in w_hats]
-        Q = PrimeMatrix.make(ctx, ctx.dense_face, rows)
+        # Q's rows lie in the cell L of V~(E) and project onto the flag of P
+        Q = PrimeMatrix.make(ctx, ctx.dense_face, [v] + w_hats)
         if not congruence_in_prime(E, Q):
-            tried.append("containment")
-            continue
-        ok, checked = _sampled_refinement(ctx, Q, theta, rng, samples, sample_degree)
+            raise InternalConsistencyError("the constructed prime does not contain E")
+        ok, checked = _sampled_refinement(ctx, Q, theta, random.Random(seed), samples,
+                                          sample_degree)
         if not ok:
-            tried.append("refinement")
-            continue
+            raise InternalConsistencyError("the constructed prime does not refine P")
         return ResolutionResult(Q, L, v, tuple(v_hats), tuple(bs), tuple(w_hats), checked)
     return ResolveFailure(NO_FEASIBLE_CONE,
-                          "no dense cell admits a verified system (tried: %s)" % tried)
+                          "no dense cell admits a feasible system (%d tried)" % len(dense))
 
 
 def _resolution_system(ctx, L: ConeH, tau: Face, w_rows):

@@ -164,7 +164,7 @@ def witness_soundness(v: Vec, w_hat: Vec, w: ExtPoint) -> bool:
         pv = dot(v, u)
         if pv > 0:
             return False
-        pw = w.pair(0, u)
+        pw = w.pair((0,) + u)
         if (pv < 0) != (pw is None):
             return False
         if pv == 0 and dot(w_hat, u) != pw:

@@ -10,13 +10,12 @@ the empty map.  Everything is immutable.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, canon, dot, frac, primitive, reduce_mod_rref,
-                      rref, vec)
+from ._linalg import (ONE, ZERO, Vec, dot, frac, primitive, reduce_mod_rref, rref,
+                      vec)
 from ._record import _Record
 from .polyhedra import ConeH
 
@@ -208,6 +207,12 @@ class TropPoly(_Record):
     def support(self) -> tuple:
         return tuple(u for u, _ in self.terms)
 
+    def term_vectors(self) -> tuple:
+        """The (1+n) term vector (a,) + u of each term t^a z^u, in the order of
+        `terms`: its value at a (1+n)-vector w, a point or a matrix row, is
+        one dot with w."""
+        return tuple((a,) + u for u, a in self.terms)
+
     def degree(self) -> int:
         return max((sum(abs(x) for x in u) for u, _ in self.terms), default=0)
 
@@ -252,11 +257,9 @@ class TropPoly(_Record):
         an exact number, or None (bottom, -inf) if no term is alive."""
         if self.context != w.context:
             raise ContextMismatchError("polynomial and point contexts differ")
-        live = self.restrict(w.tau).terms
-        if not live:
-            return None
-        r, x = w.r, w.coords
-        return max(pair_term(r, x, a, u) for u, a in live)
+        full = w.full_vector()
+        return max((dot(m, full) for m in self.restrict(w.tau).term_vectors()),
+                   default=None)
 
     def restrict(self, tau: Face) -> "TropPoly":
         """Terms whose exponents survive on the stratum of tau (u in tau-perp).
@@ -294,13 +297,6 @@ class TropPoly(_Record):
 # ---------------------------------------------------------------------------
 # extended points
 
-def pair_term(r, x: Sequence, a, u: Sequence):
-    """< (a, u), (r, x) > = r*a + <x, u>, canonical: the value of the term
-    t^a z^u at a point or a matrix row (r, x), with no check that u is in
-    tau-perp."""
-    return canon(r * a + dot(x, u))
-
-
 class ExtPoint(_Record):
     """Point (r, x) of R_{>=0} x N_R(sigma): height r, stratum face tau, coords mod span(tau)."""
 
@@ -317,12 +313,12 @@ class ExtPoint(_Record):
     def dense(context: ToricContext, r, coords) -> "ExtPoint":
         return ExtPoint.make(context, r, context.dense_face, coords)
 
-    def pair(self, a: Fraction, u: Sequence):
-        """< (a, u), (r, x) > = r*a + <x, u>, an exact number, if u is in
-        tau-perp; else None (bottom, -inf)."""
-        if not self.tau.perp_contains(u):
+    def pair(self, m: Sequence):
+        """<m, (r, x)> = r*a + <x, u> for the term vector m = (a,) + u, an
+        exact number, if u is in tau-perp; else None (bottom, -inf)."""
+        if not self.tau.perp_contains(m[1:]):
             return None
-        return pair_term(self.r, self.coords, a, u)
+        return dot(m, self.full_vector())
 
     def full_vector(self) -> Vec:
         return (self.r,) + self.coords

@@ -23,7 +23,7 @@ from ._record import _Record
 from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
                         satisfied_at, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
-                        TropPoly, bend_relations, pair_term)
+                        TropPoly, bend_relations)
 from .congruence import (CongruencePresentation, _pair_table, _phi_table, _side_max,
                          _sides_equal, flag_to_matrix)
 
@@ -54,10 +54,6 @@ def stratum_cone(context: ToricContext, tau: Face) -> ConeH:
     return ConeH.make(n + 1, tuple(rows))
 
 
-def term_vec(u, a) -> Vec:
-    return (a,) + vec(u)
-
-
 def _difference_rows(m: Vec, others: Iterable[Vec]):
     """Rows <other - m, w> <= 0, i.e. m dominates the others."""
     return tuple(HRow(vsub(o, m), ZERO, LE) for o in others if o != m)
@@ -77,7 +73,7 @@ def pair_variety(pair, tau: Face) -> list:
     if g.context != ctx:
         raise ContextMismatchError("pair members from different contexts")
     base = stratum_cone(ctx, tau)
-    fvs, gvs = ([term_vec(u, a) for u, a in p.restrict(tau).terms] for p in pair)
+    fvs, gvs = (p.restrict(tau).term_vectors() for p in pair)
     if not (fvs and gvs):
         return [] if fvs or gvs else [base]
     g_leads = _lead_cells(base, gvs)
@@ -92,7 +88,7 @@ def _lead_cells(base: ConeH, tvs: Sequence[Vec]) -> list:
 
 
 def _tie(dim: int, v1: Vec, v2: Vec) -> ConeH:
-    """The hyperplane where the terms v1 and v2 (as term_vec) take equal values."""
+    """The hyperplane where the terms of term vectors v1 and v2 take equal values."""
     return ConeH.make(dim, (HRow(vsub(v1, v2), ZERO, EQ),))
 
 
@@ -214,7 +210,7 @@ def hypersurface(f: TropPoly, strata: Optional[Sequence[Face]] = None) -> Variet
 
     def cells_of(tau):
         base = stratum_cone(ctx, tau)
-        tvs = [term_vec(u, a) for u, a in f.restrict(tau).terms]
+        tvs = f.restrict(tau).term_vectors()
         if not tvs:
             return (base,)
         leads = _lead_cells(base, tvs)
@@ -244,12 +240,11 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
 # ---------------------------------------------------------------------------
 # membership
 
-def _sides_agree(terms, sides, w: Vec) -> bool:
-    """The two sides of every pair of a pair table (terms, sides) agree at w,
+def _sides_agree(tvs, sides, w: Vec) -> bool:
+    """The two sides of every pair of a pair table (tvs, sides) agree at w,
     a (1+n)-vector (height first) on the table's stratum.  Each term is valued
-    once at w; a side with no live term is bottom."""
-    r, x = w[0], w[1:]
-    return _sides_equal([pair_term(r, x, a, u) for u, a in terms], sides)
+    once at w, by one dot; a side with no live term is bottom."""
+    return _sides_equal([dot(m, w) for m in tvs], sides)
 
 
 def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
@@ -265,12 +260,10 @@ def point_in_variety(V: VarietySupport, w: ExtPoint) -> bool:
 
 @lru_cache(maxsize=polyhedra.CACHE_SIZE)
 def _point_table(V: VarietySupport, tau: Face) -> tuple:
-    """(term vectors, sides, cells): the `term_vec` of each term of the pair
-    table of V's pairs on tau, its sides, and V's cells on tau, or None when
-    V leaves the stratum out."""
-    terms, sides = _pair_table(V.pairs, tau)
+    """(term vectors, sides, cells): the pair table of V's pairs on tau and
+    V's cells on tau, or None when V leaves the stratum out."""
     cells = next((s.cells for s in V.strata if s.tau == tau), None)
-    return tuple(term_vec(u, a) for u, a in terms), sides, cells
+    return _pair_table(V.pairs, tau) + (cells,)
 
 
 def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
@@ -303,7 +296,7 @@ def _arrangement(pairs: tuple, tau: Face) -> tuple:
     the stratum, so it is cached, not rebuilt for every cell or flag."""
     forms = set()
     for f, g in pairs:
-        tvs = [term_vec(u, a) for p in (f, g) for u, a in p.restrict(tau).terms]
+        tvs = f.restrict(tau).term_vectors() + g.restrict(tau).term_vectors()
         for v1, v2 in itertools.combinations(tvs, 2):
             d = neg_primitive_pair(vsub(v1, v2))
             if not is_zero_vec(d):
@@ -468,7 +461,7 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     lower-triangular change of rows with positive diagonal preserves the
     lexicographic Phi order.  `sample_pairs` and `seed` are ignored.
     """
-    terms, phis, sides = _phi_table(E, flag_to_matrix(context, flag))
+    tvs, phis, sides = _phi_table(E, flag_to_matrix(context, flag))
     leads = []  # per pair alive on the stratum, per side: (term indices, leading index)
     for side_f, side_g in sides:
         top = _side_max(phis, side_f)
@@ -483,7 +476,7 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     new_cones = [(primitive(flag.cones_rays[0][0]),)]
     simplicial = True
     for i, rays in enumerate(flag.cones_rays[1:], 1):
-        cut_rows = _cut_rows(terms, leads, rays)
+        cut_rows = _cut_rows(tvs, leads, rays)
         _, lams = polyhedra.cone_generators(ConeH.make(len(rays), cut_rows))
         if rank_of(lams) != i + 1:
             raise InternalConsistencyError(
@@ -500,12 +493,11 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
     return out
 
 
-def _cut_rows(terms, leads, rays) -> list:
+def _cut_rows(tvs, leads, rays) -> list:
     """Rows of the cut in the coordinates l of w = sum_j l_j r_j: l >= 0 and
     each leading term dominates its side.  A term's row entry j is its value
-    at r_j; each term is valued once."""
-    pts = [(r[0], r[1:]) for r in rays]
-    vals = [tuple(pair_term(h, x, a, u) for h, x in pts) for u, a in terms]
+    at r_j, one dot with its term vector; each term is valued once."""
+    vals = [tuple(dot(m, r) for r in rays) for m in tvs]
     rows = []
     for pair in leads:
         for side, m in pair:

@@ -11,20 +11,26 @@ oracle for tests/test_toric_geom.py:
   R^n, no height coordinate) by the rows of rel.int(tau).
 
 `_relint_tau_rows` is the library's former `height_prefix=False` branch.
-It accepts only closed L at boundary strata (`cone_over` raises on strict
-rows), and it answers correctly only for nonempty L on the dense stratum, so
-the cross-check sweeps nonempty closed polyhedra.  Test use only.
+Both systems are solved by the LP oracle
+`relint_face_reference.relative_interior_point`, not by the library's point
+code, so its witnesses are other points than the library's and the
+cross-check compares what any two witnesses share.  It accepts only closed L
+at boundary strata (`cone_over` raises on strict rows), and it answers
+correctly only for nonempty L on the dense stratum, so the cross-check sweeps
+nonempty closed polyhedra.  Test use only.
 """
 
 from __future__ import annotations
 
 from tropcong._linalg import ONE, ZERO, nullspace_basis, primitive, vec, zero_vec
 from tropcong.polyhedra import (EQ, LT, EmptyPolyhedronError, Fan, HRow, PolyhedronH,
-                                cone_over, recession_cone, relative_interior_point)
+                                cone_over, recession_cone)
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
                                  NotInClosure, _preimage_rows,
                                  _tau_in_fan)
 from tropcong.trop_core import ExtPoint, Face, ToricContext
+
+from relint_face_reference import relative_interior_point
 
 
 def _relint_tau_rows(tau: Face, dim: int):

@@ -6,12 +6,13 @@ over the terms alive on the stratum with Python's own comparisons.  They are
 kept as independent oracles for tests/test_live_terms.py, with the same
 algorithms over plain values (an exact number, or None for bottom):
 
-* `evaluate` folds `ExtPoint.pair` of every term (None, bottom, for a term
-  outside tau-perp) with the max-plus sum;
+* `evaluate` folds `ExtPoint.pair` of every term's (1+n) term vector (None,
+  bottom, for a term outside tau-perp) with the max-plus sum;
 * `prime_eval` and `initial_form_prime` take `lex_max` of the Phi-vector of
   every term, the all-bottom vector for a dead one, compared by `lex_le`
   (the library's former `congruence.lex_max`, inlined here); the
-  Phi-vector is `phi_monomial`, the library's former `congruence.phi_monomial`.
+  Phi-vector is `phi_monomial`, the library's former `congruence.phi_monomial`,
+  which pairs each row as height r and coordinates x: r*a + <x, u>.
 
 `functions_equal_on_cell` is the library's former
 `variety._functions_equal_on_cell`: it builds an `ExtPoint` at each sample
@@ -34,9 +35,9 @@ from __future__ import annotations
 import itertools
 
 from tropcong import polyhedra
-from tropcong._linalg import dot, is_zero_vec, primitive, zero_vec
+from tropcong._linalg import canon, dot, is_zero_vec, primitive, zero_vec
 from tropcong.congruence import lex_le
-from tropcong.trop_core import ExtPoint, TropPoly, ZeroPolynomialError, pair_term
+from tropcong.trop_core import ExtPoint, TropPoly, ZeroPolynomialError
 from tropcong.variety import _arrangement
 
 
@@ -44,13 +45,13 @@ def phi_monomial(theta, a, u):
     """The Phi-vector of the term (a, u): all bottom off theta's stratum."""
     if not theta.tau.perp_contains(u):
         return (None,) * theta.rank()
-    return tuple(pair_term(r, x, a, u) for r, x in theta.rows)
+    return tuple(canon(row[0] * a + dot(row[1:], u)) for row in theta.rows)
 
 
 def evaluate(f, w):
     best = None
     for u, a in f.terms:
-        v = w.pair(a, u)
+        v = w.pair((a,) + u)
         if best is None or (v is not None and best < v):
             best = v
     return best
@@ -73,7 +74,7 @@ def prime_eval(theta, f):
 def initial_form_point(f, w):
     if f.is_zero():
         raise ZeroPolynomialError("initial form of the zero polynomial")
-    vals = [w.pair(a, u) for u, a in f.terms]
+    vals = [w.pair((a,) + u) for u, a in f.terms]
     finite = [v for v in vals if v is not None]
     if not finite:
         return f

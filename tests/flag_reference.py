@@ -10,8 +10,8 @@ by `is_face` on the two rebuilt cones.
 `flag_in_variety` was the library's `variety.flag_in_variety` before only
 the top cone was tested: every flag cone, one-ray cones included, is split
 by the tie arrangement and every piece is tested at the sum of its
-generators, pointwise only, each side valued by `pair_term` through the pair
-table.  It is the oracle of tests/test_flag_query.py.  Test use only.
+generators, pointwise only, each side valued by `_sides_agree` through the
+pair table.  It is the oracle of tests/test_flag_query.py.  Test use only.
 """
 
 from __future__ import annotations

@@ -48,11 +48,11 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
             for u, a in fi.terms:
                 if u in init_support:
                     continue
-                pv = xis[depth].pair(a, u)
+                m = (a,) + vec(u)
+                pv = xis[depth].pair(m)
                 if pv is None:
                     continue
                 margin = fv - pv
-                m = (a,) + vec(u)
                 # N_depth * margin >= -( (h0(xi0)-<m,xi0>) + sum_j N_j (hj(xij)-<m,xij>) )
                 coeffs = [ZERO] * k
                 coeffs[depth - 1] = -margin
@@ -61,7 +61,7 @@ def iterated_init_region(polys: Sequence[TropPoly], xis: Sequence[ExtPoint]) -> 
                 for j in range(depth):
                     hj = chain[j]
                     val = hj.evaluate(xis[j])
-                    bm = xis[j].pair(m[0], m[1:])
+                    bm = xis[j].pair(m)
                     if bm is None:
                         dead = True
                         break

@@ -24,7 +24,7 @@ from tropcong.congruence import (CongruencePresentation, PrimeMatrix, flag_to_ma
                                  initial_form_prime, prime_contains_pair)
 from tropcong.polyhedra import EQ, FlagOfCones, HRow, validate_flag
 from tropcong.trop_core import ToricContext, TropPoly
-from tropcong.variety import InternalConsistencyError, _difference_rows, term_vec
+from tropcong.variety import InternalConsistencyError, _difference_rows
 
 
 def shrink_flag(context: ToricContext, flag: FlagOfCones,
@@ -41,7 +41,7 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones,
                 continue
             raise InternalConsistencyError("one side dead, yet the pair is in the prime")
         for p, vcs in ((f, mf), (g, mg)):
-            tvs = [term_vec(u, a) for u, a in p.restrict(theta.tau).terms]
+            tvs = p.restrict(theta.tau).term_vectors()
             rows.extend(_difference_rows(vcs, tvs))
         rows.append(HRow(vsub(mf, mg), ZERO, EQ))
     new_cones = []
@@ -63,5 +63,4 @@ def _leading_term_vec(p: TropPoly, theta: PrimeMatrix) -> Optional[Vec]:
     if pr.is_zero():
         return None
     lead = initial_form_prime(p, theta)
-    u, a = lead.terms[0]
-    return term_vec(u, a)
+    return lead.term_vectors()[0]

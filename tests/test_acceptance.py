@@ -339,7 +339,7 @@ def _flag_theorem(ctx, E, V, flag):
     if in_variety:
         assert contains, flag
     if contains:
-        shrunk = shrink_flag(ctx, flag, E, sample_pairs=40, seed=9)
+        shrunk = shrink_flag(ctx, flag, E)
         assert same_prime_rows(ray_sums(flag), ray_sums(shrunk)), flag
         assert flag_in_variety(ctx, shrunk, V), flag
     return in_variety, contains

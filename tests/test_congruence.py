@@ -15,7 +15,7 @@ from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  prime_eval, search_radical_certificate,
                                  verify_derivation, verify_radical_certificate)
 from tropcong.jsonio import enc_certificate
-from tropcong.polyhedra import make_flag
+from tropcong.polyhedra import DimensionMismatchError, make_flag
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
 
 from eval_reference import phi_monomial
@@ -106,7 +106,12 @@ def test_matrix_validation(ctx2):
     with pytest.raises(InvalidMatrixError):
         PrimeMatrix.from_extended_matrix(ctx2, [["1", None, "0"], ["0", "1", "2"]])
     with pytest.raises(InvalidMatrixError):
-        PrimeMatrix.make(ctx2, ctx2.dense_face, [(F(-1), (F(0), F(0)))])
+        PrimeMatrix.make(ctx2, ctx2.dense_face, [(F(-1), F(0), F(0))])
+    # a row is one (1+n)-vector, height first: a (height, coords) pair or a
+    # row of another length is refused
+    for rows in [(F(1), (F(0), F(0)))], [(F(1), F(0))], [(F(1), F(0), F(0), F(0))]:
+        with pytest.raises(DimensionMismatchError):
+            PrimeMatrix.make(ctx2, ctx2.dense_face, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +128,7 @@ def test_initial_form_at_point(ctx2, quartic):
 
 
 def test_initial_form_prime_is_iterated(ctx2, quartic, quartic_Q):
-    rows = [ExtPoint.dense(ctx2, r, x) for r, x in quartic_Q.rows]
+    rows = [ExtPoint.dense(ctx2, row[0], row[1:]) for row in quartic_Q.rows]
     step = initial_form_point(initial_form_point(quartic, rows[0]), rows[1])
     assert initial_form_prime(quartic, quartic_Q) == step
     assert initial_form_prime(quartic, quartic_Q) == parse_poly(ctx2, "x^2 + t^1*x*y")
@@ -149,7 +154,7 @@ def test_leading_term_reduction_invariant(ctx2, quartic_E, quartic_Q, quartic_P)
 def test_flag_to_matrix_single_ray(ctx2):
     flag = make_flag(3, [], [[(1, 0, -1)]])
     theta = flag_to_matrix(ctx2, flag)
-    assert theta.rows == ((F(1), (F(0), F(-1))),)
+    assert theta.rows == ((F(1), F(0), F(-1)),)
 
 
 def test_flag_to_matrix_deep_ray(ctx2):
@@ -192,7 +197,7 @@ def test_flag_to_matrix_choice_independence(ctx2):
             pt = primitive(tuple(sum(c * r[j] for c, r in zip(coeffs, rays))
                                  for j in range(flag.ambient_dim)))
             rows.append(pt)
-        alt = PrimeMatrix.make(ctx2, ctx2.dense_face, [(p[0], p[1:]) for p in rows])
+        alt = PrimeMatrix.make(ctx2, ctx2.dense_face, rows)
         for m1, m2 in pairs:
             assert monomial_le(alt, m1, m2) == monomial_le(base, m1, m2)
         assert same_prime_rows(w, rows)

@@ -56,7 +56,7 @@ def test_matrix_stratum_form_round_trip():
     # so every prime matrix travels as tau_rays and rows
     ctx = ToricContext(3, [(1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)])
     for tau in ctx.faces:
-        theta = PrimeMatrix.make(ctx, tau, [(2, (1, 2, 3)), (Fraction(1, 2), (1, 0, -1))])
+        theta = PrimeMatrix.make(ctx, tau, [(2, 1, 2, 3), (Fraction(1, 2), 1, 0, -1)])
         doc = json.loads(jsonio.dumps(jsonio.enc_matrix(theta)))
         assert sorted(doc) == ["context", "format", "rows", "tau_rays"]
         assert jsonio.context_of_document(doc) == ctx
@@ -452,7 +452,7 @@ def test_cli_resolve_refuses_a_dense_prime_without_E(capsys, fixtures_dir, tmp_p
                              "--prime", str(prime))
     assert (code, err) == (1, "")
     assert json.loads(out) == {"format": "tropcong/1", "resolved": False,
-                               "reason": "no_flag_in_variety",
+                               "reason": "not_contained",
                                "detail": "E is not contained in P"}
 
 
@@ -864,3 +864,25 @@ def test_cli_count_out_of_range_exit_2(capsys, fixtures_dir, argv):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "expected an integer >=" in out.err
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's CLI jobs, in process, against its pinned stdout
+
+def test_cli_jobs_match_the_bench_goldens(capsys, monkeypatch, fixtures_dir):
+    # every job of bench/workloads.CLI_JOBS at seed 0, run from the repository
+    # root as the benchmark runs it, gives the exit code and the stdout that
+    # bench/goldens/cli_fixtures.json pins byte for byte
+    root = fixtures_dir.parent
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    monkeypatch.chdir(root)
+    from workloads import CLI_JOBS, cli_argv, cli_goldens
+    goldens = cli_goldens()
+    assert sorted(goldens) == sorted(job[0] for job in CLI_JOBS)
+    differ = []
+    for job in CLI_JOBS:
+        code, out, _ = run_cli(capsys, *cli_argv(job, 0))
+        want = goldens[job[0]]
+        if (code, out) != (want["exit"], want["stdout"]):
+            differ.append(job[0])
+    assert not differ, differ

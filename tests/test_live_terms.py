@@ -75,7 +75,7 @@ def _poly(rng, ctx, dead_on=None):
 
 def _matrix(rng, ctx, tau):
     while True:
-        rows = [(rng.choice(NUMBERS), [rng.choice(NUMBERS) for _ in range(ctx.rank)])
+        rows = [[rng.choice(NUMBERS) for _ in range(1 + ctx.rank)]
                 for _ in range(rng.randint(1, 3))]
         try:
             return PrimeMatrix.make(ctx, tau, rows)
@@ -115,7 +115,7 @@ def test_equal_maxima_of_different_types_keep_the_reference_choice():
     # int 2 and as 2*(1/2) + 1, an integral Fraction before canonicalisation
     ctx = CONTEXTS[0]
     f = TropPoly.make(ctx, {(0, 0): 1, (1, 0): Fraction(1, 2)})
-    theta = PrimeMatrix.make(ctx, ctx.dense_face, [(2, (1, 0))])
+    theta = PrimeMatrix.make(ctx, ctx.dense_face, [(2, 1, 0)])
     w = ExtPoint.dense(ctx, 2, (1, 0))
     _agree(f, w, theta)
     assert type(prime_eval(theta, f)[0]) is int

@@ -147,7 +147,7 @@ def _flags(rng, ctx, V, tau):
 def _matrices(rng, ctx, tau, flags):
     out = [flag_to_matrix(ctx, flag) for flag in flags]
     for _ in range(4):
-        rows = [(rng.randint(0, 2), [rng.randint(-2, 2) for _ in range(ctx.rank)])
+        rows = [[rng.randint(0, 2)] + [rng.randint(-2, 2) for _ in range(ctx.rank)]
                 for _ in range(rng.randint(1, 2))]
         out.append(PrimeMatrix.make(ctx, tau, rows))
     return out
@@ -196,11 +196,11 @@ def test_queries_match_the_per_pair_oracles():
                 seen["matrix", want] += 1
             for flag in flags:
                 seen["shrink", _same_shrink(ctx, flag, E)] += 1
-            terms, sides = _pair_table(E.pairs, tau)
-            assert _pair_table(V.pairs, tau) == (terms, sides)
+            tvs, sides = _pair_table(E.pairs, tau)
+            assert _pair_table(V.pairs, tau) == (tvs, sides)
             seen["both dead"] += any(not fs and not gs for fs, gs in sides)
             seen["one dead"] += any(bool(fs) != bool(gs) for fs, gs in sides)
-            seen["shared"] += len(terms) < sum(len(s) for pair in sides for s in pair)
+            seen["shared"] += len(tvs) < sum(len(s) for pair in sides for s in pair)
         # E and V share one table per face
         assert all(_pair_table(E.pairs, tau) is _pair_table(V.pairs, tau)
                    for tau in ctx.faces), name
@@ -214,16 +214,16 @@ def test_queries_match_the_per_pair_oracles():
 
 def test_pair_table_of_a_bend_presentation():
     E = PRESENTATIONS[0][1]  # quartic_bend: 4 pairs, 28 term slots, 4 distinct terms
-    terms, sides = _pair_table(E.pairs, E.context.dense_face)
+    tvs, sides = _pair_table(E.pairs, E.context.dense_face)
     assert len(E.pairs) == 4 and sum(len(s) for pair in sides for s in pair) == 28
-    assert terms == E.pairs[0][0].terms
+    assert tvs == E.pairs[0][0].term_vectors()
     assert sides[0] == ((0, 1, 2, 3), (1, 2, 3))
     assert _pair_table(E.pairs, E.context.dense_face) is _pair_table(E.pairs, E.context.dense_face)
     ctx = E.context
     x, zero = parse_poly(ctx, "x"), TropPoly.zero(ctx)
     F = CongruencePresentation.make(ctx, [(x, zero), (zero, x), (x, x)])
     assert _pair_table(F.pairs, ctx.dense_face) == (
-        (((1, 0), 0),), (((0,), ()), ((), (0,)), ((0,), (0,))))
+        ((0, 1, 0),), (((0,), ()), ((), (0,)), ((0,), (0,))))
     assert _pair_table(F.pairs, ctx.deep_face) == ((), (((), ()),) * 3)
 
 
@@ -335,7 +335,7 @@ def test_queries_in_another_context_raise():
             with pytest.raises(ContextMismatchError):
                 point_in_variety(V, ExtPoint.make(other, 0, tau, (0, 0)))
             with pytest.raises(ContextMismatchError):
-                congruence_in_prime(E, PrimeMatrix.make(other, tau, [(0, (-1, -1))]))
+                congruence_in_prime(E, PrimeMatrix.make(other, tau, [(0, -1, -1)]))
         with pytest.raises(ContextMismatchError):
             shrink_flag(other, flag, E)
         with pytest.raises(ContextMismatchError):

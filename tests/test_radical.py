@@ -45,8 +45,8 @@ def _random_prime(rng, ctx):
     """A matrix of one or two rows of small entries on a random face; small
     entries make ties, so pairs often lie in the prime."""
     tau = rng.choice(ctx.faces)
-    rows = [(rng.randint(0, 2), tuple(rng.randint(-2, 2) for _ in range(ctx.rank)))
-            for _ in range(rng.randint(1, 2))]
+    rows = [tuple(rng.randint(0, 2) if j == 0 else rng.randint(-2, 2)
+                  for j in range(1 + ctx.rank)) for _ in range(rng.randint(1, 2))]
     return PrimeMatrix.make(ctx, tau, rows)
 
 
@@ -87,7 +87,7 @@ def test_prime_search_where_both_sides_are_bottom():
     # on the deep stratum of the affine plane every non-constant term is dead:
     # (x, y) is in the prime, and so is ((x+y)^i + h)(x, y) for every i and h
     ctx = CONTEXTS["affine"]
-    theta = PrimeMatrix.make(ctx, ctx.deep_face, [(1, (0, 0))])
+    theta = PrimeMatrix.make(ctx, ctx.deep_face, [(1, 0, 0)])
     pair = (parse_poly(ctx, "x"), parse_poly(ctx, "y"))
     bounds = SearchBounds(max_exponent=3)
     res = search_radical_certificate(theta, pair, bounds)

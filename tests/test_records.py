@@ -79,7 +79,7 @@ RECORDS = [
     (ResolutionResult, ("matrix", "cone", "v", "v_hats", "b", "w_hats",
                         "refinement_samples"),
      ResolutionResult(THETA, CONE, _q(1, 0), (_q(0, 1),), _q(2), (_q(1, 1),), 500)),
-    (ResolveFailure, ("reason", "detail"), ResolveFailure("no_flag_in_variety", "none")),
+    (ResolveFailure, ("reason", "detail"), ResolveFailure("not_contained", "none")),
     (CancellativityReport, ("trials", "products_equal", "violations"),
      CancellativityReport(200, 12, ())),
 ]
@@ -298,8 +298,8 @@ def test_repr_text():
     assert repr(Trans(0, 2)) == "Trans(i=0, j=2)"
     assert repr(SearchBounds()) == "SearchBounds(max_exponent=4, max_degree=8, max_nodes=4000)"
     assert repr(NotFound(17)) == "NotFound(explored=17)"
-    assert repr(ResolveFailure("no_flag_in_variety", "none")) == (
-        "ResolveFailure(reason='no_flag_in_variety', detail='none')")
+    assert repr(ResolveFailure("not_contained", "none")) == (
+        "ResolveFailure(reason='not_contained', detail='none')")
     assert repr(make_flag(3, [], [[(1, 1, 0)]])) == (
         "FlagOfCones(ambient_dim=3, tau_rays=(), "
         "cones_rays=(((1, 1, 0),),))")

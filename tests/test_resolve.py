@@ -9,7 +9,7 @@ from tropcong.congruence import (CongruencePresentation, PrimeMatrix,
                                  initial_form_point, monomial_le)
 from tropcong.polyhedra import relative_interior_point
 from tropcong import resolve
-from tropcong.resolve import (CLOSURE_VIOLATED, NO_FLAG,
+from tropcong.resolve import (CLOSURE_VIOLATED, NO_FEASIBLE_CONE, NOT_CONTAINED,
                               ResolutionResult, ResolveFailure,
                               cancellativity_harness, init_stability,
                               iterated_init_region, resolve_boundary_prime,
@@ -194,8 +194,8 @@ def test_resolve_quartic(ctx2, quartic_E, quartic_P):
     _check_resolution(quartic_E, quartic_P, res)
     assert res.v[0] == 0 and res.v[1] < 0 and res.v[2] < 0
     # the witnesses reconstruct the matrix rows
-    assert res.matrix.rows[0] == (res.v[0], res.v[1:])
-    assert res.matrix.rows[1] == (res.w_hats[0][0], res.w_hats[0][1:])
+    assert res.matrix.rows[0] == res.v
+    assert res.matrix.rows[1] == res.w_hats[0]
 
 
 def test_resolve_ignores_a_redundant_row(ctx2, quartic_E, quartic_P):
@@ -222,14 +222,14 @@ CTX2 = ToricContext.affine(2)
 
 @pytest.mark.parametrize("P", [
     # a boundary prime: stratum ray(-e1), one row
-    PrimeMatrix.make(CTX2, CTX2.face_from_rays([(-1, 0)]), [(F(1), (F(0), F(2)))]),
+    PrimeMatrix.make(CTX2, CTX2.face_from_rays([(-1, 0)]), [(F(1), F(0), F(2))]),
     # a dense prime: its ideal-kernel is trivial, and it is refused all the same
     PrimeMatrix.from_extended_matrix(CTX2, [["0", "1", "5"]]),
 ], ids=["boundary", "dense"])
 def test_resolve_not_containing(quartic_E, P):
     assert not congruence_in_prime(quartic_E, P)
     res = resolve_boundary_prime(quartic_E, P)
-    assert isinstance(res, ResolveFailure) and res.reason == NO_FLAG
+    assert isinstance(res, ResolveFailure) and res.reason == NOT_CONTAINED
 
 
 def test_resolve_shrinks_the_flag_and_skips_an_infeasible_cell(ctx2, monkeypatch):
@@ -296,6 +296,47 @@ def test_resolve_reports_a_rejected_shrunk_flag_as_a_bug(ctx2, monkeypatch, tmp_
     assert captured.out == ""
     assert captured.err == ("internal consistency error: "
                             "the shrunk flag is not inside the support\n")
+
+
+def test_resolve_reports_every_cell_infeasible(quartic_E, quartic_P, monkeypatch):
+    monkeypatch.setattr(resolve, "_resolution_system", lambda *args: None)
+    res = resolve_boundary_prime(quartic_E, quartic_P)
+    cells = len(support_of(quartic_E).stratum(quartic_E.context.dense_face).cells)
+    assert res == ResolveFailure(
+        NO_FEASIBLE_CONE, "no dense cell admits a feasible system (%d tried)" % cells)
+
+
+def _fail_containment_of_the_constructed_prime(monkeypatch):
+    """congruence_in_prime as before on P, false on the dense Q resolve builds."""
+    real = resolve.congruence_in_prime
+    monkeypatch.setattr(resolve, "congruence_in_prime",
+                        lambda E, theta: theta.tau.dim() != 0 and real(E, theta))
+
+
+def _fail_refinement_of_the_constructed_prime(monkeypatch):
+    monkeypatch.setattr(resolve, "_sampled_refinement", lambda *args: (False, 1))
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_fail_containment_of_the_constructed_prime, "the constructed prime does not contain E"),
+    (_fail_refinement_of_the_constructed_prime, "the constructed prime does not refine P"),
+], ids=["containment", "refinement"])
+def test_resolve_reports_a_failed_check_of_the_constructed_prime_as_a_bug(
+        quartic_E, quartic_P, fixtures_dir, monkeypatch, capsys, fail, message):
+    # Q's rows lie in a cell of the support and project onto P's flag, so
+    # E <= Q <= P hold by construction: a failed check is an internal
+    # inconsistency, not a cell to skip
+    from tropcong.variety import InternalConsistencyError
+    assert isinstance(resolve_boundary_prime(quartic_E, quartic_P), ResolutionResult)
+    fail(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=message):
+        resolve_boundary_prime(quartic_E, quartic_P)
+    base = fixtures_dir / "quartic_bend"
+    assert main(["resolve", "--cong", str(base / "E.json"),
+                 "--prime", str(base / "P.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal consistency error: %s\n" % message
 
 
 def test_resolve_closure_hypothesis_violated(ctx1):

@@ -209,7 +209,7 @@ def test_values_are_exact_numbers_or_none(face, terms, r, x):
     ctx = ToricContext.affine(2)
     f = TropPoly.make(ctx, terms)
     w = ExtPoint.make(ctx, r, ctx.faces[face], x)
-    pairs = [w.pair(a, u) for u, a in f.terms]
+    pairs = [w.pair(m) for m in f.term_vectors()]
     assert all(is_exact(p) for p in pairs)
     best = None
     for p in pairs:
@@ -217,7 +217,7 @@ def test_values_are_exact_numbers_or_none(face, terms, r, x):
     got = f.evaluate(w)
     assert is_exact(got) and got == best
     # Phi-vectors: the matrix rows are (r; x) and (|x_2|; x_2, x_1)
-    theta = PrimeMatrix.make(ctx, ctx.faces[face], [(r, x), (abs(x[1]), x[::-1])])
+    theta = PrimeMatrix.make(ctx, ctx.faces[face], [(r,) + x, (abs(x[1]),) + x[::-1]])
     phis = [phi_monomial(theta, a, u) for u, a in f.terms] + [prime_eval(theta, f)]
     assert all(is_exact(e) for phi in phis for e in phi)
 

@@ -521,7 +521,7 @@ def _forms_within(polys, tau):
     """The former `_linearity_forms`: tie normals between two terms of one polynomial."""
     forms = set()
     for p in polys:
-        tvs = [vy.term_vec(u, a) for u, a in p.restrict(tau).terms]
+        tvs = p.restrict(tau).term_vectors()
         for v1, v2 in itertools.combinations(tvs, 2):
             d = neg_primitive_pair(vsub(v1, v2))
             if not is_zero_vec(d):
@@ -533,9 +533,9 @@ def _forms_across(pairs, tau):
     """The former `_cross_forms`: tie normals between a term of f and a term of g."""
     forms = set()
     for f, g in pairs:
-        for u1, a1 in f.restrict(tau).terms:
-            for u2, a2 in g.restrict(tau).terms:
-                d = neg_primitive_pair(vsub(vy.term_vec(u1, a1), vy.term_vec(u2, a2)))
+        for v1 in f.restrict(tau).term_vectors():
+            for v2 in g.restrict(tau).term_vectors():
+                d = neg_primitive_pair(vsub(v1, v2))
                 if not is_zero_vec(d):
                     forms.add(d)
     return forms
