@@ -6,7 +6,8 @@ evaluated at points (r, x) of R_{>=0} x N_R(sigma), where boundary strata send
 exponents outside tau-perp to -inf.
 """
 
-from tropcong import ExtPoint, ToricContext, bend_relations, parse_poly
+from tropcong import (ExtPoint, ToricContext, bend_relations, initial_form_point,
+                      parse_poly)
 
 
 def show(value):
@@ -20,6 +21,7 @@ print("f =", f)
 w = ExtPoint.dense(ctx, 1, (0, -1))
 print("\nAt the dense point (r=1, x=(0,-1)):")
 print("  f~(w) =", show(f.evaluate(w)), " (the x^2 and t*x*y terms tie at 0)")
+print("  init_w(f) =", initial_form_point(f, w))
 
 deep = ExtPoint.make(ctx, 1, ctx.deep_face, (0, 0))
 print("\nAt the deep stratum point (r=1, all coordinates at -inf):")

@@ -254,10 +254,6 @@ def _top_terms(f: TropPoly, live, vals) -> TropPoly:
 # ---------------------------------------------------------------------------
 # ideal-kernel
 
-def ideal_kernel_face(theta: PrimeMatrix) -> Face:
-    return theta.tau
-
-
 def has_trivial_ideal_kernel(theta: PrimeMatrix) -> bool:
     return theta.tau.dim() == 0
 

@@ -524,9 +524,6 @@ class FlagOfCones(_Record):
     def cone(self, i: int) -> ConeH:
         return hrep_from_rays(self.cones_rays[i], self.ambient_dim)
 
-    def length(self) -> int:
-        return len(self.cones_rays)
-
 
 def make_flag(ambient_dim, tau_rays, cones_rays) -> FlagOfCones:
     return FlagOfCones(ambient_dim,

@@ -16,14 +16,14 @@ the generators of the cone sigma^v.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, zero_vec
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, Fan, HRow, PolyhedronH, cone_over,
                         feasible, hrep_from_rays, is_empty)
-from .trop_core import ExtPoint, Face, ToricContext
+from .trop_core import ExtPoint, Face
 
 CLAIM_PREIMAGE = "claim1-preimage"
 CLAIM_DIRECTION = "claim3-direction"
@@ -37,14 +37,6 @@ class ClosureWitness(_Record):
 
 class NotInClosure(_Record):
     _fields = ("failed_claims",)
-
-
-def project_to_stratum(context: ToricContext, x: Sequence, tau: Face) -> ExtPoint:
-    """Quotient map pi_tau: N_R -> N_R / span(tau): the height-1 point of the
-    stratum of tau with canonical coordinates."""
-    if tau not in context.faces:
-        raise ValueError("tau is not a face of sigma")
-    return ExtPoint.make(context, ONE, tau, x)
 
 
 def _preimage_rows(tau: Face, target_full: Vec, dim: int):

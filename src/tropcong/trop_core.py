@@ -307,6 +307,8 @@ class ExtPoint(_Record):
         r = frac(r)
         if r < 0:
             raise ValueError("height must be non-negative")
+        if tau not in context.faces:
+            raise ValueError("tau is not a face of sigma")
         return ExtPoint(context, r, tau, tau.canonical(coords))
 
     @staticmethod

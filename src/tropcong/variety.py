@@ -36,10 +36,6 @@ class FiniteBasisRequiredError(ValueError):
     pass
 
 
-class DenominatorVanishesError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # stratum scaffolding
 
@@ -358,14 +354,10 @@ def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -
     return all(agree(lin, rays) for lin, rays, _ in _cell_pieces(cell, forms))
 
 
-def _check_contexts(V: VarietySupport, *polys: TropPoly):
-    if any(p.context != V.context for p in polys):
-        raise ContextMismatchError("polynomial and support contexts differ")
-
-
 def functions_equal_on_variety(f: TropPoly, g: TropPoly, V: VarietySupport) -> bool:
     """Equality of the induced piecewise-linear functions on every cell of V."""
-    _check_contexts(V, f, g)
+    if f.context != V.context or g.context != V.context:
+        raise ContextMismatchError("polynomial and support contexts differ")
     for tau, cell in V.all_cells():
         if not _functions_equal_on_cell(f, g, tau, cell):
             return False
@@ -379,19 +371,6 @@ def radical_member(E: CongruencePresentation, pair) -> bool:
             "radical membership needs a declared finite tropical basis")
     f, g = pair
     return functions_equal_on_variety(f, g, support_of(E))
-
-
-def fractions_equal_on_variety(num_den1, num_den2, V: VarietySupport) -> bool:
-    """f1/g1 = f2/g2 on V via cross multiplication; denominators must not vanish."""
-    f1, g1 = num_den1
-    f2, g2 = num_den2
-    _check_contexts(V, f1, g1, f2, g2)
-    for den in (g1, g2):
-        for tau, cell in V.all_cells():
-            if den.restrict(tau).is_zero():
-                raise DenominatorVanishesError(
-                    "denominator is identically bottom on a cell's stratum")
-    return functions_equal_on_variety(f1 * g2, f2 * g1, V)
 
 
 # ---------------------------------------------------------------------------

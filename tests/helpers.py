@@ -5,8 +5,8 @@
   modulo a span, and one solution of a linear system.
 * `enc_congruence` and `enc_flag` write the congruence and flag documents
   the CLI reads but never emits, for round trips and CLI inputs.
-* `shifted_point` is the point w + N v that `init_stability` and
-  `iterated_init_region` describe.
+* `shifted_point` is the point w + N v that `init_forms.init_stability`
+  and `init_forms.iterated_init_region` describe.
 * `random_poly` draws a seeded polynomial with k distinct terms, exponents
   in [0, 3] and coefficients t^-2 .. t^2, for sweeps over random bends.
 """

@@ -1,14 +1,14 @@
 """Reference iterated-initial-form region: the recursive construction.
 
-This was the library's `resolve.iterated_init_region` before the
-deleted-term rows of an initial form were built by one step shared with
+This was `resolve.iterated_init_region` (now in tests/init_forms.py) before
+the deleted-term rows of an initial form were built by one step shared with
 `init_stability`.  It is kept verbatim as an independent oracle for
 tests/test_resolve.py.  It recurses from depth k down to 0, builds the chains
 h_{i,0}, .., h_{i,k} of iterated initial forms on the way back up, and for
 each term deleted at xi_depth emits one row in (N_1..N_k)-space, skipping
 the row when the term dies at an earlier point.  When an iterated initial
 form is bottom at an earlier point while the term survives there it raises
-a bare TypeError (None minus a number); the library raises ValueError.
+a bare TypeError (None minus a number); `init_forms` raises ValueError.
 
 Test use only.
 """

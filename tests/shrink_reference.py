@@ -45,7 +45,7 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones,
             rows.extend(_difference_rows(vcs, tvs))
         rows.append(HRow(vsub(mf, mg), ZERO, EQ))
     new_cones = []
-    for i in range(flag.length()):
+    for i in range(len(flag.cones_rays)):
         c = flag.cone(i).with_rows(tuple(rows))
         if polyhedra.cone_dim(c) != i + 1:
             raise InternalConsistencyError(

@@ -19,7 +19,7 @@ from tropcong.congruence import (CongruencePresentation, NotFound, PrimeMatrix,
                                  verify_radical_certificate)
 from tropcong.polyhedra import PolyhedronH, make_flag, row
 from tropcong.resolve import (ResolutionResult, cancellativity_harness,
-                              init_stability, resolve_boundary_prime)
+                              resolve_boundary_prime)
 from tropcong.toric_geom import witness_soundness
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
 from tropcong.congruence import initial_form_point
@@ -28,6 +28,7 @@ from tropcong.variety import (flag_in_variety, functions_equal_on_variety,
                               radical_member, slice_at_height)
 
 from helpers import random_poly, shifted_point
+from init_forms import init_stability
 
 
 def cli(capsys, *argv):

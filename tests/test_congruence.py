@@ -9,10 +9,9 @@ from tropcong.congruence import (AddBoth, CongruencePresentation, Derivation,
                                  Generator, InvalidMatrixError, MulMono, NotFound,
                                  PrimeMatrix, RadicalCertificate, Refl, SearchBounds,
                                  Sym, Trans, congruence_in_prime, flag_to_matrix,
-                                 has_trivial_ideal_kernel, ideal_kernel_face,
-                                 initial_form_point, initial_form_prime,
-                                 monomial_le, prime_contains_pair,
-                                 prime_eval, search_radical_certificate,
+                                 has_trivial_ideal_kernel, initial_form_point,
+                                 initial_form_prime, monomial_le,
+                                 prime_contains_pair, prime_eval, search_radical_certificate,
                                  verify_derivation, verify_radical_certificate)
 from tropcong.jsonio import enc_certificate
 from tropcong.polyhedra import DimensionMismatchError, make_flag
@@ -92,11 +91,11 @@ def test_quartic_bend_pairs_under_Q(quartic_E, quartic_Q):
 
 
 def test_kernel_faces(ctx2, ctxB, quartic_P, quartic_Q):
-    assert ideal_kernel_face(quartic_P).dim() == 2
+    assert quartic_P.tau.dim() == 2
     assert not has_trivial_ideal_kernel(quartic_P)
     assert has_trivial_ideal_kernel(quartic_Q)
     deep = PrimeMatrix.from_extended_matrix(ctxB, [[None, None, None]])
-    assert ideal_kernel_face(deep) == ctxB.deep_face
+    assert deep.tau == ctxB.deep_face
     x = parse_poly(ctxB, "x")
     zero = TropPoly.zero(ctxB)
     assert prime_contains_pair(deep, (x, zero))

@@ -41,9 +41,9 @@ from tropcong.polyhedra import make_flag, validate_flag
 from tropcong.trop_core import (COEFF_B, ContextMismatchError, ExtPoint, ToricContext,
                                 TropPoly, parse_poly)
 from tropcong.variety import (InternalConsistencyError, flag_in_variety,
-                              fractions_equal_on_variety, functions_equal_on_variety,
-                              hypersurface, intersect_supports, point_in_variety,
-                              radical_member, shrink_flag, variety_of_basis)
+                              functions_equal_on_variety, hypersurface,
+                              intersect_supports, point_in_variety, radical_member,
+                              shrink_flag, variety_of_basis)
 
 import eval_reference as ref
 import shrink_reference
@@ -348,8 +348,6 @@ def test_queries_in_another_context_raise():
                 functions_equal_on_variety(*pair, V)
             with pytest.raises(ContextMismatchError):
                 radical_member(E, pair)
-            with pytest.raises(ContextMismatchError):
-                fractions_equal_on_variety(pair, pair, V)
 
 
 @pytest.mark.parametrize("lhs, rhs, tau_rays", [

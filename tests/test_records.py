@@ -24,10 +24,12 @@ from tropcong.polyhedra import (EQ, LE, ConeH, DimensionMismatchError, Fan,
                                 FlagOfCones, HRow, PolyhedronH, cone_generators,
                                 make_flag, row, validate_flag)
 from tropcong.resolve import (CancellativityReport, ResolutionResult,
-                              ResolveFailure, StabilityData)
+                              ResolveFailure)
 from tropcong.toric_geom import ClosureWitness, NotInClosure
 from tropcong.trop_core import ExtPoint, Face, ToricContext, TropPoly, parse_poly
 from tropcong.variety import StratumSupport, VarietySupport, hypersurface
+
+from init_forms import StabilityData
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

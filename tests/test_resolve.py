@@ -11,8 +11,7 @@ from tropcong.polyhedra import relative_interior_point
 from tropcong import resolve
 from tropcong.resolve import (CLOSURE_VIOLATED, NO_FEASIBLE_CONE, NOT_CONTAINED,
                               ResolutionResult, ResolveFailure,
-                              cancellativity_harness, init_stability,
-                              iterated_init_region, resolve_boundary_prime,
+                              cancellativity_harness, resolve_boundary_prime,
                               verify_closure_hypothesis)
 from tropcong.cli import main
 from tropcong.trop_core import ExtPoint, ToricContext, TropPoly, parse_poly
@@ -20,6 +19,7 @@ from tropcong.variety import functions_equal_on_variety, variety_of_basis, suppo
 
 import init_region_reference as ref
 from helpers import enc_congruence, shifted_point
+from init_forms import init_stability, iterated_init_region
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def _random_point(rng, ctx):
 
 def test_region_matches_the_recursive_reference():
     # the chain loop emits the rows of the former recursion; where that one
-    # subtracted a number from bottom (TypeError), the library raises ValueError
+    # subtracted a number from bottom (TypeError), init_forms raises ValueError
     rng = random.Random(26)
     seen = {"rows": 0, "whole space": 0, "bottom": 0}
     for ctx in (ToricContext.affine(2), ToricContext.torus(2)):

@@ -14,7 +14,7 @@ from tropcong.polyhedra import (Fan, PolyhedronH, cone_over, faces_of, generator
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
                                  NotInClosure, closure_on_stratum,
                                  cone_closure_witnesses, polyhedron_closure_membership,
-                                 project_to_stratum, witness_soundness)
+                                 witness_soundness)
 from tropcong.trop_core import ExtPoint, ToricContext
 from tropcong.variety import support_of
 
@@ -27,19 +27,19 @@ def sigma_fan(ctx):
 # projections
 
 def test_project_dense_identity(ctx2):
-    p = project_to_stratum(ctx2, (3, -2), ctx2.dense_face)
+    p = ExtPoint.make(ctx2, 1, ctx2.dense_face, (3, -2))
     assert p.coords == (F(3), F(-2))
 
 
 def test_project_deep_unique(ctx2):
-    a = project_to_stratum(ctx2, (5, 7), ctx2.deep_face)
-    b = project_to_stratum(ctx2, (-1, 0), ctx2.deep_face)
+    a = ExtPoint.make(ctx2, 1, ctx2.deep_face, (5, 7))
+    b = ExtPoint.make(ctx2, 1, ctx2.deep_face, (-1, 0))
     assert a == b and a.coords == (F(0), F(0))
 
 
 def test_project_ray_quotient(ctx2):
     tau = ctx2.face_from_rays([(-1, 0)])
-    p = project_to_stratum(ctx2, (5, -1), tau)
+    p = ExtPoint.make(ctx2, 1, tau, (5, -1))
     assert p.coords == (F(0), F(-1))
     assert p.r == 1
     assert p.pair((0, 0, 1)) == F(-1)

@@ -328,3 +328,16 @@ def test_eval_monotone_in_partial_order(ctx2, seed):
 def test_ext_point_rejects_negative_height(ctx2):
     with pytest.raises(ValueError):
         ExtPoint.dense(ctx2, -1, (0, 0))
+
+
+def test_ext_point_rejects_a_face_of_another_cone(ctx2):
+    # a torus has no boundary stratum, so no point of it lies on affine(2)'s
+    # deep face, and evaluation there cannot send every term to bottom
+    torus = ToricContext.torus(2)
+    with pytest.raises(ValueError, match="not a face of sigma"):
+        ExtPoint.make(torus, 1, ctx2.deep_face, (1, 2))
+    w = ExtPoint.make(torus, 1, torus.dense_face, (1, 2))
+    assert parse_poly(torus, "x + x^-1*y").evaluate(w) == 1
+    # a face of a cone equal to the context's is the context's face
+    boolean = ToricContext.affine(2, coeff="B")
+    assert ExtPoint.make(boolean, 1, ctx2.deep_face, (1, 2)).tau == boolean.deep_face
