@@ -10,9 +10,10 @@ of the rows tight at each ray; `variety` splits cells and flag cones by tie
 hyperplanes with the same step.  The same kernel, run on the closed cone over
 a polyhedron, answers every yes/no question: emptiness with strict rows
 honored exactly (`feasible`), implicit equalities, and the suprema of linear
-forms that decide containment in `poly_in_union`; `is_face` compares a cone
-with the smallest face containing it.  No LP runs: the point of `feasible`
-and `relative_interior_point` is one, the dehomogenized sum of the rays.
+forms that decide containment in `poly_in_union`; `is_face` reads the
+smallest face containing a cone off the incidence of its generators with the
+rows.  No LP runs: the point of `feasible` and `relative_interior_point` is
+one, the dehomogenized sum of the rays.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ LE, LT, EQ = "<=", "<", "="
 _RELS = (LE, LT, EQ)
 _row_order = attrgetter("rel", "a", "b")  # the order of `make`'s rows
 
-# Entries kept by each cache: `cone_generators`, `faces_of` and
-# `_flag_violations` here, `congruence._pair_table`, `congruence.flag_to_matrix`
-# and `variety._arrangement`.  Well above the few hundred entries any of them
-# reaches in a CLI run or a 500-flag run.
+# Entries kept by each cache: `cone_generators` and `_flag_violations` here,
+# `trop_core._sigma` and `_faces`, `congruence._pair_table` and `flag_to_matrix`,
+# `variety._arrangement` and `_point_table`.  Well above the few hundred entries
+# any of them reaches in a CLI run or a 500-flag run.
 CACHE_SIZE = 4096
 
 # Nodes one region difference (`poly_in_union`, and so each containment that
@@ -397,33 +398,15 @@ def _nonempty_subset(p: PolyhedronH, gens, q: PolyhedronH) -> bool:
 def is_face(f: ConeH, c: ConeH) -> bool:
     """f is a face of c: f <= c and f is the smallest face of c containing it.
 
-    That face is c with every row tight on all generators of f made an
-    equality; both sides are compared by cone_key, so no LP runs."""
+    That face is spanned by the generators of c tight on every row of c that
+    vanishes on all generators of f (Fukuda & Prodon 1996), so f is a face iff
+    those generators of c are exactly its own.  Lineality vectors are tight on
+    every row; no H-representation is built and no second enumeration runs."""
     gf = generators(f)
     if not satisfied_at(c, gf):
         return False
-    rows = tuple(HRow(r.a, r.b, EQ) if all(dot(r.a, g) == 0 for g in gf) else r
-                 for r in c.rows)
-    return cone_key(f) == cone_key(ConeH.make(c.dim, rows))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def faces_of(c: ConeH) -> tuple:
-    """All faces of c (including c and its minimal face)."""
-    seen = {}
-    work = [c]
-    seen[cone_key(c)] = c
-    while work:
-        cur = work.pop()
-        for r in cur.rows:
-            if r.rel == EQ:
-                continue
-            face = ConeH.make(cur.dim, cur.rows + (HRow(r.a, ZERO, EQ),))
-            key = cone_key(face)
-            if key not in seen:
-                seen[key] = face
-                work.append(face)
-    return tuple(sorted(seen.values(), key=lambda f: (cone_dim(f), cone_key(f))))
+    tight = [r.a for r in c.rows if all(dot(r.a, g) == 0 for g in gf)]
+    return gf == tuple(g for g in generators(c) if all(dot(a, g) == 0 for a in tight))
 
 
 # ---------------------------------------------------------------------------

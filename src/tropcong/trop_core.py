@@ -149,8 +149,17 @@ def _sigma(rank: int, rays: tuple) -> ConeH:
 
 @lru_cache(maxsize=polyhedra.CACHE_SIZE)
 def _faces(ctx: ToricContext) -> tuple:
-    fs = [Face.from_rays(ctx.rank, polyhedra.cone_generators(c)[1])
-          for c in polyhedra.faces_of(ctx.sigma)]
+    """The faces of sigma, read off ray incidence.
+
+    sigma is pointed, so each face is spanned by the extreme rays of sigma
+    tight on some set of its rows (Fukuda & Prodon 1996): the ray sets are
+    all of `sigma_rays` closed under intersection with each row's tight rays,
+    and no face runs a generator enumeration of its own."""
+    found = {frozenset(ctx.sigma_rays)}
+    for r in ctx.sigma.rows:
+        tight = {g for g in ctx.sigma_rays if dot(r.a, g) == 0}
+        found |= {s & tight for s in found}
+    fs = [Face.from_rays(ctx.rank, s) for s in found]
     return tuple(sorted(fs, key=lambda f: (f.dim(), f.rays)))
 
 

@@ -5,16 +5,21 @@ kernel replaced it.  It is kept verbatim as an independent oracle for
 tests/test_cone_kernel.py: one exact LP per inequality row finds the linear hull
 of the cone, and extreme rays come from every (t-1)-subset of the rows restricted
 to the pointed part.  Exponential in the number of rows; test use only.
+
+`faces_of` was the library's face enumeration before faces were read off ray
+incidence; it is kept verbatim as the oracle for the faces of general cones.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from tropcong import _lp
-from tropcong._linalg import (ONE, Vec, dot, is_zero_vec, neg_primitive_pair,
+from tropcong._linalg import (ONE, ZERO, Vec, dot, is_zero_vec, neg_primitive_pair,
                               nullspace_basis, primitive, rank_of, vscale, zero_vec)
-from tropcong.polyhedra import EQ, ConeH, PolyhedronH
+from tropcong.polyhedra import (CACHE_SIZE, EQ, ConeH, HRow, PolyhedronH, cone_dim,
+                                cone_key)
 
 from helpers import reduce_mod_span, vadd
 from lp_reference import max_linear
@@ -91,3 +96,22 @@ def cone_generators(c: ConeH):
         rays.add(primitive(reduce_mod_span(x, lin)))
     lin_canon = tuple(sorted(neg_primitive_pair(v) for v in lin))
     return lin_canon, tuple(sorted(rays))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def faces_of(c: ConeH) -> tuple:
+    """All faces of c (including c and its minimal face)."""
+    seen = {}
+    work = [c]
+    seen[cone_key(c)] = c
+    while work:
+        cur = work.pop()
+        for r in cur.rows:
+            if r.rel == EQ:
+                continue
+            face = ConeH.make(cur.dim, cur.rows + (HRow(r.a, ZERO, EQ),))
+            key = cone_key(face)
+            if key not in seen:
+                seen[key] = face
+                work.append(face)
+    return tuple(sorted(seen.values(), key=lambda f: (cone_dim(f), cone_key(f))))

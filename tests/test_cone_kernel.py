@@ -5,9 +5,12 @@ one exact LP per row for implicit equalities, then subset enumeration.  Both
 must return the same (lineality, rays) on every cone below.  The reference
 leaves the lineality basis unsorted when the cone is a linear subspace, so it
 is compared as a sorted tuple; no caller depends on that order.
+`ToricContext.faces`, read off ray incidence, is compared with the faces that
+`cone_kernel_reference.faces_of` enumerates one generator run at a time.
 """
 
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +18,11 @@ from hypothesis import strategies as st
 import cone_kernel_reference as ref
 from tropcong import jsonio
 from tropcong.polyhedra import EQ, LE, ConeH, HRow, cone_generators
-from tropcong.trop_core import ToricContext, parse_poly
+from tropcong.trop_core import Face, ToricContext, parse_poly
 from tropcong.variety import hypersurface, support_of
 from tropcong._linalg import ZERO, vec
+
+SQUARE = [(-1, -1, -1), (1, -1, -1), (-1, 1, -1), (1, 1, -1)]
 
 
 def _reference(c):
@@ -51,9 +56,8 @@ def test_hypersurface_f1_cells(ctx3):
 def test_sigma_and_dual(fixtures_dir):
     doc = json.loads((fixtures_dir / "closure" / "sigma_fan.json").read_text())
     widest = max(doc["cones"], key=lambda c: len(c["rays"]))["rays"]
-    square = [(-1, -1, -1), (1, -1, -1), (-1, 1, -1), (1, 1, -1)]
     contexts = [ToricContext.affine(2), ToricContext.affine(3), ToricContext.torus(2),
-                ToricContext(2, [vec(r) for r in widest]), ToricContext(3, [vec(r) for r in square])]
+                ToricContext(2, [vec(r) for r in widest]), ToricContext(3, SQUARE)]
     for ctx in contexts:
         _agree(ctx.sigma)
         _agree(_dual(ctx))
@@ -107,3 +111,29 @@ def test_origin_and_subspace_cones():
     line = ConeH.make(3, (HRow(vec((0, 1, 1)), ZERO, LE), HRow(vec((0, -1, -1)), ZERO, LE)))
     _agree(line)
     assert len(cone_generators(line)[0]) == 2
+
+
+def _random_contexts(rng, count):
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        try:
+            out.append(ToricContext(n, rays))
+        except ValueError:  # sigma contains a line
+            pass
+    return out
+
+
+def test_context_faces_match_the_enumerated_faces():
+    contexts = [ToricContext.affine(n) for n in range(1, 5)]
+    contexts += [ToricContext.torus(1), ToricContext.torus(3), ToricContext(3, SQUARE),
+                 ToricContext(2, [(1, -1)]), ToricContext(3, [(0, 0, -1)]),
+                 ToricContext(3, [(-1, 0, 0), (0, -1, -1)])]
+    contexts += _random_contexts(random.Random(20261021), 40)
+    assert {ctx.rank for ctx in contexts[10:]} == {2, 3, 4}
+    assert any(r.rel == EQ for ctx in contexts[10:] for r in ctx.sigma.rows)
+    for ctx in contexts:
+        want = sorted((Face.from_rays(ctx.rank, cone_generators(c)[1])
+                       for c in ref.faces_of(ctx.sigma)), key=lambda f: (f.dim(), f.rays))
+        assert ctx.faces == tuple(want), ctx

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relint_face_reference as ref
+from cone_kernel_reference import faces_of
 from tropcong import _lp, jsonio, polyhedra, resolve, toric_geom
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
-                                PolyhedronH, cone_key, faces_of, generators,
+                                PolyhedronH, cone_key, generators,
                                 cone_over, hrep_from_rays, is_face, recession_cone,
                                 relative_interior_point, row)
 from tropcong._linalg import ZERO, dot, frac, primitive, vec

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 import closure_reference as ref
+from cone_kernel_reference import faces_of
 from helpers import random_poly
 
 from tropcong.congruence import CongruencePresentation
 from tropcong import jsonio
-from tropcong.polyhedra import (Fan, PolyhedronH, cone_over, faces_of, generators,
-                                hrep_from_rays, poly_in_union, row)
+from tropcong.polyhedra import (Fan, PolyhedronH, cone_over, generators, hrep_from_rays,
+                                poly_in_union, row)
 from tropcong.toric_geom import (CLAIM_DIRECTION, CLAIM_PREIMAGE, ClosureWitness,
                                  NotInClosure, closure_on_stratum,
                                  cone_closure_witnesses, polyhedron_closure_membership,

@@ -578,10 +578,9 @@ def test_caches_are_bounded():
             if hasattr(obj, "cache_info"):
                 found[obj.__module__ + "." + name] = obj
     for name in ("trop_core._sigma", "trop_core._faces",
-                 "polyhedra.cone_generators", "polyhedra.faces_of",
-                 "polyhedra._flag_violations", "congruence._pair_table",
-                 "congruence.flag_to_matrix", "variety._arrangement", "variety._point_table",
-                 "variety.support_of"):
+                 "polyhedra.cone_generators", "polyhedra._flag_violations",
+                 "congruence._pair_table", "congruence.flag_to_matrix",
+                 "variety._arrangement", "variety._point_table", "variety.support_of"):
         assert "tropcong." + name in found
     for name, fn in found.items():
         assert fn.cache_info().maxsize is not None, name
