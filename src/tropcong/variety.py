@@ -110,23 +110,13 @@ def _kept_with_generators(cells: Sequence[ConeH]) -> list:
 def _dedupe_absorb(cells: Iterable[ConeH]) -> list:
     """The maximal cells, in order, each set as its first cell.
 
-    A cell holding every row of another lies inside it, so each cell lies
-    inside one whose rows hold no other cell's rows, and the maximal sets
-    are the maximal ones among those cells: only they need generators.  Of
-    them, a cell not inside an earlier one (`_kept_with_generators`) is
-    maximal iff it lies inside no later one.  The first cell of a maximal
-    set S is the first cell containing S (a cell containing S lies inside
-    some maximal set, which must be S): S's first fewest-row cell, unless a
-    cell with more rows before it satisfies S's generators."""
+    Pass 1 (`_kept_with_generators`) keeps the first cell of every maximal
+    set and no second cell of any set.  Pass 2 keeps the pass-1 cells inside
+    no later one, as a non-maximal one lies in a maximal set's later first cell."""
     cells = list(cells)
-    row_sets = [frozenset(c.rows) for c in cells]
-    fewest = [k for k, rows in enumerate(row_sets) if not any(r < rows for r in row_sets)]
-    kept = [(fewest[i], g) for i, g in _kept_with_generators([cells[k] for k in fewest])]
-    more_rows = sorted(set(range(len(cells))).difference(fewest))
-    firsts = [next((j for j in more_rows if j < k and satisfied_at(cells[j], g)), k)
-              for i, (k, g) in enumerate(kept)
-              if not any(satisfied_at(cells[j], g) for j, _ in kept[i + 1:])]
-    return [cells[k] for k in sorted(firsts)]
+    kept = _kept_with_generators(cells)
+    return [cells[k] for i, (k, g) in enumerate(kept)
+            if not any(satisfied_at(cells[j], g) for j, _ in kept[i + 1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +149,14 @@ def support_of(E: CongruencePresentation) -> VarietySupport:
 
 
 def _intersect_all(first: Sequence[ConeH], rest: Iterable[Sequence[ConeH]]) -> tuple:
-    """The maximal cells of the intersections of a cell of first with one
-    cell of each list of rest, each set as its first cell.
+    """`_dedupe_absorb` of the intersections of a cell of first with one
+    cell of each list of rest, taken in the lexicographic order of their
+    paths through the lists.
 
-    The running cells, in order, meet every cell of the next list, in order,
-    so each cell is the intersection along a path through the lists and the
-    paths come in lexicographic order.  After each list a running cell
-    inside an earlier kept cell is dropped.  Each descendant of a dropped
-    cell lies inside the descendant of the earlier cell along the same later
-    path, which comes first.  So the descendant is maximal only if that
-    earlier one is the same set, which is then not first met at the dropped
-    cell's descendant; and a descendant that is not maximal lies inside a
-    maximal set whose first cell is kept.  So the final `_dedupe_absorb`
-    keeps the same cells, with the same rows, in the same order as it would
-    without the drops, which only spare the intersections of cells that
-    cannot be maximal."""
+    After each list the running cells go through `_dedupe_absorb`'s pass 1.
+    A dropped cell's descendants lie inside the earlier cell's descendants
+    along the same later paths, which come first, so the final pass 1 would
+    drop them anyway."""
     cells = list(first)
     for others in rest:
         meets = [intersect(c, d) for c in cells for d in others]
@@ -267,7 +250,7 @@ def _in_variety(V: VarietySupport, tau: Face, full: Vec) -> bool:
     Each term of the point table `_point_table(V, tau)` is valued by one dot
     with full, and the cells are cross-checked by `satisfied_at`."""
     tvs, sides, cells = _point_table(V, tau)
-    pointwise = _sides_equal([dot(v, full) for v in tvs], sides)
+    pointwise = _sides_agree(tvs, sides, full)
     if cells is None:
         return pointwise  # stratum filtered out of this support; nothing to check
     if any(satisfied_at(c, (full,)) for c in cells) != pointwise:

@@ -68,6 +68,7 @@ def random_poly(ctx, rng, k):
     exps = set()
     while len(exps) < k:
         exps.add(tuple(rng.randint(0, 3) for _ in range(ctx.rank)))
+    names = ctx.var_names
     return parse_poly(ctx, " + ".join(
-        "t^%d*" % rng.randint(-2, 2) + "*".join("%s^%d" % (v, e) for v, e in zip("xyz", u))
+        "t^%d*" % rng.randint(-2, 2) + "*".join("%s^%d" % (v, e) for v, e in zip(names, u))
         for u in sorted(exps)))

@@ -22,11 +22,12 @@ import support_reference as ref
 from tropcong import jsonio
 from tropcong import polyhedra as ph
 from tropcong import variety as vy
+from tropcong._linalg import vscale
 from tropcong.congruence import CongruencePresentation
 from tropcong.polyhedra import EQ, LE, LT, ConeH, HRow, PolyhedronH
 from tropcong.trop_core import ToricContext
 
-from helpers import random_poly
+from helpers import random_poly, vadd
 
 QUADRICS = ("g_xy", "g_xz", "g_yz")
 THREE_QUADRICS = ("f_1", "f_2", "f_3", "f_5") + QUADRICS
@@ -117,6 +118,41 @@ def test_random_presentations(seed):
     _same(vy.intersect_supports(supports), ref.intersect_supports(supports))
 
 
+def test_random_poly_has_k_terms_in_every_variable():
+    for rank in range(2, 6):
+        for k in (1, 4, 8):
+            assert len(random_poly(ToricContext.affine(rank), random.Random(k), k).terms) == k
+    f = random_poly(ToricContext.affine(4), random.Random(0), 8)
+    assert any(u[3] for u, _ in f.terms)
+
+
+def _random_cells(rng):
+    """Cones on 2 or 3 random rays in R^2 or R^3, some subcells, and some
+    copies equal as sets with one redundant row, shuffled."""
+    dim = rng.choice((2, 3))
+
+    def ray():
+        return tuple(rng.randint(-2, 2) for _ in range(dim))
+    cells = []
+    for _ in range(rng.randint(2, 4)):
+        rays = [ray() for _ in range(rng.randint(2, 3))]
+        cell = ph.hrep_from_rays(rays, dim)
+        cells.append(cell)
+        if rng.random() < 0.6:
+            cells.append(ph.hrep_from_rays(rays[:1] + [vadd(rays[0], r) for r in rays[1:]], dim))
+        if rng.random() < 0.3:
+            cells.append(ph.intersect(cell, ConeH.make(dim, (HRow(ray(), 0, LE),))))
+    for cell in rng.sample(cells, len(cells) // 2):
+        # a sum of the rows, equalities with either sign, holds on the cell
+        a = tuple(map(sum, zip(*(r.a if r.rel == LE else vscale(rng.choice((-1, 1)), r.a)
+                                 for r in cell.rows))))
+        padded = ConeH.make(dim, cell.rows + (HRow(a, 0, LE),)) if a else cell
+        if padded.rows != cell.rows:
+            cells.append(padded)
+    rng.shuffle(cells)
+    return cells
+
+
 def test_dedupe_absorb_matches_the_reference():
     # equal sets built from different rows: the first one's rows are kept
     rays = [ph.hrep_from_rays([(1, -k)], 2) for k in range(1, 5)]
@@ -125,6 +161,17 @@ def test_dedupe_absorb_matches_the_reference():
     cells = rays + [padded, wedge, rays[0]]
     assert vy._dedupe_absorb(cells) == ref._dedupe_absorb(cells)
     assert vy._dedupe_absorb(cells)[-1] is padded
+    # seeded random lists: the same objects as the reference; in at least 50
+    # lists a kept cell has more rows than a cell equal to it as a set
+    more_rows_kept = 0
+    for seed in range(300):
+        cells = _random_cells(random.Random(seed))
+        got = vy._dedupe_absorb(cells)
+        want = ref._dedupe_absorb(cells)
+        assert len(got) == len(want) and all(c is d for c, d in zip(got, want))
+        more_rows_kept += any(ph.cone_key(d) == ph.cone_key(c) and set(d.rows) < set(c.rows)
+                              for c in got for d in cells)
+    assert more_rows_kept >= 50
 
 
 # ---------------------------------------------------------------------------
