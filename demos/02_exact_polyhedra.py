@@ -8,12 +8,11 @@ inequalities" is a certified answer, not a tolerance.
 
 from tropcong import polyhedra as ph
 from tropcong.polyhedra import (Fan, PolyhedronH, common_refinement, feasible,
-                                generators, hrep_from_rays, recession_cone,
-                                relative_interior_point, row)
+                                generators, hrep_from_rays, recession_cone, row)
 
 L = PolyhedronH.make(2, (row([1, -1], 1, "="), row([0, 1], 0, "<=")))
 print("L = {x = y + 1, y <= 0}")
-print("  a relative interior point:", relative_interior_point(L))
+print("  a relative interior point:", feasible(L))
 rec = recession_cone(L)
 print("  recession cone rays:", generators(rec))
 

@@ -17,10 +17,9 @@ _EXPORTS = {
     "trop_core": ("COEFF_B", "COEFF_T", "ContextMismatchError", "ExtPoint", "Face",
                   "ToricContext", "TropPoly", "ZeroPolynomialError", "bend_relations",
                   "parse_poly"),
-    "polyhedra": ("ConeH", "CoverBudgetExceeded", "EmptyPolyhedronError", "Fan",
-                  "FlagOfCones", "HRow", "PolyhedronH", "common_refinement",
-                  "covers_equal", "feasible", "hrep_from_rays", "is_empty", "make_flag",
-                  "recession_cone", "relative_interior_point", "validate_flag"),
+    "polyhedra": ("ConeH", "CoverBudgetExceeded", "Fan", "FlagOfCones", "HRow",
+                  "PolyhedronH", "common_refinement", "covers_equal", "feasible",
+                  "hrep_from_rays", "make_flag", "recession_cone", "validate_flag"),
     "toric_geom": ("ClosureWitness", "NotInClosure", "closure_on_stratum",
                    "cone_closure_witnesses", "polyhedron_closure_membership"),
     "congruence": ("AddBoth", "CongruencePresentation", "Derivation", "Generator",

@@ -12,8 +12,8 @@ a polyhedron, answers every yes/no question: emptiness with strict rows
 honored exactly (`feasible`), implicit equalities, and the suprema of linear
 forms that decide containment in `poly_in_union`; `is_face` reads the
 smallest face containing a cone off the incidence of its generators with the
-rows.  No LP runs: the point of `feasible` and `relative_interior_point` is
-one, the dehomogenized sum of the rays.
+rows.  No LP runs: `feasible` returns None for an empty polyhedron and
+otherwise its one point, the dehomogenized sum of the rays.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ CACHE_SIZE = 4096
 # Nodes one region difference (`poly_in_union`, and so each containment that
 # `covers_equal` checks) may visit before it gives up with CoverBudgetExceeded.
 # The largest difference measured takes 22 nodes (Tier-1 tests; the `supports`
-# benchmark takes 1, `cli_fixtures` none), and each node runs one generator
-# enumeration.
+# benchmark takes 1, and `cli_fixtures` 1 in each of its `resolve` and
+# `cancel-check` jobs, from `verify_closure_hypothesis`), and each node runs
+# one generator enumeration.
 COVER_NODES = 10_000
 
 
@@ -197,39 +198,20 @@ def _closure_generators(p: PolyhedronH):
     return lin, rays
 
 
-def _closure_point(p: PolyhedronH) -> Vec:
-    """The sum of the closure generators' rays, dehomogenized.
-
-    That sum lies in the relative interior of the cone over p's closure, so
-    the point satisfies every row that is not an implicit equality strictly,
-    strict rows included; raises EmptyPolyhedronError for an empty p."""
-    _, rays = _closure_generators(p)
-    s = [sum(col) for col in zip(*rays)]
-    return tuple(qdiv(x, s[0]) for x in s[1:])
-
-
 def feasible(p: PolyhedronH) -> Optional[Vec]:
-    """Exact witness honoring strict rows strictly, or None (certified empty):
-    the point of `relative_interior_point`."""
+    """A point of p satisfying every row that is not an implicit equality
+    strictly, strict rows included, or None when p is empty.
+
+    The point is the dehomogenized sum of the closure generators' rays
+    (Fukuda & Prodon 1996), which lies in the relative interior of the cone
+    over p's closure: one double description, canonical because the
+    generators are, and unchanged by inserting a coordinate pinned to 0."""
     try:
-        return _closure_point(p)
+        _, rays = _closure_generators(p)
     except EmptyPolyhedronError:
         return None
-
-
-def relative_interior_point(p: PolyhedronH) -> Vec:
-    """A point satisfying every non-implicit inequality strictly.
-
-    Strict rows must be satisfiable; raises EmptyPolyhedronError otherwise.
-    The point is the dehomogenized sum of the rays of the closure generators
-    (Fukuda & Prodon 1996), the witness of `feasible`: one double description,
-    canonical because the generators are, and unchanged by inserting a
-    coordinate pinned to 0."""
-    return _closure_point(p)
-
-
-def is_empty(p: PolyhedronH) -> bool:
-    return feasible(p) is None
+    s = [sum(col) for col in zip(*rays)]
+    return tuple(qdiv(x, s[0]) for x in s[1:])
 
 
 def _sup(gens, a: Sequence) -> Optional[Fraction]:
@@ -251,7 +233,7 @@ def recession_cone(p: PolyhedronH) -> ConeH:
     A closed homogeneous p contains the origin, so only other inputs are
     tested for emptiness."""
     closed_cone = p.is_homogeneous() and not p.has_strict()
-    if not closed_cone and is_empty(p):
+    if not closed_cone and feasible(p) is None:
         return origin_cone(p.dim)
     return ConeH.make(p.dim, tuple(
         HRow(r.a, ZERO, LE if r.rel != EQ else EQ) for r in p.rows))

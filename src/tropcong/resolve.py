@@ -18,8 +18,8 @@ from typing import Optional, Union
 from . import polyhedra
 from ._linalg import ONE, ZERO, dot, primitive, qdiv, rank_of, vscale, vsub, zero_vec
 from ._record import _Record
-from .polyhedra import (EQ, LT, ConeH, EmptyPolyhedronError, FlagOfCones, HRow,
-                        PolyhedronH, poly_in_union, relative_interior_point)
+from .polyhedra import (EQ, LT, ConeH, FlagOfCones, HRow, PolyhedronH, feasible,
+                        poly_in_union)
 from .trop_core import COEFF_B, Face, ToricContext, TropPoly
 from .congruence import (CongruencePresentation, PrimeMatrix, congruence_in_prime,
                          flag_to_matrix, has_trivial_ideal_kernel, monomial_le)
@@ -176,9 +176,8 @@ def _resolution_system(ctx, L: ConeH, tau: Face, w_rows):
             for j in range(1, i + 1):
                 out[off_b + j - 1] = -dot(r.a, w_rows[j])
             rows.append(HRow(tuple(out), r.b, EQ))
-    try:
-        x = relative_interior_point(PolyhedronH.make(nvars, rows))
-    except EmptyPolyhedronError:
+    x = feasible(PolyhedronH.make(nvars, rows))
+    if x is None:
         return None
     v_hats = [x[i * d:(i + 1) * d] for i in range(k + 1)]
     bs = [x[off_b + j] for j in range(k)]

@@ -22,7 +22,7 @@ from . import polyhedra
 from ._linalg import ONE, ZERO, Vec, dot, nullspace_basis, primitive, zero_vec
 from ._record import _Record
 from .polyhedra import (EQ, LE, LT, ConeH, Fan, HRow, PolyhedronH, cone_over,
-                        feasible, hrep_from_rays, is_empty)
+                        feasible, hrep_from_rays)
 from .trop_core import ExtPoint, Face
 
 CLAIM_PREIMAGE = "claim1-preimage"
@@ -70,7 +70,7 @@ def closure_on_stratum(L: ConeH, tau: Face) -> Optional[ConeH]:
     (r, x) -> (r, x mod span(tau)): the cone over the images of L's
     generators.  When it fails no target is reached."""
     n = tau.ambient
-    if is_empty(L.with_rows(_relint_tau_rows(tau, n))):
+    if feasible(L.with_rows(_relint_tau_rows(tau, n))) is None:
         return None
     return hrep_from_rays([(g[0],) + tau.canonical(g[1:])
                            for g in polyhedra.generators(L)], 1 + n)
@@ -114,7 +114,7 @@ def polyhedron_closure_membership(L: PolyhedronH, fan: Fan, w: ExtPoint):
     boundary = tau.dim() != 0
     if boundary and not _tau_in_fan(tau, fan):
         raise ValueError("tau is not a face of any fan member")
-    if is_empty(L):
+    if feasible(L) is None:
         return NotInClosure((CLAIM_PREIMAGE, CLAIM_DIRECTION) if boundary
                             else (CLAIM_PREIMAGE,))
     res = cone_closure_witnesses(cone_over(L.weakened()), w)

@@ -210,10 +210,8 @@ def intersect_supports(supports: Sequence[VarietySupport]) -> VarietySupport:
     pairs = tuple(p for s in supports for p in s.pairs)
     common = [tau for tau in ctx.faces
               if all(any(s.tau == tau for s in sup.strata) for sup in supports)]
-    out = [StratumSupport(tau, _intersect_all(supports[0].stratum(tau).cells,
-                                              (s.stratum(tau).cells for s in supports[1:])))
-           for tau in common]
-    return VarietySupport(ctx, pairs, tuple(out))
+    return _support(ctx, pairs, common, lambda tau: _intersect_all(
+        supports[0].stratum(tau).cells, (s.stratum(tau).cells for s in supports[1:])))
 
 
 # ---------------------------------------------------------------------------

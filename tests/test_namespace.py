@@ -12,10 +12,9 @@ import tropcong
 EXPORTS = {
     "trop_core": "COEFF_B COEFF_T ContextMismatchError ExtPoint Face ToricContext "
                  "TropPoly ZeroPolynomialError bend_relations parse_poly",
-    "polyhedra": "ConeH CoverBudgetExceeded EmptyPolyhedronError Fan FlagOfCones HRow "
-                 "PolyhedronH common_refinement covers_equal feasible hrep_from_rays "
-                 "is_empty make_flag recession_cone relative_interior_point "
-                 "validate_flag",
+    "polyhedra": "ConeH CoverBudgetExceeded Fan FlagOfCones HRow PolyhedronH "
+                 "common_refinement covers_equal feasible hrep_from_rays make_flag "
+                 "recession_cone validate_flag",
     "toric_geom": "ClosureWitness NotInClosure closure_on_stratum "
                   "cone_closure_witnesses polyhedron_closure_membership",
     "congruence": "AddBoth CongruencePresentation Derivation Generator MulMono NotFound "
@@ -136,6 +135,26 @@ def test_every_public_name_in_src_has_a_user():
                       for name in _public_top_level(ast.parse(path.read_text()))
                       if name not in used)
     assert not unused, unused
+
+
+def test_empty_polyhedron_error_scan_sees_every_form(tmp_path):
+    code = tmp_path / "m.py"
+    for line in ("from .polyhedra import EmptyPolyhedronError as E\n",
+                 "try:\n    pass\nexcept polyhedra.EmptyPolyhedronError:\n    pass\n",
+                 "raise EmptyPolyhedronError('x')\n"):
+        code.write_text(line)
+        assert "EmptyPolyhedronError" in _referenced([code]), line
+    code.write_text('"""EmptyPolyhedronError in a docstring"""\n# and a comment\n')
+    assert "EmptyPolyhedronError" not in _referenced([code])
+
+
+def test_emptiness_is_decided_in_polyhedra_alone():
+    """`polyhedra._closure_generators` raises EmptyPolyhedronError and only
+    `polyhedra` catches it; every other module asks `feasible` for a point or
+    None."""
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if "EmptyPolyhedronError" in _referenced([path])]
+    assert naming == ["polyhedra.py"]
 
 
 # `shrink_flag` ignores these two, and keeps them because bench/workloads.py

@@ -11,8 +11,7 @@ from tropcong.polyhedra import (ConeH, EmptyPolyhedronError, Fan, PolyhedronH,
                                 feasible, generators, hrep_from_rays,
                                 intersect, is_face,
                                 make_flag, poly_in_union,
-                                recession_cone, relative_interior_point, row,
-                                validate_flag)
+                                recession_cone, row, validate_flag)
 
 
 def fan_violations(fan: Fan) -> list[str]:
@@ -94,32 +93,34 @@ def test_recession_grid_oracle():
 
 
 # ---------------------------------------------------------------------------
-# relative interior points
+# relative interior points: the point of feasible
 
 def test_relint_ray():
-    assert primitive(relative_interior_point(hrep_from_rays([(1, 0)], 2))) == (F(1), F(0))
+    assert primitive(feasible(hrep_from_rays([(1, 0)], 2))) == (F(1), F(0))
 
 
 def test_relint_origin():
-    assert relative_interior_point(ph.origin_cone(2)) == (F(0), F(0))
+    assert feasible(ph.origin_cone(2)) == (F(0), F(0))
 
 
 def test_relint_negative_quadrant():
     c = hrep_from_rays([(-1, 0), (0, -1)], 2)
-    assert primitive(relative_interior_point(c)) == (F(-1), F(-1))
+    assert primitive(feasible(c)) == (F(-1), F(-1))
 
 
 def test_relint_strictness():
     c = hrep_from_rays([(1, 0), (1, 1)], 2)
-    w = relative_interior_point(c)
+    w = feasible(c)
     for r in c.rows:
         if r.rel == "<=":
             assert sum(a * x for a, x in zip(r.a, w)) < r.b
 
 
 def test_relint_empty_raises():
+    p = P(1, ([1], -1, "<="), ([-1], -1, "<="))
+    assert feasible(p) is None
     with pytest.raises(EmptyPolyhedronError):
-        relative_interior_point(P(1, ([1], -1, "<="), ([-1], -1, "<=")))
+        ph._closure_generators(p)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ def test_hrep_rays_fixed_point_random(rays):
 @given(small_rays)
 def test_relint_point_inside_random(rays):
     c = hrep_from_rays(rays, 3)
-    w = relative_interior_point(c)
+    w = feasible(c)
     assert c.contains(w)
     for r in c.rows:
         if r.rel == "<=":

@@ -4,11 +4,13 @@
 (implicit equalities found by a loop of LPs, the common slack pinned by an
 LP, the point chosen by an L1 simplex) and `is_face` (a separating functional
 found by an LP).  The library reads both off the double-description kernel,
-and its point is its own: the dehomogenized sum of the closure generators'
-rays.  It must raise the same EmptyPolyhedronError and decide every face
-question the same way.  Its point need not be the oracle's, but it must lie
-in p and be tight on exactly the rows on which the oracle's point is tight:
-the implicit equalities, since both points are relative-interior points.
+and its point, the point of `feasible`, is its own: the dehomogenized sum of
+the closure generators' rays.  Where `feasible` returns None,
+`_closure_generators` must raise the oracle's EmptyPolyhedronError, and every
+face question must be decided the same way.  Its point need not be the
+oracle's, but it must lie in p and be tight on exactly the rows on which the
+oracle's point is tight: the implicit equalities, since both points are
+relative-interior points.
 """
 
 import ast
@@ -26,16 +28,29 @@ import relint_face_reference as ref
 from cone_kernel_reference import faces_of
 from tropcong import _lp, jsonio, polyhedra, resolve, toric_geom
 from tropcong.polyhedra import (EQ, LE, LT, ConeH, EmptyPolyhedronError, HRow,
-                                PolyhedronH, cone_key, generators,
-                                cone_over, hrep_from_rays, is_face, recession_cone,
-                                relative_interior_point, row)
+                                PolyhedronH, cone_key, cone_over, feasible,
+                                generators, hrep_from_rays, is_face, recession_cone,
+                                row)
 from tropcong._linalg import ZERO, dot, frac, primitive, vec
-from tropcong.trop_core import ExtPoint, ToricContext
+from tropcong.congruence import CongruencePresentation
+from tropcong.trop_core import ExtPoint, ToricContext, parse_poly
+from tropcong.variety import support_of
 
 
-def _outcome(fn, p):
+def _outcome(p):
+    """The library's point of p, or ("empty", reason) with the reason that
+    `_closure_generators` raises for it."""
+    x = feasible(p)
+    if x is not None:
+        return x
+    with pytest.raises(EmptyPolyhedronError) as exc:
+        polyhedra._closure_generators(p)
+    return ("empty", str(exc.value))
+
+
+def _ref_outcome(p):
     try:
-        return fn(p)
+        return ref.relative_interior_point(p)
     except EmptyPolyhedronError as exc:
         return ("empty", str(exc))
 
@@ -47,8 +62,8 @@ def _tight(p, x):
 def _agree(p):
     """The library and the oracle agree on emptiness (and its message); on a
     nonempty p the library's point lies in p, tight on the oracle's rows."""
-    got = _outcome(relative_interior_point, p)
-    want = _outcome(ref.relative_interior_point, p)
+    got = _outcome(p)
+    want = _ref_outcome(p)
     if isinstance(got[0], str) or isinstance(want[0], str):
         assert got == want, (p, got, want)
     else:
@@ -59,7 +74,7 @@ def _agree(p):
 
 
 # ---------------------------------------------------------------------------
-# relative_interior_point on random polyhedra
+# the point of feasible on random polyhedra
 
 _entries = st.integers(-2, 2)
 
@@ -129,7 +144,7 @@ def test_relative_interior_point_runs_no_lp(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(_lp, "solve_lp", spy)
-    points = [relative_interior_point(p) for p in systems]
+    points = [feasible(p) for p in systems]
     monkeypatch.undo()
     assert callers == []
     assert points == [(2,), (Fraction(1, 3),), (2,), (Fraction(1, 3),) * 2, (1, 1), (0, 0)]
@@ -148,8 +163,8 @@ def _embed(p, k):
 
 
 def _embedding_agrees(p, k):
-    low = _outcome(relative_interior_point, p)
-    high = _outcome(relative_interior_point, _embed(p, k))
+    low = _outcome(p)
+    high = _outcome(_embed(p, k))
     if isinstance(low[0], str):
         assert high == low, (p, k, high, low)
     else:
@@ -216,12 +231,13 @@ def test_lp_import_scan_sees_every_form():
 
 
 def test_strict_implicit_and_empty_raise():
+    strict = PolyhedronH.make(1, (HRow(vec((1,)), ZERO, LT), HRow(vec((-1,)), ZERO, LE)))
+    empty = PolyhedronH.make(1, (HRow(vec((1,)), frac(-1), LE), HRow(vec((-1,)), ZERO, LE)))
     with pytest.raises(EmptyPolyhedronError, match="strict row"):
-        relative_interior_point(PolyhedronH.make(1, (HRow(vec((1,)), ZERO, LT),
-                                                     HRow(vec((-1,)), ZERO, LE))))
+        polyhedra._closure_generators(strict)
     with pytest.raises(EmptyPolyhedronError, match="empty polyhedron"):
-        relative_interior_point(PolyhedronH.make(1, (HRow(vec((1,)), frac(-1), LE),
-                                                     HRow(vec((-1,)), ZERO, LE))))
+        polyhedra._closure_generators(empty)
+    assert feasible(strict) is None and feasible(empty) is None
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +265,41 @@ def test_resolve_quartic_systems(monkeypatch, fixtures_dir):
     ctx = jsonio.context_of_document(edoc)
     E = jsonio.dec_congruence(edoc, ctx)
     P = jsonio.dec_matrix(pdoc, ctx)
-    systems = _capture(monkeypatch, resolve, "relative_interior_point")
+    systems = _capture(monkeypatch, resolve, "feasible")
     res = resolve.resolve_boundary_prime(E, P, samples=50)
     monkeypatch.undo()
     assert isinstance(res, resolve.ResolutionResult)
     assert systems
     for p in systems:
         _agree(p)
+
+
+def _closure_hypothesis_systems(monkeypatch, E):
+    """The result of `verify_closure_hypothesis` on the support of E, and the
+    systems it asks `toric_geom.feasible` about, each checked by the oracle."""
+    V = support_of(E)
+    systems = _capture(monkeypatch, toric_geom, "feasible")
+    verdict = resolve.verify_closure_hypothesis(V)
+    monkeypatch.undo()
+    for p in systems:
+        _agree(p)
+    return verdict, systems
+
+
+def test_closure_hypothesis_systems_quartic(monkeypatch, quartic_E):
+    verdict, systems = _closure_hypothesis_systems(monkeypatch, quartic_E)
+    assert verdict is None
+    assert len(systems) == 5
+
+
+def test_closure_hypothesis_systems_refused(monkeypatch, ctx1):
+    # demo 07's refused E = <(t^1 x, x)> on affine(1)
+    E = CongruencePresentation.make(
+        ctx1, [(parse_poly(ctx1, "t^1*x"), parse_poly(ctx1, "x"))],
+        finite_tropical_basis=True)
+    verdict, systems = _closure_hypothesis_systems(monkeypatch, E)
+    assert verdict is not None
+    assert len(systems) == 1
 
 
 @pytest.mark.parametrize("polyhedron, point", [

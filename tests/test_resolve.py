@@ -7,7 +7,7 @@ import pytest
 from tropcong.congruence import (CongruencePresentation, PrimeMatrix,
                                  congruence_in_prime, has_trivial_ideal_kernel,
                                  initial_form_point, monomial_le)
-from tropcong.polyhedra import relative_interior_point
+from tropcong.polyhedra import feasible
 from tropcong import resolve
 from tropcong.resolve import (CLOSURE_VIOLATED, NO_FEASIBLE_CONE, NOT_CONTAINED,
                               ResolutionResult, ResolveFailure,
@@ -99,7 +99,7 @@ def test_region_base_case_halfline():
     xi1 = ExtPoint.dense(ctx, 0, (1,))
     Q = iterated_init_region([f], [xi0, xi1])
     assert Q.dim == 1
-    n = relative_interior_point(Q)[0] + 1
+    n = feasible(Q)[0] + 1
     assert initial_form_point(f, shifted_point(xi0, xi1, n)) == \
         initial_form_point(initial_form_point(f, xi1), xi0)
 
@@ -109,7 +109,7 @@ def test_region_quartic_pair(ctx2, quartic):
     xi0 = ExtPoint.dense(ctx2, 1, (0, -1))
     xi1 = ExtPoint.dense(ctx2, 0, (-1, -1))
     Q = iterated_init_region([quartic, g], [xi0, xi1])
-    n = relative_interior_point(Q)[0] + 1
+    n = feasible(Q)[0] + 1
     for p in (quartic, g):
         assert initial_form_point(p, shifted_point(xi0, xi1, n)) == \
             initial_form_point(initial_form_point(p, xi1), xi0)
