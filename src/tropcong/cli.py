@@ -97,7 +97,7 @@ def cmd_eval(args, max_dim):
     _, f, w = _inputs(max_dim, (args.poly, jsonio.dec_poly),
                       (args.point, jsonio.dec_ext_point))
     val = f.evaluate(w)
-    _emit({"value": "-inf" if val is None else jsonio.enc_frac(val)})
+    _emit({"value": jsonio.enc_extfrac(val)})
     return EXIT_TRUE
 
 
@@ -117,7 +117,7 @@ def cmd_prime_eval(args, max_dim):
     _, theta, f = _inputs(max_dim, (args.matrix, jsonio.dec_matrix),
                           (args.poly, jsonio.dec_poly))
     phi = prime_eval(theta, f)
-    _emit({"phi": ["-inf" if x is None else jsonio.enc_frac(x) for x in phi]})
+    _emit({"phi": [jsonio.enc_extfrac(x) for x in phi]})
     return EXIT_TRUE
 
 
@@ -386,6 +386,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     from .jsonio import ParseError
+    from .polyhedra import InternalConsistencyError
     try:
         return args.fn(args, _max_dim())
     except ParseError as exc:
@@ -394,15 +395,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalConsistencyError as exc:
+        print("internal consistency error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # a bug, RecursionError included: never exit 1 ("false")
-        # InternalConsistencyError lives in variety (resolve raises it too): a
-        # job that never loaded variety cannot have raised it, so the check
-        # imports nothing
-        variety = sys.modules.get(__package__ + ".variety")
-        if variety is not None and isinstance(exc, variety.InternalConsistencyError):
-            print("internal consistency error: %s" % exc, file=sys.stderr)
-        else:
-            print("internal error: %r" % (exc,), file=sys.stderr)
+        print("internal error: %r" % (exc,), file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -274,8 +274,7 @@ def flag_to_matrix(context: ToricContext, flag: FlagOfCones) -> PrimeMatrix:
     if bad:
         raise ValueError("invalid flag: " + "; ".join(bad))
     tau = context.face_from_rays(flag.tau_rays)
-    # the sum of the rays of a simplicial cone is a relative interior point
-    return PrimeMatrix.make(context, tau, [primitive(tuple(map(sum, zip(*rays))))
+    return PrimeMatrix.make(context, tau, [primitive(polyhedra._ray_sum(rays))
                                            for rays in flag.cones_rays])
 
 

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from ._linalg import Vec, frac, vec
+from ._linalg import Vec, frac
 from .polyhedra import (EQ, LE, LT, ConeH, Fan, FlagOfCones, HRow, PolyhedronH,
                         hrep_from_rays, make_flag)
 from .trop_core import COEFF_B, COEFF_T, ExtPoint, Face, ToricContext, TropPoly
@@ -100,6 +100,10 @@ def dec_frac(s, path: str) -> Fraction:
         return frac(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("malformed rational %r: %s" % (s, exc), path)
+
+
+def enc_extfrac(x) -> str:
+    return "-inf" if x is None else enc_frac(x)
 
 
 def dec_extfrac(s, path: str) -> Optional[Fraction]:
@@ -255,15 +259,11 @@ def enc_matrix(theta: PrimeMatrix) -> dict:
     ctx = theta.context
     out = {"context": enc_context(ctx)}
     if ctx.is_affine_preset() or ctx.is_torus():
-        dead = set()
-        for i in range(ctx.rank):
-            e = [0] * ctx.rank
-            e[i] = 1
-            if not theta.tau.perp_contains(vec(e)):
-                dead.add(i)
+        # column i leaves tau-perp iff some ray of tau has a nonzero i-th entry
+        dead = {i for r in theta.tau.rays for i, x in enumerate(r) if x}
         matrix = []
         for row in theta.rows:
-            body = [enc_frac(x) if i not in dead else "-inf" for i, x in enumerate(row[1:])]
+            body = [enc_extfrac(None if i in dead else x) for i, x in enumerate(row[1:])]
             matrix.append(body if ctx.coeff == COEFF_B else [enc_frac(row[0])] + body)
         out["matrix"] = matrix
         return out

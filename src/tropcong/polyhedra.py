@@ -14,6 +14,11 @@ forms that decide containment in `poly_in_union`; `is_face` reads the
 smallest face containing a cone off the incidence of its generators with the
 rows.  No LP runs: `feasible` returns None for an empty polyhedron and
 otherwise its one point, the dehomogenized sum of the rays.
+
+A cone's relative-interior point is the sum of its extreme rays (Fukuda &
+Prodon 1996), written once, in `_ray_sum`: `feasible` dehomogenizes it,
+`congruence.flag_to_matrix` takes it as a flag's rows, and `variety` decides
+each piece of a tie arrangement at it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ _RELS = (LE, LT, EQ)
 _row_order = attrgetter("rel", "a", "b")  # the order of `make`'s rows
 
 # Entries kept by each cache: `cone_generators` and `_flag_violations` here,
-# `trop_core._sigma` and `_faces`, `congruence._pair_table` and `flag_to_matrix`,
+# `trop_core._faces`, `congruence._pair_table` and `flag_to_matrix`,
 # `variety._arrangement` and `_point_table`.  Well above the few hundred entries
 # any of them reaches in a CLI run or a 500-flag run.
 CACHE_SIZE = 4096
@@ -58,6 +63,10 @@ class DimensionMismatchError(ValueError):
 
 class CoverBudgetExceeded(RuntimeError):
     """A region difference needed more than COVER_NODES nodes."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A result the library computed fails its own cross-check: a bug."""
 
 
 class HRow(_Record):
@@ -210,8 +219,14 @@ def feasible(p: PolyhedronH) -> Optional[Vec]:
         _, rays = _closure_generators(p)
     except EmptyPolyhedronError:
         return None
-    s = [sum(col) for col in zip(*rays)]
+    s = _ray_sum(rays)
     return tuple(qdiv(x, s[0]) for x in s[1:])
+
+
+def _ray_sum(rays) -> Vec:
+    """The sum of a cone's extreme rays, a point of its relative interior
+    (Fukuda & Prodon 1996); rays must be nonempty."""
+    return tuple(map(sum, zip(*rays)))
 
 
 def _sup(gens, a: Sequence) -> Optional[Fraction]:

@@ -82,7 +82,7 @@ class ToricContext(_Record):
             raise polyhedra.DimensionMismatchError("ray length != rank")
         if coeff not in (COEFF_T, COEFF_B):
             raise ValueError("coeff mode must be 'T' or 'B'")
-        lin, rays = polyhedra.cone_generators(_sigma(rank, rays))
+        lin, rays = polyhedra.cone_generators(polyhedra.hrep_from_rays(rays, rank))
         if lin:
             raise ValueError("sigma contains a line; not strongly convex")
         super().__init__(rank, rays, coeff)
@@ -106,7 +106,7 @@ class ToricContext(_Record):
     # geometry ---------------------------------------------------------------
     @property
     def sigma(self) -> ConeH:
-        return _sigma(self.rank, self.sigma_rays)
+        return polyhedra.hrep_from_rays(self.sigma_rays, self.rank)
 
     @property
     def faces(self) -> tuple:
@@ -139,12 +139,6 @@ class ToricContext(_Record):
 
     def is_torus(self) -> bool:
         return not self.sigma_rays
-
-
-@lru_cache(maxsize=polyhedra.CACHE_SIZE)
-def _sigma(rank: int, rays: tuple) -> ConeH:
-    """cone(rays); a canonical spelling (a preset's) shares its context's key."""
-    return polyhedra.hrep_from_rays(rays, rank)
 
 
 @lru_cache(maxsize=polyhedra.CACHE_SIZE)

@@ -6,8 +6,11 @@ H-cone.  Points, flags and function equality all ask whether the two sides of
 each pair of a pair table agree at (1+n)-vectors of that subspace, valuing
 each distinct live term once: points and flags by one dot with its vector in
 the point table cached per support and stratum, function equality by
-`_sides_agree`.  Pointwise answers stay authoritative; the cell data is an
-index and any disagreement raises InternalConsistencyError.
+`_sides_agree`.  A flag cone or a cell is split along the tie arrangement, on
+each closed piece of which every side is one linear form, so each piece is
+decided at one point, the sum of its rays (`polyhedra._ray_sum`).  Pointwise
+answers stay authoritative; the cell data is an index and any disagreement
+raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -17,19 +20,15 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import polyhedra
-from ._linalg import (ONE, ZERO, Vec, dot, frac, is_zero_vec, neg_primitive_pair,
-                      primitive, rank_of, vec, vscale, vsub, zero_vec)
+from ._linalg import (ONE, ZERO, Vec, dot, frac, neg_primitive_pair, primitive,
+                      rank_of, vec, vsub, zero_vec)
 from ._record import _Record
-from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, feasible, intersect,
-                        satisfied_at, validate_flag)
+from .polyhedra import (EQ, LE, ConeH, FlagOfCones, HRow, InternalConsistencyError,
+                        _ray_sum, feasible, intersect, satisfied_at, validate_flag)
 from .trop_core import (ContextMismatchError, ExtPoint, Face, ToricContext,
                         TropPoly, bend_relations)
 from .congruence import (CongruencePresentation, _pair_table, _phi_table, _side_max,
                          _sides_equal, flag_to_matrix)
-
-
-class InternalConsistencyError(RuntimeError):
-    pass
 
 
 class FiniteBasisRequiredError(ValueError):
@@ -270,15 +269,12 @@ def _arrangement(pairs: tuple, tau: Face) -> tuple:
 
     On each cell of this arrangement every side of every pair is linear, and the
     two sides of a pair compare the same way throughout.  It depends only on
-    the stratum, so it is cached, not rebuilt for every cell or flag."""
-    forms = set()
-    for f, g in pairs:
-        tvs = f.restrict(tau).term_vectors() + g.restrict(tau).term_vectors()
-        for v1, v2 in itertools.combinations(tvs, 2):
-            d = neg_primitive_pair(vsub(v1, v2))
-            if not is_zero_vec(d):
-                forms.add(d)
-    return tuple(sorted(forms))
+    the stratum, so it is cached, not rebuilt for every cell or flag.  The
+    ties are read off the pair table: one form per two distinct indices within
+    a pair's sides, which are two distinct term vectors."""
+    tvs, sides = _pair_table(pairs, tau)
+    ties = {t for fs, gs in sides for t in itertools.combinations(sorted({*fs, *gs}), 2)}
+    return tuple(sorted({neg_primitive_pair(vsub(tvs[i], tvs[j])) for i, j in ties}))
 
 
 def split_generators_by_forms(state, bit: int, forms: Sequence[Vec]) -> list:
@@ -313,26 +309,23 @@ def _cell_pieces(cell: ConeH, forms: Sequence[Vec]) -> list:
     return split_generators_by_forms((lin, rays, tight), 1 << len(rows), forms)
 
 
-def _relint_sample(gens) -> Vec:
-    return gens[0] if len(gens) == 1 else tuple(map(sum, zip(*gens)))
-
-
 def _functions_equal_on_cell(f: TropPoly, g: TropPoly, tau: Face, cell: ConeH) -> bool:
-    """f = g on the cell, exactly: _sides_agree on the pair table of (f, g).
+    """f = g on the cell, exactly: _sides_agree on the pair table of (f, g),
+    at one point per closed piece of the tie arrangement.
 
-    No two live terms of f and g swap order inside a closed piece of the tie
-    arrangement, so on it each side is one linear form (the term maximal
-    throughout the piece) or bottom throughout.  Two such sides agree on the
-    piece iff they agree at its rays and +-lineality.  The origin (all of a cell
-    with no generator; a live side is 0 there) and the cell's own generators
-    come first, so most unequal pairs return before the split is built."""
+    On a piece, f is one term m and g one term u (the terms maximal
+    throughout it), or a side is bottom throughout.  The tie form m - u is in
+    the arrangement, so its sign is constant on the closed piece, and it
+    vanishes on the whole piece iff it vanishes at a relative-interior point:
+    the sum of the piece's rays, or the origin for a piece with no ray.  The
+    cell's own generators come first, so most unequal pairs return before
+    the split is built; a pair whose sides differ in liveness differs at every
+    generator, and at the origin when the cell has none."""
     table = _pair_table(((f, g),), tau)
-    def agree(lin, rays):
-        return all(_sides_agree(*table, w) for w in (*rays, *lin, *(vscale(-1, v) for v in lin)))
-    if not (_sides_agree(*table, zero_vec(cell.dim)) and agree(*polyhedra.cone_generators(cell))):
+    if not all(_sides_agree(*table, w) for w in polyhedra.generators(cell)):
         return False
-    forms = _arrangement(((f, g),), tau)
-    return all(agree(lin, rays) for lin, rays, _ in _cell_pieces(cell, forms))
+    return all(_sides_agree(*table, _ray_sum(rays) if rays else zero_vec(cell.dim))
+               for _, rays, _ in _cell_pieces(cell, _arrangement(((f, g),), tau)))
 
 
 def functions_equal_on_variety(f: TropPoly, g: TropPoly, V: VarietySupport) -> bool:
@@ -378,7 +371,7 @@ def flag_in_variety(context: ToricContext, flag: FlagOfCones, V: VarietySupport)
     # which gives the split exact masks with no H-representation
     k = len(rays)
     start = ([], rays, [((1 << k) - 1) ^ (1 << j) for j in range(k)])
-    return all(_in_variety(V, tau, _relint_sample(piece)) for _, piece, _ in
+    return all(_in_variety(V, tau, _ray_sum(piece)) for _, piece, _ in
                split_generators_by_forms(start, 1 << k, _arrangement(V.pairs, tau)))
 
 
@@ -445,7 +438,7 @@ def shrink_flag(context: ToricContext, flag: FlagOfCones, E: CongruencePresentat
                                       for c in range(flag.ambient_dim)]) for lam in lams))
         simplicial = simplicial and len(cut) == i + 1
         new_cones.append(cut if simplicial else
-                         new_cones[-1] + (primitive(_relint_sample(cut)),))
+                         new_cones[-1] + (primitive(_ray_sum(cut)),))
     out = polyhedra.make_flag(flag.ambient_dim, flag.tau_rays, new_cones)
     bad = validate_flag(out)
     if bad:

@@ -23,9 +23,10 @@ Its pieces come from `split_generators_by_forms`, the library's former split:
 one double-description step per crossing hyperplane on plain generator
 lists, keeping every positive/negative crossing with no adjacency test, so a
 piece may hold redundant generators (they grow multiplicatively with the
-number of forms).  It is the oracle of tests/test_pair_table.py for the
-agreement kernel on pair tables and for the split on incidence masks that
-replaced them.
+number of forms).  It is the oracle of tests/test_pair_table.py and
+tests/test_arrangement_split.py for the agreement kernel on pair tables, for
+the split on incidence masks that replaced them, and for the library's one
+point per piece: this oracle still evaluates every generator of every piece.
 
 Test use only.
 """

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from tropcong._linalg import rref, vec
 from tropcong.congruence import _pair_table
-from tropcong.polyhedra import FlagOfCones, cone_dim, is_face, validate_flag
+from tropcong.polyhedra import FlagOfCones, _ray_sum, cone_dim, is_face, validate_flag
 from tropcong.trop_core import ContextMismatchError
-from tropcong.variety import (_arrangement, _relint_sample, _sides_agree,
-                              split_generators_by_forms)
+from tropcong.variety import _arrangement, _sides_agree, split_generators_by_forms
 
 from helpers import reduce_mod_span
 
@@ -66,6 +65,6 @@ def flag_in_variety(context, flag: FlagOfCones, V) -> bool:
         k = len(rays)
         start = ([], rays, [((1 << k) - 1) ^ (1 << j) for j in range(k)])
         for _, piece, _ in split_generators_by_forms(start, 1 << k, forms):
-            if not _sides_agree(*table, _relint_sample(piece)):
+            if not _sides_agree(*table, _ray_sum(piece)):
                 return False
     return True

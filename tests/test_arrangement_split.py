@@ -12,8 +12,10 @@ which start the split from their own rays as `flag_in_variety` does.
 
 The split once kept every crossing, so a 6-term pair equal to itself on the
 `three_quadrics` `f_2` hypersurface support grew pieces with about a million
-generators and `radical-member` did not finish; that query is pinned here,
-and so is the origin rule of `_functions_equal_on_cell`.
+generators and `radical-member` did not finish; that query is pinned here.
+So is the point at which `_functions_equal_on_cell` decides a piece with no
+ray, the origin: on a cell with no generator, and on a line, a piece with
+lineality and no ray, which the function-equality sweep never reaches.
 """
 
 import json
@@ -31,6 +33,7 @@ from tropcong.polyhedra import (EQ, LE, ConeH, HRow, cone_generators, cone_key,
 from tropcong.trop_core import ToricContext, parse_poly
 from tropcong.variety import functions_equal_on_variety, hypersurface, radical_member
 
+import eval_reference as ref
 from helpers import enc_congruence, reduce_mod_span
 from test_pair_table import SUPPORTS, _function_pairs
 
@@ -185,3 +188,19 @@ def test_origin_cell_is_checked_at_the_zero_vector():
     deep = [cell for tau, cell in V.all_cells() if tau.dim() > 0]
     assert deep and all(cone_generators(cell) == ((), ()) for cell in deep)
     assert radical_member(E, (parse_poly(ctx, "t^-1"), parse_poly(ctx, "x"))) is False
+
+
+def test_a_line_is_decided_at_the_origin():
+    # on the torus, (t^1, 1) ties at height 0: the support is the line r = 0
+    ctx = ToricContext.torus(1)
+    E = CongruencePresentation.make(ctx, [(parse_poly(ctx, "t^1"), parse_poly(ctx, "t^0"))],
+                                    True)
+    [(tau, cell)] = vy.support_of(E).all_cells()
+    assert cone_generators(cell) == (((0, 1),), ())
+    f, g = parse_poly(ctx, "t^1*x"), parse_poly(ctx, "x")
+    [(lin, rays, _)] = vy._cell_pieces(cell, vy._arrangement(((f, g),), tau))
+    assert lin and not rays
+    for lhs, rhs, want in (("t^1*x", "x", True), ("t^1", "t^0", True), ("x", "t^0", False)):
+        f, g = parse_poly(ctx, lhs), parse_poly(ctx, rhs)
+        assert radical_member(E, (f, g)) is want
+        assert ref.functions_equal_on_cell(f, g, tau, cell) is want

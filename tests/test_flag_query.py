@@ -109,7 +109,7 @@ def _missing_cell_support(E, tau):
     V = variety_of_basis(E)
     cells = V.stratum(tau).cells
     for k, cell in enumerate(cells):
-        w = vy._relint_sample(polyhedra.generators(cell))
+        w = polyhedra._ray_sum(polyhedra.generators(cell))
         kept = cells[:k] + cells[k + 1:]
         if not any(polyhedra.satisfied_at(c, (w,)) for c in kept):
             strata = tuple(vy.StratumSupport(s.tau, kept if s.tau == tau else s.cells)

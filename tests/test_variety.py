@@ -577,10 +577,9 @@ def test_caches_are_bounded():
         for name, obj in vars(mod).items():
             if hasattr(obj, "cache_info"):
                 found[obj.__module__ + "." + name] = obj
-    for name in ("trop_core._sigma", "trop_core._faces",
-                 "polyhedra.cone_generators", "polyhedra._flag_violations",
-                 "congruence._pair_table", "congruence.flag_to_matrix",
-                 "variety._arrangement", "variety._point_table", "variety.support_of"):
-        assert "tropcong." + name in found
+    assert sorted(found) == ["tropcong." + name for name in (
+        "congruence._pair_table", "congruence.flag_to_matrix",
+        "polyhedra._flag_violations", "polyhedra.cone_generators", "trop_core._faces",
+        "variety._arrangement", "variety._point_table", "variety.support_of")]
     for name, fn in found.items():
         assert fn.cache_info().maxsize is not None, name
